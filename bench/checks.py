@@ -339,7 +339,7 @@ def check_verify_all(out: dict) -> list[str]:
         if line is None or not line.rstrip().endswith("PASS"):
             errors.append(f"suite {name}: {line!r}")
     reports = {r["suite"]: r for r in out["report"]["reports"]}
-    for suite in ("hardy", "transform", "existence", "bounds-t41", "bounds-t43", "bounds-t42"):
+    for suite in ("hardy", "transform", "bounds-t41", "bounds-t43", "bounds-t42"):
         if not reports.get(suite, {}).get("passed"):
             errors.append(f"report {suite} not passed")
     hardy = reports["hardy"]
@@ -356,19 +356,46 @@ def check_verify_all(out: dict) -> list[str]:
         for row in reports[f"bounds-{theorem}"]["rows"]:
             errors += _check_sweep_row(theorem, row)
 
-    for case in reports["existence"]["cases"]:
+    errors += check_existence(reports["existence"])
+    errors += check_convergence(reports["convergence"])
+    return errors
+
+
+def check_existence(rep: dict) -> list[str]:
+    """Every existence case's count against scipy, and its status."""
+    errors = []
+    if not rep.get("passed"):
+        errors.append("report existence not passed")
+    for case in rep["cases"]:
         pot = case["potential"]
         m = int(round(4000 * case["window"] / 20.0))
         step = {"L": case["window"], "m": m, "count": case["count"]}
         errors += check_trail(pot, 1, case["n"], "zero", case["n"], [step], where="existence")
         if (case["count"] >= 1) != (case["status"] == "confirmed"):
             errors.append(f"existence: status {case['status']} with count {case['count']}")
-    conv = reports["convergence"]
-    trail = conv["window_trail"] + conv["grid_trail"]
-    errors += check_trail(CONVERGENCE_WELL, 1, 0, "zero", 0, trail, where="convergence")
-    if not conv["stabilized"] or conv["stable_count"] != conv["grid_trail"][-1]["count"]:
+    return errors
+
+
+def check_convergence(rep: dict) -> list[str]:
+    """Every count of the window and grid ladders against scipy."""
+    errors = check_trail(CONVERGENCE_WELL, 1, 0, "zero", 0,
+                         rep["window_trail"] + rep["grid_trail"], where="convergence")
+    if not rep["stabilized"] or rep["stable_count"] != rep["grid_trail"][-1]["count"]:
         errors.append("convergence: not stabilized")
     return errors
+
+
+def check_cli_suite(out: dict) -> list[str]:
+    """One ``verify existence`` or ``verify convergence``: exit code 0, the
+    suite's PASS line, and the suite's counts."""
+    (rep,) = out["report"]["reports"]
+    suite = rep["suite"]
+    errors = [] if out["rc"] == 0 else [f"verify {suite} exited {out['rc']}"]
+    line = next((x for x in out["stdout"].splitlines() if x.startswith(suite)), None)
+    if line is None or not line.rstrip().endswith("PASS"):
+        errors.append(f"suite {suite}: {line!r}")
+    check = {"existence": check_existence, "convergence": check_convergence}[suite]
+    return errors + check(rep)
 
 
 def _check_sweep_row(theorem: str, row: dict) -> list[str]:

@@ -9,12 +9,18 @@ generation from the seed, warm-up), then whole rounds of the workload's
 fixed operation set until ``--seconds`` would be exceeded, then the checks
 of the outputs, which are made apart from the library (see checks.py).
 
-``--trace 0`` prints the end-to-end metrics.  ``setup_s`` is the median
-wall time of several fresh interpreters that each do the set-up and exit.
+``--trace 0`` prints the end-to-end metrics.  Each time is a best of
+several tries, as ``timeit`` reports it: other load on the machine only ever
+adds time, so the fastest try is the one it disturbed least.  ``setup_s`` is
+the fastest of several fresh interpreters that each do the set-up and exit,
+started between the rounds.
+Every round runs under the tracer, and an operation's time is the sum over
+its layer spans of each span's fastest self time over the rounds (see
+``best_time``); ``wall_s`` sums these over the operations, and
+``op_p50_ms`` is their median.
 ``--trace 1`` alternates untraced and traced rounds and prints the
-per-layer metrics of the traced rounds (see tracing.py) with the tracing
-overhead.  Every time is a median over rounds: ``wall_s`` sums each
-operation's median, ``op_p50_ms`` is the median of all operation times.
+per-layer metrics of the traced rounds (see tracing.py), each the median
+over the traced rounds, with the tracing overhead.
 The last line of standard output is one JSON object:
 ``{"correct", "attempted", "failed", "metrics": {name: {"value", "unit"}}}``.
 """
@@ -34,7 +40,7 @@ import traceback
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(HERE), "src")
-SETUP_RUNS = 5
+SETUP_RUNS = 15
 
 END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "op_p50_ms": "ms", "peak_rss_mb": "MB"}
 
@@ -69,41 +75,47 @@ def set_up(workload: str, seed: int):
     return wl, ops
 
 
-def measure_setup(args) -> float:
-    """Median wall time of fresh interpreters that only set up."""
+def setup_probe(args) -> float:
+    """Wall time of one fresh interpreter that only sets up and exits."""
     cmd = [sys.executable, os.path.abspath(__file__), "--workload", args.workload,
-           "--seed", str(args.seed), "--setup-only"]
-    times = []
-    for _ in range(SETUP_RUNS):
-        t0 = time.perf_counter()
-        subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+           "--seed", str(args.seed), "--seconds", "0", "--setup-only"]
+    t0 = time.perf_counter()
+    subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
+    return time.perf_counter() - t0
 
 
-def run_rounds(wl, ops, seconds: float, tracer=None):
-    """Whole rounds until the next one would end past ``seconds``.  With a
-    tracer, odd rounds are traced."""
-    from tracing import layer_metrics
+def run_rounds(wl, ops, seconds: float, trace: bool, probe=None):
+    """Whole rounds until the next one would end past ``seconds``.  Without
+    ``trace`` every round runs under the tracer, for the spans of each
+    operation; with it, even rounds run bare and odd rounds traced.
 
+    ``probe``, if given, is called ``SETUP_RUNS`` times, spread between the
+    rounds over the run, so that the fastest set-up is taken from the whole
+    run and not from one burst of load; its time does not count against
+    ``seconds``."""
+    from tracing import Tracer, layer_metrics
+
+    tracer = Tracer()
     walls = {False: [], True: []}
-    op_times = {}  # untraced rounds only
+    op_best = {}  # op id -> fold_best of its spans over the rounds
     layer_rounds = []
     spans = []
     first = None
     errors = []
     attempted = failed = 0
+    probes = []
+    probe_s = 0.0
     start = time.perf_counter()
     rounds = 0
     while True:
-        traced = tracer is not None and rounds % 2 == 1
+        traced = not trace or rounds % 2 == 1
         outputs = []
         wall = 0.0
-        if traced:
-            tracer.reset()
+        tracer.reset()
         with tracer.install() if traced else contextlib.nullcontext():
             for op in ops:
                 attempted += 1
+                first_span = len(tracer.spans)
                 t0 = time.perf_counter()
                 try:
                     raw = tracer.call(op["id"], wl.run, op) if traced else wl.run(op)
@@ -113,13 +125,12 @@ def run_rounds(wl, ops, seconds: float, tracer=None):
                     if rounds == 0:
                         print(f"{op['id']} failed:\n{traceback.format_exc()}", file=sys.stderr)
                     continue
-                dt = time.perf_counter() - t0
-                wall += dt
-                if not traced:
-                    op_times.setdefault(op["id"], []).append(dt)
+                wall += time.perf_counter() - t0
+                if not trace:
+                    op_best[op["id"]] = fold_best(op_best.get(op["id"]), self_times(tracer.spans, first_span))
                 outputs.append(wl.collect(op, raw))
         walls[traced].append(wall)
-        if traced:
+        if trace and traced:
             layer_rounds.append(layer_metrics(tracer, wall))
             spans = list(tracer.spans)
         if first is None:
@@ -127,14 +138,54 @@ def run_rounds(wl, ops, seconds: float, tracer=None):
         elif outputs != first:
             errors.append(f"round {rounds} outputs differ from round 0")
         rounds += 1
-        elapsed = time.perf_counter() - start
+        elapsed = time.perf_counter() - start - probe_s
         per_round = elapsed / rounds
-        if rounds >= (2 if tracer else 1) and elapsed + per_round > seconds:
+        done = rounds >= (2 if trace else 1) and elapsed + per_round > seconds
+        due = SETUP_RUNS if done else int(SETUP_RUNS * min(1.0, elapsed / seconds))
+        while probe is not None and len(probes) < due:
+            probes.append(probe())
+            probe_s += probes[-1]
+        if done:
             break
     return {
-        "walls": walls, "op_times": op_times, "layer_rounds": layer_rounds, "spans": spans,
-        "first": first, "errors": errors, "attempted": attempted, "failed": failed,
+        "walls": walls, "op_best": op_best, "setup_times": probes,
+        "layer_rounds": layer_rounds, "spans": spans, "first": first,
+        "errors": errors, "attempted": attempted, "failed": failed,
     }
+
+
+def self_times(spans: list, first: int) -> list[tuple[str, float]]:
+    """(layer, self seconds) of the spans from index ``first`` on, in call
+    order: each span's duration minus the durations of its child spans."""
+    child = {}
+    for _, parent, _, _, t0, t1 in spans[first:]:
+        if parent is not None:
+            child[parent] = child.get(parent, 0.0) + (t1 - t0)
+    return [(layer, (t1 - t0) - child.get(span_id, 0.0))
+            for span_id, _, layer, _, t0, t1 in spans[first:]]
+
+
+def fold_best(best: dict | None, spans: list[tuple[str, float]]) -> dict:
+    """Fold one round of an operation's spans into its running best: the
+    fastest self time of each span, while the spans are the same in every
+    round, and the fastest total."""
+    layers = tuple(layer for layer, _ in spans)
+    times = [t for _, t in spans]
+    if best is None:
+        return {"layers": layers, "mins": times, "total": sum(times), "same": True}
+    best["total"] = min(best["total"], sum(times))
+    if best["same"] and layers == best["layers"]:
+        best["mins"] = [min(a, b) for a, b in zip(best["mins"], times)]
+    else:
+        best["same"] = False
+    return best
+
+
+def best_time(best: dict) -> float:
+    """An operation's time with the machine's interference taken out: the sum
+    over its spans of each span's fastest self time over the rounds.  If the
+    spans differ between rounds (say, a cache warms), the fastest round."""
+    return sum(best["mins"]) if best["same"] else best["total"]
 
 
 def write_spans(path: str, spans: list) -> None:
@@ -151,7 +202,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True,
                         choices=("verify-all", "line-spectrum", "bound-quad"))
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -161,14 +212,9 @@ def main(argv=None) -> int:
         set_up(args.workload, args.seed)
         return 0
 
-    setup_s = None if args.trace else measure_setup(args)
     wl, ops = set_up(args.workload, args.seed)
-    tracer = None
-    if args.trace:
-        from tracing import Tracer
-
-        tracer = Tracer()
-    res = run_rounds(wl, ops, args.seconds, tracer)
+    probe = None if args.trace else (lambda: setup_probe(args))
+    res = run_rounds(wl, ops, args.seconds, bool(args.trace), probe)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     checked = [(op, out) for op, out in zip(ops, res["first"]) if out is not None]
@@ -185,10 +231,11 @@ def main(argv=None) -> int:
         write_spans(os.path.join(HERE, "out", f"trace-{args.workload}-seed{args.seed}.jsonl"),
                     res["spans"])
     else:
+        best = [best_time(b) for b in res["op_best"].values()]
         values = {
-            "setup_s": setup_s,
-            "wall_s": sum(statistics.median(times) for times in res["op_times"].values()),
-            "op_p50_ms": 1e3 * statistics.median(t for times in res["op_times"].values() for t in times),
+            "setup_s": min(res["setup_times"]),
+            "wall_s": sum(best),
+            "op_p50_ms": 1e3 * statistics.median(best),
             "peak_rss_mb": peak_rss_mb,
         }
         metrics = {name: {"value": v, "unit": END_TO_END_UNITS[name]} for name, v in values.items()}

@@ -1,5 +1,6 @@
-"""Tests of the benchmark itself: every check rejects a wrong output, and the
-printed metrics are the ones BENCHMARK.json declares.
+"""Tests of the benchmark itself: every check rejects a wrong output, the
+printed metrics are the ones BENCHMARK.json declares, and an operation's
+best time is folded span by span.
 
     python3 -m pytest bench/tests -q
 """
@@ -43,7 +44,7 @@ def test_metric_names_and_units_match_benchmark_json():
     per_layer = {m["name"]: m["unit"] for m in declared["per_layer"]}
     assert set(per_layer) == layer_names
     assert all(run.per_layer_unit(name) == unit for name, unit in per_layer.items())
-    assert [w["name"] for w in declared["workloads"]] == list(workloads.WORKLOADS)
+    assert {w["name"] for w in declared["workloads"]} <= set(workloads.WORKLOADS)
 
 
 @pytest.mark.parametrize("trace", [0, 1])
@@ -58,7 +59,7 @@ def test_printed_metrics_match_benchmark_json(trace):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert set(result) == {"correct", "attempted", "failed", "metrics"}
     assert result["correct"] is True and result["failed"] == 0
-    assert result["attempted"] == len(workloads.LINE_SLOTS) * (2 if trace else 1)
+    assert result["attempted"] == len(workloads.LineSpectrum().generate(3)) * (2 if trace else 1)
     printed = {name: m["unit"] for name, m in result["metrics"].items()}
     assert printed == {m["name"]: m["unit"] for m in declared[kind]}
 
@@ -217,3 +218,54 @@ def test_verify_all_count_above_cap_rejected(verify_all_output):
         row = _rows(out, "t43")[-1]
         row["bound_cap"] = row["count"] - 1
     assert checks.check_verify_all(_mutated(verify_all_output, bump))
+
+
+# ---------------------------------------------------------------------------
+# best-of timing
+# ---------------------------------------------------------------------------
+
+def test_best_time_takes_each_span_at_its_fastest():
+    best = None
+    for spans in ([("op", 1.0), ("spectra.assemble", 5.0)],
+                  [("op", 2.0), ("spectra.assemble", 3.0)]):
+        best = run.fold_best(best, spans)
+    assert run.best_time(best) == 4.0
+
+
+def test_best_time_falls_back_to_fastest_round_when_spans_change():
+    best = None
+    for spans in ([("op", 1.0), ("spectra.assemble", 5.0)],
+                  [("op", 2.0), ("spectra.assemble", 3.0), ("spectra.assemble", 0.5)],
+                  [("op", 0.5), ("spectra.sturm", 6.0)]):
+        best = run.fold_best(best, spans)
+    assert run.best_time(best) == 5.5
+
+
+# ---------------------------------------------------------------------------
+# line-spectrum's CLI suites
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def cli_suite_outputs():
+    wl = workloads.LineSpectrum()
+    return {op["id"]: wl.collect(op, wl.run(op)) for op in wl.generate(0) if "argv" in op}
+
+
+def test_cli_suites_pass(cli_suite_outputs):
+    assert set(cli_suite_outputs) == {"cli-existence", "cli-convergence"}
+    for out in cli_suite_outputs.values():
+        assert checks.check_cli_suite(out) == []
+
+
+def test_cli_suite_exit_code_rejected(cli_suite_outputs):
+    assert checks.check_cli_suite({**cli_suite_outputs["cli-existence"], "rc": 1})
+
+
+def test_cli_suite_count_off_by_one_rejected(cli_suite_outputs):
+    def bump_case(out):
+        out["report"]["reports"][0]["cases"][0]["count"] += 1
+
+    def bump_grid(out):
+        out["report"]["reports"][0]["grid_trail"][0]["count"] -= 1
+    assert checks.check_cli_suite(_mutated(cli_suite_outputs["cli-existence"], bump_case))
+    assert checks.check_cli_suite(_mutated(cli_suite_outputs["cli-convergence"], bump_grid))
