@@ -11,6 +11,8 @@ Run:  PYTHONPATH=src python3 demos/spectral_counting.py
 
 import math
 
+import numpy as np
+
 from hardybounds import OperatorSpec, SquareWell
 from hardybounds.spectra import (
     Grid,
@@ -35,7 +37,7 @@ print()
 print("=" * 72)
 print("2. The sech^2 well: one bound state at -1")
 print("=" * 72)
-Tpt = assemble(lambda s: -2.0 / math.cosh(s) ** 2, Grid(-20.0, 20.0, 8000))
+Tpt = assemble(lambda s: -2.0 / np.cosh(s) ** 2, Grid(-20.0, 20.0, 8000))
 print(f"negative count : {inertia_negative_count(Tpt, 0.0)}")
 print(f"ground state   : {lowest_eigenvalues(Tpt, 1, tol=1e-9)[0]:.6f}")
 print()

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .iterfun import (
     DomainThreshold,
     degeneracy,
@@ -297,17 +297,22 @@ def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
     """Largest l >= 0 whose effective radial potential still dips negative on
     the domain, i.e. the largest l with l(l+d-2) < sup r^2 (-V(r))_+.
 
-    None when the supremum is 0 (every channel bound is then 0).
+    None when the supremum is 0 (every channel bound is then 0).  An infinite
+    supremum (every channel dips negative) raises EvaluationError.
     """
     if d < 2:
         raise DomainError(f"l_max needs d >= 2, got {d}")
     S = _sup_r2_negative_part(V, domain.value)
     if S <= 0.0:
         return None
-    l = 0
-    while (l + 1) * (l + 1 + d - 2) < S:
-        l += 1
-    return l
+    if math.isinf(S):
+        raise EvaluationError(
+            "sup r^2 |V_-| is infinite: every angular channel has a negative part"
+        )
+    # l(l+c) < S  <=>  l(l+c) <= M = ceil(S) - 1  <=>  (2l+c)^2 <= 4M + c^2
+    c = d - 2
+    M = math.ceil(S) - 1
+    return (math.isqrt(4 * M + c * c) - c) // 2
 
 
 def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
@@ -389,15 +394,15 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> Bound
             f"weighted potential may be unbounded below (sampled minimum "
             f"{hyp.sampled_min:.3e} near r = {hyp.witness:.6g})"
         )
-    lm = l_max(V, spec.d, spec.threshold)
-    if lm is None:
-        return BoundValue.build(0.0, QuadDiagnostics(warnings=tuple(warnings)))
-
+    # before l_max: a non-integrable tail can make sup r^2 |V_-| infinite
     ok, why = _tail_is_integrable(V)
     if not ok:
         return BoundValue.build(
             math.inf, QuadDiagnostics(warnings=tuple(warnings), notes=(why,))
         )
+    lm = l_max(V, spec.d, spec.threshold)
+    if lm is None:
+        return BoundValue.build(0.0, QuadDiagnostics(warnings=tuple(warnings)))
 
     base = 1.0 if spec.variant == "zero" else 0.0
     channels = []

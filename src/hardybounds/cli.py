@@ -75,6 +75,10 @@ class ConfigError(ValueError):
     pass
 
 
+BOUND_TOL = 1e-8  # quadrature tolerance of ``bound`` when none is given
+TRANSFORM_TOL = 1e-6  # tolerance of ``verify transform`` when none is given
+
+
 @dataclass
 class RunConfig:
     """Effective configuration after merging defaults, file, and flags."""
@@ -88,7 +92,7 @@ class RunConfig:
     L: float = 20.0
     m: int = 4000
     doublings: int = 1
-    tol: float = 1e-8
+    tol: Optional[float] = None  # None: the command's own default
     samples: int = 2000
     constants: dict = field(default_factory=lambda: {"3": 0.1156})
     suite: Optional[str] = None
@@ -112,7 +116,7 @@ DEFAULTS_TABLE = {
     "L": 20.0,
     "m": 4000,
     "doublings": 1,
-    "tol": 1e-8,
+    "tol": BOUND_TOL,
     "samples": 2000,
     "C_3": 0.1156,
     "existence_max_window": 320.0,
@@ -252,7 +256,7 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"need d >= 1 and n >= 0, got d={cfg.d}, n={cfg.n}")
     if cfg.L <= 0 or cfg.m < 2:
         raise ConfigError(f"need L > 0 and m >= 2, got L={cfg.L}, m={cfg.m}")
-    if cfg.tol <= 0:
+    if cfg.tol is not None and cfg.tol <= 0:
         raise ConfigError(f"tolerance must be positive, got {cfg.tol}")
     if cfg.theorem is not None and cfg.theorem not in ("t41", "t42", "t43"):
         raise ConfigError(f"theorem must be t41, t42 or t43, got {cfg.theorem!r}")
@@ -277,6 +281,8 @@ def _operator_for(cfg: RunConfig) -> OperatorSpec:
 def cmd_bound(cfg: RunConfig) -> int:
     V = _potential_from_config(cfg)
     spec = _operator_for(cfg)
+    if cfg.tol is None:
+        cfg.tol = BOUND_TOL
     if cfg.theorem == "t41":
         bv = bound_1d(V, spec, tol=cfg.tol)
     elif cfg.theorem == "t42":
@@ -366,8 +372,9 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"{'PASS' if rep.passed else 'FAIL'}")
         failed |= not rep.passed
     if suite in ("transform", "all"):
-        tol = cfg.tol if cfg.tol != RunConfig().tol else 1e-6
-        rep = run_transform_identity(tol=tol)
+        if cfg.tol is None:
+            cfg.tol = TRANSFORM_TOL
+        rep = run_transform_identity(tol=cfg.tol)
         reports.append(rep.to_dict())
         print(f"transform   : max discrepancy {rep.max_discrepancy:.3e} "
               f"{'PASS' if rep.passed else 'FAIL'}")

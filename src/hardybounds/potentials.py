@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -366,17 +366,43 @@ def _exp_prefactor_exponent(s: float, terms: int) -> float:
     return 2.0 * total
 
 
+def _exp_prefactor_exponent_array(s: np.ndarray, terms: int) -> np.ndarray:
+    """``_exp_prefactor_exponent`` elementwise, with the same cut-off at _EXP_MAX."""
+    total = np.zeros(s.shape)
+    cur = s
+    for _ in range(terms):
+        total = total + cur
+        cur = np.where(cur < _EXP_MAX, np.exp(np.minimum(cur, _EXP_MAX)), np.inf)
+    return 2.0 * total
+
+
+def _overflow_error(s) -> OverflowError:
+    return OverflowError(f"transformed potential value at s={s} exceeds the double range")
+
+
 @dataclass(frozen=True)
 class TransformedPotential:
     """Image of ``base`` under ``steps`` applications of the log change of
     variables, plus an additive constant:
 
         W(s) = e^{2s} ... e^{2 exp^(steps-1) s} * base(exp^(steps) s) + extra_constant
+
+    Calling it on an ndarray of s evaluates W elementwise; the base potential's
+    scalar ``evaluate`` is then called only at the points inside its mapped
+    support.  A centrifugal term l(l+d-2)/r^2 and an inverse-square tail -c/r^2
+    are applied in telescoped form, c * e^{2s} ... e^{2 exp^(steps-2) s}, so
+    they never overflow through exp^(steps) s.
     """
 
     base: Potential
     steps: int
     extra_constant: float = 0.0
+    # set at construction: the centrifugal coupling split off the base, the
+    # potential it shifts, and that potential's support mapped into s (the
+    # onset for an inverse-square tail; None for an empty support)
+    _coupling: float = field(init=False, repr=False, compare=False)
+    _core: Potential = field(init=False, repr=False, compare=False)
+    _window: Optional[tuple[float, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.steps, int) or self.steps < 1:
@@ -385,72 +411,99 @@ class TransformedPotential:
             raise DepthCapError(
                 f"transform depth {self.steps} exceeds the cap {DEPTH_CAP}"
             )
+        core, coupling = self.base, 0.0
+        if isinstance(core, CentrifugalShift):
+            core, coupling = core.base, core.coupling
+        if isinstance(core, TabulatedPotential):
+            # no zero extension: outside the sampled range the value is undefined
+            window = (-math.inf, math.inf)
+        else:
+            supp = core.support()
+            window = None if supp is None else (
+                safe_iterated_log(supp[0], self.steps),
+                safe_iterated_log(supp[1], self.steps),  # inf maps to inf
+            )
+        object.__setattr__(self, "_coupling", coupling)
+        object.__setattr__(self, "_core", core)
+        object.__setattr__(self, "_window", window)
 
     def evaluate(self, s: float) -> float:
-        return _transformed_value(self.base, self.steps, s) + self.extra_constant
-
-    def __call__(self, s: float) -> float:
-        return self.evaluate(s)
-
-
-def _transformed_value(V: Potential, k: int, s: float) -> float:
-    if isinstance(V, ZeroPotential):
-        return 0.0
-
-    if isinstance(V, CentrifugalShift):
-        # l(l+d-2)/y^2 telescopes: the transform of c/r^2 is c * e^{2s}...e^{2 exp^(k-2) s}.
-        out = _transformed_value(V.base, k, s)
-        L = V.coupling
-        if L > 0.0:
-            expo = math.log(L) + _exp_prefactor_exponent(s, k - 1)
+        out = self._core_value(s)
+        if self._coupling > 0.0:
+            # l(l+d-2)/y^2 telescopes: c * e^{2s} ... e^{2 exp^(k-2) s}
+            expo = math.log(self._coupling) + _exp_prefactor_exponent(s, self.steps - 1)
             out += _POSITIVE_WALL if expo > _EXP_MAX else math.exp(expo)
-        return out
+        return out + self.extra_constant
 
-    if isinstance(V, InverseSquareTail):
-        # -c/y^2 telescopes the same way, active for exp^(k) s >= onset.
-        if s < safe_iterated_log(V.a, k):
+    def __call__(self, s):
+        """W(s) for a float, or elementwise for an ndarray of s."""
+        if np.ndim(s) == 0:
+            return self.evaluate(s)
+        s = np.asarray(s, dtype=float)
+        out = self._core_array(s)
+        if self._coupling > 0.0:
+            expo = math.log(self._coupling) + _exp_prefactor_exponent_array(s, self.steps - 1)
+            out += np.where(expo > _EXP_MAX, _POSITIVE_WALL, np.exp(np.minimum(expo, _EXP_MAX)))
+        return out + self.extra_constant
+
+    def _core_value(self, s: float) -> float:
+        if self._window is None:
             return 0.0
-        expo = math.log(V.c) + _exp_prefactor_exponent(s, k - 1)
-        if expo > _EXP_MAX:
-            raise OverflowError(
-                f"transformed inverse-square value at s={s} exceeds the double range"
-            )
-        return -math.exp(expo)
-
-    if isinstance(V, TabulatedPotential):
-        # no zero extension: outside the sampled range the value is undefined
-        y = iterated_exp(s, k)
-        v = V.evaluate(y)
+        V, k = self._core, self.steps
+        lo_s, hi_s = self._window
+        if isinstance(V, InverseSquareTail):
+            # -c/y^2 telescopes like the centrifugal term, active for y >= onset
+            if s < lo_s:
+                return 0.0
+            expo = math.log(V.c) + _exp_prefactor_exponent(s, k - 1)
+            if expo > _EXP_MAX:
+                raise _overflow_error(s)
+            return -math.exp(expo)
+        if s <= lo_s or s >= hi_s:
+            return 0.0
+        v = V.evaluate(iterated_exp(s, k))
         if v == 0.0:
             return 0.0
         expo = _exp_prefactor_exponent(s, k) + math.log(abs(v))
         if expo > _EXP_MAX:
             if v > 0.0:
                 return _POSITIVE_WALL
-            raise OverflowError(
-                f"transformed potential value at s={s} exceeds the double range"
-            )
+            raise _overflow_error(s)
         return math.copysign(math.exp(expo), v)
 
-    supp = V.support()
-    if supp is None:
-        return 0.0
-    lo_s = safe_iterated_log(supp[0], k)
-    hi_s = safe_iterated_log(supp[1], k)  # inf maps to inf
-    if s <= lo_s or s >= hi_s:
-        return 0.0
-    y = iterated_exp(s, k)  # representable: s is inside the mapped support
-    v = V.evaluate(y)
-    if v == 0.0:
-        return 0.0
-    expo = _exp_prefactor_exponent(s, k) + math.log(abs(v))
-    if expo > _EXP_MAX:
-        if v > 0.0:
-            return _POSITIVE_WALL
-        raise OverflowError(
-            f"transformed potential value at s={s} exceeds the double range"
-        )
-    return math.copysign(math.exp(expo), v)
+    def _core_array(self, s: np.ndarray) -> np.ndarray:
+        out = np.zeros(s.shape)
+        if self._window is None:
+            return out
+        V, k = self._core, self.steps
+        lo_s, hi_s = self._window
+        if isinstance(V, InverseSquareTail):
+            on = s >= lo_s
+            expo = math.log(V.c) + _exp_prefactor_exponent_array(s[on], k - 1)
+            over = expo > _EXP_MAX
+            if over.any():
+                raise _overflow_error(s[on][np.argmax(over)])
+            out[on] = -np.exp(expo)
+            return out
+        inside = (s > lo_s) & (s < hi_s)
+        s_in = s[inside]
+        # the tower that feeds V uses math.exp, as ``evaluate`` does, so V sees
+        # the same argument on both paths: an ulp of np.exp can move a point
+        # across a jump of V, or through the ill-conditioned (ln y)^q near y = 1
+        y = s_in.tolist()
+        for _ in range(k):
+            y = list(map(math.exp, y))  # OverflowError past the double range
+        v = np.fromiter(map(V.evaluate, y), dtype=float, count=len(y))
+        nz = v != 0.0
+        expo = _exp_prefactor_exponent_array(s_in, k)
+        expo[nz] += np.log(np.abs(v[nz]))
+        over = nz & (expo > _EXP_MAX)
+        neg_over = over & (v < 0.0)
+        if neg_over.any():
+            raise _overflow_error(s_in[np.argmax(neg_over)])
+        w = np.copysign(np.exp(np.minimum(expo, _EXP_MAX)), v)
+        out[inside] = np.where(over, _POSITIVE_WALL, np.where(nz, w, 0.0))
+        return out
 
 
 def transform_potential(V: Potential, k: int, extra_constant: float = 0.0) -> TransformedPotential:

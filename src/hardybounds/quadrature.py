@@ -172,13 +172,20 @@ def integrate_semiinfinite(
     """Integrate f over (a, infinity) via the substitution x = a + t/(1-t).
 
     ``breakpoints`` are given on the x axis and mapped into t.  f must be
-    absolutely integrable; slow tails exhaust the budget and raise.
+    absolutely integrable; slow tails exhaust the budget or drive a node
+    onto t = 1 (x = infinity), and both raise.
     """
     if not math.isfinite(a):
         raise QuadratureError(f"lower endpoint must be finite, got {a}")
 
     def g(t: float) -> float:
         om = 1.0 - t
+        if om <= 0.0:
+            # bisection toward the mapped infinity has run out of doubles
+            raise QuadratureError(
+                "a quadrature node reached t = 1 (x = infinity): the tail decays "
+                "too slowly for the requested tolerance"
+            )
         x = a + t / om
         return f(x) / (om * om)
 

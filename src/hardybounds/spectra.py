@@ -4,9 +4,12 @@ exact counting of negative eigenvalues by Sturm sequences.
 The operator is always discretized in the fully transformed s-coordinate,
 where -d^2/ds^2 + W(s) has no inverse-square singularity, so the plain
 three-point stencil with Dirichlet ends converges cleanly.  Dirichlet
-truncation restricts the form domain, so a count reported at any finite
-window never exceeds the count of the full operator; refinement (window and
-grid doubling) can only reveal more.
+truncation of the window restricts the form domain, so the continuum count
+on a finite window never exceeds that of the full operator.  The grid count
+carries no such guarantee: the three-point stencil with point-sampled W can
+over-count as well as under-count on a coarse grid (a square well with c=256
+on (1, 2), d=1, n=0, variant one, L=20 counts 6 at m=200 and 5 at every
+m >= 400), so the refinement trail is part of the result.
 """
 
 from __future__ import annotations
@@ -97,43 +100,65 @@ class TridiagonalOperator:
 
 def assemble(W, grid: Grid) -> TridiagonalOperator:
     """Three-point stencil for -d^2/ds^2 + W(s) on the grid:
-    diagonal 2/h^2 + W(s_i), off-diagonal -1/h^2."""
+    diagonal 2/h^2 + W(s_i), off-diagonal -1/h^2.
+
+    W is called once, on the array of grid points; a scalar result (a constant
+    potential) is broadcast to every point.
+    """
     h = grid.h
     pts = grid.points()
-    diag = np.empty(grid.m)
-    base = 2.0 / (h * h)
-    for i, s in enumerate(pts):
-        try:
-            diag[i] = base + W(float(s))
-        except (DomainError, OverflowError) as exc:
-            raise EvaluationError(
-                f"potential evaluation failed at grid index {i} (s = {s}): {exc}"
-            ) from exc
+    try:
+        w = np.broadcast_to(W(pts), pts.shape)
+    except (DomainError, OverflowError) as exc:
+        raise EvaluationError(_first_failure(W, pts, exc)) from exc
+    diag = 2.0 / (h * h) + w
     off = np.full(grid.m - 1, -1.0 / (h * h))
     return TridiagonalOperator(diag, off)
 
 
-def _sturm_count(diag, off, shift: float, pivot_sub: float) -> int:
-    """Negative pivots of the shifted LDL^T factorization = eigenvalues < shift.
+def _first_failure(W, pts: np.ndarray, exc: Exception) -> str:
+    """Message naming the first grid point at which W fails.  Runs only after
+    the array evaluation has failed."""
+    for i, s in enumerate(pts.tolist()):
+        try:
+            W(s)
+        except (DomainError, OverflowError) as point_exc:
+            return f"potential evaluation failed at grid index {i} (s = {s}): {point_exc}"
+    return f"potential evaluation failed on the grid: {exc}"
 
-    Exact zero pivots are replaced by ``pivot_sub``.  Infinite intermediate
-    pivots are harmless: the following ratio collapses to zero and the
-    recurrence self-heals.
+
+def _sturm_count(diag, off_sq, shift: float, pivot_sub: float) -> tuple[int, bool]:
+    """Negative pivots of the shifted LDL^T factorization = eigenvalues < shift,
+    and whether an exact zero pivot occurred.
+
+    ``off_sq`` holds the squared off-diagonal.  Exact zero pivots are replaced
+    by ``pivot_sub``.  Infinite intermediate pivots are harmless: the following
+    ratio collapses to zero and the recurrence self-heals.
     """
     count = 0
+    zero_pivot = False
     d = diag[0] - shift
     if d == 0.0:
         d = pivot_sub
+        zero_pivot = True
     if d < 0.0:
         count += 1
-    for i in range(1, len(diag)):
-        e = off[i - 1]
-        d = (diag[i] - shift) - e * e / d
+    for a, e2 in zip(diag[1:], off_sq):
+        d = (a - shift) - e2 / d
         if d == 0.0:
             d = pivot_sub
+            zero_pivot = True
         if d < 0.0:
             count += 1
-    return count
+    return count, zero_pivot
+
+
+def _sturm_inputs(T: TridiagonalOperator) -> tuple[list, list, float]:
+    """Diagonal, squared off-diagonal and zero-pivot substitute eps ||T||, as
+    the Sturm recurrence reads them."""
+    scale = T.norm_inf() or 1.0
+    off = T.off_diagonal
+    return T.diagonal.tolist(), (off * off).tolist(), _PIVOT_EPS * scale
 
 
 def inertia_negative_count(
@@ -143,29 +168,26 @@ def inertia_negative_count(
 
     Zero pivots are perturbed by +/- eps ||T|| with eps = 2^-40; when the two
     perturbations disagree the ambiguity is surfaced as an interval
-    (low, high) instead of a silently chosen integer.
+    (low, high) instead of a silently chosen integer.  The -eps pass runs only
+    when the +eps pass met an exact zero pivot: otherwise the two passes are
+    the same recurrence.
     """
-    scale = T.norm_inf() or 1.0
-    diag = T.diagonal.tolist()
-    off = T.off_diagonal.tolist()
-    up = _sturm_count(diag, off, shift, _PIVOT_EPS * scale)
-    down = _sturm_count(diag, off, shift, -_PIVOT_EPS * scale)
+    diag, off_sq, sub = _sturm_inputs(T)
+    up, zero_pivot = _sturm_count(diag, off_sq, shift, sub)
+    if not zero_pivot:
+        return up
+    down, _ = _sturm_count(diag, off_sq, shift, -sub)
     if up == down:
         return up
     return (min(up, down), max(up, down))
 
 
-def _count_scalar(T: TridiagonalOperator, shift: float) -> int:
-    """Deterministic integer count (the +eps branch) for internal bisection."""
-    scale = T.norm_inf() or 1.0
-    return _sturm_count(T.diagonal.tolist(), T.off_diagonal.tolist(), shift, _PIVOT_EPS * scale)
-
-
 def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> list[float]:
-    """k smallest eigenvalues by bisection on the inertia function, each
-    bracketed to width <= tol, sorted ascending."""
+    """k smallest eigenvalues by bisection on the inertia function (the +eps
+    Sturm count), each bracketed to width <= tol, sorted ascending."""
     if not 1 <= k <= T.size:
         raise DomainError(f"need 1 <= k <= {T.size}, got {k}")
+    diag, off_sq, sub = _sturm_inputs(T)
     d = T.diagonal
     e = np.abs(T.off_diagonal)
     radius = np.zeros(T.size)
@@ -179,7 +201,7 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> li
         lo, hi = lo_j, hi_all
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if _count_scalar(T, mid) >= j:
+            if _sturm_count(diag, off_sq, mid, sub)[0] >= j:
                 hi = mid
             else:
                 lo = mid

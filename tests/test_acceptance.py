@@ -239,7 +239,7 @@ def test_tridiagonal_eigenvalue_oracles():
         got = lowest_eigenvalues(T, 8, tol=1e-12)
         exact = [2.0 * (1.0 - math.cos(j * math.pi / (m + 1))) for j in range(1, 9)]
         toeplitz_ok = max(abs(g - e) for g, e in zip(got, exact)) <= 1e-10
-        Tpt = assemble(lambda s: -2.0 / math.cosh(s) ** 2, Grid(-20.0, 20.0, 8000))
+        Tpt = assemble(lambda s: -2.0 / np.cosh(s) ** 2, Grid(-20.0, 20.0, 8000))
         count = inertia_negative_count(Tpt, 0.0)
         e0 = lowest_eigenvalues(Tpt, 1, tol=1e-9)[0]
         pt_ok = count == 1 and abs(e0 + 1.0) <= 1e-3

@@ -2,6 +2,8 @@ import math
 
 import pytest
 import scipy.optimize
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hardybounds.bounds import (
     BoundConstants,
@@ -15,7 +17,7 @@ from hardybounds.bounds import (
     clr_bound,
     l_max,
 )
-from hardybounds.errors import DomainError
+from hardybounds.errors import DomainError, EvaluationError
 from hardybounds.iterfun import DomainThreshold, iterated_exp, sphere_area
 from hardybounds.potentials import (
     InverseSquareTail,
@@ -185,6 +187,44 @@ class TestLmax:
         lm = l_max(TabulatedPotential(r=tuple(rs), v=tuple(vs)), 3,
                    DomainThreshold(0, "zero"))
         assert lm == 1
+
+    @staticmethod
+    def _counted_l_max(S, d):
+        """The upward channel scan that the closed form replaces."""
+        l = 0
+        while (l + 1) * (l + 1 + d - 2) < S:
+            l += 1
+        return l
+
+    def test_closed_form_matches_channel_scan(self):
+        # S = c b^2 = c exactly for b = 1, so S can sit on and beside every
+        # product l(l+d-2)
+        domain = DomainThreshold(0, "zero")
+        for d in (2, 3, 4, 7):
+            for l in range(40):
+                p = float(l * (l + d - 2))
+                for S in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf),
+                          p + 0.5, p - 0.5):
+                    if S > 0.0:
+                        lm = l_max(SquareWell(c=S, a=0.5, b=1.0), d, domain)
+                        assert lm == self._counted_l_max(S, d), (d, S)
+
+    @given(S=st.floats(min_value=1e-300, max_value=1e300), d=st.integers(2, 9))
+    def test_closed_form_is_the_largest_binding_channel(self, S, d):
+        lm = l_max(SquareWell(c=S, a=0.5, b=1.0), d, DomainThreshold(0, "zero"))
+        assert lm * (lm + d - 2) < S <= (lm + 1) * (lm + d - 1)
+
+    def test_infinite_supremum_raises(self):
+        V = PowerLogWell(c=1.0, p=-1.0, q=0.0, a=2.0, b=math.inf)
+        with pytest.raises(EvaluationError):
+            l_max(V, 3, DomainThreshold(0, "one"))
+
+    def test_central_bound_of_infinite_supremum_is_vacuous(self):
+        V = PowerLogWell(c=1.0, p=-1.0, q=0.0, a=2.0, b=math.inf)
+        bv = central_bound(V, OperatorSpec.for_central_bound(3, 0, "one"))
+        assert bv.raw == math.inf
+        assert bv.integer_cap is None
+        assert any("diverge" in note for note in bv.diagnostics.notes)
 
 
 class TestCentralBound:

@@ -9,6 +9,7 @@ import pytest
 from hardybounds.cli import (
     CSV_COLUMNS,
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VERIFY_FAILED,
     ConfigError,
@@ -18,11 +19,14 @@ from hardybounds.cli import (
 )
 
 
-def run_cli(*argv):
+def run_cli(*argv, deadline=120.0):
+    """Run the CLI in a subprocess; a run past ``deadline`` seconds fails the
+    test with TimeoutExpired."""
     proc = subprocess.run(
         [sys.executable, "-m", "hardybounds", *argv],
         capture_output=True,
         text=True,
+        timeout=deadline,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -149,6 +153,28 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out
+
+    @pytest.mark.parametrize("argv, expected", [
+        ([], 1e-6),
+        (["--tol", "1e-8"], 1e-8),
+        (["--tol", "1e-6"], 1e-6),
+        (["--tol", "3e-7"], 3e-7),
+    ])
+    def test_transform_tolerance_reaches_the_suite(self, argv, expected, capsys, monkeypatch):
+        import hardybounds.cli as climod
+        from hardybounds.harness import IdentityReport
+
+        received = []
+
+        def fake_identity(tol):
+            received.append(tol)
+            return IdentityReport(cases=(), max_discrepancy=0.0, tolerance=tol, passed=True)
+
+        monkeypatch.setattr(climod, "run_transform_identity", fake_identity)
+        code = main(["verify", "transform", *argv])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert received == [expected]
 
 
 class TestSweepCommand:
@@ -280,6 +306,29 @@ class TestEnvironmentAndProcess:
                                "--potential", "nonsense_family:x=1")
         assert code == EXIT_CONFIG
         assert "configuration error" in err
+
+    def test_infinite_channel_supremum_terminates(self):
+        # sup r^2 |V_-| is infinite for this tail: every channel binds
+        pot = "power_log_well:c=1,p=-1,q=0,a=2,b=inf"
+        code, out, _ = run_cli("bound", "--theorem", "t43", "--d", "3",
+                               "--potential", pot, deadline=30.0)
+        assert code == EXIT_OK
+        assert "bound raw  : inf" in out
+        assert "note       : power-law tail" in out
+        code, _, err = run_cli("count", "--theorem", "t43", "--d", "3",
+                               "--potential", pot, deadline=30.0)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err and "infinite" in err
+
+    def test_slow_tail_quadrature_is_a_numerical_failure(self):
+        # bisection toward x = infinity puts a node on t = 1 of x = a + t/(1-t)
+        code, _, err = run_cli("bound", "--theorem", "t41", "--d", "1", "--n", "0",
+                               "--variant", "one", "--potential",
+                               "power_log_well:c=2,p=-2.5,q=1,a=1.5,b=inf",
+                               deadline=60.0)
+        assert code == EXIT_NUMERICAL
+        assert "numerical failure" in err and "t = 1" in err
+        assert "Traceback" not in err
 
     def test_bad_config_json_subprocess(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -111,7 +111,7 @@ class TestLowestEigenvalues:
 
     def test_poschl_teller_ground_state(self):
         grid = Grid(-20.0, 20.0, 8000)
-        T = assemble(lambda s: -2.0 / math.cosh(s) ** 2, grid)
+        T = assemble(lambda s: -2.0 / np.cosh(s) ** 2, grid)
         assert inertia_negative_count(T, 0.0) == 1
         e0 = lowest_eigenvalues(T, 1, tol=1e-10)[0]
         assert e0 == pytest.approx(-1.0, abs=1e-3)
