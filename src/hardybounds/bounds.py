@@ -345,7 +345,7 @@ def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
         return r * r * negative_part_abs(V, r)
 
     xs = np.geomspace(max(lo, 1e-12) * (1 + 1e-12), hi * (1 - 1e-12), 10_000)
-    vals = np.array([g(float(x)) for x in xs])
+    vals = xs * xs * np.maximum(-V(xs), 0.0)
     i = int(np.argmax(vals))
     a = float(xs[max(i - 1, 0)])
     b = float(xs[min(i + 1, len(xs) - 1)])
@@ -537,17 +537,21 @@ def clr_bound(
             hi = min(hi, horizon)
             notes.append(f"integral truncated at horizon r = {hi:g}")
 
-    if hi <= th:
+    lo = th
+    if isinstance(V, TabulatedPotential):
+        lo, hi = max(lo, V.r[0]), min(hi, V.r[-1])
+        notes.append("tabulated potential: integral restricted to the sampled range")
+    if hi <= lo:
         return BoundValue.build(0.0, QuadDiagnostics(notes=tuple(notes)))
 
-    pts = [p for p in V.breakpoints() if th < p < hi]
+    pts = [p for p in V.breakpoints() if lo < p < hi]
     # geometric midpoints help the adaptive rule over wide log ranges
-    if hi / th > 1e3:
-        k = th
+    if hi / lo > 1e3:
+        k = lo
         while k * 100.0 < hi:
             k *= 100.0
             pts.append(k)
-    quad = integrate(integrand, th, hi, tol=tol, breakpoints=pts)
+    quad = integrate(integrand, lo, hi, tol=tol, breakpoints=pts)
     diag = QuadDiagnostics(
         prefactor * quad.error_estimate, quad.evaluations, notes=tuple(notes)
     )

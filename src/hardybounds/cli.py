@@ -77,6 +77,7 @@ class ConfigError(ValueError):
 
 BOUND_TOL = 1e-8  # quadrature tolerance of ``bound`` when none is given
 TRANSFORM_TOL = 1e-6  # tolerance of ``verify transform`` when none is given
+SWEEP_TOL = 1e-10  # quadrature tolerance of ``sweep`` when none is given
 
 
 @dataclass
@@ -443,7 +444,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
         sweep = SweepSpec(**spec_kwargs)
     except (TypeError, DomainError) as exc:
         raise ConfigError(f"bad sweep specification: {exc}") from exc
-    rows = run_bound_sweep(sweep, theorem, constants=_constants_from_config(cfg))
+    if cfg.tol is None:
+        cfg.tol = SWEEP_TOL
+    rows = run_bound_sweep(sweep, theorem, constants=_constants_from_config(cfg), tol=cfg.tol)
     dicts = [r.to_dict() for r in rows]
     for r in rows:
         cap = "inf" if r.bound_cap is None else r.bound_cap

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 #: Largest composition depth accepted by exponential-tower paths.  A tower of
@@ -102,13 +104,16 @@ def hardy_weight_stack(x: float, d: int, n: int) -> float:
     return total
 
 
-def squared_log_weight(x: float, count: int) -> float:
+def squared_log_weight(x, count: int):
     """x^2 (ln x)^2 ... (ln^(count) x)^2, the denominator stack of the weights.
 
     Requires all ``count`` log factors to be defined (intermediates positive);
-    the innermost factor may vanish, making the product zero.
+    the innermost factor may vanish, making the product zero.  An ndarray x is
+    weighted elementwise with numpy's log.
     """
     _check_depth(count)
+    if isinstance(x, np.ndarray):
+        return _squared_log_weight_array(np.asarray(x, dtype=float), count)
     if x <= 0.0:
         raise DomainError(f"squared_log_weight requires x > 0, got {x}")
     acc = x * x
@@ -119,6 +124,24 @@ def squared_log_weight(x: float, count: int) -> float:
                 f"squared_log_weight({x}, {count}): log #{k + 1} undefined (argument {cur})"
             )
         cur = math.log(cur)
+        acc *= cur * cur
+    return acc
+
+
+def _squared_log_weight_array(x: np.ndarray, count: int) -> np.ndarray:
+    bad = x <= 0.0
+    if bad.any():
+        raise DomainError(f"squared_log_weight requires x > 0, got {float(x[bad][0])}")
+    acc = x * x
+    cur = x
+    for k in range(count):
+        bad = cur <= 0.0
+        if bad.any():
+            raise DomainError(
+                f"squared_log_weight({float(x[bad][0])}, {count}): log #{k + 1} undefined "
+                f"(argument {float(cur[bad][0])})"
+            )
+        cur = np.log(cur)
         acc *= cur * cur
     return acc
 

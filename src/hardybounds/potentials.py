@@ -2,8 +2,10 @@
 iterated log change of variables.
 
 All families evaluate pointwise on r > 0 (square wells also accept r <= 0 so
-they can live on the whole line).  A k-step transform turns V into the
-s-coordinate potential
+they can live on the whole line).  Calling a potential on an ndarray
+evaluates it elementwise with numpy, with the formula and the errors of its
+scalar ``evaluate``; quadrature keeps to the scalar path.  A k-step
+transform turns V into the s-coordinate potential
 
     W(s) = e^{2s} e^{2 e^s} ... e^{2 exp^(k-1) s} * V(exp^(k) s),
 
@@ -43,8 +45,16 @@ class Potential:
     def evaluate(self, r: float) -> float:
         raise NotImplementedError
 
-    def __call__(self, r: float) -> float:
-        return self.evaluate(r)
+    def evaluate_array(self, r: np.ndarray) -> np.ndarray:
+        """``evaluate`` elementwise; families override it with numpy."""
+        flat = r.ravel().tolist()
+        return np.fromiter(map(self.evaluate, flat), dtype=float, count=len(flat)).reshape(r.shape)
+
+    def __call__(self, r):
+        """V(r) for a float, or elementwise for an ndarray of r."""
+        if np.ndim(r) == 0:
+            return self.evaluate(r)
+        return self.evaluate_array(np.asarray(r, dtype=float))
 
     def support(self) -> Optional[tuple[float, float]]:
         """Interval outside which the potential vanishes (None = empty)."""
@@ -92,6 +102,9 @@ class SquareWell(Potential):
     def evaluate(self, r: float) -> float:
         return -self.c if self.a < r < self.b else 0.0
 
+    def evaluate_array(self, r: np.ndarray) -> np.ndarray:
+        return np.where((self.a < r) & (r < self.b), -self.c, 0.0)
+
     def support(self):
         return (self.a, self.b)
 
@@ -123,6 +136,13 @@ class InverseSquareTail(Potential):
         if r <= 0.0:
             raise DomainError(f"inverse-square tail needs r > 0, got {r}")
         return -self.c / (r * r) if r >= self.a else 0.0
+
+    def evaluate_array(self, r: np.ndarray) -> np.ndarray:
+        _require_positive(r, "inverse-square tail")
+        out = np.zeros(r.shape)
+        on = r >= self.a
+        out[on] = -self.c / (r[on] * r[on])
+        return out
 
     def support(self):
         return (self.a, math.inf)
@@ -172,6 +192,20 @@ class PowerLogWell(Potential):
             v *= math.log(r) ** self.q
         return -v
 
+    def evaluate_array(self, r: np.ndarray) -> np.ndarray:
+        _require_positive(r, "power-log well")
+        out = np.zeros(r.shape)
+        inside = (self.a < r) & (r < self.b)
+        x = r[inside]
+        # float ** raises OverflowError where a product only goes to inf
+        with np.errstate(over="ignore"):
+            rp = _checked_pow(x, self.p)
+            v = self.c * rp
+            if self.q != 0.0:
+                v *= _checked_pow(np.log(x), self.q)
+        out[inside] = -v
+        return out
+
     def support(self):
         return (self.a, self.b)
 
@@ -214,6 +248,19 @@ class TabulatedPotential(Potential):
             return self.v[-1]
         t = (r - self.r[i]) / (self.r[i + 1] - self.r[i])
         return self.v[i] * (1.0 - t) + self.v[i + 1] * t
+
+    def evaluate_array(self, r: np.ndarray) -> np.ndarray:
+        rs, vs = np.array(self.r), np.array(self.v)
+        outside = (r < rs[0]) | (r > rs[-1])
+        if outside.any():
+            raise DomainError(
+                f"tabulated potential defined on [{self.r[0]}, {self.r[-1]}], "
+                f"got r={float(r[outside][0])}"
+            )
+        # at r = r[-1] the last interval gives t = 1 and the value v[-1] exactly
+        i = np.minimum(np.searchsorted(rs, r, side="right") - 1, len(rs) - 2)
+        t = (r - rs[i]) / (rs[i + 1] - rs[i])
+        return vs[i] * (1.0 - t) + vs[i + 1] * t
 
     def support(self):
         return (self.r[0], self.r[-1])
@@ -258,6 +305,10 @@ class CentrifugalShift(Potential):
             raise DomainError(f"effective radial potential needs r > 0, got {r}")
         return self.coupling / (r * r) + self.base.evaluate(r)
 
+    def evaluate_array(self, r: np.ndarray) -> np.ndarray:
+        _require_positive(r, "effective radial potential")
+        return self.coupling / (r * r) + self.base.evaluate_array(r)
+
     def support(self):
         if self.coupling == 0.0:
             return self.base.support()
@@ -279,15 +330,35 @@ class CentrifugalShift(Potential):
 
     def breakpoints(self):
         pts = list(self.base.breakpoints())
-        L = self.coupling
-        if L > 0.0 and isinstance(self.base, SquareWell):
-            cross = math.sqrt(L / self.base.c)
-            if self.base.a < cross < self.base.b:
-                pts.append(cross)
+        L, base = self.coupling, self.base
+        # where L/r^2 + V changes sign, its positive part has a kink
+        cross = None
+        if L > 0.0 and isinstance(base, SquareWell):
+            cross = math.sqrt(L / base.c)
+        elif (L > 0.0 and isinstance(base, PowerLogWell) and base.q == 0.0
+              and base.p != -2.0 and base.c > 0.0):
+            cross = (L / base.c) ** (1.0 / (base.p + 2.0))  # c r^(p+2) = L
+        if cross is not None and base.a < cross < base.b:
+            pts.append(cross)
         return tuple(sorted(pts))
 
     def params(self):
         return {"l": self.l, "d": self.d, "base": describe_potential(self.base)}
+
+
+def _require_positive(r: np.ndarray, what: str) -> None:
+    bad = r <= 0.0
+    if bad.any():
+        raise DomainError(f"{what} needs r > 0, got {float(r[bad][0])}")
+
+
+def _checked_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p, raising OverflowError where a finite x overflows, as float ** does."""
+    out = x**p
+    over = np.isinf(out) & np.isfinite(x)
+    if over.any():
+        raise OverflowError(f"{float(x[over][0])} ** {p}: numerical result out of range")
+    return out
 
 
 def eval_potential(V: Potential, r: float) -> float:
@@ -387,11 +458,11 @@ class TransformedPotential:
 
         W(s) = e^{2s} ... e^{2 exp^(steps-1) s} * base(exp^(steps) s) + extra_constant
 
-    Calling it on an ndarray of s evaluates W elementwise; the base potential's
-    scalar ``evaluate`` is then called only at the points inside its mapped
-    support.  A centrifugal term l(l+d-2)/r^2 and an inverse-square tail -c/r^2
-    are applied in telescoped form, c * e^{2s} ... e^{2 exp^(steps-2) s}, so
-    they never overflow through exp^(steps) s.
+    Calling it on an ndarray of s evaluates W elementwise; the base potential
+    is then called once, on the ndarray of points inside its mapped support.
+    A centrifugal term l(l+d-2)/r^2 and an inverse-square tail -c/r^2 are
+    applied in telescoped form, c * e^{2s} ... e^{2 exp^(steps-2) s}, so they
+    never overflow through exp^(steps) s.
     """
 
     base: Potential
@@ -493,7 +564,7 @@ class TransformedPotential:
         y = s_in.tolist()
         for _ in range(k):
             y = list(map(math.exp, y))  # OverflowError past the double range
-        v = np.fromiter(map(V.evaluate, y), dtype=float, count=len(y))
+        v = V(np.array(y))
         nz = v != 0.0
         expo = _exp_prefactor_exponent_array(s_in, k)
         expo[nz] += np.log(np.abs(v[nz]))
@@ -557,13 +628,12 @@ def check_bounded_below_weighted(
     if isinstance(V, TabulatedPotential):
         lo = max(lo, V.r[0])
         hi = min(hi, V.r[-1])
-    if not lo < hi:
-        raise DomainError(f"empty sampling range ({lo}, {hi})")
+        if not lo < hi:
+            # the samples end below the domain: there is nothing to check
+            return BoundedBelowCheck(passed=True, witness=None, sampled_min=0.0, samples=0)
 
     xs = np.geomspace(lo, hi, samples)
-    w = np.empty(samples)
-    for i, x in enumerate(xs):
-        w[i] = squared_log_weight(float(x), n) * V.evaluate(float(x))
+    w = squared_log_weight(xs, n) * V(xs)
 
     scale = max(1.0, float(np.max(np.abs(w))))
     tail = w[int(0.9 * samples):]

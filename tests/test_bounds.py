@@ -1,6 +1,8 @@
 import math
 
+import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,7 +25,10 @@ from hardybounds.potentials import (
     InverseSquareTail,
     PowerLogWell,
     SquareWell,
+    TabulatedPotential,
     ZeroPotential,
+    check_bounded_below_weighted,
+    effective_radial_potential,
 )
 from hardybounds.quadrature import integrate
 
@@ -151,6 +156,16 @@ class TestBound1d:
         with pytest.raises(DomainError):
             bound_1d(ZeroPotential(), OperatorSpec(d=3, n=0, variant="one"))
 
+    def test_tabulated_samples_below_the_domain(self):
+        # exp^(2)(1) = 15.15...: the samples on [1, 13] end below the domain,
+        # so the hypothesis check has nothing to sample and the bound is 0
+        spec = OperatorSpec(1, 2, "one")
+        V = TabulatedPotential(r=tuple(range(1, 14)), v=(-1.0,) * 13)
+        check = check_bounded_below_weighted(V, 2, spec.threshold)
+        assert check.passed and check.samples == 0
+        assert bound_1d(V, spec).raw == 0.0
+        assert bound_1d(SquareWell(c=1.0, a=1.0, b=13.0), spec).raw == 0.0
+
     def test_floor_consistency(self):
         spec = OperatorSpec.for_line_bound(0, "zero")
         for c in (0.3, 1.0, 2.7, 8.1):
@@ -187,6 +202,11 @@ class TestLmax:
         lm = l_max(TabulatedPotential(r=tuple(rs), v=tuple(vs)), 3,
                    DomainThreshold(0, "zero"))
         assert lm == 1
+
+    def test_sampled_sup_weighs_by_r_squared(self):
+        # |V| peaks at r = 1 (1.5), r^2 |V| at r = 4 (16): l(l+1) < 16 up to l = 3
+        V = TabulatedPotential(r=(1.0, 2.0, 4.0), v=(-1.5, -1.0, -1.0))
+        assert l_max(V, 3, DomainThreshold(0, "zero")) == 3
 
     @staticmethod
     def _counted_l_max(S, d):
@@ -253,6 +273,21 @@ class TestCentralBound:
         # support inside (1,2): integrals match, the zero variant adds D(3,0)+D(3,1)=4
         assert zero.raw == pytest.approx(one.raw + 4.0, rel=1e-10)
 
+    def test_power_log_channel_split_at_centrifugal_crossing(self):
+        # 6/r^2 - c r^p changes sign at r = (6/c)^(1/(p+2)) = 2.2249...; the
+        # positive part has a kink there that the quadrature must split at
+        c, p, a = 20.52529275988548, -3.5379243902274493, 1.5468400070144628
+        V = PowerLogWell(c=c, p=p, q=0.0, a=a, b=math.inf)
+        cross = (6.0 / c) ** (1.0 / (p + 2.0))
+        assert cross in effective_radial_potential(V, 2, 3).breakpoints()
+        bv = central_bound(V, OperatorSpec(3, 1, "zero"), tol=1e-10)
+        ref, _ = scipy.integrate.quad(
+            lambda r: (c * r**p - 6.0 / r**2) * absolute_log_weight(r, 1), a, cross,
+            epsabs=0.0, epsrel=1e-13,
+        )
+        assert ref == pytest.approx(0.238585695679, rel=1e-11)
+        assert bv.channels[2].integral == pytest.approx(ref, rel=1e-9)
+
     def test_l0_channel_reproduces_line_bound(self):
         # deep narrow well keeps l_max = 0
         V = SquareWell(c=0.4, a=1.0, b=1.5)
@@ -318,6 +353,23 @@ class TestClrBound:
         with pytest.raises(DomainError):
             clr_bound(V, OperatorSpec.for_clr_bound(9, 0, "zero"),
                       constants=BoundConstants(values={3: 0.1156}))
+
+    def test_tabulated_integral_restricted_to_samples(self):
+        # the domain starts at exp^(2)(1) = 15.15..., below the first sample
+        spec = OperatorSpec(3, 0, "one", threshold_depth=2)
+        r = np.linspace(17.0, 42.0, 11)
+        v = -2.0 - np.sin(r)
+        bv = clr_bound(TabulatedPotential(r=tuple(r), v=tuple(v)), spec, tol=1e-12)
+        assert "tabulated potential: integral restricted to the sampled range" in bv.diagnostics.notes
+
+        # d = 3, variant one: the improvement term is -1 / (4 r^2 (ln r)^2)
+        def integrand(x):
+            g = max(-1.0 / (4.0 * x * x * math.log(x) ** 2) - np.interp(x, r, v), 0.0)
+            return g**1.5 * (math.log(x) * math.log(math.log(x))) ** 2 * x * x
+
+        ref, _ = scipy.integrate.quad(integrand, 17.0, 42.0, points=r[1:-1], epsabs=0.0,
+                                      epsrel=1e-12, limit=200)
+        assert bv.raw == pytest.approx(0.1156 * sphere_area(3) * ref, rel=1e-9)
 
     def test_rejects_low_dimension(self):
         with pytest.raises(DomainError):

@@ -250,6 +250,34 @@ class TestSweepCommand:
         # channel breakdown rides along in the JSON sidecar
         assert payload["rows"][0]["count_trail"][0]["l"] == 0
 
+    @pytest.mark.parametrize("argv, file_tol, expected", [
+        ([], None, 1e-10),
+        (["--tol", "1e-6"], None, 1e-6),
+        ([], 1e-7, 1e-7),
+        (["--tol", "1e-6"], 1e-7, 1e-6),
+    ])
+    def test_tolerance_reaches_the_sweep(self, argv, file_tol, expected, tmp_path, capsys,
+                                         monkeypatch):
+        import hardybounds.cli as climod
+
+        received = []
+
+        def fake_sweep(sweep, theorem, constants=None, tol=1e-10):
+            received.append(tol)
+            return []
+
+        monkeypatch.setattr(climod, "run_bound_sweep", fake_sweep)
+        cfg = {"sweep": {"theorem": "t41", "family": "square_well",
+                         "base_params": {"a": 1.0, "b": 2.0}, "vary": "c", "values": [1]}}
+        if file_tol is not None:
+            cfg["tol"] = file_tol
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main(["sweep", "--config", str(cfg_path), *argv])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert received == [expected]
+
     def test_unsatisfied_row_exits_one(self, tmp_path, capsys, monkeypatch):
         # exit-code plumbing only: fabricate a violated row
         import hardybounds.cli as climod

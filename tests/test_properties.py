@@ -1,6 +1,7 @@
 """Property tests: the single-pass Sturm count against dense eigenvalues and
-against the two-pass reference, and the array form of a transformed
-potential against its scalar definition."""
+against the two-pass reference, and the array forms of the potentials, of a
+transformed potential and of the squared log weight against their scalar
+definitions."""
 
 import math
 
@@ -10,8 +11,10 @@ from hypothesis import event, find, given, settings
 from hypothesis import strategies as st
 
 from hardybounds.errors import DomainError
+from hardybounds.iterfun import iterated_log, squared_log_weight
 from hardybounds.potentials import (
     InverseSquareTail,
+    Potential,
     PowerLogWell,
     SquareWell,
     TabulatedPotential,
@@ -225,3 +228,101 @@ class TestTransformedArrayProperties:
         W = transform_potential(SquareWell(c=4.0, a=1.0, b=2.0), 1)
         assert W(0.5) == W.evaluate(0.5)
         assert W(np.array([0.5]))[0] == pytest.approx(W.evaluate(0.5), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# potentials and weights on ndarrays against their scalar definitions
+# ---------------------------------------------------------------------------
+
+_EPS = np.finfo(float).eps
+
+
+def _scalar_or_error(f, xs):
+    """[f(x) for x in xs] as an array, or the type of the first error raised."""
+    try:
+        return np.array([f(x) for x in xs])
+    except (DomainError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestPotentialArrayProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(V=potentials(), l=st.sampled_from([0, 1, 3]), data=st.data())
+    def test_array_matches_scalar_evaluate(self, V, l, data):
+        anywhere = st.one_of(_pos(1e-6, 60.0), _pos(-5.0, 0.0))
+        if isinstance(V, TabulatedPotential):
+            inside = st.one_of(_pos(V.r[0], V.r[-1]), st.sampled_from(V.r))
+        else:
+            inside = anywhere
+        xs = data.draw(st.lists(inside, min_size=1, max_size=40))
+        xs += data.draw(st.lists(anywhere, max_size=2))
+        W = effective_radial_potential(V, l, 3)
+        ref = _scalar_or_error(W.evaluate, xs)
+        if isinstance(ref, type):
+            event("both paths raise")
+            with pytest.raises(ref):
+                W(np.array(xs))
+            return
+        event("both paths evaluate")
+        got = W(np.array(xs))
+        assert got.shape == (len(xs),)
+        if isinstance(V, PowerLogWell):
+            # numpy's log and pow differ from libm's by up to an ulp each, and
+            # (ln r)^q scales the log's difference by q; a centrifugal term
+            # adds the same value on both paths, plus one rounding of the sum
+            base = np.abs(_scalar_or_error(V.evaluate, xs))
+            assert np.all(np.abs(got - ref) <= (4.0 + V.q) * _EPS * base + _EPS * np.abs(ref))
+        else:
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("V", [
+        InverseSquareTail(c=1.0, a=0.5),
+        PowerLogWell(c=1.0, p=-1.0, q=0.0, a=0.5, b=3.0),
+        effective_radial_potential(SquareWell(c=1.0, a=0.5, b=3.0), 1, 3),
+    ])
+    def test_nonpositive_r_is_a_domain_error(self, V):
+        with pytest.raises(DomainError):
+            V.evaluate(0.0)
+        with pytest.raises(DomainError):
+            V(np.array([1.0, 0.0, 2.0]))
+
+    def test_power_overflow_is_an_overflow_error(self):
+        # float ** raises where numpy's power returns inf
+        V = PowerLogWell(c=1.0, p=2.0, q=0.0, a=1.0, b=math.inf)
+        with pytest.raises(OverflowError):
+            V.evaluate(1e200)
+        with pytest.raises(OverflowError):
+            V(np.array([2.0, 1e200]))
+
+    def test_fallback_and_scalar_call(self):
+        class Linear(Potential):
+            def evaluate(self, r):
+                return 2.0 * r
+
+        xs = np.array([[0.5, 1.0], [2.0, 3.0]])
+        assert np.array_equal(Linear()(xs), 2.0 * xs)
+        V = SquareWell(c=4.0, a=1.0, b=2.0)
+        assert V(1.5) == V.evaluate(1.5) == -4.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(st.one_of(_pos(1e-6, 1e8), _pos(-2.0, 0.0)), min_size=1, max_size=40),
+        count=st.sampled_from([0, 1, 2, 3]),
+    )
+    def test_squared_log_weight_matches_scalar(self, xs, count):
+        ref = _scalar_or_error(lambda x: squared_log_weight(x, count), xs)
+        if isinstance(ref, type):
+            with pytest.raises(ref):
+                squared_log_weight(np.array(xs), count)
+            return
+        got = squared_log_weight(np.array(xs), count)
+        if count == 0:
+            assert np.array_equal(got, ref)
+            return
+        # np.log and math.log differ by up to an ulp, and ln y amplifies a
+        # relative difference in y by 1/|ln y|: compare where every factor
+        # |ln^(k) x| is at least 1/2, so each level at most triples the
+        # difference of the one before
+        factors = np.array([[abs(iterated_log(x, k)) for k in range(1, count + 1)] for x in xs])
+        ok = np.all(factors >= 0.5, axis=1)
+        assert np.all(np.abs(got - ref)[ok] <= 64.0 * _EPS * np.abs(ref[ok]))
