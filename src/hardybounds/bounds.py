@@ -37,9 +37,9 @@ from .potentials import (
     CentrifugalShift,
     InverseSquareTail,
     Potential,
+    SAMPLED_RANGE_NOTE,
     PowerLogWell,
     SquareWell,
-    TabulatedPotential,
     check_bounded_below_weighted,
     effective_radial_potential,
     negative_part_abs,
@@ -222,10 +222,8 @@ def _weighted_negpart_quad(
     pts = [p for p in V.breakpoints() if lo < p < hi]
     if math.isfinite(hi):
         pts += _log_kinks(n, lo, hi)
-        if isinstance(V, TabulatedPotential):
-            notes.append(
-                "tabulated potential: integral restricted to the sampled range"
-            )
+        if V.sampled_range() is not None:
+            notes.append(SAMPLED_RANGE_NOTE)
         return integrate(f, lo, hi, tol=tol, breakpoints=pts), notes
     pts += _log_kinks(n, lo, lo + 1e6)
     return integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts), notes
@@ -464,6 +462,8 @@ def clr_bound(
     (vacuous but true).  Pass ``horizon`` to integrate up to a finite radius
     instead, for illustration purposes; the truncation is recorded in the
     diagnostics and is a lower estimate of the true integral.
+
+    A tabulated V is taken as 0 outside its samples.
     """
     if spec.d < 3:
         raise DomainError(f"clr_bound needs d >= 3, got d = {spec.d}")
@@ -479,12 +479,21 @@ def clr_bound(
     prefactor = Cd * sphere_area(d)
     notes: list[str] = []
 
+    rng = V.sampled_range()
+    if rng is None or coeff == 0.0:
+        V_at = V.evaluate
+    else:
+        notes.append("tabulated potential: taken as 0 outside the sampled range")
+
+        def V_at(r: float) -> float:
+            return V.evaluate(r) if rng[0] <= r <= rng[1] else 0.0
+
     if spec.variant == "zero":
         logs = n + 1
 
         def positive_part(r: float) -> float:
             A = coeff / (4.0 * squared_log_weight(r, logs))
-            return max(A - V.evaluate(r), 0.0)
+            return max(A - V_at(r), 0.0)
 
     else:
         logs = n + 2
@@ -495,7 +504,7 @@ def clr_bound(
                 inner = math.log(inner)
             # inner = ln^(n+2) r, positive on the domain
             A = (coeff - inner * inner) / (4.0 * squared_log_weight(r, logs))
-            return max(A - V.evaluate(r), 0.0)
+            return max(A - V_at(r), 0.0)
 
     def integrand(r: float) -> float:
         g = positive_part(r)
@@ -538,9 +547,10 @@ def clr_bound(
             notes.append(f"integral truncated at horizon r = {hi:g}")
 
     lo = th
-    if isinstance(V, TabulatedPotential):
-        lo, hi = max(lo, V.r[0]), min(hi, V.r[-1])
-        notes.append("tabulated potential: integral restricted to the sampled range")
+    if rng is not None and coeff == 0.0:
+        # A <= 0 everywhere, so the integrand vanishes outside the samples
+        lo, hi = max(lo, rng[0]), min(hi, rng[1])
+        notes.append(SAMPLED_RANGE_NOTE)
     if hi <= lo:
         return BoundValue.build(0.0, QuadDiagnostics(notes=tuple(notes)))
 

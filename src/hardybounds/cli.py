@@ -34,6 +34,7 @@ from .bounds import (
     clr_bound,
 )
 from .harness import (
+    SWEEP_TOL,
     SweepSpec,
     default_sweeps,
     run_bound_sweep,
@@ -77,7 +78,6 @@ class ConfigError(ValueError):
 
 BOUND_TOL = 1e-8  # quadrature tolerance of ``bound`` when none is given
 TRANSFORM_TOL = 1e-6  # tolerance of ``verify transform`` when none is given
-SWEEP_TOL = 1e-10  # quadrature tolerance of ``sweep`` when none is given
 
 
 @dataclass

@@ -39,6 +39,7 @@ from .testfunctions import bump_suite
 
 #: Window escalation ceiling for existence checks.
 MAX_EXISTENCE_WINDOW = 320.0
+SWEEP_TOL = 1e-10  # quadrature tolerance of a bound sweep when none is given
 
 
 def _domain_lo(d: int, n: int) -> float:
@@ -328,7 +329,7 @@ def run_bound_sweep(
     sweep: SweepSpec,
     theorem: str,
     constants: BoundConstants = DEFAULT_CLR_CONSTANTS,
-    tol: float = 1e-10,
+    tol: float = SWEEP_TOL,
 ) -> list[ExperimentRow]:
     """One row per ladder value: discrete count at the finest refinement
     against the floored bound.  count <= cap must hold on every row."""

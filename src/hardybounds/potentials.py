@@ -34,6 +34,7 @@ from .iterfun import (
 
 _EXP_MAX = 700.0  # exp() stays finite below this
 _POSITIVE_WALL = 1e300  # stand-in for astronomically large positive values
+SAMPLED_RANGE_NOTE = "tabulated potential: integral restricted to the sampled range"
 
 
 class Potential:
@@ -67,6 +68,11 @@ class Potential:
     def breakpoints(self) -> tuple[float, ...]:
         """Points where the potential jumps or kinks."""
         return ()
+
+    def sampled_range(self) -> Optional[tuple[float, float]]:
+        """Interval of the samples of a tabulated V (None = defined for every
+        r > 0).  Outside it ``evaluate`` raises; the bounds take V as 0 there."""
+        return None
 
     def params(self) -> dict:
         return {}
@@ -273,6 +279,9 @@ class TabulatedPotential(Potential):
     def breakpoints(self):
         return self.r
 
+    def sampled_range(self):
+        return (self.r[0], self.r[-1])
+
     def params(self):
         return {"r": list(self.r), "v": list(self.v)}
 
@@ -337,10 +346,16 @@ class CentrifugalShift(Potential):
             cross = math.sqrt(L / base.c)
         elif (L > 0.0 and isinstance(base, PowerLogWell) and base.q == 0.0
               and base.p != -2.0 and base.c > 0.0):
-            cross = (L / base.c) ** (1.0 / (base.p + 2.0))  # c r^(p+2) = L
+            # c r^(p+2) = L, solved in logs: the power overflows for p near -2
+            log_cross = math.log(L / base.c) / (base.p + 2.0)
+            if math.log(base.a) < log_cross < min(math.log(base.b), _EXP_MAX):
+                cross = math.exp(log_cross)
         if cross is not None and base.a < cross < base.b:
             pts.append(cross)
         return tuple(sorted(pts))
+
+    def sampled_range(self):
+        return self.base.sampled_range()
 
     def params(self):
         return {"l": self.l, "d": self.d, "base": describe_potential(self.base)}
@@ -485,7 +500,7 @@ class TransformedPotential:
         core, coupling = self.base, 0.0
         if isinstance(core, CentrifugalShift):
             core, coupling = core.base, core.coupling
-        if isinstance(core, TabulatedPotential):
+        if core.sampled_range() is not None:
             # no zero extension: outside the sampled range the value is undefined
             window = (-math.inf, math.inf)
         else:
@@ -625,9 +640,10 @@ def check_bounded_below_weighted(
     supp = V.support()
     if supp is not None and math.isfinite(supp[1]):
         hi = max(hi, 10.0 * supp[1])
-    if isinstance(V, TabulatedPotential):
-        lo = max(lo, V.r[0])
-        hi = min(hi, V.r[-1])
+    rng = V.sampled_range()
+    if rng is not None:
+        lo = max(lo, rng[0])
+        hi = min(hi, rng[1])
         if not lo < hi:
             # the samples end below the domain: there is nothing to check
             return BoundedBelowCheck(passed=True, witness=None, sampled_min=0.0, samples=0)

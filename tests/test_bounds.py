@@ -288,6 +288,14 @@ class TestCentralBound:
         assert ref == pytest.approx(0.238585695679, rel=1e-11)
         assert bv.channels[2].integral == pytest.approx(ref, rel=1e-9)
 
+    def test_power_log_crossing_past_the_float_range(self):
+        # p = -2.01: the crossing (L/c)^(1/(p+2)) = (2e-4)^(-100) is about
+        # 1e370, past b and past the float range; it adds no breakpoint
+        V = PowerLogWell(c=1e4, p=-2.01, q=0.0, a=2.0, b=10.0)
+        assert effective_radial_potential(V, 1, 3).breakpoints() == (2.0, 10.0)
+        bv = central_bound(V, OperatorSpec(3, 0, "zero"), tol=1e-10)
+        assert math.isfinite(bv.raw) and bv.channels[1].integral > 0.0
+
     def test_l0_channel_reproduces_line_bound(self):
         # deep narrow well keeps l_max = 0
         V = SquareWell(c=0.4, a=1.0, b=1.5)
@@ -370,6 +378,30 @@ class TestClrBound:
         ref, _ = scipy.integrate.quad(integrand, 17.0, 42.0, points=r[1:-1], epsabs=0.0,
                                       epsrel=1e-12, limit=200)
         assert bv.raw == pytest.approx(0.1156 * sphere_area(3) * ref, rel=1e-9)
+
+    def test_d5_tabulated_is_zero_extended(self):
+        # for d = 5 the improvement term (8 - (ln ln r)^2) / (4 r^2 (ln r)^2 (ln ln r)^2)
+        # is positive up to r* = exp^(2)(sqrt 8) = 2.2e7: outside the samples
+        # the integrand is that of V = 0, and V <= 0 only adds to it
+        spec = OperatorSpec(5, 0, "one", threshold_depth=2)
+        r = np.linspace(17.0, 42.0, 11)
+        v = -1e-4 * (2.0 - np.sin(r))  # small against the improvement term
+        bv = clr_bound(TabulatedPotential(r=tuple(r), v=tuple(v)), spec, tol=1e-12)
+        zero = clr_bound(ZeroPotential(), spec, tol=1e-12)
+        assert "tabulated potential: taken as 0 outside the sampled range" in bv.diagnostics.notes
+        assert bv.raw > zero.raw > 0.0
+
+        def integrand(x, V):
+            LL = math.log(x) * math.log(math.log(x))
+            A = (8.0 - math.log(math.log(x)) ** 2) / (4.0 * x * x * LL * LL)
+            return max(A - V, 0.0) ** 2.5 * LL**4 * x**4
+
+        ref, _ = scipy.integrate.quad(
+            lambda x: integrand(x, np.interp(x, r, v)) - integrand(x, 0.0), 17.0, 42.0,
+            points=r[1:-1], epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        prefactor = DEFAULT_CLR_CONSTANTS.get(5) * sphere_area(5)
+        assert bv.raw - zero.raw == pytest.approx(prefactor * ref, rel=1e-8)
 
     def test_rejects_low_dimension(self):
         with pytest.raises(DomainError):
