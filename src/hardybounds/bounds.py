@@ -41,6 +41,7 @@ from .potentials import (
     PowerLogWell,
     SquareWell,
     check_bounded_below_weighted,
+    checked_pow,
     effective_radial_potential,
     negative_part_abs,
 )
@@ -92,7 +93,12 @@ class OperatorSpec:
 @dataclass(frozen=True)
 class BoundConstants:
     """CLR constants C_d.  Only d = 3 has a pinned literature value here;
-    the entries for 4 <= d <= 7 are configurable placeholders."""
+    the entries for 4 <= d <= 7 are configurable placeholders.
+
+    ``placeholders`` lists the d whose entry is still a placeholder; a bound
+    computed with one of them says so in its notes.  A caller that sets an
+    entry removes its d from the set, as the configuration loader does.
+    """
 
     values: dict = field(
         default_factory=lambda: {3: 0.1156, 4: 0.1156, 5: 0.1156, 6: 0.1156, 7: 0.1156}
@@ -101,6 +107,7 @@ class BoundConstants:
         "C_3 = 0.1156 (Lieb); entries for d in [4, 7] are placeholders equal to "
         "C_3, not literature values"
     )
+    placeholders: frozenset = frozenset({4, 5, 6, 7})
 
     def get(self, d: int) -> float:
         try:
@@ -148,8 +155,12 @@ class BoundValue:
         return cls(raw=raw, integer_cap=cap, diagnostics=diagnostics, channels=channels)
 
 
-def absolute_log_weight(x: float, n: int) -> float:
-    """x |ln x| |ln^(2) x| ... |ln^(n+1) x| for x above exp^(n)(0)."""
+def absolute_log_weight(x, n: int):
+    """x |ln x| |ln^(2) x| ... |ln^(n+1) x| for x above exp^(n)(0).
+
+    An ndarray x is weighted elementwise with numpy's log."""
+    if isinstance(x, np.ndarray):
+        return _absolute_log_weight_array(x, n)
     if x <= 0.0:
         raise DomainError(f"weight requires x > 0, got {x}")
     w = x
@@ -162,6 +173,25 @@ def absolute_log_weight(x: float, n: int) -> float:
             )
         cur = math.log(cur)
         w *= abs(cur)
+    return w
+
+
+def _absolute_log_weight_array(x: np.ndarray, n: int) -> np.ndarray:
+    bad = x <= 0.0
+    if np.count_nonzero(bad):
+        raise DomainError(f"weight requires x > 0, got {float(x[bad][0])}")
+    w = x
+    cur = x
+    for k in range(n + 1):
+        if k:
+            bad = cur <= 0.0
+            if np.count_nonzero(bad):
+                raise DomainError(
+                    f"absolute_log_weight({float(x[bad][0])}, {n}): log #{k + 1} undefined; "
+                    f"x must exceed exp^({n})(0)"
+                )
+        cur = np.log(cur)
+        w = w * np.abs(cur)
     return w
 
 
@@ -215,9 +245,11 @@ def _weighted_negpart_quad(
     if hi <= lo:
         return QuadResult(0.0, 0.0, 0), notes
 
-    def f(x: float) -> float:
+    def f(x: np.ndarray) -> np.ndarray:
         vneg = negative_part_abs(V, x)
-        return 0.0 if vneg == 0.0 else vneg * weight(x, n)
+        on = vneg != 0.0  # the weight is evaluated only where V dips negative
+        vneg[on] *= weight(x[on], n)
+        return vneg
 
     pts = [p for p in V.breakpoints() if lo < p < hi]
     if math.isfinite(hi):
@@ -229,8 +261,8 @@ def _weighted_negpart_quad(
     return integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts), notes
 
 
-def _line_weight(x: float, _n: int) -> float:
-    return abs(x)
+def _line_weight(x: np.ndarray, _n: int) -> np.ndarray:
+    return np.abs(x)
 
 
 def bargmann_line_bound(V: Potential, tol: float = 1e-10) -> BoundValue:
@@ -244,7 +276,7 @@ def bargmann_line_bound(V: Potential, tol: float = 1e-10) -> BoundValue:
     lo, hi = ns
     pts = [p for p in list(V.breakpoints()) + [0.0] if lo < p < hi]
     quad = integrate(
-        lambda x: negative_part_abs(V, x) * abs(x), lo, hi, tol=tol, breakpoints=pts
+        lambda x: negative_part_abs(V, x) * np.abs(x), lo, hi, tol=tol, breakpoints=pts
     )
     diag = QuadDiagnostics(error_estimate=quad.error_estimate, evaluations=quad.evaluations)
     return BoundValue.build(1.0 + quad.value, diag)
@@ -426,15 +458,17 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> Bound
     return BoundValue.build(total, diag, tuple(channels))
 
 
-def _log_power_weight(r: float, count: int, power: int) -> float:
-    """(ln r)^power ... (ln^(count) r)^power; all factors must be positive."""
-    w = 1.0
+def _log_power_weight(r: np.ndarray, count: int, power: int) -> np.ndarray:
+    """(ln r)^power ... (ln^(count) r)^power elementwise; all factors must be
+    positive."""
+    w = np.ones(r.shape)
     cur = r
     for k in range(count):
-        cur = math.log(cur)
-        if cur <= 0.0:
+        cur = np.log(cur)
+        bad = cur <= 0.0
+        if np.count_nonzero(bad):
             raise DomainError(
-                f"log weight factor #{k + 1} is not positive at r = {r}; "
+                f"log weight factor #{k + 1} is not positive at r = {float(r[bad][0])}; "
                 "point lies below the domain threshold"
             )
         w *= cur**power
@@ -481,36 +515,41 @@ def clr_bound(
 
     rng = V.sampled_range()
     if rng is None or coeff == 0.0:
-        V_at = V.evaluate
+        V_at = V
     else:
         notes.append("tabulated potential: taken as 0 outside the sampled range")
 
-        def V_at(r: float) -> float:
-            return V.evaluate(r) if rng[0] <= r <= rng[1] else 0.0
+        def V_at(r: np.ndarray) -> np.ndarray:
+            v = np.zeros(r.shape)
+            inside = (rng[0] <= r) & (r <= rng[1])
+            v[inside] = V(r[inside])
+            return v
 
     if spec.variant == "zero":
         logs = n + 1
 
-        def positive_part(r: float) -> float:
-            A = coeff / (4.0 * squared_log_weight(r, logs))
-            return max(A - V_at(r), 0.0)
+        def improvement(r: np.ndarray) -> np.ndarray:
+            return coeff / (4.0 * squared_log_weight(r, logs))
 
     else:
         logs = n + 2
 
-        def positive_part(r: float) -> float:
-            inner = math.log(r)
+        def improvement(r: np.ndarray) -> np.ndarray:
+            inner = np.log(r)
             for _ in range(n + 1):
-                inner = math.log(inner)
+                inner = np.log(inner)
             # inner = ln^(n+2) r, positive on the domain
-            A = (coeff - inner * inner) / (4.0 * squared_log_weight(r, logs))
-            return max(A - V_at(r), 0.0)
+            return (coeff - inner * inner) / (4.0 * squared_log_weight(r, logs))
 
-    def integrand(r: float) -> float:
-        g = positive_part(r)
-        if g == 0.0:
-            return 0.0
-        return g ** (d / 2.0) * _log_power_weight(r, logs, d - 1) * r ** (d - 1)
+    def integrand(r: np.ndarray) -> np.ndarray:
+        g = np.maximum(improvement(r) - V_at(r), 0.0)
+        on = g != 0.0  # the log weights are evaluated only where g > 0
+        r_on = r[on]
+        # the powers raise OverflowError as float ** does; a product overflows to inf
+        with np.errstate(over="ignore"):
+            g[on] = (checked_pow(g[on], d / 2.0) * _log_power_weight(r_on, logs, d - 1)
+                     * checked_pow(r_on, d - 1))
+        return g
 
     # where does the integrand certainly vanish / certainly diverge?
     ns = V.negative_support()
@@ -539,9 +578,21 @@ def clr_bound(
     else:
         hi = supp_end
         if coeff > 0.0:
-            # improvement term positive until ln^(n+2) r = sqrt((d-1)(d-3))
-            r_star = iterated_exp(math.sqrt(coeff), n + 2)
-            hi = max(hi, r_star)
+            # improvement term positive until r* = exp^(n+2) sqrt((d-1)(d-3))
+            try:
+                hi = max(hi, iterated_exp(math.sqrt(coeff), n + 2))
+            except OverflowError:
+                if horizon is None:
+                    return BoundValue.build(
+                        math.inf,
+                        QuadDiagnostics(
+                            notes=(
+                                f"r* = exp^({n + 2})(sqrt({coeff:g})) exceeds the double "
+                                "range; the bound is +inf",
+                            )
+                        ),
+                    )
+                hi = math.inf  # r* lies past every double; the horizon cuts it
         if horizon is not None:
             hi = min(hi, horizon)
             notes.append(f"integral truncated at horizon r = {hi:g}")
@@ -562,6 +613,11 @@ def clr_bound(
             k *= 100.0
             pts.append(k)
     quad = integrate(integrand, lo, hi, tol=tol, breakpoints=pts)
+    if d in constants.placeholders:
+        notes.append(
+            f"C_{d} = {Cd:g} is a placeholder, not a literature value; "
+            f'set constants["{d}"] in the configuration to replace it'
+        )
     diag = QuadDiagnostics(
         prefactor * quad.error_estimate, quad.evaluations, notes=tuple(notes)
     )

@@ -163,7 +163,9 @@ def _constants_from_config(cfg: RunConfig) -> BoundConstants:
         raise ConfigError(f"bad CLR constant table: {exc}") from exc
     base = BoundConstants()
     merged = {**base.values, **values}
-    return BoundConstants(values=merged, source=base.source)
+    return BoundConstants(
+        values=merged, source=base.source, placeholders=base.placeholders - values.keys()
+    )
 
 
 def _atomic_write(path: str, text: str) -> None:

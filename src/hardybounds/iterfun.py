@@ -77,16 +77,19 @@ def safe_iterated_log(x: float, n: int) -> float:
     return v
 
 
-def hardy_weight_stack(x: float, d: int, n: int) -> float:
+def hardy_weight_stack(x, d: int, n: int):
     """Full subtracted weight of the depth-n Hardy operator in dimension d:
 
         (d-2)^2/(4x^2) + sum_{k=1..n} 1 / (4 x^2 (ln x)^2 ... (ln^(k) x)^2)
 
     Defined for x > iterated_exp(0, n) so that all n log factors are positive.
+    An ndarray x is weighted elementwise with numpy's log.
     """
     _check_depth(n)
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+    if isinstance(x, np.ndarray):
+        return _hardy_weight_stack_array(x, d, n)
     if x <= 0.0:
         raise DomainError(f"hardy_weight_stack requires x > 0, got {x}")
     total = (d - 2) ** 2 / (4.0 * x * x)
@@ -101,6 +104,26 @@ def hardy_weight_stack(x: float, d: int, n: int) -> float:
             )
         acc *= cur * cur
         total += 1.0 / acc
+    return total
+
+
+def _hardy_weight_stack_array(x: np.ndarray, d: int, n: int) -> np.ndarray:
+    bad = x <= 0.0
+    if np.count_nonzero(bad):
+        raise DomainError(f"hardy_weight_stack requires x > 0, got {float(x[bad][0])}")
+    total = (d - 2) ** 2 / (4.0 * x * x)
+    acc = 4.0 * x * x
+    cur = x
+    for k in range(1, n + 1):
+        cur = np.log(cur)  # positive after the previous factor's check
+        bad = cur <= 0.0
+        if np.count_nonzero(bad):
+            raise DomainError(
+                f"hardy_weight_stack({float(x[bad][0])}, d={d}, n={n}): log factor #{k} "
+                f"is not positive; need x > exp^({n})(0)"
+            )
+        acc = acc * (cur * cur)
+        total = total + 1.0 / acc
     return total
 
 
@@ -130,13 +153,13 @@ def squared_log_weight(x, count: int):
 
 def _squared_log_weight_array(x: np.ndarray, count: int) -> np.ndarray:
     bad = x <= 0.0
-    if bad.any():
+    if np.count_nonzero(bad):
         raise DomainError(f"squared_log_weight requires x > 0, got {float(x[bad][0])}")
     acc = x * x
     cur = x
     for k in range(count):
         bad = cur <= 0.0
-        if bad.any():
+        if np.count_nonzero(bad):
             raise DomainError(
                 f"squared_log_weight({float(x[bad][0])}, {count}): log #{k + 1} undefined "
                 f"(argument {float(cur[bad][0])})"

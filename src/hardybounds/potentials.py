@@ -4,7 +4,8 @@ iterated log change of variables.
 All families evaluate pointwise on r > 0 (square wells also accept r <= 0 so
 they can live on the whole line).  Calling a potential on an ndarray
 evaluates it elementwise with numpy, with the formula and the errors of its
-scalar ``evaluate``; quadrature keeps to the scalar path.  A k-step
+scalar ``evaluate``; the quadrature integrands, the hypothesis check and the
+sup-scan all take this path.  A k-step
 transform turns V into the s-coordinate potential
 
     W(s) = e^{2s} e^{2 e^s} ... e^{2 exp^(k-1) s} * V(exp^(k) s),
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -34,6 +36,7 @@ from .iterfun import (
 
 _EXP_MAX = 700.0  # exp() stays finite below this
 _POSITIVE_WALL = 1e300  # stand-in for astronomically large positive values
+_DOUBLE_MAX = sys.float_info.max
 SAMPLED_RANGE_NOTE = "tabulated potential: integral restricted to the sampled range"
 
 
@@ -84,6 +87,9 @@ class ZeroPotential(Potential):
 
     def evaluate(self, r: float) -> float:
         return 0.0
+
+    def evaluate_array(self, r: np.ndarray) -> np.ndarray:
+        return np.zeros(r.shape)
 
 
 @dataclass(frozen=True)
@@ -141,13 +147,13 @@ class InverseSquareTail(Potential):
     def evaluate(self, r: float) -> float:
         if r <= 0.0:
             raise DomainError(f"inverse-square tail needs r > 0, got {r}")
-        return -self.c / (r * r) if r >= self.a else 0.0
+        return -_inverse_square(self.c, r) if r >= self.a else 0.0
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         _require_positive(r, "inverse-square tail")
         out = np.zeros(r.shape)
         on = r >= self.a
-        out[on] = -self.c / (r[on] * r[on])
+        out[on] = -_inverse_square(self.c, r[on])
         return out
 
     def support(self):
@@ -205,10 +211,10 @@ class PowerLogWell(Potential):
         x = r[inside]
         # float ** raises OverflowError where a product only goes to inf
         with np.errstate(over="ignore"):
-            rp = _checked_pow(x, self.p)
+            rp = checked_pow(x, self.p)
             v = self.c * rp
             if self.q != 0.0:
-                v *= _checked_pow(np.log(x), self.q)
+                v *= checked_pow(np.log(x), self.q)
         out[inside] = -v
         return out
 
@@ -233,6 +239,9 @@ class TabulatedPotential(Potential):
     family = "tabulated"
     r: tuple[float, ...]
     v: tuple[float, ...]
+    # the samples as ndarrays, for evaluate_array
+    _rs: np.ndarray = field(init=False, repr=False, compare=False)
+    _vs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", tuple(float(x) for x in self.r))
@@ -243,6 +252,8 @@ class TabulatedPotential(Potential):
             raise DomainError("tabulated sample points must be positive")
         if any(x >= y for x, y in zip(self.r, self.r[1:])):
             raise DomainError("tabulated sample points must be strictly increasing")
+        object.__setattr__(self, "_rs", np.array(self.r))
+        object.__setattr__(self, "_vs", np.array(self.v))
 
     def evaluate(self, r: float) -> float:
         if r < self.r[0] or r > self.r[-1]:
@@ -256,9 +267,9 @@ class TabulatedPotential(Potential):
         return self.v[i] * (1.0 - t) + self.v[i + 1] * t
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
-        rs, vs = np.array(self.r), np.array(self.v)
+        rs, vs = self._rs, self._vs
         outside = (r < rs[0]) | (r > rs[-1])
-        if outside.any():
+        if np.count_nonzero(outside):
             raise DomainError(
                 f"tabulated potential defined on [{self.r[0]}, {self.r[-1]}], "
                 f"got r={float(r[outside][0])}"
@@ -312,11 +323,15 @@ class CentrifugalShift(Potential):
     def evaluate(self, r: float) -> float:
         if r <= 0.0:
             raise DomainError(f"effective radial potential needs r > 0, got {r}")
-        return self.coupling / (r * r) + self.base.evaluate(r)
+        if self.coupling == 0.0:
+            return self.base.evaluate(r)
+        return _inverse_square(self.coupling, r) + self.base.evaluate(r)
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         _require_positive(r, "effective radial potential")
-        return self.coupling / (r * r) + self.base.evaluate_array(r)
+        if self.coupling == 0.0:
+            return self.base.evaluate_array(r)
+        return _inverse_square(self.coupling, r) + self.base.evaluate_array(r)
 
     def support(self):
         if self.coupling == 0.0:
@@ -341,17 +356,16 @@ class CentrifugalShift(Potential):
         pts = list(self.base.breakpoints())
         L, base = self.coupling, self.base
         # where L/r^2 + V changes sign, its positive part has a kink
-        cross = None
+        cross = []
         if L > 0.0 and isinstance(base, SquareWell):
-            cross = math.sqrt(L / base.c)
-        elif (L > 0.0 and isinstance(base, PowerLogWell) and base.q == 0.0
-              and base.p != -2.0 and base.c > 0.0):
-            # c r^(p+2) = L, solved in logs: the power overflows for p near -2
-            log_cross = math.log(L / base.c) / (base.p + 2.0)
-            if math.log(base.a) < log_cross < min(math.log(base.b), _EXP_MAX):
-                cross = math.exp(log_cross)
-        if cross is not None and base.a < cross < base.b:
-            pts.append(cross)
+            cross = [math.sqrt(L / base.c)]
+        elif L > 0.0 and isinstance(base, PowerLogWell) and base.c > 0.0:
+            cross = _power_log_crossings(L, base)
+        elif L > 0.0 and isinstance(base, TabulatedPotential):
+            cross = _tabulated_crossings(L, base)
+        if cross:
+            lo, hi = base.support()
+            pts += [x for x in cross if lo < x < hi]
         return tuple(sorted(pts))
 
     def sampled_range(self):
@@ -361,18 +375,96 @@ class CentrifugalShift(Potential):
         return {"l": self.l, "d": self.d, "base": describe_potential(self.base)}
 
 
+def _monotone_roots(F, cuts: list[float]) -> list[float]:
+    """The zeros of F, which is monotone between consecutive ``cuts``: one
+    per piece whose ends differ strictly in sign, by bisection down to
+    adjacent doubles."""
+    roots = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        flo, fhi = F(lo), F(hi)
+        if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+            continue
+        while (mid := 0.5 * (lo + hi)) > lo and mid < hi:
+            fmid = F(mid)
+            if (fmid < 0.0) == (flo < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        roots.append(mid)
+    return roots
+
+
+def _power_log_crossings(L: float, V: "PowerLogWell") -> list[float]:
+    """The r in (a, b) with c r^p (ln r)^q = L, for c > 0.
+
+    In u = ln r the equation is (p+2) u + q ln u = ln(L/c), solved in logs
+    because the powers overflow for p near -2.  For q > 0 and p < -2 the left
+    side rises up to u = q/|p+2| and falls after it, so each side of that
+    peak holds at most one root."""
+    p, q = V.p, V.q
+    rhs = math.log(L / V.c)
+    lo = math.log(V.a)
+    hi = min(math.log(V.b), _EXP_MAX)
+    if q == 0.0:
+        if p == -2.0:
+            return []
+        u = rhs / (p + 2.0)
+        return [math.exp(u)] if lo < u < hi else []
+
+    def F(u: float) -> float:
+        return (p + 2.0) * u + q * math.log(u) - rhs if u > 0.0 else -math.inf
+
+    cuts = [lo, hi]
+    if p < -2.0 and lo < (peak := q / -(p + 2.0)) < hi:
+        cuts.insert(1, peak)
+    return [math.exp(u) for u in _monotone_roots(F, cuts)]
+
+
+def _tabulated_crossings(L: float, V: "TabulatedPotential") -> list[float]:
+    """The r inside the samples where L/r^2 + V(r) changes sign.
+
+    On a sample interval V is linear with slope beta, so L/r^2 + V is convex
+    with at most two zeros, one on each side of its minimum (2L/beta)^(1/3)."""
+
+    def g(r: float) -> float:
+        return L / (r * r) + V.evaluate(r)
+
+    out = []
+    for (r0, v0), (r1, v1) in zip(zip(V.r, V.v), zip(V.r[1:], V.v[1:])):
+        beta = (v1 - v0) / (r1 - r0)
+        cuts = [r0, r1]
+        if beta > 0.0 and r0 < (bottom := (2.0 * L / beta) ** (1.0 / 3.0)) < r1:
+            cuts.insert(1, bottom)
+        out += _monotone_roots(g, cuts)
+    return out
+
+
 def _require_positive(r: np.ndarray, what: str) -> None:
     bad = r <= 0.0
-    if bad.any():
+    if np.count_nonzero(bad):
         raise DomainError(f"{what} needs r > 0, got {float(r[bad][0])}")
 
 
-def _checked_pow(x: np.ndarray, p: float) -> np.ndarray:
-    """x ** p, raising OverflowError where a finite x overflows, as float ** does."""
+def _inverse_square(c: float, r):
+    """c / r^2 for c > 0 and a float or an ndarray r, raising OverflowError
+    where the quotient leaves the double range (r*r underflows to 0 below
+    r = 1.5e-162 or so), instead of dividing by zero."""
+    r2 = r * r
+    low = r2 <= c / _DOUBLE_MAX
+    if np.count_nonzero(low):
+        at = float(np.asarray(r)[low][0])
+        raise OverflowError(f"{c} / r^2 exceeds the double range at r = {at}")
+    return c / r2
+
+
+def checked_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """x ** p, raising OverflowError where a finite x overflows, as float ** does.
+    Call it under ``np.errstate(over="ignore")``."""
     out = x**p
-    over = np.isinf(out) & np.isfinite(x)
-    if over.any():
-        raise OverflowError(f"{float(x[over][0])} ** {p}: numerical result out of range")
+    if np.count_nonzero(np.isinf(out)):
+        over = np.isinf(out) & np.isfinite(x)
+        if np.count_nonzero(over):
+            raise OverflowError(f"{float(x[over][0])} ** {p}: numerical result out of range")
     return out
 
 
@@ -381,8 +473,10 @@ def eval_potential(V: Potential, r: float) -> float:
     return V.evaluate(r)
 
 
-def negative_part_abs(V: Potential, r: float) -> float:
-    """|V(r)_-| = max(-V(r), 0)."""
+def negative_part_abs(V: Potential, r):
+    """|V(r)_-| = max(-V(r), 0), for a float or elementwise for an ndarray."""
+    if isinstance(r, np.ndarray):
+        return np.maximum(-V.evaluate_array(r), 0.0)
     return max(-V.evaluate(r), 0.0)
 
 
@@ -567,7 +661,7 @@ class TransformedPotential:
             on = s >= lo_s
             expo = math.log(V.c) + _exp_prefactor_exponent_array(s[on], k - 1)
             over = expo > _EXP_MAX
-            if over.any():
+            if np.count_nonzero(over):
                 raise _overflow_error(s[on][np.argmax(over)])
             out[on] = -np.exp(expo)
             return out
@@ -585,7 +679,7 @@ class TransformedPotential:
         expo[nz] += np.log(np.abs(v[nz]))
         over = nz & (expo > _EXP_MAX)
         neg_over = over & (v < 0.0)
-        if neg_over.any():
+        if np.count_nonzero(neg_over):
             raise _overflow_error(s_in[np.argmax(neg_over)])
         w = np.copysign(np.exp(np.minimum(expo, _EXP_MAX)), v)
         out[inside] = np.where(over, _POSITIVE_WALL, np.where(nz, w, 0.0))

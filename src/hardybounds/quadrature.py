@@ -1,9 +1,16 @@
 """Adaptive quadrature on finite and semi-infinite intervals.
 
 The core rule is the 15-point Kronrod extension of the 7-point Gauss rule,
-driven by worst-interval bisection.  All nodes are interior, so integrable
-endpoint singularities need no special casing.  Semi-infinite ranges use the
-rational substitution x = a + t/(1-t).
+driven by worst-interval bisection: QUADPACK's QK15 and QAG (Piessens et al.,
+1983).  All nodes are interior, so integrable endpoint singularities need no
+special casing.  Semi-infinite ranges use the rational substitution
+x = a + t/(1-t).
+
+Integrands are array functions: ``f(x)`` receives an ndarray of nodes, one
+row of 15 per panel, and returns the values as an ndarray of the same shape
+(a scalar is broadcast to it).  Each pass calls ``f`` once: the first on
+every initial panel (one per breakpoint interval), each later one on both
+halves of the panel it splits.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 
 class QuadratureError(RuntimeError):
@@ -49,6 +58,20 @@ _WG_CENTER = 0.417959183673469387755102040816327
 
 _EPS = 2.220446049250313e-16
 
+# The 15 nodes of a panel in evaluation order: the center, then c - h x_i and
+# c + h x_i for each abscissa.
+_NODES = np.array((0.0,) + tuple(s * x for x in _XGK for s in (-1.0, 1.0)))
+_KRONROD = np.array((_WGK_CENTER,) + tuple(w for w in _WGK for _ in (0, 1)))
+_GAUSS = np.array(
+    (_WG_CENTER,) + tuple(_WG[i // 2] if i % 2 else 0.0 for i in range(7) for _ in (0, 1))
+)
+# f(nodes) @ _SUMS gives, per panel, the Kronrod and Gauss sums, then the 15
+# values, then their deviations from the Kronrod mean resk / 2; the absolute
+# values of the last 30 columns @ _ABS_SUMS give resabs and resasc.
+_SUMS = np.column_stack([_KRONROD, _GAUSS, np.eye(15), np.eye(15) - 0.5 * _KRONROD[:, None]])
+_ABS_SUMS = np.zeros((30, 2))
+_ABS_SUMS[:15, 0] = _ABS_SUMS[15:, 1] = _KRONROD
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -57,63 +80,42 @@ class QuadResult:
     evaluations: int
 
 
-class _Counter:
-    __slots__ = ("n",)
-
-    def __init__(self):
-        self.n = 0
-
-
-def _eval(f, x, counter):
-    counter.n += 1
-    v = f(x)
-    if math.isnan(v):
-        raise QuadratureError(f"integrand returned NaN at x = {x!r}")
-    return v
-
-
-def _gk15(f, a: float, b: float, counter) -> tuple[float, float]:
-    """One Gauss-Kronrod 7/15 panel on [a, b]: (integral, error estimate)."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    fc = _eval(f, c, counter)
-    resk = _WGK_CENTER * fc
-    resg = _WG_CENTER * fc
-    resabs = _WGK_CENTER * abs(fc)
-    fv = [fc]
-    for i, x in enumerate(_XGK):
-        dx = h * x
-        f1 = _eval(f, c - dx, counter)
-        f2 = _eval(f, c + dx, counter)
-        fv.append(f1)
-        fv.append(f2)
-        s = f1 + f2
-        resk += _WGK[i] * s
-        resabs += _WGK[i] * (abs(f1) + abs(f2))
-        if i % 2 == 1:
-            resg += _WG[(i - 1) // 2] * s
-    mean = resk * 0.5
-    resasc = _WGK_CENTER * abs(fc - mean)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(fv[1 + 2 * i] - mean) + abs(fv[2 + 2 * i] - mean))
-    value = resk * h
-    err = abs((resk - resg) * h)
-    resasc *= abs(h)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    err = max(err, 50.0 * _EPS * resabs * abs(h))
-    return value, err
+def _gk15(f, edges: Sequence[float]) -> list[tuple[float, float]]:
+    """Gauss-Kronrod 7/15 on the panels between consecutive ``edges``, all
+    evaluated in one call of f: (integral, error estimate) per panel."""
+    c = [0.5 * (lo + hi) for lo, hi in zip(edges, edges[1:])]
+    h = [0.5 * (hi - lo) for lo, hi in zip(edges, edges[1:])]
+    x = np.array(c)[:, None] + np.array(h)[:, None] * _NODES
+    fx = f(x)
+    if getattr(fx, "shape", ()) != x.shape:  # a scalar result
+        fx = np.full(x.shape, fx)
+    sums = fx.dot(_SUMS)
+    abs_sums = np.abs(sums[:, 2:]).dot(_ABS_SUMS)
+    out = []
+    for p, ((resk, resg), (resabs, resasc), hp) in enumerate(
+        zip(sums[:, :2].tolist(), abs_sums.tolist(), h)
+    ):
+        if resabs != resabs:  # a NaN (or infinite) value makes its panel's sums NaN
+            i = int(np.argmax(~np.isfinite(fx[p])))
+            what = "NaN" if math.isnan(fx[p][i]) else fx[p][i]
+            raise QuadratureError(f"integrand returned {what} at x = {float(x[p][i])!r}")
+        err = abs((resk - resg) * hp)
+        resasc *= hp
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        out.append((resk * hp, max(err, 50.0 * _EPS * resabs * hp)))
+    return out
 
 
 def integrate(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     tol: float = 1e-10,
     max_evals: int = 1_000_000,
     breakpoints: Sequence[float] = (),
 ) -> QuadResult:
-    """Integrate f over (a, b) to relative accuracy tol.
+    """Integrate the array function f over (a, b) to relative accuracy tol.
 
     Stops when the summed error estimate is <= tol * max(1, |value|); raises
     QuadratureError if the evaluation budget runs out first.  Points listed in
@@ -127,49 +129,52 @@ def integrate(
     if tol <= 0.0:
         raise QuadratureError(f"tolerance must be positive, got {tol}")
 
-    counter = _Counter()
     edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    heap = []
-    serial = 0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        v, e = _gk15(f, lo, hi, counter)
-        heapq.heappush(heap, (-e, serial, lo, hi, v, e))
-        serial += 1
+    # the heap orders panels worst first; values and errors are kept by serial
+    # number, so that the sums below run over plain floats
+    heap, vals, errs = [], {}, {}
+    for serial, (lo, hi, (v, e)) in enumerate(zip(edges, edges[1:], _gk15(f, edges))):
+        heap.append((-e, serial, lo, hi))
+        vals[serial], errs[serial] = v, e
+    heapq.heapify(heap)
+    serial = len(heap)
+    evaluations = 15 * serial
 
     while True:
-        total_err = math.fsum(item[5] for item in heap)
-        total_val = math.fsum(item[4] for item in heap)
+        total_err = math.fsum(errs.values())
+        total_val = math.fsum(vals.values())
         if total_err <= tol * max(1.0, abs(total_val)):
-            return QuadResult(total_val, total_err, counter.n)
-        if counter.n >= max_evals:
+            return QuadResult(total_val, total_err, evaluations)
+        if evaluations >= max_evals:
             raise QuadratureError(
                 f"no convergence within {max_evals} evaluations: "
                 f"error estimate {total_err:.3e} > target "
                 f"{tol * max(1.0, abs(total_val)):.3e}"
             )
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        _, worst, lo, hi = heapq.heappop(heap)
+        del vals[worst], errs[worst]
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             raise QuadratureError(
                 f"interval [{lo}, {hi}] cannot be subdivided further; "
                 "integrand is too singular for the requested tolerance"
             )
-        v1, e1 = _gk15(f, lo, mid, counter)
-        v2, e2 = _gk15(f, mid, hi, counter)
-        heapq.heappush(heap, (-e1, serial, lo, mid, v1, e1))
-        serial += 1
-        heapq.heappush(heap, (-e2, serial, mid, hi, v2, e2))
-        serial += 1
+        for lo, hi, (v, e) in zip((lo, mid), (mid, hi), _gk15(f, (lo, mid, hi))):
+            heapq.heappush(heap, (-e, serial, lo, hi))
+            vals[serial], errs[serial] = v, e
+            serial += 1
+        evaluations += 30
 
 
 def integrate_semiinfinite(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     tol: float = 1e-10,
     max_evals: int = 1_000_000,
     breakpoints: Sequence[float] = (),
 ) -> QuadResult:
-    """Integrate f over (a, infinity) via the substitution x = a + t/(1-t).
+    """Integrate the array function f over (a, infinity) via the substitution
+    x = a + t/(1-t).
 
     ``breakpoints`` are given on the x axis and mapped into t.  f must be
     absolutely integrable; slow tails exhaust the budget or drive a node
@@ -178,16 +183,15 @@ def integrate_semiinfinite(
     if not math.isfinite(a):
         raise QuadratureError(f"lower endpoint must be finite, got {a}")
 
-    def g(t: float) -> float:
+    def g(t: np.ndarray) -> np.ndarray:
         om = 1.0 - t
-        if om <= 0.0:
+        if np.count_nonzero(om <= 0.0):
             # bisection toward the mapped infinity has run out of doubles
             raise QuadratureError(
                 "a quadrature node reached t = 1 (x = infinity): the tail decays "
                 "too slowly for the requested tolerance"
             )
-        x = a + t / om
-        return f(x) / (om * om)
+        return f(a + t / om) / (om * om)
 
     mapped = []
     for p in breakpoints:

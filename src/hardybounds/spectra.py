@@ -155,10 +155,11 @@ def _sturm_count(diag, off_sq, shift: float, pivot_sub: float) -> tuple[int, boo
 
 def _sturm_inputs(T: TridiagonalOperator) -> tuple[list, list, float]:
     """Diagonal, squared off-diagonal and zero-pivot substitute eps ||T||, as
-    the Sturm recurrence reads them."""
+    the Sturm recurrence reads them.  For a subnormal ||T|| the product
+    underflows to 0, and the least positive double stands in for it."""
     scale = T.norm_inf() or 1.0
     off = T.off_diagonal
-    return T.diagonal.tolist(), (off * off).tolist(), _PIVOT_EPS * scale
+    return T.diagonal.tolist(), (off * off).tolist(), max(_PIVOT_EPS * scale, math.ulp(0.0))
 
 
 def inertia_negative_count(
@@ -363,10 +364,10 @@ def quadratic_form_value(
         L = float(l * (l + d - 2))
         lo, hi = u.support
 
-        def f(r: float) -> float:
+        def f(r: np.ndarray) -> np.ndarray:
             uu = u.value(r)
             du = u.derivative(r)
-            pot = Vp.evaluate(r)
+            pot = Vp(r)
             cent = L / (r * r) if L else 0.0
             return (du * du + (cent - hardy_weight_stack(r, d, n) + pot) * uu * uu) * r ** (
                 d - 1
@@ -382,7 +383,7 @@ def quadratic_form_value(
         phi = transform_test_function(u, d, k)
         lo, hi = phi.support
 
-        def g(s: float) -> float:
+        def g(s: np.ndarray) -> np.ndarray:
             ps = phi.value(s)
             dps = phi.derivative(s)
             return dps * dps + W(s) * ps * ps

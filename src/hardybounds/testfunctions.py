@@ -17,19 +17,29 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class TestFunction:
+    """A profile on (lo, hi) with its derivative.  Both map a float to a
+    float, and an ndarray to its values elementwise."""
+
     lo: float
     hi: float
-    value: Callable[[float], float]
-    derivative: Callable[[float], float]
+    value: Callable
+    derivative: Callable
 
     @property
     def support(self) -> tuple[float, float]:
         return (self.lo, self.hi)
+
+
+def _match_input(x, out: np.ndarray):
+    """``out`` as a float when the argument x was a scalar."""
+    return out if isinstance(x, np.ndarray) else float(out)
 
 
 def bump(lo: float, hi: float) -> TestFunction:
@@ -39,20 +49,22 @@ def bump(lo: float, hi: float) -> TestFunction:
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
 
-    def value(x: float) -> float:
+    def parts(x):
         t = (x - mid) / half
         tt = t * t
-        if tt >= 1.0:
-            return 0.0
-        return math.exp(-1.0 / (1.0 - tt))
+        inside = tt < 1.0
+        # 1 - t^2 off the support too, where it is replaced by 1: no division by 0
+        return t, inside, np.where(inside, 1.0 - tt, 1.0)
 
-    def derivative(x: float) -> float:
-        t = (x - mid) / half
-        tt = t * t
-        if tt >= 1.0:
-            return 0.0
-        one = 1.0 - tt
-        return math.exp(-1.0 / one) * (-2.0 * t / (one * one)) / half
+    def value(x):
+        _, inside, one = parts(x)
+        return _match_input(x, np.where(inside, np.exp(-1.0 / one), 0.0))
+
+    def derivative(x):
+        t, inside, one = parts(x)
+        return _match_input(
+            x, np.where(inside, np.exp(-1.0 / one) * (-2.0 * t / (one * one)) / half, 0.0)
+        )
 
     return TestFunction(lo, hi, value, derivative)
 
@@ -65,16 +77,20 @@ def log_pushforward(f: TestFunction, dim: int) -> TestFunction:
     lo = math.log(f.lo)
     hi = math.log(f.hi)
 
-    def value(s: float) -> float:
-        if s <= lo or s >= hi:
-            return 0.0
-        return math.exp(beta * s) * f.value(math.exp(s))
+    def parts(s):
+        inside = (lo < s) & (s < hi)
+        s_in = np.where(inside, s, lo)  # keeps exp(s) finite off the support
+        return inside, np.exp(beta * s_in), np.exp(s_in)
 
-    def derivative(s: float) -> float:
-        if s <= lo or s >= hi:
-            return 0.0
-        x = math.exp(s)
-        return math.exp(beta * s) * (beta * f.value(x) + x * f.derivative(x))
+    def value(s):
+        inside, scale, x = parts(s)
+        return _match_input(s, np.where(inside, scale * f.value(x), 0.0))
+
+    def derivative(s):
+        inside, scale, x = parts(s)
+        return _match_input(
+            s, np.where(inside, scale * (beta * f.value(x) + x * f.derivative(x)), 0.0)
+        )
 
     return TestFunction(lo, hi, value, derivative)
 

@@ -124,7 +124,7 @@ class TestBound1d:
         V = SquareWell(c=1.0, a=math.e, b=math.e**2)
         bv = bound_1d(V, spec, tol=1e-12)
         oracle = integrate(
-            lambda x: x * math.log(x) * math.log(math.log(x)),
+            lambda x: x * np.log(x) * np.log(np.log(x)),
             math.e,
             math.e**2,
             tol=1e-13,
@@ -288,6 +288,35 @@ class TestCentralBound:
         assert ref == pytest.approx(0.238585695679, rel=1e-11)
         assert bv.channels[2].integral == pytest.approx(ref, rel=1e-9)
 
+    def test_power_log_channel_split_at_log_crossing(self):
+        # q = 1: the crossing c r^p ln r = 20 / r^2 has no closed form and is
+        # solved in u = ln r; without it channel l = 4 missed by 1.8e-6
+        c, p, a = 144.8590095387951, -3.0553189048920624, 2.7119420049225744
+        V = PowerLogWell(c=c, p=p, q=1.0, a=a, b=math.inf)
+        gap = lambda r: c * r**p * math.log(r) - 20.0 / r**2
+        cross = scipy.optimize.brentq(gap, a, 100.0, xtol=1e-14)
+        bv = central_bound(V, OperatorSpec(3, 0, "zero"), tol=1e-10)
+        ref, _ = scipy.integrate.quad(
+            lambda r: gap(r) * absolute_log_weight(r, 0), a, cross, epsabs=0.0, epsrel=1e-13,
+        )
+        assert ref == pytest.approx(49.0993110, rel=1e-8)
+        assert bv.channels[4].integral == pytest.approx(ref, rel=1e-11)
+
+    def test_tabulated_channel_split_at_crossing(self):
+        # 20/r^2 + V changes sign between two samples; without the split
+        # channel l = 4 missed by 4.6e-9
+        r = np.linspace(1.2, 6.0, 9)
+        v = -30.0 * r**-2.5
+        g = lambda x: 20.0 / x**2 + np.interp(x, r, v)
+        cross = scipy.optimize.brentq(g, 1.8, 2.4, xtol=1e-14)
+        bv = central_bound(TabulatedPotential(r=tuple(r), v=tuple(v)), OperatorSpec(3, 0, "one"),
+                           tol=1e-10)
+        ref, _ = scipy.integrate.quad(
+            lambda x: max(-g(x), 0.0) * absolute_log_weight(x, 0), 1.2, 6.0,
+            points=sorted([*r[1:-1], cross]), epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert bv.channels[4].integral == pytest.approx(ref, rel=1e-12)
+
     def test_power_log_crossing_past_the_float_range(self):
         # p = -2.01: the crossing (L/c)^(1/(p+2)) = (2e-4)^(-100) is about
         # 1e370, past b and past the float range; it adds no breakpoint
@@ -321,7 +350,7 @@ class TestClrBound:
         c, a, b = 2.0, 3.0, 6.0
         bv = clr_bound(SquareWell(c=c, a=a, b=b), spec, tol=1e-12)
         direct = integrate(
-            lambda r: c**1.5 * math.log(r) ** 2 * r * r, a, b, tol=1e-13
+            lambda r: c**1.5 * np.log(r) ** 2 * r * r, a, b, tol=1e-13
         ).value
         expected = 0.1156 * sphere_area(3) * direct
         assert bv.raw == pytest.approx(expected, rel=1e-10)
@@ -403,6 +432,31 @@ class TestClrBound:
         prefactor = DEFAULT_CLR_CONSTANTS.get(5) * sphere_area(5)
         assert bv.raw - zero.raw == pytest.approx(prefactor * ref, rel=1e-8)
 
+    def test_r_star_past_the_double_range(self):
+        # d = 5, n = 1, variant one: r* = exp^(3)(sqrt 8) overflows
+        spec = OperatorSpec.for_clr_bound(5, 1, "one")
+        bv = clr_bound(ZeroPotential(), spec)
+        assert math.isinf(bv.raw) and bv.integer_cap is None
+        assert any("exceeds the double range" in note for note in bv.diagnostics.notes)
+        # a horizon makes the range finite: integrate up to it
+        vals = [clr_bound(ZeroPotential(), spec, horizon=h) for h in (1e8, 1e12)]
+        assert 0.0 < vals[0].raw < vals[1].raw < math.inf
+        assert "integral truncated at horizon r = 1e+12" in vals[1].diagnostics.notes
+
+    def test_placeholder_constant_is_noted(self):
+        V = SquareWell(c=1.0, a=20.0, b=30.0)
+        spec = OperatorSpec.for_clr_bound(5, 0, "one")
+        noted = clr_bound(V, spec)
+        assert any("C_5 = 0.1156 is a placeholder" in note for note in noted.diagnostics.notes)
+        values = {**DEFAULT_CLR_CONSTANTS.values, 5: 0.2}
+        configured = BoundConstants(values=values, placeholders=frozenset({4, 6, 7}))
+        bv = clr_bound(V, spec, constants=configured)
+        assert not any("placeholder" in note for note in bv.diagnostics.notes)
+        assert bv.raw == pytest.approx(noted.raw * 0.2 / 0.1156, rel=1e-12)
+        # C_3 is a literature value
+        d3 = clr_bound(SquareWell(c=1.0, a=3.0, b=6.0), OperatorSpec.for_clr_bound(3, 0, "zero"))
+        assert not any("placeholder" in note for note in d3.diagnostics.notes)
+
     def test_rejects_low_dimension(self):
         with pytest.raises(DomainError):
             clr_bound(ZeroPotential(), OperatorSpec.for_clr_bound(2, 0, "zero"))
@@ -418,3 +472,4 @@ class TestDefaultConstants:
 
     def test_placeholders_labeled(self):
         assert "placeholder" in DEFAULT_CLR_CONSTANTS.source
+        assert DEFAULT_CLR_CONSTANTS.placeholders == {4, 5, 6, 7}

@@ -95,6 +95,35 @@ class TestBoundCommand:
         assert payload["bound_raw"] == pytest.approx(2 * math.log(2) - 0.75, rel=1e-9)
         assert payload["bound_cap"] == 0
 
+    def test_clr_r_star_overflow_is_a_vacuous_bound(self, capsys):
+        code = main([
+            "bound", "--theorem", "t42", "--d", "5", "--n", "1",
+            "--variant", "one", "--potential", "zero",
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "bound raw  : inf" in out
+        assert "exceeds the double range" in out
+
+    @pytest.mark.parametrize("constants, noted", [
+        (None, True),  # the default table: C_5 is a placeholder
+        ({"3": 0.1156, "5": 0.2}, False),
+    ])
+    def test_clr_placeholder_constant_note(self, constants, noted, tmp_path, capsys):
+        cfg = {"theorem": "t42", "d": 5, "n": 0, "variant": "one",
+               "potential": {"family": "square_well", "c": 1.0, "a": 20.0, "b": 30.0}}
+        if constants is not None:
+            cfg["constants"] = constants
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out_path = tmp_path / "bound.json"
+        code = main(["bound", "--config", str(cfg_path), "--json", str(out_path)])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        notes = json.loads(out_path.read_text())["notes"]
+        assert any("C_5 = " in n and "placeholder" in n for n in notes) == noted
+        assert ("note       : C_5 = " in out) == noted
+
     def test_bad_theorem_dimension_is_config_error(self, capsys):
         code = main([
             "bound", "--theorem", "t41", "--d", "3", "--n", "0",

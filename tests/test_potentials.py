@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from hardybounds.errors import DomainError, DepthCapError
 from hardybounds.iterfun import DomainThreshold
 from hardybounds.potentials import (
+    CentrifugalShift,
     InverseSquareTail,
     PowerLogWell,
     SquareWell,
@@ -187,6 +189,46 @@ class TestEffectiveRadial:
         assert lo == pytest.approx(math.sqrt(2.0), rel=1e-14)
         assert hi == 2.0
         assert effective_radial_potential(V, 2, 3).negative_support() is None
+
+
+    @pytest.mark.parametrize("V", [
+        InverseSquareTail(c=1.0, a=0.0),
+        effective_radial_potential(SquareWell(c=1.0, a=0.0, b=2.0), 1, 3),
+    ])
+    def test_underflowing_r_squared_is_an_overflow_error(self, V):
+        # r*r underflows to 0 at r = 1e-200: c / r^2 is past the double range
+        with pytest.raises(OverflowError):
+            V.evaluate(1e-200)
+        with pytest.raises(OverflowError):
+            V(np.array([1.0, 1e-200]))
+
+    def test_zero_coupling_returns_the_base(self):
+        base = SquareWell(c=3.0, a=0.0, b=2.0)
+        V = CentrifugalShift(base=base, l=0, d=3)
+        assert V.evaluate(1e-200) == -3.0
+        assert np.array_equal(V(np.array([1e-200, 1.0, 5.0])), [-3.0, -3.0, 0.0])
+
+    def test_power_log_crossings_on_both_sides_of_the_peak(self):
+        # 10 r^-3 (ln r)^2 = 2 / r^2, i.e. -u + 2 ln u = ln(1/5) in u = ln r:
+        # the left side peaks at u = 2, with one root on each side
+        V = PowerLogWell(c=10.0, p=-3.0, q=2.0, a=1.0, b=math.inf)
+        pts = effective_radial_potential(V, 1, 3).breakpoints()
+        gap = lambda r: 10.0 * r**-3 * math.log(r) ** 2 - 2.0 / r**2
+        left = scipy.optimize.brentq(gap, 1.01, math.exp(2.0), xtol=1e-14)
+        right = scipy.optimize.brentq(gap, math.exp(2.0), 1e3, xtol=1e-14)
+        assert pts[0] == 1.0
+        assert pts[1:] == pytest.approx([left, right], rel=1e-13)
+
+    def test_tabulated_crossing_inside_a_sample_interval(self):
+        # 20/r^2 + V changes sign between the samples 1.8 and 2.4
+        r = np.linspace(1.2, 6.0, 9)
+        V = TabulatedPotential(r=tuple(r), v=tuple(-30.0 * r**-2.5))
+        pts = effective_radial_potential(V, 4, 3).breakpoints()
+        extra = sorted(set(pts) - set(V.r))
+        cross = scipy.optimize.brentq(
+            lambda x: 20.0 / x**2 + np.interp(x, r, V.v), 1.8, 2.4, xtol=1e-14
+        )
+        assert extra == pytest.approx([cross], rel=1e-13)
 
 
 class TestBoundedBelowCheck:

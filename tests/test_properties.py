@@ -1,8 +1,9 @@
 """Property tests: the single-pass Sturm count against dense eigenvalues and
-against the two-pass reference, and the array forms of the potentials, of a
+against the two-pass reference, the array forms of the potentials, of a
 transformed potential and of the squared log weight against their scalar
-definitions."""
+definitions, and the batched GK15 quadrature against the scalar rule."""
 
+import heapq
 import math
 
 import numpy as np
@@ -11,7 +12,19 @@ from hypothesis import event, find, given, settings
 from hypothesis import strategies as st
 
 from hardybounds.errors import DomainError
-from hardybounds.iterfun import iterated_log, squared_log_weight
+from hardybounds.bounds import absolute_log_weight
+from hardybounds.iterfun import hardy_weight_stack, iterated_log, squared_log_weight
+from hardybounds.quadrature import (
+    QuadratureError,
+    _EPS as _QUAD_EPS,
+    _WG,
+    _WG_CENTER,
+    _WGK,
+    _WGK_CENTER,
+    _XGK,
+    integrate,
+    integrate_semiinfinite,
+)
 from hardybounds.potentials import (
     InverseSquareTail,
     Potential,
@@ -29,6 +42,11 @@ from hardybounds.spectra import (
 )
 
 _PIVOT_EPS = 2.0**-40
+
+
+def pivot_sub(T):
+    """eps ||T||, or the least positive double where that underflows to 0."""
+    return max(_PIVOT_EPS * (T.norm_inf() or 1.0), math.ulp(0.0))
 
 
 def two_pass_count(T, shift=0.0):
@@ -49,8 +67,7 @@ def two_pass_count(T, shift=0.0):
             n += d < 0.0
         return n
 
-    scale = T.norm_inf() or 1.0
-    up, down = count(_PIVOT_EPS * scale), count(-_PIVOT_EPS * scale)
+    up, down = count(pivot_sub(T)), count(-pivot_sub(T))
     return up if up == down else (min(up, down), max(up, down))
 
 
@@ -102,7 +119,7 @@ class TestSturmProperties:
         assert res == two_pass_count(T, 0.0)
         # the -eps re-run happens exactly when an exact zero pivot occurs
         diag, off_sq = T.diagonal.tolist(), (T.off_diagonal**2).tolist()
-        _, zero_pivot = _sturm_count(diag, off_sq, 0.0, _PIVOT_EPS * (T.norm_inf() or 1.0))
+        _, zero_pivot = _sturm_count(diag, off_sq, 0.0, pivot_sub(T))
         assert zero_pivot == (first_zero_pivot(T) is not None)
         # dense oracle: the count brackets the eigenvalues below +-delta, and
         # an interval appears only where an eigenvalue sits at zero
@@ -127,6 +144,11 @@ class TestSturmProperties:
         T = TridiagonalOperator(np.array([1.0, 1.0, 3.0]), np.array([-1.0, 1.0]))
         assert first_zero_pivot(T) == 1
         assert inertia_negative_count(T, 0.0) == two_pass_count(T) == 1
+
+    def test_subnormal_norm_keeps_a_nonzero_pivot_substitute(self):
+        # eps ||T|| underflows to 0 here; the eigenvalues are +-5e-324
+        T = TridiagonalOperator(np.array([0.0, 0.0]), np.array([5e-324]))
+        assert inertia_negative_count(T, 0.0) == two_pass_count(T) == (0, 2)
 
     def test_strategy_reaches_zero_pivots(self):
         found = find(tridiagonals(), lambda T: first_zero_pivot(T) not in (None, 0))
@@ -310,19 +332,144 @@ class TestPotentialArrayProperties:
         count=st.sampled_from([0, 1, 2, 3]),
     )
     def test_squared_log_weight_matches_scalar(self, xs, count):
-        ref = _scalar_or_error(lambda x: squared_log_weight(x, count), xs)
-        if isinstance(ref, type):
-            with pytest.raises(ref):
-                squared_log_weight(np.array(xs), count)
-            return
-        got = squared_log_weight(np.array(xs), count)
-        if count == 0:
-            assert np.array_equal(got, ref)
-            return
-        # np.log and math.log differ by up to an ulp, and ln y amplifies a
-        # relative difference in y by 1/|ln y|: compare where every factor
-        # |ln^(k) x| is at least 1/2, so each level at most triples the
-        # difference of the one before
-        factors = np.array([[abs(iterated_log(x, k)) for k in range(1, count + 1)] for x in xs])
-        ok = np.all(factors >= 0.5, axis=1)
-        assert np.all(np.abs(got - ref)[ok] <= 64.0 * _EPS * np.abs(ref[ok]))
+        _check_log_weight(lambda x: squared_log_weight(x, count), xs, count)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        xs=st.lists(st.one_of(_pos(1e-6, 1e8), _pos(-2.0, 0.0)), min_size=1, max_size=40),
+        n=st.sampled_from([0, 1, 2]),
+        d=st.sampled_from([1, 3]),
+    )
+    def test_quadrature_weights_match_scalar(self, xs, n, d):
+        # x |ln x| ... |ln^(n+1) x| takes n + 1 logs; the Hardy stack n
+        _check_log_weight(lambda x: absolute_log_weight(x, n), xs, n + 1)
+        _check_log_weight(lambda x: hardy_weight_stack(x, d, n), xs, n)
+
+
+def _check_log_weight(weight, xs, logs):
+    """weight on an ndarray of xs against [weight(x) for x in xs], where the
+    weight takes ``logs`` nested logs of x."""
+    ref = _scalar_or_error(weight, xs)
+    if isinstance(ref, type):
+        with pytest.raises(ref):
+            weight(np.array(xs))
+        return
+    got = weight(np.array(xs))
+    if logs == 0:
+        assert np.array_equal(got, ref)
+        return
+    # np.log and math.log differ by up to an ulp, and ln y amplifies a
+    # relative difference in y by 1/|ln y|: compare where every factor
+    # |ln^(k) x| is at least 1/2, so each level at most triples the
+    # difference of the one before
+    factors = np.array([[abs(iterated_log(x, k)) for k in range(1, logs + 1)] for x in xs])
+    ok = np.all(factors >= 0.5, axis=1)
+    assert np.all(np.abs(got - ref)[ok] <= 64.0 * _EPS * np.abs(ref[ok]))
+
+
+# ---------------------------------------------------------------------------
+# the batched GK15 quadrature against the scalar rule
+# ---------------------------------------------------------------------------
+
+def scalar_integrate(f, a, b, tol, breakpoints=()):
+    """Reference: QUADPACK's QK15 on one panel and one node at a time, under
+    the worst-first heap and stopping rule of ``integrate``.  f is called on
+    one-element arrays.  Returns (value, evaluations)."""
+    count = 0
+
+    def at(x):
+        nonlocal count
+        count += 1
+        v = float(f(np.array([x]))[0])
+        if math.isnan(v):
+            raise QuadratureError(f"integrand returned NaN at x = {x!r}")
+        return v
+
+    def gk15(lo, hi):
+        c = 0.5 * (lo + hi)
+        h = 0.5 * (hi - lo)
+        fc = at(c)
+        resk, resg, resabs = _WGK_CENTER * fc, _WG_CENTER * fc, _WGK_CENTER * abs(fc)
+        fv = [fc]
+        for i, x in enumerate(_XGK):
+            f1, f2 = at(c - h * x), at(c + h * x)
+            fv += [f1, f2]
+            resk += _WGK[i] * (f1 + f2)
+            resabs += _WGK[i] * (abs(f1) + abs(f2))
+            if i % 2 == 1:
+                resg += _WG[(i - 1) // 2] * (f1 + f2)
+        mean = resk * 0.5
+        resasc = _WGK_CENTER * abs(fc - mean)
+        for i in range(7):
+            resasc += _WGK[i] * (abs(fv[1 + 2 * i] - mean) + abs(fv[2 + 2 * i] - mean))
+        err = abs((resk - resg) * h)
+        resasc *= abs(h)
+        if resasc != 0.0 and err != 0.0:
+            err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        return resk * h, max(err, 50.0 * _QUAD_EPS * resabs * abs(h))
+
+    edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    heap = []
+    for serial, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        v, e = gk15(lo, hi)
+        heapq.heappush(heap, (-e, serial, lo, hi, v, e))
+    serial = len(heap)
+    while True:
+        total_val = math.fsum(item[4] for item in heap)
+        if math.fsum(item[5] for item in heap) <= tol * max(1.0, abs(total_val)):
+            return total_val, count
+        _, _, lo, hi, _, _ = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        for lo, hi in ((lo, mid), (mid, hi)):
+            v, e = gk15(lo, hi)
+            heapq.heappush(heap, (-e, serial, lo, hi, v, e))
+            serial += 1
+
+
+@st.composite
+def smooth_integrands(draw):
+    """exp(alpha sin(omega x + phi)) plus a Lorentzian peak of width s at mu:
+    smooth and positive, so that relative differences are well defined."""
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(0.1, 20.0))
+    alpha, omega, phi = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 20.0)), draw(st.floats(0.0, 6.3))
+    mu, s = draw(st.floats(a, b)), draw(st.floats(0.01, 2.0))
+
+    def f(x):
+        return np.exp(alpha * np.sin(omega * x + phi)) + 1.0 / (s * s + (x - mu) ** 2)
+
+    pts = draw(st.lists(st.floats(a, b), max_size=6))
+    return f, a, b, pts
+
+
+class TestBatchedQuadrature:
+    @settings(max_examples=150, deadline=None)
+    @given(case=smooth_integrands(), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_matches_the_scalar_rule(self, case, tol):
+        f, a, b, pts = case
+        value, count = scalar_integrate(f, a, b, tol, pts)
+        res = integrate(f, a, b, tol=tol, breakpoints=pts)
+        assert res.evaluations == count
+        assert abs(res.value - value) <= 1e-13 * abs(value)
+
+    @pytest.mark.parametrize("pts", [(), (0.25, 0.75)])
+    def test_nan_names_the_first_nan_node(self, pts):
+        def f(x):
+            return np.where(x > 0.6, np.nan, 1.0)
+
+        with pytest.raises(QuadratureError) as ref:
+            scalar_integrate(f, 0.0, 1.0, 1e-8, pts)
+        with pytest.raises(QuadratureError, match="NaN at x") as got:
+            integrate(f, 0.0, 1.0, tol=1e-8, breakpoints=pts)
+        assert str(got.value) == str(ref.value)
+
+    def test_scalar_result_is_broadcast(self):
+        res = integrate(lambda x: 1.0, 0.0, 1.0)
+        assert (res.value, res.evaluations) == (1.0, 15)
+        res = integrate(lambda x: 2.0, 0.0, 3.0, breakpoints=[1.0, 2.0])
+        assert res.value == pytest.approx(6.0, rel=1e-15) and res.evaluations == 45
+
+    def test_node_at_t_one_still_raises(self):
+        # x^-1.2 decays too slowly: bisection toward x = infinity reaches t = 1
+        with pytest.raises(QuadratureError, match="t = 1"):
+            integrate_semiinfinite(lambda x: x**-1.2, 1.5)

@@ -21,17 +21,17 @@ class TestIntegrate:
         # antiderivative x^2/2 ln x - x^2/4
         exact = (2.0 * math.log(2.0) - 1.0) - (-0.25)
         assert exact == pytest.approx(0.6362943611198906, rel=1e-15)
-        res = integrate(lambda x: x * math.log(x), 1.0, 2.0, tol=1e-12)
+        res = integrate(lambda x: x * np.log(x), 1.0, 2.0, tol=1e-12)
         assert res.value == pytest.approx(exact, rel=1e-12)
         assert res.error_estimate <= 1e-12 * max(1.0, abs(res.value))
 
     def test_endpoint_singularity(self):
-        res = integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, tol=1e-8)
+        res = integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0, tol=1e-8)
         assert res.value == pytest.approx(2.0, rel=1e-8)
 
     def test_nan_propagates_with_abscissa(self):
         def f(x):
-            return math.nan if x > 0.5 else 1.0
+            return np.where(x > 0.5, np.nan, 1.0)
 
         with pytest.raises(QuadratureError, match="NaN at x"):
             integrate(f, 0.0, 1.0, tol=1e-8)
@@ -42,7 +42,7 @@ class TestIntegrate:
             integrate(lambda x: 1.0 / x, 0.0, 1.0, tol=1e-10, max_evals=20_000)
 
     def test_breakpoints_resolve_jumps(self):
-        step = lambda x: 1.0 if x < 0.3 else -2.0
+        step = lambda x: np.where(x < 0.3, 1.0, -2.0)
         res = integrate(step, 0.0, 1.0, tol=1e-12, breakpoints=[0.3])
         assert res.value == pytest.approx(0.3 - 2.0 * 0.7, abs=1e-12)
 
@@ -63,7 +63,7 @@ class TestIntegrate:
 
     def test_interval_additivity(self):
         rng = np.random.default_rng(77)
-        f = lambda x: math.sin(3 * x) * math.exp(-x / 2)
+        f = lambda x: np.sin(3 * x) * np.exp(-x / 2)
         for _ in range(10):
             split = float(rng.uniform(0.1, 1.9))
             whole = integrate(f, 0.0, 2.0, tol=1e-12)
@@ -73,7 +73,7 @@ class TestIntegrate:
             assert abs(whole.value - left.value - right.value) <= max(budget, 1e-13)
 
     def test_against_scipy_on_oscillatory(self):
-        f = lambda x: math.cos(7 * x) * math.exp(-x)
+        f = lambda x: np.cos(7 * x) * np.exp(-x)
         ours = integrate(f, 0.0, 5.0, tol=1e-12)
         ref, _ = scipy.integrate.quad(f, 0.0, 5.0, epsabs=1e-13, epsrel=1e-13)
         assert ours.value == pytest.approx(ref, rel=1e-11)
@@ -81,7 +81,7 @@ class TestIntegrate:
 
 class TestSemiInfinite:
     def test_exponential(self):
-        res = integrate_semiinfinite(lambda x: math.exp(-x), 0.0, tol=1e-10)
+        res = integrate_semiinfinite(lambda x: np.exp(-x), 0.0, tol=1e-10)
         assert res.value == pytest.approx(1.0, rel=1e-10)
 
     def test_inverse_square(self):
@@ -89,11 +89,11 @@ class TestSemiInfinite:
         assert res.value == pytest.approx(1.0, rel=1e-10)
 
     def test_gaussian_moment(self):
-        res = integrate_semiinfinite(lambda x: x * math.exp(-x * x), 0.0, tol=1e-10)
+        res = integrate_semiinfinite(lambda x: x * np.exp(-x * x), 0.0, tol=1e-10)
         assert res.value == pytest.approx(0.5, rel=1e-10)
 
     def test_compact_support_matches_finite_integral(self):
-        f = lambda x: (x - 1.0) * (3.0 - x) if 1.0 < x < 3.0 else 0.0
+        f = lambda x: np.where((1.0 < x) & (x < 3.0), (x - 1.0) * (3.0 - x), 0.0)
         semi = integrate_semiinfinite(f, 0.0, tol=1e-11, breakpoints=[1.0, 3.0])
         fin = integrate(f, 1.0, 3.0, tol=1e-11)
         assert semi.value == pytest.approx(
