@@ -1,0 +1,163 @@
+"""Golden outputs of the command line: the cases, how one is run, and how the
+golden files are rewritten.
+
+Each case runs ``hardybounds.cli.main`` in this process on a fixed argument
+list (and, where the potential is tabulated or the run is a sweep, a fixed
+configuration file).  Its record holds the exit code, the first line of
+standard error, and the report the run wrote: the ``--json`` payload, or the
+``--csv`` rows as lists of strings.  The output paths inside the echoed
+configuration are masked.
+
+``tests/test_golden.py`` compares fresh runs against the files in this
+directory.  After a deliberate change of the numbers, rewrite them with
+
+    PYTHONPATH=src python3 tests/golden/regenerate.py
+
+and explain the diff of the golden files in the change's description.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import csv
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from hardybounds.cli import main
+
+HERE = Path(__file__).resolve().parent
+MASK = "<masked>"
+
+# a tabulated well, -30 r^-2.5 on [1.2, 6] with ramps to 0 on either side:
+# sup r^2 |V_-| = 27.4 gives l_max = 4 in d = 3, so the central bound splits
+# its channels at the crossings of l(l+1)/r^2 + V; the samples reach past
+# every count window used below
+_TAB_R = [0.5, *np.linspace(1.2, 6.0, 9).tolist(), 6.5, 1e8]
+_TAB_V = [0.0, *(-30.0 * np.linspace(1.2, 6.0, 9) ** -2.5).tolist(), 0.0, 0.0]
+TABULATED = {"family": "tabulated", "r": _TAB_R, "v": _TAB_V}
+
+# (theorem, operator flags) and the potential of each family for it
+OPERATORS = {
+    "t41": ["--d", "1", "--n", "0", "--variant", "one"],
+    "t42": ["--d", "3", "--n", "0", "--variant", "zero"],
+    "t43": ["--d", "3", "--n", "0", "--variant", "one"],
+}
+FAMILIES = {
+    "t41": {
+        "zero": "zero",
+        "square": "square_well:c=4,a=1,b=2",
+        "inverse-square": "inverse_square:c=0.5,a=2",
+        "power-log": "power_log_well:c=5,p=-3,q=1,a=1,b=inf",
+        "tabulated": TABULATED,
+    },
+    "t42": {
+        "zero": "zero",
+        "square": "square_well:c=4,a=3,b=6",
+        "inverse-square": "inverse_square:c=0.5,a=3",
+        "power-log": "power_log_well:c=5,p=-3,q=0,a=3,b=inf",
+        "tabulated": TABULATED,
+    },
+    "t43": {
+        "zero": "zero",
+        "square": "square_well:c=8,a=1,b=2",
+        "inverse-square": "inverse_square:c=0.5,a=2",
+        # sup r^2 |V_-| = 30/e: l_max = 2, with a crossing on each side of the
+        # peak of r^2 |V_-| in channels 1 and 2
+        "power-log": "power_log_well:c=30,p=-3,q=1,a=1,b=inf",
+        "tabulated": TABULATED,
+    },
+}
+COUNT_GRID = ["--L", "8", "--m", "400"]
+
+# the three sweeps of ``verify bounds``
+SWEEPS = {
+    "t41": {"family": "square_well", "base_params": {"a": 1.0, "b": 2.0}, "vary": "c",
+            "values": [1, 2, 4, 8, 16, 32, 64], "d": 1, "n": 0, "variant": "one"},
+    "t43": {"family": "square_well", "base_params": {"a": 1.0, "b": 2.0}, "vary": "c",
+            "values": [1, 2, 4, 8], "d": 3, "n": 0, "variant": "one"},
+    "t42": {"family": "square_well", "base_params": {"a": 3.0, "b": 6.0}, "vary": "c",
+            "values": [1, 2, 4, 8, 16], "d": 3, "n": 0, "variant": "zero"},
+}
+
+
+def _cases() -> dict:
+    """name -> (argv, config file contents or None, report format)."""
+    cases = {"verify-all": (["verify", "all"], None, "json")}
+    for theorem, sweep in SWEEPS.items():
+        cases[f"sweep-{theorem}"] = (["sweep"], {"theorem": theorem, "sweep": sweep}, "csv")
+    for theorem, flags in OPERATORS.items():
+        for family, pot in FAMILIES[theorem].items():
+            config = None
+            argv = ["--theorem", theorem, *flags]
+            if isinstance(pot, dict):
+                config = {"potential": pot}
+            else:
+                argv += ["--potential", pot]
+            cases[f"bound-{theorem}-{family}"] = (["bound", *argv], config, "json")
+            cases[f"count-{theorem}-{family}"] = (["count", *argv, *COUNT_GRID], config, "json")
+    # two failures: a configuration error, and a count window that leaves the
+    # samples of a tabulated well (r = e^s passes 6 inside the first window)
+    cases["bound-t42-d2"] = (["bound", "--theorem", "t42", "--d", "2", "--potential", "zero"],
+                             None, "json")
+    narrow = {"family": "tabulated", "r": [0.5, 1.2, 6.0], "v": [0.0, -20.0, -1.0]}
+    cases["count-t41-tabulated-outside"] = (
+        ["count", "--theorem", "t41", *OPERATORS["t41"], *COUNT_GRID], {"potential": narrow}, "json")
+    return cases
+
+
+CASES = _cases()
+
+
+def _mask(payload: dict) -> dict:
+    config = payload.get("config")
+    if config is not None:
+        for key in ("json_out", "csv_out"):
+            if config.get(key) is not None:
+                config[key] = MASK
+    return payload
+
+
+def run_case(name: str) -> dict:
+    """Run one case and return its record."""
+    case_argv, config, fmt = CASES[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = list(case_argv)
+        if config is not None:
+            cfg_path = Path(tmp) / "config.json"
+            cfg_path.write_text(json.dumps(config))
+            argv += ["--config", str(cfg_path)]
+        out_path = Path(tmp) / f"out.{fmt}"
+        argv += [f"--{fmt}", str(out_path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        record = {"argv": list(case_argv), "config": config, "exit": code,
+                  "stderr": lines[0] if lines else ""}
+        if out_path.exists():
+            text = out_path.read_text()
+            if fmt == "json":
+                record["report"] = _mask(json.loads(text))
+            else:
+                record["report"] = list(csv.reader(io.StringIO(text)))
+        else:
+            record["report"] = None
+    return record
+
+
+def main_regenerate() -> None:
+    for old in HERE.glob("*.json"):
+        old.unlink()
+    for name in CASES:
+        record = run_case(name)
+        (HERE / f"{name}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        print(f"{name}: exit {record['exit']}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main_regenerate()
