@@ -29,6 +29,7 @@ from .errors import DomainError, EvaluationError
 from .iterfun import (
     DomainThreshold,
     degeneracy,
+    float_or_array,
     iterated_exp,
     sphere_area,
     squared_log_weight,
@@ -155,28 +156,9 @@ class BoundValue:
         return cls(raw=raw, integer_cap=cap, diagnostics=diagnostics, channels=channels)
 
 
+@float_or_array
 def absolute_log_weight(x, n: int):
-    """x |ln x| |ln^(2) x| ... |ln^(n+1) x| for x above exp^(n)(0).
-
-    An ndarray x is weighted elementwise with numpy's log."""
-    if isinstance(x, np.ndarray):
-        return _absolute_log_weight_array(x, n)
-    if x <= 0.0:
-        raise DomainError(f"weight requires x > 0, got {x}")
-    w = x
-    cur = x
-    for k in range(n + 1):
-        if cur <= 0.0:
-            raise DomainError(
-                f"absolute_log_weight({x}, {n}): log #{k + 1} undefined; "
-                f"x must exceed exp^({n})(0)"
-            )
-        cur = math.log(cur)
-        w *= abs(cur)
-    return w
-
-
-def _absolute_log_weight_array(x: np.ndarray, n: int) -> np.ndarray:
+    """x |ln x| |ln^(2) x| ... |ln^(n+1) x| for x above exp^(n)(0)."""
     bad = x <= 0.0
     if np.count_nonzero(bad):
         raise DomainError(f"weight requires x > 0, got {float(x[bad][0])}")
@@ -323,6 +305,9 @@ def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue
     return BoundValue.build(base + quad.value, diag)
 
 
+_ZOOM_POINTS = 257  # samples per zoom pass of the sup-scan: the bracket shrinks 128x
+
+
 def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
     """Largest l >= 0 whose effective radial potential still dips negative on
     the domain, i.e. the largest l with l(l+d-2) < sup r^2 (-V(r))_+.
@@ -348,8 +333,9 @@ def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
 def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
     """sup over (threshold, inf) of r^2 max(-V(r), 0).
 
-    Closed forms for the monotone families; otherwise log-spaced sampling with
-    golden-section refinement (heuristic for wild potentials).
+    Closed forms for the monotone families; otherwise log-spaced sampling,
+    then repeated resampling around the largest sample (heuristic for wild
+    potentials).
     """
     ns = V.negative_support()
     if ns is None:
@@ -371,34 +357,22 @@ def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
     if math.isinf(hi):
         hi = max(1e6, lo * 1e3)
 
-    def g(r: float) -> float:
+    def g(r: np.ndarray) -> np.ndarray:
         return r * r * negative_part_abs(V, r)
 
     xs = np.geomspace(max(lo, 1e-12) * (1 + 1e-12), hi * (1 - 1e-12), 10_000)
-    vals = xs * xs * np.maximum(-V(xs), 0.0)
-    i = int(np.argmax(vals))
-    a = float(xs[max(i - 1, 0)])
-    b = float(xs[min(i + 1, len(xs) - 1)])
-    return _golden_max(g, a, b)
-
-
-def _golden_max(g, a: float, b: float, iters: int = 120) -> float:
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - phi * (b - a)
-    x2 = a + phi * (b - a)
-    f1, f2 = g(x1), g(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + phi * (b - a)
-            f2 = g(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - phi * (b - a)
-            f1 = g(x1)
+    vals = g(xs)
+    best = -math.inf
+    # zoom: resample the two cells around the sampled maximum until the
+    # bracket is 1e-13 wide relative to its left end
+    while True:
+        i = int(np.argmax(vals))
+        best = max(best, float(vals[i]))
+        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
         if b - a <= 1e-13 * max(1.0, abs(a)):
-            break
-    return max(f1, f2)
+            return best
+        xs = np.linspace(a, b, _ZOOM_POINTS)
+        vals = g(xs)
 
 
 def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue:

@@ -3,10 +3,16 @@
 Depth 0 always means "no factors": ``iterated_log(x, 0) == x`` and
 ``iterated_exp(x, 0) == x``, so every depth-0 formula in the package reduces
 to the classical critical-Hardy case.
+
+The weights have one formula each, written for float ndarrays.  They also
+take a float and return a float, by ``call_on_array``: the float goes in as a
+one-element array.  The potentials, the transformed potentials and the test
+functions follow the same rule.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -77,37 +83,39 @@ def safe_iterated_log(x: float, n: int) -> float:
     return v
 
 
+def call_on_array(f, x, *args):
+    """f(x, *args) for an ``f`` written for float ndarrays: float in, float out.
+
+    An array-like x is passed on as a float ndarray.  A scalar x is passed as
+    the one-element array [x], and the element of the result comes back as a
+    float."""
+    if np.ndim(x):
+        return f(np.asarray(x, dtype=float), *args)
+    return float(f(np.array([x], dtype=float), *args)[0])
+
+
+def float_or_array(f):
+    """Decorator: the first argument of ``f`` may be a float or an ndarray,
+    as ``call_on_array`` passes it."""
+
+    @functools.wraps(f)
+    def wrapper(x, *args):
+        return call_on_array(f, x, *args)
+
+    return wrapper
+
+
+@float_or_array
 def hardy_weight_stack(x, d: int, n: int):
     """Full subtracted weight of the depth-n Hardy operator in dimension d:
 
         (d-2)^2/(4x^2) + sum_{k=1..n} 1 / (4 x^2 (ln x)^2 ... (ln^(k) x)^2)
 
     Defined for x > iterated_exp(0, n) so that all n log factors are positive.
-    An ndarray x is weighted elementwise with numpy's log.
     """
     _check_depth(n)
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    if isinstance(x, np.ndarray):
-        return _hardy_weight_stack_array(x, d, n)
-    if x <= 0.0:
-        raise DomainError(f"hardy_weight_stack requires x > 0, got {x}")
-    total = (d - 2) ** 2 / (4.0 * x * x)
-    acc = 4.0 * x * x
-    cur = x
-    for k in range(1, n + 1):
-        cur = math.log(cur) if cur > 0.0 else -math.inf
-        if cur <= 0.0:
-            raise DomainError(
-                f"hardy_weight_stack({x}, d={d}, n={n}): log factor #{k} is not positive; "
-                f"need x > exp^({n})(0)"
-            )
-        acc *= cur * cur
-        total += 1.0 / acc
-    return total
-
-
-def _hardy_weight_stack_array(x: np.ndarray, d: int, n: int) -> np.ndarray:
     bad = x <= 0.0
     if np.count_nonzero(bad):
         raise DomainError(f"hardy_weight_stack requires x > 0, got {float(x[bad][0])}")
@@ -127,31 +135,14 @@ def _hardy_weight_stack_array(x: np.ndarray, d: int, n: int) -> np.ndarray:
     return total
 
 
+@float_or_array
 def squared_log_weight(x, count: int):
     """x^2 (ln x)^2 ... (ln^(count) x)^2, the denominator stack of the weights.
 
     Requires all ``count`` log factors to be defined (intermediates positive);
-    the innermost factor may vanish, making the product zero.  An ndarray x is
-    weighted elementwise with numpy's log.
+    the innermost factor may vanish, making the product zero.
     """
     _check_depth(count)
-    if isinstance(x, np.ndarray):
-        return _squared_log_weight_array(np.asarray(x, dtype=float), count)
-    if x <= 0.0:
-        raise DomainError(f"squared_log_weight requires x > 0, got {x}")
-    acc = x * x
-    cur = x
-    for k in range(count):
-        if cur <= 0.0:
-            raise DomainError(
-                f"squared_log_weight({x}, {count}): log #{k + 1} undefined (argument {cur})"
-            )
-        cur = math.log(cur)
-        acc *= cur * cur
-    return acc
-
-
-def _squared_log_weight_array(x: np.ndarray, count: int) -> np.ndarray:
     bad = x <= 0.0
     if np.count_nonzero(bad):
         raise DomainError(f"squared_log_weight requires x > 0, got {float(x[bad][0])}")

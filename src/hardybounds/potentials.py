@@ -2,10 +2,10 @@
 iterated log change of variables.
 
 All families evaluate pointwise on r > 0 (square wells also accept r <= 0 so
-they can live on the whole line).  Calling a potential on an ndarray
-evaluates it elementwise with numpy, with the formula and the errors of its
-scalar ``evaluate``; the quadrature integrands, the hypothesis check and the
-sup-scan all take this path.  A k-step
+they can live on the whole line).  Each family has one formula, its
+``evaluate_array`` on a float ndarray.  Calling a potential, ``V(r)``,
+evaluates it elementwise; a float r goes in as a one-element array and the
+value comes back as a float.  A k-step
 transform turns V into the s-coordinate potential
 
     W(s) = e^{2s} e^{2 e^s} ... e^{2 exp^(k-1) s} * V(exp^(k) s),
@@ -17,7 +17,6 @@ log magnitude so compactly supported wells never overflow.
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -29,7 +28,7 @@ from .errors import DomainError, DepthCapError
 from .iterfun import (
     DEPTH_CAP,
     DomainThreshold,
-    iterated_exp,
+    call_on_array,
     safe_iterated_log,
     squared_log_weight,
 )
@@ -46,19 +45,13 @@ class Potential:
     family = "abstract"
     central = True
 
-    def evaluate(self, r: float) -> float:
-        raise NotImplementedError
-
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
-        """``evaluate`` elementwise; families override it with numpy."""
-        flat = r.ravel().tolist()
-        return np.fromiter(map(self.evaluate, flat), dtype=float, count=len(flat)).reshape(r.shape)
+        """V elementwise on a float ndarray of r; each family defines it."""
+        raise NotImplementedError
 
     def __call__(self, r):
         """V(r) for a float, or elementwise for an ndarray of r."""
-        if np.ndim(r) == 0:
-            return self.evaluate(r)
-        return self.evaluate_array(np.asarray(r, dtype=float))
+        return call_on_array(self.evaluate_array, r)
 
     def support(self) -> Optional[tuple[float, float]]:
         """Interval outside which the potential vanishes (None = empty)."""
@@ -74,7 +67,7 @@ class Potential:
 
     def sampled_range(self) -> Optional[tuple[float, float]]:
         """Interval of the samples of a tabulated V (None = defined for every
-        r > 0).  Outside it ``evaluate`` raises; the bounds take V as 0 there."""
+        r > 0).  Outside it V raises; the bounds take V as 0 there."""
         return None
 
     def params(self) -> dict:
@@ -84,9 +77,6 @@ class Potential:
 @dataclass(frozen=True)
 class ZeroPotential(Potential):
     family = "zero"
-
-    def evaluate(self, r: float) -> float:
-        return 0.0
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         return np.zeros(r.shape)
@@ -110,9 +100,6 @@ class SquareWell(Potential):
             raise DomainError(f"square well depth must be positive, got c={self.c}")
         if not self.a < self.b:
             raise DomainError(f"square well needs a < b, got a={self.a}, b={self.b}")
-
-    def evaluate(self, r: float) -> float:
-        return -self.c if self.a < r < self.b else 0.0
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         return np.where((self.a < r) & (r < self.b), -self.c, 0.0)
@@ -143,11 +130,6 @@ class InverseSquareTail(Potential):
             raise DomainError(f"inverse-square coefficient must be positive, got {self.c}")
         if self.a < 0.0:
             raise DomainError(f"onset must be >= 0, got {self.a}")
-
-    def evaluate(self, r: float) -> float:
-        if r <= 0.0:
-            raise DomainError(f"inverse-square tail needs r > 0, got {r}")
-        return -_inverse_square(self.c, r) if r >= self.a else 0.0
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         _require_positive(r, "inverse-square tail")
@@ -194,16 +176,6 @@ class PowerLogWell(Potential):
         if self.q != 0.0 and self.a < 1.0:
             raise DomainError("q != 0 requires a >= 1 so (ln r)^q is single-signed")
 
-    def evaluate(self, r: float) -> float:
-        if r <= 0.0:
-            raise DomainError(f"power-log well needs r > 0, got {r}")
-        if not (self.a < r < self.b):
-            return 0.0
-        v = self.c * r**self.p
-        if self.q != 0.0:
-            v *= math.log(r) ** self.q
-        return -v
-
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         _require_positive(r, "power-log well")
         out = np.zeros(r.shape)
@@ -239,7 +211,7 @@ class TabulatedPotential(Potential):
     family = "tabulated"
     r: tuple[float, ...]
     v: tuple[float, ...]
-    # the samples as ndarrays, for evaluate_array
+    # the samples as ndarrays
     _rs: np.ndarray = field(init=False, repr=False, compare=False)
     _vs: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -254,17 +226,6 @@ class TabulatedPotential(Potential):
             raise DomainError("tabulated sample points must be strictly increasing")
         object.__setattr__(self, "_rs", np.array(self.r))
         object.__setattr__(self, "_vs", np.array(self.v))
-
-    def evaluate(self, r: float) -> float:
-        if r < self.r[0] or r > self.r[-1]:
-            raise DomainError(
-                f"tabulated potential defined on [{self.r[0]}, {self.r[-1]}], got r={r}"
-            )
-        i = bisect.bisect_right(self.r, r) - 1
-        if i == len(self.r) - 1:
-            return self.v[-1]
-        t = (r - self.r[i]) / (self.r[i + 1] - self.r[i])
-        return self.v[i] * (1.0 - t) + self.v[i + 1] * t
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         rs, vs = self._rs, self._vs
@@ -320,13 +281,6 @@ class CentrifugalShift(Potential):
     def coupling(self) -> float:
         return float(self.l * (self.l + self.d - 2))
 
-    def evaluate(self, r: float) -> float:
-        if r <= 0.0:
-            raise DomainError(f"effective radial potential needs r > 0, got {r}")
-        if self.coupling == 0.0:
-            return self.base.evaluate(r)
-        return _inverse_square(self.coupling, r) + self.base.evaluate(r)
-
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         _require_positive(r, "effective radial potential")
         if self.coupling == 0.0:
@@ -375,23 +329,22 @@ class CentrifugalShift(Potential):
         return {"l": self.l, "d": self.d, "base": describe_potential(self.base)}
 
 
-def _monotone_roots(F, cuts: list[float]) -> list[float]:
-    """The zeros of F, which is monotone between consecutive ``cuts``: one
-    per piece whose ends differ strictly in sign, by bisection down to
-    adjacent doubles."""
-    roots = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        flo, fhi = F(lo), F(hi)
-        if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
-            continue
-        while (mid := 0.5 * (lo + hi)) > lo and mid < hi:
-            fmid = F(mid)
-            if (fmid < 0.0) == (flo < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        roots.append(mid)
-    return roots
+def _monotone_roots(F, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The zeros of F, which is monotone on each piece [lo_i, hi_i]: one per
+    piece whose ends differ strictly in sign, by bisection down to adjacent
+    doubles.  All pieces are bisected at once; F takes an ndarray."""
+    flo, fhi = F(lo), F(hi)
+    keep = ((flo < 0.0) & (0.0 < fhi)) | ((fhi < 0.0) & (0.0 < flo))
+    lo, hi, neg = lo[keep], hi[keep], flo[keep] < 0.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (mid > lo) & (mid < hi)
+        if not np.count_nonzero(live):
+            return mid
+        # a piece whose midpoint met an end has converged and stays put
+        same = (F(mid) < 0.0) == neg
+        lo = np.where(live & same, mid, lo)
+        hi = np.where(live & ~same, mid, hi)
 
 
 def _power_log_crossings(L: float, V: "PowerLogWell") -> list[float]:
@@ -411,13 +364,16 @@ def _power_log_crossings(L: float, V: "PowerLogWell") -> list[float]:
         u = rhs / (p + 2.0)
         return [math.exp(u)] if lo < u < hi else []
 
-    def F(u: float) -> float:
-        return (p + 2.0) * u + q * math.log(u) - rhs if u > 0.0 else -math.inf
+    def F(u: np.ndarray) -> np.ndarray:
+        out = np.full(u.shape, -math.inf)
+        pos = u > 0.0
+        out[pos] = (p + 2.0) * u[pos] + q * np.log(u[pos]) - rhs
+        return out
 
     cuts = [lo, hi]
     if p < -2.0 and lo < (peak := q / -(p + 2.0)) < hi:
         cuts.insert(1, peak)
-    return [math.exp(u) for u in _monotone_roots(F, cuts)]
+    return np.exp(_monotone_roots(F, np.array(cuts[:-1]), np.array(cuts[1:]))).tolist()
 
 
 def _tabulated_crossings(L: float, V: "TabulatedPotential") -> list[float]:
@@ -426,17 +382,19 @@ def _tabulated_crossings(L: float, V: "TabulatedPotential") -> list[float]:
     On a sample interval V is linear with slope beta, so L/r^2 + V is convex
     with at most two zeros, one on each side of its minimum (2L/beta)^(1/3)."""
 
-    def g(r: float) -> float:
-        return L / (r * r) + V.evaluate(r)
+    def g(r: np.ndarray) -> np.ndarray:
+        return L / (r * r) + V.evaluate_array(r)
 
-    out = []
-    for (r0, v0), (r1, v1) in zip(zip(V.r, V.v), zip(V.r[1:], V.v[1:])):
-        beta = (v1 - v0) / (r1 - r0)
-        cuts = [r0, r1]
-        if beta > 0.0 and r0 < (bottom := (2.0 * L / beta) ** (1.0 / 3.0)) < r1:
-            cuts.insert(1, bottom)
-        out += _monotone_roots(g, cuts)
-    return out
+    r0, r1 = V._rs[:-1], V._rs[1:]
+    beta = np.diff(V._vs) / (r1 - r0)
+    rising = beta > 0.0
+    bottom = np.full(beta.shape, math.nan)  # no split where beta <= 0
+    with np.errstate(over="ignore"):  # a subnormal slope puts the bottom at inf
+        bottom[rising] = (2.0 * L / beta[rising]) ** (1.0 / 3.0)
+    split = (r0 < bottom) & (bottom < r1)
+    lo = np.concatenate([r0, bottom[split]])
+    hi = np.concatenate([np.where(split, bottom, r1), r1[split]])
+    return _monotone_roots(g, lo, hi).tolist()
 
 
 def _require_positive(r: np.ndarray, what: str) -> None:
@@ -468,16 +426,9 @@ def checked_pow(x: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def eval_potential(V: Potential, r: float) -> float:
-    """V(r)."""
-    return V.evaluate(r)
-
-
 def negative_part_abs(V: Potential, r):
     """|V(r)_-| = max(-V(r), 0), for a float or elementwise for an ndarray."""
-    if isinstance(r, np.ndarray):
-        return np.maximum(-V.evaluate_array(r), 0.0)
-    return max(-V.evaluate(r), 0.0)
+    return np.maximum(-V(r), 0.0)
 
 
 def effective_radial_potential(V: Potential, l: int, d: int) -> Potential:
@@ -534,20 +485,9 @@ def make_potential(family: str, params: Optional[dict] = None) -> Potential:
 # transformation
 # --------------------------------------------------------------------------
 
-def _exp_prefactor_exponent(s: float, terms: int) -> float:
-    """2 * (s + e^s + ... + exp^(terms-1) s); the log of the stacked Jacobian."""
-    total = 0.0
-    cur = s
-    for _ in range(terms):
-        total += cur
-        cur = math.exp(cur) if cur < _EXP_MAX else math.inf
-        if math.isinf(total):
-            break
-    return 2.0 * total
-
-
-def _exp_prefactor_exponent_array(s: np.ndarray, terms: int) -> np.ndarray:
-    """``_exp_prefactor_exponent`` elementwise, with the same cut-off at _EXP_MAX."""
+def _exp_prefactor_exponent(s: np.ndarray, terms: int) -> np.ndarray:
+    """2 * (s + e^s + ... + exp^(terms-1) s) elementwise; the log of the
+    stacked Jacobian.  A tower term past _EXP_MAX counts as inf."""
     total = np.zeros(s.shape)
     cur = s
     for _ in range(terms):
@@ -563,20 +503,21 @@ def _overflow_error(s) -> OverflowError:
 @dataclass(frozen=True)
 class TransformedPotential:
     """Image of ``base`` under ``steps`` applications of the log change of
-    variables, plus an additive constant:
+    variables:
 
-        W(s) = e^{2s} ... e^{2 exp^(steps-1) s} * base(exp^(steps) s) + extra_constant
+        W(s) = e^{2s} ... e^{2 exp^(steps-1) s} * base(exp^(steps) s)
 
-    Calling it on an ndarray of s evaluates W elementwise; the base potential
-    is then called once, on the ndarray of points inside its mapped support.
-    A centrifugal term l(l+d-2)/r^2 and an inverse-square tail -c/r^2 are
+    W has one formula, on a float ndarray of s, where the base potential is
+    called once on the points inside its mapped support.  Calling W on a
+    float evaluates it on the one-element array and returns a float.  A
+    centrifugal term l(l+d-2)/r^2 and an inverse-square tail -c/r^2 are
     applied in telescoped form, c * e^{2s} ... e^{2 exp^(steps-2) s}, so they
-    never overflow through exp^(steps) s.
+    never overflow through exp^(steps) s.  Where the tower exp^(steps) s
+    itself leaves the double range, W raises OverflowError.
     """
 
     base: Potential
     steps: int
-    extra_constant: float = 0.0
     # set at construction: the centrifugal coupling split off the base, the
     # potential it shifts, and that potential's support mapped into s (the
     # onset for an inverse-square tail; None for an empty support)
@@ -607,49 +548,17 @@ class TransformedPotential:
         object.__setattr__(self, "_core", core)
         object.__setattr__(self, "_window", window)
 
-    def evaluate(self, s: float) -> float:
-        out = self._core_value(s)
+    def __call__(self, s):
+        """W(s) for a float, or elementwise for an ndarray of s."""
+        return call_on_array(self._evaluate_array, s)
+
+    def _evaluate_array(self, s: np.ndarray) -> np.ndarray:
+        out = self._core_array(s)
         if self._coupling > 0.0:
             # l(l+d-2)/y^2 telescopes: c * e^{2s} ... e^{2 exp^(k-2) s}
             expo = math.log(self._coupling) + _exp_prefactor_exponent(s, self.steps - 1)
-            out += _POSITIVE_WALL if expo > _EXP_MAX else math.exp(expo)
-        return out + self.extra_constant
-
-    def __call__(self, s):
-        """W(s) for a float, or elementwise for an ndarray of s."""
-        if np.ndim(s) == 0:
-            return self.evaluate(s)
-        s = np.asarray(s, dtype=float)
-        out = self._core_array(s)
-        if self._coupling > 0.0:
-            expo = math.log(self._coupling) + _exp_prefactor_exponent_array(s, self.steps - 1)
             out += np.where(expo > _EXP_MAX, _POSITIVE_WALL, np.exp(np.minimum(expo, _EXP_MAX)))
-        return out + self.extra_constant
-
-    def _core_value(self, s: float) -> float:
-        if self._window is None:
-            return 0.0
-        V, k = self._core, self.steps
-        lo_s, hi_s = self._window
-        if isinstance(V, InverseSquareTail):
-            # -c/y^2 telescopes like the centrifugal term, active for y >= onset
-            if s < lo_s:
-                return 0.0
-            expo = math.log(V.c) + _exp_prefactor_exponent(s, k - 1)
-            if expo > _EXP_MAX:
-                raise _overflow_error(s)
-            return -math.exp(expo)
-        if s <= lo_s or s >= hi_s:
-            return 0.0
-        v = V.evaluate(iterated_exp(s, k))
-        if v == 0.0:
-            return 0.0
-        expo = _exp_prefactor_exponent(s, k) + math.log(abs(v))
-        if expo > _EXP_MAX:
-            if v > 0.0:
-                return _POSITIVE_WALL
-            raise _overflow_error(s)
-        return math.copysign(math.exp(expo), v)
+        return out
 
     def _core_array(self, s: np.ndarray) -> np.ndarray:
         out = np.zeros(s.shape)
@@ -658,8 +567,9 @@ class TransformedPotential:
         V, k = self._core, self.steps
         lo_s, hi_s = self._window
         if isinstance(V, InverseSquareTail):
+            # -c/y^2 telescopes like the centrifugal term, active for y >= onset
             on = s >= lo_s
-            expo = math.log(V.c) + _exp_prefactor_exponent_array(s[on], k - 1)
+            expo = math.log(V.c) + _exp_prefactor_exponent(s[on], k - 1)
             over = expo > _EXP_MAX
             if np.count_nonzero(over):
                 raise _overflow_error(s[on][np.argmax(over)])
@@ -667,15 +577,18 @@ class TransformedPotential:
             return out
         inside = (s > lo_s) & (s < hi_s)
         s_in = s[inside]
-        # the tower that feeds V uses math.exp, as ``evaluate`` does, so V sees
-        # the same argument on both paths: an ulp of np.exp can move a point
-        # across a jump of V, or through the ill-conditioned (ln y)^q near y = 1
-        y = s_in.tolist()
-        for _ in range(k):
-            y = list(map(math.exp, y))  # OverflowError past the double range
-        v = V(np.array(y))
+        y = s_in
+        with np.errstate(over="ignore"):
+            for _ in range(k):
+                y = np.exp(y)
+        tower_over = np.isinf(y)
+        if np.count_nonzero(tower_over):
+            raise OverflowError(
+                f"exp^({k}) of s = {float(s_in[np.argmax(tower_over)])} exceeds the double range"
+            )
+        v = V.evaluate_array(y)
         nz = v != 0.0
-        expo = _exp_prefactor_exponent_array(s_in, k)
+        expo = _exp_prefactor_exponent(s_in, k)
         expo[nz] += np.log(np.abs(v[nz]))
         over = nz & (expo > _EXP_MAX)
         neg_over = over & (v < 0.0)
@@ -686,9 +599,9 @@ class TransformedPotential:
         return out
 
 
-def transform_potential(V: Potential, k: int, extra_constant: float = 0.0) -> TransformedPotential:
+def transform_potential(V: Potential, k: int) -> TransformedPotential:
     """k-fold log change of variables applied to V (1 <= k <= depth cap)."""
-    return TransformedPotential(base=V, steps=k, extra_constant=extra_constant)
+    return TransformedPotential(base=V, steps=k)
 
 
 def transformed_breakpoints(V: Potential, k: int) -> tuple[float, ...]:

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
+from .iterfun import float_or_array
 
 
 @dataclass(frozen=True)
@@ -37,11 +38,6 @@ class TestFunction:
         return (self.lo, self.hi)
 
 
-def _match_input(x, out: np.ndarray):
-    """``out`` as a float when the argument x was a scalar."""
-    return out if isinstance(x, np.ndarray) else float(out)
-
-
 def bump(lo: float, hi: float) -> TestFunction:
     """exp(-1/(1-t^2)) squeezed onto (lo, hi), zero outside."""
     if not lo < hi:
@@ -56,15 +52,15 @@ def bump(lo: float, hi: float) -> TestFunction:
         # 1 - t^2 off the support too, where it is replaced by 1: no division by 0
         return t, inside, np.where(inside, 1.0 - tt, 1.0)
 
+    @float_or_array
     def value(x):
         _, inside, one = parts(x)
-        return _match_input(x, np.where(inside, np.exp(-1.0 / one), 0.0))
+        return np.where(inside, np.exp(-1.0 / one), 0.0)
 
+    @float_or_array
     def derivative(x):
         t, inside, one = parts(x)
-        return _match_input(
-            x, np.where(inside, np.exp(-1.0 / one) * (-2.0 * t / (one * one)) / half, 0.0)
-        )
+        return np.where(inside, np.exp(-1.0 / one) * (-2.0 * t / (one * one)) / half, 0.0)
 
     return TestFunction(lo, hi, value, derivative)
 
@@ -82,15 +78,15 @@ def log_pushforward(f: TestFunction, dim: int) -> TestFunction:
         s_in = np.where(inside, s, lo)  # keeps exp(s) finite off the support
         return inside, np.exp(beta * s_in), np.exp(s_in)
 
+    @float_or_array
     def value(s):
         inside, scale, x = parts(s)
-        return _match_input(s, np.where(inside, scale * f.value(x), 0.0))
+        return np.where(inside, scale * f.value(x), 0.0)
 
+    @float_or_array
     def derivative(s):
         inside, scale, x = parts(s)
-        return _match_input(
-            s, np.where(inside, scale * (beta * f.value(x) + x * f.derivative(x)), 0.0)
-        )
+        return np.where(inside, scale * (beta * f.value(x) + x * f.derivative(x)), 0.0)
 
     return TestFunction(lo, hi, value, derivative)
 

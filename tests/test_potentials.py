@@ -15,7 +15,6 @@ from hardybounds.potentials import (
     ZeroPotential,
     check_bounded_below_weighted,
     effective_radial_potential,
-    eval_potential,
     make_potential,
     negative_part_abs,
     transform_potential,
@@ -26,32 +25,32 @@ class TestEvaluation:
     def test_zero_everywhere(self):
         V = ZeroPotential()
         for r in (0.01, 1.0, 55.0):
-            assert eval_potential(V, r) == 0.0
+            assert V(r) == 0.0
 
     def test_square_well_inside_and_outside(self):
         V = SquareWell(c=1.0, a=1.0, b=2.0)
-        assert eval_potential(V, 1.5) == -1.0
-        assert eval_potential(V, 0.5) == 0.0
-        assert eval_potential(V, 3.0) == 0.0
+        assert V(1.5) == -1.0
+        assert V(0.5) == 0.0
+        assert V(3.0) == 0.0
 
     def test_inverse_square_beyond_onset(self):
         V = InverseSquareTail(c=2.0, a=1.0)
-        assert eval_potential(V, 2.0) == pytest.approx(-0.5, rel=1e-15)
-        assert eval_potential(V, 0.5) == 0.0
+        assert V(2.0) == pytest.approx(-0.5, rel=1e-15)
+        assert V(0.5) == 0.0
 
     def test_power_log_well(self):
         V = PowerLogWell(c=1.0, p=1.0, q=1.0, a=1.0, b=4.0)
-        assert eval_potential(V, 2.0) == pytest.approx(-2.0 * math.log(2.0), rel=1e-14)
-        assert eval_potential(V, 5.0) == 0.0
+        assert V(2.0) == pytest.approx(-2.0 * math.log(2.0), rel=1e-14)
+        assert V(5.0) == 0.0
 
     def test_tabulated_interpolates_and_rejects_outside(self):
         V = TabulatedPotential(r=(1.0, 2.0, 3.0), v=(-1.0, -3.0, 0.0))
-        assert eval_potential(V, 1.5) == pytest.approx(-2.0, rel=1e-14)
-        assert eval_potential(V, 3.0) == 0.0
+        assert V(1.5) == pytest.approx(-2.0, rel=1e-14)
+        assert V(3.0) == 0.0
         with pytest.raises(DomainError):
-            eval_potential(V, 0.5)
+            V(0.5)
         with pytest.raises(DomainError):
-            eval_potential(V, 3.5)
+            V(3.5)
 
     def test_square_well_validation(self):
         with pytest.raises(DomainError):
@@ -86,7 +85,7 @@ class TestNegativePart:
     )
     def test_sum_with_potential_is_nonnegative(self, V):
         for r in np.geomspace(1.0, 2.9, 200):
-            v = eval_potential(V, float(r))
+            v = V(float(r))
             npart = negative_part_abs(V, float(r))
             assert v + npart >= 0.0
             if v <= 0.0:
@@ -95,11 +94,10 @@ class TestNegativePart:
 
 class TestTransform:
     def test_zero_transforms_to_constant(self):
-        W = transform_potential(ZeroPotential(), 1, extra_constant=0.0)
+        W = transform_potential(ZeroPotential(), 1)
         assert all(W(s) == 0.0 for s in (-5.0, 0.0, 3.0))
-        gamma = 2.5
-        Wg = transform_potential(ZeroPotential(), 2, extra_constant=gamma)
-        assert all(Wg(s) == gamma for s in (-5.0, 0.0, 2.0))
+        W2 = transform_potential(ZeroPotential(), 2)
+        assert all(W2(s) == 0.0 for s in (-5.0, 0.0, 2.0))
 
     def test_single_step_well(self):
         # V = -1 on (1,2) becomes -e^{2s} on (0, ln 2)
@@ -113,7 +111,7 @@ class TestTransform:
         V = SquareWell(c=3.0, a=0.7, b=5.0)
         W = transform_potential(V, 1)
         for s in np.linspace(-3.0, 3.0, 1000):
-            direct = math.exp(2 * s) * V.evaluate(math.exp(s))
+            direct = math.exp(2 * s) * V(math.exp(s))
             got = W(float(s))
             assert abs(got - direct) <= 1e-12 * max(1.0, abs(got))
 
@@ -165,19 +163,19 @@ class TestEffectiveRadial:
 
     def test_centrifugal_of_zero(self):
         Veff = effective_radial_potential(ZeroPotential(), 1, 3)
-        assert Veff.evaluate(1.0) == pytest.approx(2.0, rel=1e-15)
-        assert Veff.evaluate(2.0) == pytest.approx(0.5, rel=1e-15)
+        assert Veff(1.0) == pytest.approx(2.0, rel=1e-15)
+        assert Veff(2.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_well_with_centrifugal(self):
         Veff = effective_radial_potential(SquareWell(c=4.0, a=1.0, b=2.0), 1, 3)
-        assert Veff.evaluate(1.5) == pytest.approx(2.0 / 2.25 - 4.0, rel=1e-14)
+        assert Veff(1.5) == pytest.approx(2.0 / 2.25 - 4.0, rel=1e-14)
 
     def test_pointwise_nondecreasing_in_l(self):
         V = SquareWell(c=2.0, a=0.5, b=3.0)
         for d in (2, 3, 5):
             for r in np.geomspace(0.2, 5.0, 50):
                 vals = [
-                    effective_radial_potential(V, l, d).evaluate(float(r))
+                    effective_radial_potential(V, l, d)(float(r))
                     for l in range(4)
                 ]
                 assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
@@ -198,14 +196,14 @@ class TestEffectiveRadial:
     def test_underflowing_r_squared_is_an_overflow_error(self, V):
         # r*r underflows to 0 at r = 1e-200: c / r^2 is past the double range
         with pytest.raises(OverflowError):
-            V.evaluate(1e-200)
+            V(1e-200)
         with pytest.raises(OverflowError):
             V(np.array([1.0, 1e-200]))
 
     def test_zero_coupling_returns_the_base(self):
         base = SquareWell(c=3.0, a=0.0, b=2.0)
         V = CentrifugalShift(base=base, l=0, d=3)
-        assert V.evaluate(1e-200) == -3.0
+        assert V(1e-200) == -3.0
         assert np.array_equal(V(np.array([1e-200, 1.0, 5.0])), [-3.0, -3.0, 0.0])
 
     def test_power_log_crossings_on_both_sides_of_the_peak(self):

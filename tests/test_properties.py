@@ -1,10 +1,15 @@
 """Property tests: the single-pass Sturm count against dense eigenvalues and
-against the two-pass reference, the array forms of the potentials, of a
-transformed potential and of the squared log weight against their scalar
-definitions, and the batched GK15 quadrature against the scalar rule."""
+against the two-pass reference; the potentials, the transformed potentials
+and the log weights against scalar reference formulas kept here; the array
+bisection of the channel crossings against the scalar one; the l_max sup-scan
+against a dense sup; and the batched GK15 quadrature against the scalar
+rule."""
 
+import bisect
 import heapq
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +17,14 @@ from hypothesis import event, find, given, settings
 from hypothesis import strategies as st
 
 from hardybounds.errors import DomainError
-from hardybounds.bounds import absolute_log_weight
-from hardybounds.iterfun import hardy_weight_stack, iterated_log, squared_log_weight
+from hardybounds.bounds import _sup_r2_negative_part, absolute_log_weight, l_max
+from hardybounds.iterfun import (
+    DomainThreshold,
+    hardy_weight_stack,
+    iterated_exp,
+    iterated_log,
+    squared_log_weight,
+)
 from hardybounds.quadrature import (
     QuadratureError,
     _EPS as _QUAD_EPS,
@@ -26,12 +37,15 @@ from hardybounds.quadrature import (
     integrate_semiinfinite,
 )
 from hardybounds.potentials import (
+    CentrifugalShift,
     InverseSquareTail,
     Potential,
     PowerLogWell,
     SquareWell,
     TabulatedPotential,
     ZeroPotential,
+    _monotone_roots,
+    _tabulated_crossings,
     effective_radial_potential,
     transform_potential,
 )
@@ -156,10 +170,167 @@ class TestSturmProperties:
 
 
 # ---------------------------------------------------------------------------
-# transformed potentials: array path against the scalar definition
+# scalar reference formulas: the definitions the array code must reproduce
+# ---------------------------------------------------------------------------
+
+_EXP_MAX = 700.0
+_POSITIVE_WALL = 1e300
+
+
+def scalar_potential(V, r: float) -> float:
+    """V(r) for one float r, one family at a time, with math's functions."""
+    if isinstance(V, CentrifugalShift):
+        if r <= 0.0:
+            raise DomainError(f"effective radial potential needs r > 0, got {r}")
+        if V.coupling == 0.0:
+            return scalar_potential(V.base, r)
+        if r * r <= V.coupling / sys.float_info.max:
+            raise OverflowError(f"{V.coupling} / r^2 exceeds the double range at r = {r}")
+        return V.coupling / (r * r) + scalar_potential(V.base, r)
+    if isinstance(V, ZeroPotential):
+        return 0.0
+    if isinstance(V, SquareWell):
+        return -V.c if V.a < r < V.b else 0.0
+    if isinstance(V, InverseSquareTail):
+        if r <= 0.0:
+            raise DomainError(f"inverse-square tail needs r > 0, got {r}")
+        if r < V.a:
+            return 0.0
+        if r * r <= V.c / sys.float_info.max:
+            raise OverflowError(f"{V.c} / r^2 exceeds the double range at r = {r}")
+        return -V.c / (r * r)
+    if isinstance(V, PowerLogWell):
+        if r <= 0.0:
+            raise DomainError(f"power-log well needs r > 0, got {r}")
+        if not (V.a < r < V.b):
+            return 0.0
+        v = V.c * r**V.p
+        if V.q != 0.0:
+            v *= math.log(r) ** V.q
+        return -v
+    if isinstance(V, TabulatedPotential):
+        if r < V.r[0] or r > V.r[-1]:
+            raise DomainError(f"tabulated potential defined on [{V.r[0]}, {V.r[-1]}], got r={r}")
+        i = bisect.bisect_right(V.r, r) - 1
+        if i == len(V.r) - 1:
+            return V.v[-1]
+        t = (r - V.r[i]) / (V.r[i + 1] - V.r[i])
+        return V.v[i] * (1.0 - t) + V.v[i + 1] * t
+    raise TypeError(V)
+
+
+def scalar_prefactor_exponent(s: float, terms: int) -> float:
+    """2 * (s + e^s + ... + exp^(terms-1) s), a term past 700 counting as inf."""
+    total, cur = 0.0, s
+    for _ in range(terms):
+        total += cur
+        cur = math.exp(cur) if cur < _EXP_MAX else math.inf
+        if math.isinf(total):
+            break
+    return 2.0 * total
+
+
+def scalar_transformed(W, s: float, spread: float = 0.0) -> float:
+    """W(s) for one float s, with the tower exp^(k) s computed by math.exp and
+    then scaled by (1 + spread)."""
+    out = 0.0
+    V, k = W._core, W.steps
+    if W._window is not None:
+        lo_s, hi_s = W._window
+        if isinstance(V, InverseSquareTail):
+            if s >= lo_s:
+                expo = math.log(V.c) + scalar_prefactor_exponent(s, k - 1)
+                if expo > _EXP_MAX:
+                    raise OverflowError(s)
+                out = -math.exp(expo)
+        elif lo_s < s < hi_s:
+            v = scalar_potential(V, iterated_exp(s, k) * (1.0 + spread))
+            if v != 0.0:
+                expo = scalar_prefactor_exponent(s, k) + math.log(abs(v))
+                if expo <= _EXP_MAX:
+                    out = math.copysign(math.exp(expo), v)
+                elif v > 0.0:
+                    out = _POSITIVE_WALL
+                else:
+                    raise OverflowError(s)
+    if W._coupling > 0.0:
+        expo = math.log(W._coupling) + scalar_prefactor_exponent(s, k - 1)
+        out += _POSITIVE_WALL if expo > _EXP_MAX else math.exp(expo)
+    return out
+
+
+def tower_spread(s: float, k: int) -> float:
+    """A bound on the relative difference between two evaluations of
+    exp^(k) s whose every exp is within 2 ulp: an error d in y becomes
+    |y| d in e^y."""
+    spread, y = 0.0, s
+    for _ in range(k):
+        spread = abs(y) * spread + 4.0 * _EPS
+        y = math.exp(min(y, _EXP_MAX))
+    return spread
+
+
+def scalar_squared_log_weight(x: float, count: int) -> float:
+    if x <= 0.0:
+        raise DomainError(f"squared_log_weight requires x > 0, got {x}")
+    acc, cur = x * x, x
+    for k in range(count):
+        if cur <= 0.0:
+            raise DomainError(f"log #{k + 1} undefined (argument {cur})")
+        cur = math.log(cur)
+        acc *= cur * cur
+    return acc
+
+
+def scalar_absolute_log_weight(x: float, n: int) -> float:
+    if x <= 0.0:
+        raise DomainError(f"weight requires x > 0, got {x}")
+    w, cur = x, x
+    for k in range(n + 1):
+        if cur <= 0.0:
+            raise DomainError(f"log #{k + 1} undefined")
+        cur = math.log(cur)
+        w *= abs(cur)
+    return w
+
+
+def scalar_hardy_weight_stack(x: float, d: int, n: int) -> float:
+    if x <= 0.0:
+        raise DomainError(f"hardy_weight_stack requires x > 0, got {x}")
+    total = (d - 2) ** 2 / (4.0 * x * x)
+    acc, cur = 4.0 * x * x, x
+    for k in range(1, n + 1):
+        cur = math.log(cur) if cur > 0.0 else -math.inf
+        if cur <= 0.0:
+            raise DomainError(f"log factor #{k} is not positive")
+        acc *= cur * cur
+        total += 1.0 / acc
+    return total
+
+
+def scalar_monotone_roots(F, cuts):
+    """The bisection of ``_monotone_roots``, one piece and one point at a time."""
+    roots = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        flo, fhi = F(lo), F(hi)
+        if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
+            continue
+        while (mid := 0.5 * (lo + hi)) > lo and mid < hi:
+            fmid = F(mid)
+            if (fmid < 0.0) == (flo < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        roots.append(mid)
+    return roots
+
+
+# ---------------------------------------------------------------------------
+# transformed potentials against the scalar definition
 # ---------------------------------------------------------------------------
 
 _pos = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)  # noqa: E731
+_EPS = np.finfo(float).eps
 
 
 @st.composite
@@ -186,6 +357,14 @@ def potentials(draw):
     return TabulatedPotential(r=tuple(r.tolist()), v=tuple(v))
 
 
+def _reference_or_error(f, xs):
+    """[f(x) for x in xs] as an array, or the type of the first error raised."""
+    try:
+        return np.array([f(x) for x in xs])
+    except (DomainError, OverflowError) as exc:
+        return type(exc)
+
+
 class TestTransformedArrayProperties:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -196,31 +375,35 @@ class TestTransformedArrayProperties:
         width=_pos(0.01, 30.0),
         m=st.integers(1, 300),
     )
-    def test_array_matches_scalar_evaluate(self, V, k, l, lo, width, m):
+    def test_array_matches_scalar_definition(self, V, k, l, lo, width, m):
         W = transform_potential(effective_radial_potential(V, l, 3), k)
-        s = np.linspace(lo, lo + width, m)
-        scalar, failed = [], False
-        for x in s.tolist():
-            try:
-                scalar.append(W.evaluate(x))
-            except (DomainError, OverflowError):
-                failed = True
-                scalar.append(math.nan)
-        if failed:
+        s = np.linspace(lo, lo + width, m).tolist()
+        ref = _reference_or_error(lambda x: scalar_transformed(W, x), s)
+        if isinstance(ref, type):
             event("both paths raise")
             with pytest.raises((DomainError, OverflowError)):
-                W(s)
+                W(np.array(s))
             return
         event("array path evaluated")
-        got = W(s)
-        assert got.shape == s.shape
-        # numpy's exp and log may differ from libm's by an ulp, so the two
-        # paths agree to rounding relative to the size of each term; the sum
-        # of a centrifugal term and a well can cancel far below that size
-        terms = np.abs(transform_potential(V, k)(s))
+        got = W(np.array(s))
+        assert got.shape == (m,)
+        # the array tower uses np.exp, which may differ from math.exp by an
+        # ulp: V is also read at the ends of the tower's rounding spread, so a
+        # jump of V or the ill-conditioned (ln y)^q near y = 1 inside that
+        # spread is allowed for; beyond it, numpy's exp and log may differ from
+        # libm's by an ulp, so the paths agree to rounding relative to the size
+        # of each term (a centrifugal term and a well can cancel far below it)
+        ends = []
+        for sign in (-1.0, 1.0):
+            ends.append(_reference_or_error(
+                lambda x: scalar_transformed(W, x, sign * tower_spread(x, k)), s))
+        lo_ref = np.minimum.reduce([ref] + [e for e in ends if not isinstance(e, type)])
+        hi_ref = np.maximum.reduce([ref] + [e for e in ends if not isinstance(e, type)])
+        terms = np.abs(transform_potential(V, k)(np.array(s)))
         if l:
-            terms += np.abs(transform_potential(effective_radial_potential(ZeroPotential(), l, 3), k)(s))
-        assert np.all(np.abs(got - np.array(scalar)) <= 1e-12 * terms)
+            terms += np.abs(transform_potential(effective_radial_potential(ZeroPotential(), l, 3), k)(np.array(s)))
+        tol = 1e-12 * terms
+        assert np.all((lo_ref - tol <= got) & (got <= hi_ref + tol))
 
     @pytest.mark.parametrize("V, k, s, expected", [
         # W = -e^{2s} for s > 0: e^{720} is past the double range
@@ -239,38 +422,45 @@ class TestTransformedArrayProperties:
         pts = np.array([0.5 * s, s])
         if isinstance(expected, type):
             with pytest.raises(expected):
-                W.evaluate(s)
+                W(s)
             with pytest.raises(expected):
                 W(pts)
         else:
-            assert W.evaluate(s) == expected
+            assert W(s) == expected
             assert W(pts)[1] == expected
 
-    def test_scalar_call_returns_the_scalar_value(self):
-        W = transform_potential(SquareWell(c=4.0, a=1.0, b=2.0), 1)
-        assert W(0.5) == W.evaluate(0.5)
-        assert W(np.array([0.5]))[0] == pytest.approx(W.evaluate(0.5), rel=1e-15)
+    @pytest.mark.parametrize("V, k, s", [
+        # exp^(2) 7 = e^1096.6: the tower itself leaves the double range
+        (PowerLogWell(c=-1.0, p=0.0, q=0.0, a=1.0, b=math.inf), 2, 7.0),
+        (PowerLogWell(c=2.0, p=-3.0, q=1.0, a=1.0, b=math.inf), 2, 7.0),
+        (TabulatedPotential(r=(1.0, 4.0), v=(-1.0, -2.0)), 3, 2.0),
+    ])
+    def test_tower_overflow_is_an_overflow_error(self, V, k, s):
+        W = transform_potential(V, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy overflow warning
+            with pytest.raises(OverflowError, match="exceeds the double range"):
+                W(s)
+            with pytest.raises(OverflowError, match=f"s = {s}"):
+                W(np.array([0.5, s, 2.0 * s]))
+
+    def test_scalar_call_returns_a_float(self):
+        W = transform_potential(effective_radial_potential(SquareWell(c=4.0, a=1.0, b=2.0), 1, 3), 1)
+        got = W(0.5)
+        assert type(got) is float
+        assert got == W(np.array([0.5]))[0]
+        assert got == pytest.approx(scalar_transformed(W, 0.5), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
 # potentials and weights on ndarrays against their scalar definitions
 # ---------------------------------------------------------------------------
 
-_EPS = np.finfo(float).eps
-
-
-def _scalar_or_error(f, xs):
-    """[f(x) for x in xs] as an array, or the type of the first error raised."""
-    try:
-        return np.array([f(x) for x in xs])
-    except (DomainError, OverflowError) as exc:
-        return type(exc)
-
 
 class TestPotentialArrayProperties:
     @settings(max_examples=300, deadline=None)
     @given(V=potentials(), l=st.sampled_from([0, 1, 3]), data=st.data())
-    def test_array_matches_scalar_evaluate(self, V, l, data):
+    def test_array_matches_scalar_definition(self, V, l, data):
         anywhere = st.one_of(_pos(1e-6, 60.0), _pos(-5.0, 0.0))
         if isinstance(V, TabulatedPotential):
             inside = st.one_of(_pos(V.r[0], V.r[-1]), st.sampled_from(V.r))
@@ -279,7 +469,7 @@ class TestPotentialArrayProperties:
         xs = data.draw(st.lists(inside, min_size=1, max_size=40))
         xs += data.draw(st.lists(anywhere, max_size=2))
         W = effective_radial_potential(V, l, 3)
-        ref = _scalar_or_error(W.evaluate, xs)
+        ref = _reference_or_error(lambda x: scalar_potential(W, x), xs)
         if isinstance(ref, type):
             event("both paths raise")
             with pytest.raises(ref):
@@ -292,7 +482,7 @@ class TestPotentialArrayProperties:
             # numpy's log and pow differ from libm's by up to an ulp each, and
             # (ln r)^q scales the log's difference by q; a centrifugal term
             # adds the same value on both paths, plus one rounding of the sum
-            base = np.abs(_scalar_or_error(V.evaluate, xs))
+            base = np.abs(_reference_or_error(lambda x: scalar_potential(V, x), xs))
             assert np.all(np.abs(got - ref) <= (4.0 + V.q) * _EPS * base + _EPS * np.abs(ref))
         else:
             assert np.array_equal(got, ref)
@@ -304,7 +494,7 @@ class TestPotentialArrayProperties:
     ])
     def test_nonpositive_r_is_a_domain_error(self, V):
         with pytest.raises(DomainError):
-            V.evaluate(0.0)
+            V(0.0)
         with pytest.raises(DomainError):
             V(np.array([1.0, 0.0, 2.0]))
 
@@ -312,19 +502,22 @@ class TestPotentialArrayProperties:
         # float ** raises where numpy's power returns inf
         V = PowerLogWell(c=1.0, p=2.0, q=0.0, a=1.0, b=math.inf)
         with pytest.raises(OverflowError):
-            V.evaluate(1e200)
+            V(1e200)
         with pytest.raises(OverflowError):
             V(np.array([2.0, 1e200]))
 
-    def test_fallback_and_scalar_call(self):
+    def test_subclass_with_only_evaluate_array(self):
         class Linear(Potential):
-            def evaluate(self, r):
+            def evaluate_array(self, r):
                 return 2.0 * r
 
         xs = np.array([[0.5, 1.0], [2.0, 3.0]])
         assert np.array_equal(Linear()(xs), 2.0 * xs)
+        assert np.array_equal(Linear()([0.5, 1.0]), [1.0, 2.0])
+        got = Linear()(1.5)
+        assert type(got) is float and got == 3.0
         V = SquareWell(c=4.0, a=1.0, b=2.0)
-        assert V(1.5) == V.evaluate(1.5) == -4.0
+        assert V(1.5) == scalar_potential(V, 1.5) == -4.0
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -332,7 +525,8 @@ class TestPotentialArrayProperties:
         count=st.sampled_from([0, 1, 2, 3]),
     )
     def test_squared_log_weight_matches_scalar(self, xs, count):
-        _check_log_weight(lambda x: squared_log_weight(x, count), xs, count)
+        _check_log_weight(lambda x: squared_log_weight(x, count),
+                          lambda x: scalar_squared_log_weight(x, count), xs, count)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -342,19 +536,24 @@ class TestPotentialArrayProperties:
     )
     def test_quadrature_weights_match_scalar(self, xs, n, d):
         # x |ln x| ... |ln^(n+1) x| takes n + 1 logs; the Hardy stack n
-        _check_log_weight(lambda x: absolute_log_weight(x, n), xs, n + 1)
-        _check_log_weight(lambda x: hardy_weight_stack(x, d, n), xs, n)
+        _check_log_weight(lambda x: absolute_log_weight(x, n),
+                          lambda x: scalar_absolute_log_weight(x, n), xs, n + 1)
+        _check_log_weight(lambda x: hardy_weight_stack(x, d, n),
+                          lambda x: scalar_hardy_weight_stack(x, d, n), xs, n)
 
 
-def _check_log_weight(weight, xs, logs):
-    """weight on an ndarray of xs against [weight(x) for x in xs], where the
-    weight takes ``logs`` nested logs of x."""
-    ref = _scalar_or_error(weight, xs)
+def _check_log_weight(weight, reference, xs, logs):
+    """weight on an ndarray of xs, and on each x as a float, against the
+    scalar ``reference``, where the weight takes ``logs`` nested logs of x."""
+    ref = _reference_or_error(reference, xs)
     if isinstance(ref, type):
         with pytest.raises(ref):
             weight(np.array(xs))
+        with pytest.raises(ref):
+            [weight(x) for x in xs]
         return
     got = weight(np.array(xs))
+    assert all(type(weight(x)) is float and weight(x) == g for x, g in zip(xs, got))
     if logs == 0:
         assert np.array_equal(got, ref)
         return
@@ -365,6 +564,68 @@ def _check_log_weight(weight, xs, logs):
     factors = np.array([[abs(iterated_log(x, k)) for k in range(1, logs + 1)] for x in xs])
     ok = np.all(factors >= 0.5, axis=1)
     assert np.all(np.abs(got - ref)[ok] <= 64.0 * _EPS * np.abs(ref[ok]))
+
+
+# ---------------------------------------------------------------------------
+# the array bisection of the channel crossings, and the l_max sup-scan
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tabulated_wells(draw):
+    n = draw(st.integers(2, 40))
+    r = draw(_pos(0.2, 2.0)) * np.cumprod([1.0] + [1.0 + draw(_pos(0.01, 0.5)) for _ in range(n - 1)])
+    v = [-draw(_pos(0.0, 60.0)) for _ in range(n)]
+    return TabulatedPotential(r=tuple(r.tolist()), v=tuple(v))
+
+
+class TestCrossingsAndSupScan:
+    @settings(max_examples=150, deadline=None)
+    @given(V=tabulated_wells(), L=st.sampled_from([2.0, 6.0, 20.0, 110.0]))
+    def test_array_bisection_is_bit_equal_to_the_scalar_one(self, V, L):
+        def g(r):
+            return L / (r * r) + scalar_potential(V, r)
+
+        want, lo, hi = [], [], []
+        for r0, r1, v0, v1 in zip(V.r, V.r[1:], V.v, V.v[1:]):
+            beta = (v1 - v0) / (r1 - r0)
+            cuts = [r0, r1]
+            if beta > 0.0 and r0 < (bottom := (2.0 * L / beta) ** (1.0 / 3.0)) < r1:
+                cuts.insert(1, bottom)
+            want += scalar_monotone_roots(g, cuts)
+            lo += cuts[:-1]
+            hi += cuts[1:]
+        got = _monotone_roots(lambda r: L / (r * r) + V(r), np.array(lo), np.array(hi))
+        assert got.tolist() == want
+        assert sorted(_tabulated_crossings(L, V)) == sorted(want)
+        event(f"{len(want)} roots")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_zoom_sup_against_a_dense_sup(self, seed):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            # a power-log tail with p < -2: r^2 |V| peaks inside for q > 0
+            q = float(rng.choice([0.0, 1.0, 2.0]))
+            a = rng.uniform(1.0, 3.0)
+            V = PowerLogWell(c=rng.uniform(5.0, 200.0), p=rng.uniform(-4.0, -2.2), q=q,
+                             a=a, b=math.inf)
+            lo, hi = a, max(1e6, a * 1e3)
+        else:
+            r = np.geomspace(rng.uniform(0.3, 0.8), rng.uniform(20.0, 40.0), 60)
+            v = -rng.uniform(1.0, 40.0) * (np.exp(-((np.linspace(-2, 2, 60) - rng.uniform(-1, 1)) ** 2))
+                                           + rng.uniform(0.0, 0.2, 60))
+            V = TabulatedPotential(r=tuple(r.tolist()), v=tuple(v.tolist()))
+            lo, hi = r[0], r[-1]
+        # the dense grid holds the kinks of a tabulated V, its samples, and
+        # reaches as close to the ends as the scan does
+        xs = np.geomspace(lo * (1.0 + 1e-12), hi * (1.0 - 1e-12), 200_001)
+        if isinstance(V, TabulatedPotential):
+            xs = np.union1d(xs, np.array(V.r[1:-1]))
+        dense = float(np.max(xs * xs * np.maximum(-V(xs), 0.0)))
+        S = _sup_r2_negative_part(V, 1.0 if seed % 2 else 0.0)
+        assert dense * (1.0 - 1e-13) <= S <= dense * (1.0 + 1e-9)
+        d = 3
+        want = (math.isqrt(4 * (math.ceil(dense) - 1) + (d - 2) ** 2) - (d - 2)) // 2
+        assert l_max(V, d, DomainThreshold(0, "one" if seed % 2 else "zero")) == want
 
 
 # ---------------------------------------------------------------------------
