@@ -94,7 +94,6 @@ class RunConfig:
     m: int = 4000
     doublings: int = 1
     tol: Optional[float] = None  # None: the command's own default
-    samples: int = 2000
     constants: dict = field(default_factory=lambda: {"3": 0.1156})
     suite: Optional[str] = None
     sweep: Optional[dict] = None
@@ -118,7 +117,6 @@ DEFAULTS_TABLE = {
     "m": 4000,
     "doublings": 1,
     "tol": BOUND_TOL,
-    "samples": 2000,
     "C_3": 0.1156,
     "existence_max_window": 320.0,
     "transform_depth_cap": 3,
@@ -234,7 +232,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         "m",
         "doublings",
         "tol",
-        "samples",
         "suite",
     ):
         value = getattr(args, key, None)
@@ -252,7 +249,25 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _validate(cfg: RunConfig) -> None:
+    for key in ("d", "n", "m", "doublings", "l"):
+        value = getattr(cfg, key)
+        if not (_is_int(value) or key == "l" and value is None):
+            raise ConfigError(f"{key} must be an integer, got {value!r}")
+    for key in ("L", "tol"):
+        value = getattr(cfg, key)
+        if value is None and key == "tol":
+            continue
+        if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    if not isinstance(cfg.constants, dict):
+        raise ConfigError(f"constants must be an object of d -> C_d, got {cfg.constants!r}")
+    if cfg.doublings < 0:
+        raise ConfigError(f"doublings must be >= 0, got {cfg.doublings}")
     if cfg.variant not in ("zero", "one"):
         raise ConfigError(f"variant must be 'zero' or 'one', got {cfg.variant!r}")
     if cfg.n < 0 or cfg.d < 1:
@@ -333,8 +348,6 @@ def cmd_count(cfg: RunConfig) -> int:
     if cfg.theorem is None:
         cfg.theorem = "t41" if cfg.d == 1 else "t43"
     spec = _operator_for(cfg)
-    if cfg.theorem == "t42":
-        spec = OperatorSpec(cfg.d, cfg.n, cfg.variant, threshold_depth=cfg.n + 2)
     payload: dict = {"config": cfg.to_dict()}
     if spec.d == 1 or cfg.l is not None:
         res = count_negative(

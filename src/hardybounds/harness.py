@@ -30,6 +30,7 @@ from .potentials import (
     make_potential,
 )
 from .spectra import (
+    check_doublings,
     count_negative,
     kinetic_term,
     quadratic_form_value,
@@ -274,8 +275,10 @@ class SweepSpec:
     def __post_init__(self):
         if not self.values:
             raise DomainError("sweep needs a non-empty value list")
-        if any(not math.isfinite(float(v)) for v in self.values):
-            raise DomainError("sweep values must be finite")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
+               for v in self.values):
+            raise DomainError(f"sweep values must be finite numbers, got {list(self.values)!r}")
+        check_doublings(self.doublings)
 
     def potentials(self):
         for v in self.values:
@@ -359,11 +362,8 @@ def run_bound_sweep(
         else:
             spec = OperatorSpec.for_clr_bound(sweep.d, sweep.n, sweep.variant)
             bound = clr_bound(V, spec, constants=constants, tol=tol)
-            count_spec = OperatorSpec(
-                d=sweep.d, n=sweep.n, variant=sweep.variant, threshold_depth=sweep.n + 2
-            )
             count, table = total_central_count(
-                count_spec, V, L=sweep.L, m=sweep.m, doublings=sweep.doublings
+                spec, V, L=sweep.L, m=sweep.m, doublings=sweep.doublings
             )
             trail = tuple(table)
         satisfied = bound.integer_cap is None or count <= bound.integer_cap

@@ -254,6 +254,12 @@ def channel_potential(V: Potential, spec: OperatorSpec, l: Optional[int]):
     return transform_potential(effective_radial_potential(V, l, spec.d), k)
 
 
+def check_doublings(doublings) -> None:
+    """Refinement rounds must be a non-negative integer."""
+    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 0:
+        raise DomainError(f"doublings must be a non-negative integer, got {doublings!r}")
+
+
 def count_negative(
     spec: OperatorSpec,
     V: Potential,
@@ -269,6 +275,7 @@ def count_negative(
     the refinement trail."""
     if L <= 0.0 or m < 2:
         raise DomainError(f"need L > 0 and m >= 2, got L={L}, m={m}")
+    check_doublings(doublings)
     W = channel_potential(V, spec, l)
     s0 = transformed_window_start(spec, spec.n + 1)
     trail = []

@@ -387,6 +387,32 @@ class TestEnvironmentAndProcess:
         assert "numerical failure" in err and "t = 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, config", [
+        (["count", "--d", "1", "--potential", "zero", "--doublings", "-1"], None),
+        (["sweep"], {"sweep": {"theorem": "t41", "family": "square_well",
+                               "base_params": {"a": 1.0, "b": 2.0}, "vary": "c",
+                               "values": [1], "doublings": -1}}),
+        (["bound", "--theorem", "t41", "--potential", "zero"], {"m": "big"}),
+        (["bound", "--theorem", "t42", "--d", "3", "--potential", "zero"],
+         {"constants": [1, 2]}),
+        (["sweep"], {"sweep": {"theorem": "t41", "family": "square_well",
+                               "base_params": {"a": 1.0, "b": 2.0}, "vary": "c",
+                               "values": ["x"]}}),
+        (["bound", "--theorem", "t43", "--potential", "zero"], {"d": 3.0}),
+        # the key was never read, and is no longer accepted
+        (["bound", "--theorem", "t41", "--potential", "zero"], {"samples": 2000}),
+    ], ids=["count-doublings", "sweep-doublings", "m-string", "constants-list",
+            "sweep-value-string", "d-float", "samples-key"])
+    def test_bad_numeric_configuration_is_a_config_error(self, argv, config, tmp_path):
+        if config is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg_path)]
+        code, _, err = run_cli(*argv, deadline=60.0)
+        assert code == EXIT_CONFIG
+        assert err.startswith("configuration error")
+        assert "Traceback" not in err
+
     def test_bad_config_json_subprocess(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ not json")

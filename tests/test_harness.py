@@ -109,6 +109,14 @@ class TestSweeps:
         with pytest.raises(DomainError):
             SweepSpec(family="square_well", base_params={}, vary="c", values=())
 
+    @pytest.mark.parametrize("kwargs", [
+        {"values": ("x",)}, {"values": (True,)}, {"values": (1, math.nan)},
+        {"values": (1,), "doublings": -1}, {"values": (1,), "doublings": 1.5},
+    ])
+    def test_sweep_rejects_bad_numbers(self, kwargs):
+        with pytest.raises(DomainError):
+            SweepSpec(family="square_well", base_params={"a": 1.0, "b": 2.0}, vary="c", **kwargs)
+
     def test_t43_row_carries_channel_breakdown(self):
         sweep = SweepSpec(
             family="square_well",

@@ -182,6 +182,12 @@ class TestCountNegative:
         with pytest.raises(DepthCapError):
             count_negative(spec, SquareWell(c=1.0, a=1.0, b=2.0), L=5.0, m=100)
 
+    @pytest.mark.parametrize("doublings", [-1, 1.5, True])
+    def test_bad_doublings_are_a_domain_error(self, doublings):
+        spec = OperatorSpec.for_line_bound(0, "zero")
+        with pytest.raises(DomainError, match="doublings"):
+            count_negative(spec, ZeroPotential(), L=5.0, m=100, doublings=doublings)
+
     def test_requested_eigenvalues_are_sorted(self):
         spec = OperatorSpec.for_line_bound(0, "zero")
         res = count_negative(
