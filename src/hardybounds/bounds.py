@@ -305,7 +305,9 @@ def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue
     return BoundValue.build(base + quad.value, diag)
 
 
-_ZOOM_POINTS = 257  # samples per zoom pass of the sup-scan: the bracket shrinks 128x
+# a zoom pass samples its bracket at these fractions, shrinking it 128-fold;
+# scaling them is about four times cheaper than a call of np.linspace
+_ZOOM = np.linspace(0.0, 1.0, 257)
 
 
 def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
@@ -371,7 +373,7 @@ def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
         a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
         if b - a <= 1e-13 * max(1.0, abs(a)):
             return best
-        xs = np.linspace(a, b, _ZOOM_POINTS)
+        xs = a + (b - a) * _ZOOM
         vals = g(xs)
 
 

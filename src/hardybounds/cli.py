@@ -266,6 +266,10 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if not isinstance(cfg.constants, dict):
         raise ConfigError(f"constants must be an object of d -> C_d, got {cfg.constants!r}")
+    for key in ("potential", "sweep"):
+        value = getattr(cfg, key)
+        if value is not None and not isinstance(value, dict):
+            raise ConfigError(f"{key} must be an object, got {value!r}")
     if cfg.doublings < 0:
         raise ConfigError(f"doublings must be >= 0, got {cfg.doublings}")
     if cfg.variant not in ("zero", "one"):

@@ -273,6 +273,8 @@ class SweepSpec:
     doublings: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.base_params, dict):
+            raise DomainError(f"sweep base_params must be an object, got {self.base_params!r}")
         if not self.values:
             raise DomainError("sweep needs a non-empty value list")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)

@@ -583,9 +583,7 @@ class TransformedPotential:
                 y = np.exp(y)
         tower_over = np.isinf(y)
         if np.count_nonzero(tower_over):
-            raise OverflowError(
-                f"exp^({k}) of s = {float(s_in[np.argmax(tower_over)])} exceeds the double range"
-            )
+            raise _overflow_error(s_in[np.argmax(tower_over)])
         v = V.evaluate_array(y)
         nz = v != 0.0
         expo = _exp_prefactor_exponent(s_in, k)

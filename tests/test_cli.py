@@ -401,9 +401,14 @@ class TestEnvironmentAndProcess:
         (["bound", "--theorem", "t43", "--potential", "zero"], {"d": 3.0}),
         # the key was never read, and is no longer accepted
         (["bound", "--theorem", "t41", "--potential", "zero"], {"samples": 2000}),
+        (["bound", "--theorem", "t41"], {"potential": [1]}),
+        (["sweep"], {"sweep": [1]}),
+        (["sweep"], {"sweep": {"theorem": "t41", "family": "square_well",
+                               "base_params": [1], "vary": "c", "values": [1]}}),
     ], ids=["count-doublings", "sweep-doublings", "m-string", "constants-list",
-            "sweep-value-string", "d-float", "samples-key"])
-    def test_bad_numeric_configuration_is_a_config_error(self, argv, config, tmp_path):
+            "sweep-value-string", "d-float", "samples-key", "potential-list",
+            "sweep-list", "base-params-list"])
+    def test_bad_configuration_value_is_a_config_error(self, argv, config, tmp_path):
         if config is not None:
             cfg_path = tmp_path / "config.json"
             cfg_path.write_text(json.dumps(config))

@@ -375,7 +375,7 @@ class TestTransformedArrayProperties:
         width=_pos(0.01, 30.0),
         m=st.integers(1, 300),
     )
-    def test_array_matches_scalar_definition(self, V, k, l, lo, width, m):
+    def test_array_matches_scalar_evaluate(self, V, k, l, lo, width, m):
         W = transform_potential(effective_radial_potential(V, l, 3), k)
         s = np.linspace(lo, lo + width, m).tolist()
         ref = _reference_or_error(lambda x: scalar_transformed(W, x), s)
@@ -441,10 +441,10 @@ class TestTransformedArrayProperties:
             warnings.simplefilter("error")  # and no numpy overflow warning
             with pytest.raises(OverflowError, match="exceeds the double range"):
                 W(s)
-            with pytest.raises(OverflowError, match=f"s = {s}"):
+            with pytest.raises(OverflowError, match=f"s={s}"):
                 W(np.array([0.5, s, 2.0 * s]))
 
-    def test_scalar_call_returns_a_float(self):
+    def test_scalar_call_returns_the_scalar_value(self):
         W = transform_potential(effective_radial_potential(SquareWell(c=4.0, a=1.0, b=2.0), 1, 3), 1)
         got = W(0.5)
         assert type(got) is float
@@ -460,7 +460,7 @@ class TestTransformedArrayProperties:
 class TestPotentialArrayProperties:
     @settings(max_examples=300, deadline=None)
     @given(V=potentials(), l=st.sampled_from([0, 1, 3]), data=st.data())
-    def test_array_matches_scalar_definition(self, V, l, data):
+    def test_array_matches_scalar_evaluate(self, V, l, data):
         anywhere = st.one_of(_pos(1e-6, 60.0), _pos(-5.0, 0.0))
         if isinstance(V, TabulatedPotential):
             inside = st.one_of(_pos(V.r[0], V.r[-1]), st.sampled_from(V.r))
