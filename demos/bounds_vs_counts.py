@@ -17,7 +17,7 @@ print("Line operator (variant zero), V = -c on (1, 2)")
 print("=" * 72)
 print()
 print("    c   count   bound raw     floor   satisfied")
-spec = OperatorSpec.for_line_bound(0, "zero")
+spec = OperatorSpec(1, 0, "zero")
 for c in (1, 2, 4, 8, 16, 32, 64):
     V = SquareWell(c=float(c), a=1.0, b=2.0)
     bv = bound_1d(V, spec)
@@ -35,7 +35,7 @@ print("Central operator, d = 3 (variant one), V = -1 on (1, 2)")
 print("=" * 72)
 print()
 V = SquareWell(c=1.0, a=1.0, b=2.0)
-spec3 = OperatorSpec.for_central_bound(3, 0, "one")
+spec3 = OperatorSpec(3, 0, "one")
 bv = central_bound(V, spec3)
 total, table = total_central_count(spec3, V, L=20.0, m=4000)
 print("channel sum over angular momenta, each weighted by its degeneracy:")

@@ -49,7 +49,7 @@ print()
 print("V = -0.01 on (1, 2), variant zero.  The bound state exists but its")
 print("tail is ~130 units long, so small Dirichlet boxes miss it:")
 print()
-spec = OperatorSpec.for_line_bound(0, "zero")
+spec = OperatorSpec(1, 0, "zero")
 V = SquareWell(c=0.01, a=1.0, b=2.0)
 print("      L       m    count")
 for L in (20.0, 40.0, 80.0, 160.0, 320.0):

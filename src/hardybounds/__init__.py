@@ -1,128 +1,36 @@
 """Eigenvalue-count bounds for Schrodinger operators with critical Hardy and
 iterated-log Hardy weights, together with the machinery to verify them:
 coordinate transforms, adaptive quadrature, and tridiagonal eigenvalue
-counting."""
+counting.
+
+The package exports the names the README documents; everything else is
+imported from its submodule (``hardybounds.spectra.lowest_eigenvalues``)."""
 
 from .errors import DomainError, DepthCapError, EvaluationError
-from .iterfun import (
-    DEPTH_CAP,
-    DomainThreshold,
-    degeneracy,
-    hardy_weight_stack,
-    iterated_exp,
-    iterated_log,
-    sphere_area,
-)
-from .potentials import (
-    BoundedBelowCheck,
-    CentrifugalShift,
-    InverseSquareTail,
-    Potential,
-    PowerLogWell,
-    SquareWell,
-    TabulatedPotential,
-    TransformedPotential,
-    ZeroPotential,
-    check_bounded_below_weighted,
-    effective_radial_potential,
-    make_potential,
-    negative_part_abs,
-    transform_potential,
-)
-from .quadrature import QuadResult, QuadratureError, integrate, integrate_semiinfinite
-from .bounds import (
-    BoundConstants,
-    BoundValue,
-    DEFAULT_CLR_CONSTANTS,
-    OperatorSpec,
-    bargmann_halfline_bound,
-    bargmann_line_bound,
-    bound_1d,
-    central_bound,
-    clr_bound,
-    l_max,
-)
-from .spectra import (
-    CountResult,
-    Grid,
-    TridiagonalOperator,
-    assemble,
-    count_negative,
-    inertia_negative_count,
-    lowest_eigenvalues,
-    quadratic_form_value,
-    total_central_count,
-)
-from .testfunctions import TestFunction, bump, bump_suite, transform_test_function
-from .harness import (
-    ExperimentRow,
-    SweepSpec,
-    run_bound_sweep,
-    run_convergence_study,
-    run_existence_check,
-    run_hardy_positivity,
-    run_transform_identity,
-)
+from .potentials import Potential, SquareWell, ZeroPotential, transform_potential
+from .quadrature import QuadratureError, integrate, integrate_semiinfinite
+from .bounds import OperatorSpec, bound_1d, central_bound, clr_bound
+from .spectra import count_negative, total_central_count
+from .testfunctions import bump
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEPTH_CAP",
-    "DEFAULT_CLR_CONSTANTS",
-    "BoundConstants",
-    "BoundValue",
-    "BoundedBelowCheck",
-    "CentrifugalShift",
-    "CountResult",
-    "DomainError",
-    "DomainThreshold",
     "DepthCapError",
+    "DomainError",
     "EvaluationError",
-    "ExperimentRow",
-    "Grid",
-    "InverseSquareTail",
     "OperatorSpec",
     "Potential",
-    "PowerLogWell",
-    "QuadResult",
     "QuadratureError",
     "SquareWell",
-    "SweepSpec",
-    "TabulatedPotential",
-    "TestFunction",
-    "TransformedPotential",
-    "TridiagonalOperator",
     "ZeroPotential",
-    "assemble",
-    "bargmann_halfline_bound",
-    "bargmann_line_bound",
     "bound_1d",
     "bump",
-    "bump_suite",
     "central_bound",
-    "check_bounded_below_weighted",
     "clr_bound",
     "count_negative",
-    "degeneracy",
-    "effective_radial_potential",
-    "hardy_weight_stack",
-    "inertia_negative_count",
     "integrate",
     "integrate_semiinfinite",
-    "iterated_exp",
-    "iterated_log",
-    "l_max",
-    "lowest_eigenvalues",
-    "make_potential",
-    "negative_part_abs",
-    "quadratic_form_value",
-    "run_bound_sweep",
-    "run_convergence_study",
-    "run_existence_check",
-    "run_hardy_positivity",
-    "run_transform_identity",
-    "sphere_area",
     "total_central_count",
     "transform_potential",
-    "transform_test_function",
 ]

@@ -79,14 +79,6 @@ class OperatorSpec:
         return self._threshold  # type: ignore[attr-defined]
 
     @classmethod
-    def for_line_bound(cls, n: int, variant: str) -> "OperatorSpec":
-        return cls(d=1, n=n, variant=variant)
-
-    @classmethod
-    def for_central_bound(cls, d: int, n: int, variant: str) -> "OperatorSpec":
-        return cls(d=d, n=n, variant=variant)
-
-    @classmethod
     def for_clr_bound(cls, d: int, n: int, variant: str) -> "OperatorSpec":
         return cls(d=d, n=n, variant=variant, threshold_depth=n + 2)
 

@@ -26,6 +26,7 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .errors import DomainError, DepthCapError, EvaluationError
+from .iterfun import DEPTH_CAP
 from .bounds import (
     BoundConstants,
     OperatorSpec,
@@ -34,6 +35,7 @@ from .bounds import (
     clr_bound,
 )
 from .harness import (
+    MAX_EXISTENCE_WINDOW,
     SWEEP_TOL,
     SweepSpec,
     default_sweeps,
@@ -100,9 +102,6 @@ class RunConfig:
     json_out: Optional[str] = None
     csv_out: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in fields(cls)}
@@ -110,17 +109,6 @@ class RunConfig:
         if unknown:
             raise ConfigError(f"unknown configuration keys: {sorted(unknown)}")
         return cls(**data)
-
-
-DEFAULTS_TABLE = {
-    "L": 20.0,
-    "m": 4000,
-    "doublings": 1,
-    "tol": BOUND_TOL,
-    "C_3": 0.1156,
-    "existence_max_window": 320.0,
-    "transform_depth_cap": 3,
-}
 
 
 def parse_potential_literal(text: str) -> dict:
@@ -276,6 +264,8 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"variant must be 'zero' or 'one', got {cfg.variant!r}")
     if cfg.n < 0 or cfg.d < 1:
         raise ConfigError(f"need d >= 1 and n >= 0, got d={cfg.d}, n={cfg.n}")
+    if cfg.l is not None and cfg.l < 0:
+        raise ConfigError(f"channel index l must be >= 0, got {cfg.l}")
     if cfg.L <= 0 or cfg.m < 2:
         raise ConfigError(f"need L > 0 and m >= 2, got L={cfg.L}, m={cfg.m}")
     if cfg.tol is not None and cfg.tol <= 0:
@@ -288,7 +278,7 @@ def _operator_for(cfg: RunConfig) -> OperatorSpec:
     if cfg.theorem == "t41":
         if cfg.d != 1:
             raise ConfigError("t41 needs d = 1")
-        return OperatorSpec.for_line_bound(cfg.n, cfg.variant)
+        return OperatorSpec(1, cfg.n, cfg.variant)
     if cfg.theorem == "t42":
         if cfg.d < 3:
             raise ConfigError("t42 needs d >= 3")
@@ -296,7 +286,7 @@ def _operator_for(cfg: RunConfig) -> OperatorSpec:
     if cfg.theorem == "t43":
         if cfg.d < 2:
             raise ConfigError("t43 needs d >= 2 (use t41 for the line)")
-        return OperatorSpec.for_central_bound(cfg.d, cfg.n, cfg.variant)
+        return OperatorSpec(cfg.d, cfg.n, cfg.variant)
     raise ConfigError("this command needs --theorem t41|t42|t43")
 
 
@@ -331,7 +321,7 @@ def cmd_bound(cfg: RunConfig) -> int:
         write_json_report(
             cfg.json_out,
             {
-                "config": cfg.to_dict(),
+                "config": asdict(cfg),
                 "bound_raw": bv.raw,
                 "bound_cap": bv.integer_cap,
                 "error_estimate": bv.diagnostics.error_estimate,
@@ -352,7 +342,7 @@ def cmd_count(cfg: RunConfig) -> int:
     if cfg.theorem is None:
         cfg.theorem = "t41" if cfg.d == 1 else "t43"
     spec = _operator_for(cfg)
-    payload: dict = {"config": cfg.to_dict()}
+    payload: dict = {"config": asdict(cfg)}
     if spec.d == 1 or cfg.l is not None:
         res = count_negative(
             spec, V, l=cfg.l, L=cfg.L, m=cfg.m, doublings=cfg.doublings
@@ -387,7 +377,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
     if suite in ("hardy", "all"):
         rep = run_hardy_positivity()
-        reports.append(rep.to_dict())
+        reports.append({"suite": "hardy", **asdict(rep)})
         print(f"hardy       : min quotient {rep.min_quotient:.3e} "
               f"{'PASS' if rep.passed else 'FAIL'}")
         failed |= not rep.passed
@@ -395,7 +385,7 @@ def cmd_verify(cfg: RunConfig) -> int:
         if cfg.tol is None:
             cfg.tol = TRANSFORM_TOL
         rep = run_transform_identity(tol=cfg.tol)
-        reports.append(rep.to_dict())
+        reports.append({"suite": "transform", **asdict(rep)})
         print(f"transform   : max discrepancy {rep.max_discrepancy:.3e} "
               f"{'PASS' if rep.passed else 'FAIL'}")
         failed |= not rep.passed
@@ -406,7 +396,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             rows_ok = all(r.satisfied for r in rows)
             ok &= rows_ok
             reports.append({"suite": f"bounds-{theorem}",
-                            "rows": [r.to_dict() for r in rows],
+                            "rows": [asdict(r) for r in rows],
                             "passed": rows_ok})
             print(f"bounds {theorem}  : {len(rows)} rows "
                   f"{'PASS' if rows_ok else 'FAIL'}")
@@ -426,7 +416,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             SquareWell(c=4.0, a=0.5, b=3.0),
         ]
         rep = run_existence_check(wells)
-        reports.append(rep.to_dict())
+        reports.append({"suite": "existence", **asdict(rep)})
         inconclusive = [c for c in rep.cases if c.status == "inconclusive"]
         warned |= bool(inconclusive)
         print(f"existence   : {len(rep.cases)} cases, "
@@ -434,15 +424,15 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"{'PASS' if rep.passed else 'FAIL'}")
         failed |= not rep.passed
     if suite in ("convergence", "all"):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         rep = run_convergence_study(spec, SquareWell(c=16.0, a=1.0, b=2.0))
-        reports.append(rep.to_dict())
+        reports.append({"suite": "convergence", **asdict(rep)})
         print(f"convergence : stabilized={rep.stabilized} "
               f"count={rep.stable_count} "
               f"{'PASS' if rep.stabilized else 'INCONCLUSIVE'}")
 
     if cfg.json_out:
-        write_json_report(cfg.json_out, {"config": cfg.to_dict(), "reports": reports})
+        write_json_report(cfg.json_out, {"config": asdict(cfg), "reports": reports})
     if failed:
         return EXIT_VERIFY_FAILED
     if warned:
@@ -466,7 +456,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.tol is None:
         cfg.tol = SWEEP_TOL
     rows = run_bound_sweep(sweep, theorem, constants=_constants_from_config(cfg), tol=cfg.tol)
-    dicts = [r.to_dict() for r in rows]
+    dicts = [asdict(r) for r in rows]
     for r in rows:
         cap = "inf" if r.bound_cap is None else r.bound_cap
         print(f"{r.experiment_id}: count={r.count} cap={cap} "
@@ -474,13 +464,21 @@ def cmd_sweep(cfg: RunConfig) -> int:
     if cfg.csv_out:
         write_csv_rows(cfg.csv_out, dicts)
     if cfg.json_out:
-        write_json_report(cfg.json_out, {"config": cfg.to_dict(), "rows": dicts})
+        write_json_report(cfg.json_out, {"config": asdict(cfg), "rows": dicts})
     return EXIT_OK if all(r.satisfied for r in rows) else EXIT_VERIFY_FAILED
 
 
 def show_defaults() -> None:
+    """Print the defaults the commands use, read from where they are set."""
+    cfg = RunConfig()
+    rows = {key: getattr(cfg, key) for key in ("d", "n", "variant", "L", "m", "doublings")}
+    rows.update({f"C_{d}": c for d, c in cfg.constants.items()})
+    rows.update(bound_tol=BOUND_TOL, sweep_tol=SWEEP_TOL,
+                verify_transform_tol=TRANSFORM_TOL,
+                existence_max_window=MAX_EXISTENCE_WINDOW,
+                transform_depth_cap=DEPTH_CAP)
     print("default settings:")
-    for key, value in DEFAULTS_TABLE.items():
+    for key, value in rows.items():
         print(f"  {key:<24} {value}")
 
 

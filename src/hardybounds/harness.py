@@ -75,18 +75,6 @@ class PositivityReport:
     passed: bool
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": "hardy",
-            "passed": self.passed,
-            "min_quotient": self.min_quotient,
-            "tolerance": self.tolerance,
-            "cases": [
-                {"d": c.d, "n": c.n, "support": list(c.support), "quotient": c.quotient}
-                for c in self.cases
-            ],
-        }
-
 
 def run_hardy_positivity(
     d_list=(1, 2, 3, 5),
@@ -129,26 +117,6 @@ class IdentityReport:
     max_discrepancy: float
     passed: bool
     tolerance: float
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": "transform",
-            "passed": self.passed,
-            "max_discrepancy": self.max_discrepancy,
-            "tolerance": self.tolerance,
-            "cases": [
-                {
-                    "d": c.d,
-                    "n": c.n,
-                    "potential": c.potential,
-                    "support": list(c.support),
-                    "original": c.original,
-                    "transformed": c.transformed,
-                    "discrepancy": c.discrepancy,
-                }
-                for c in self.cases
-            ],
-        }
 
 
 def run_transform_identity(
@@ -206,23 +174,6 @@ class ExistenceReport:
     passed: bool  # no case failed outright; inconclusive counts as pass-with-warning
     warnings: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": "existence",
-            "passed": self.passed,
-            "warnings": list(self.warnings),
-            "cases": [
-                {
-                    "potential": c.potential,
-                    "n": c.n,
-                    "count": c.count,
-                    "window": c.window,
-                    "status": c.status,
-                }
-                for c in self.cases
-            ],
-        }
-
 
 def run_existence_check(
     potentials,
@@ -241,7 +192,7 @@ def run_existence_check(
     cases = []
     warnings = []
     for V in potentials:
-        spec = OperatorSpec.for_line_bound(n, "zero")
+        spec = OperatorSpec(1, n, "zero")
         Lj, mj = L, m
         count = count_negative(spec, V, L=Lj, m=mj).negative_count
         while count == 0 and Lj * 2 <= max_window:
@@ -308,27 +259,6 @@ class ExperimentRow:
     quad_err: float
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        out = {
-            "experiment_id": self.experiment_id,
-            "theorem": self.theorem,
-            "d": self.d,
-            "n": self.n,
-            "variant": self.variant,
-            "family": self.family,
-            "params": self.params,
-            "count": self.count,
-            "count_trail": list(self.count_trail),
-            "bound_raw": self.bound_raw,
-            "bound_cap": self.bound_cap,
-            "satisfied": self.satisfied,
-            "L": self.L,
-            "m": self.m,
-            "quad_err": self.quad_err,
-            "notes": list(self.notes),
-        }
-        return out
-
 
 def run_bound_sweep(
     sweep: SweepSpec,
@@ -350,12 +280,12 @@ def run_bound_sweep(
     rows = []
     for value, V in sweep.potentials():
         if theorem == "t41":
-            spec = OperatorSpec.for_line_bound(sweep.n, sweep.variant)
+            spec = OperatorSpec(1, sweep.n, sweep.variant)
             bound = bound_1d(V, spec, tol=tol)
             res = count_negative(spec, V, L=sweep.L, m=sweep.m, doublings=sweep.doublings)
             count, trail = res.negative_count, res.trail
         elif theorem == "t43":
-            spec = OperatorSpec.for_central_bound(sweep.d, sweep.n, sweep.variant)
+            spec = OperatorSpec(sweep.d, sweep.n, sweep.variant)
             bound = central_bound(V, spec, tol=tol)
             count, table = total_central_count(
                 spec, V, L=sweep.L, m=sweep.m, doublings=sweep.doublings
@@ -398,15 +328,6 @@ class ConvergenceReport:
     grid_trail: tuple[dict, ...]
     stabilized: bool
     stable_count: Optional[int]
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": "convergence",
-            "stabilized": self.stabilized,
-            "stable_count": self.stable_count,
-            "window_trail": list(self.window_trail),
-            "grid_trail": list(self.grid_trail),
-        }
 
 
 def run_convergence_study(

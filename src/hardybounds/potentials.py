@@ -18,6 +18,7 @@ log magnitude so compactly supported wells never overflow.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 from typing import Optional
@@ -453,6 +454,10 @@ _FAMILIES = {
 }
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def make_potential(family: str, params: Optional[dict] = None) -> Potential:
     """Construct a potential from its family tag and a parameter mapping.
 
@@ -476,6 +481,15 @@ def make_potential(family: str, params: Optional[dict] = None) -> Potential:
         missing = set(keys) - set(params)
     if missing:
         raise DomainError(f"missing parameters for {family}: {sorted(missing)}")
+    for key in keys:
+        value = params[key]
+        if family == "tabulated":
+            what = "a sequence of real numbers"
+            ok = isinstance(value, (list, tuple, np.ndarray)) and all(map(_is_real, value))
+        else:
+            what, ok = "a real number", _is_real(value)
+        if not ok:
+            raise DomainError(f"{family} parameter {key} must be {what}, got {value!r}")
     if family == "tabulated":
         return cls(r=tuple(params["r"]), v=tuple(params["v"]))
     return cls(**{k: params[k] for k in keys}) if keys else cls()

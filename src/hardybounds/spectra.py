@@ -272,14 +272,14 @@ def count_negative(
     """Negative-eigenvalue count of the transformed operator on a Dirichlet
     window of half-width L (full line) or length L (half line), with
     ``doublings`` rounds of simultaneous window and grid doubling recorded in
-    the refinement trail."""
+    the refinement trail.  ``eigenvalues`` > 0 also bisects for that many
+    lowest eigenvalues, once, on the finest matrix."""
     if L <= 0.0 or m < 2:
         raise DomainError(f"need L > 0 and m >= 2, got L={L}, m={m}")
     check_doublings(doublings)
     W = channel_potential(V, spec, l)
     s0 = transformed_window_start(spec, spec.n + 1)
     trail = []
-    result = None
     for j in range(doublings + 1):
         Lj = L * 2**j
         mj = m * 2**j
@@ -292,18 +292,16 @@ def count_negative(
         ambiguous = isinstance(raw, tuple)
         count = raw[1] if ambiguous else raw
         trail.append({"L": Lj, "m": mj, "count": count, "ambiguous": ambiguous})
-        lows = tuple(lowest_eigenvalues(T, eigenvalues)) if eigenvalues else ()
-        result = CountResult(
-            negative_count=count,
-            lowest_eigenvalues=lows,
-            s_min=grid.s_min,
-            s_max=grid.s_max,
-            m=mj,
-            trail=tuple(trail),
-            ambiguous=ambiguous,
-            pivot_interval=raw if ambiguous else None,
-        )
-    return result
+    return CountResult(
+        negative_count=count,
+        lowest_eigenvalues=tuple(lowest_eigenvalues(T, eigenvalues)) if eigenvalues else (),
+        s_min=grid.s_min,
+        s_max=grid.s_max,
+        m=mj,
+        trail=tuple(trail),
+        ambiguous=ambiguous,
+        pivot_interval=raw if ambiguous else None,
+    )
 
 
 def total_central_count(

@@ -91,7 +91,7 @@ def test_halfline_bound_and_count_agree():
     # variant one, depth 0, V = -1 on (1,2): raw = 2 ln 2 - 3/4 within 1e-9,
     # cap 0, discrete count 0 at (L=20, m=4000), stable under one doubling
     with _Stopwatch(5.0) as watch:
-        spec = OperatorSpec.for_line_bound(0, "one")
+        spec = OperatorSpec(1, 0, "one")
         V = SquareWell(c=1.0, a=1.0, b=2.0)
         bv = bound_1d(V, spec, tol=1e-12)
         res = count_negative(spec, V, L=20.0, m=4000, doublings=1)
@@ -110,7 +110,7 @@ def test_existence_and_depth_ladder():
     # variant zero binds at least one state; the ladder counts stay below
     # floor(1 + c (2 ln 2 - 3/4)) and never decrease with depth
     with _Stopwatch(60.0) as watch:
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         base = count_negative(
             spec, SquareWell(c=1.0, a=1.0, b=2.0), L=20.0, m=4000
         ).negative_count
@@ -141,7 +141,7 @@ def test_central_channel_bound_d3():
     # degeneracy-weighted counts stay below floor(raw)
     with _Stopwatch(30.0) as watch:
         V = SquareWell(c=1.0, a=1.0, b=2.0)
-        spec = OperatorSpec.for_central_bound(3, 0, "one")
+        spec = OperatorSpec(3, 0, "one")
         lm = l_max(V, 3, DomainThreshold(0, "one"))
         bv = central_bound(V, spec, tol=1e-12)
         total, table = total_central_count(spec, V, L=20.0, m=4000, doublings=1)

@@ -86,33 +86,33 @@ class TestWeight:
 
 class TestBound1d:
     def test_zero_variant_zero(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         bv = bound_1d(ZeroPotential(), spec)
         assert bv.raw == 1.0
         assert bv.integer_cap == 1
 
     def test_well_variant_one(self):
-        spec = OperatorSpec.for_line_bound(0, "one")
+        spec = OperatorSpec(1, 0, "one")
         bv = bound_1d(SquareWell(c=1.0, a=1.0, b=2.0), spec, tol=1e-12)
         assert bv.raw == pytest.approx(X_LN_X_1_2, rel=1e-10)
         assert abs(bv.raw - X_LN_X_1_2) < 1e-9
         assert bv.integer_cap == 0
 
     def test_well_variant_zero(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         bv = bound_1d(SquareWell(c=1.0, a=1.0, b=2.0), spec, tol=1e-12)
         assert bv.raw == pytest.approx(1.0 + X_LN_X_1_2, rel=1e-10)
         assert bv.integer_cap == 1
 
     def test_depth_scaling_is_linear(self):
-        spec = OperatorSpec.for_line_bound(0, "one")
+        spec = OperatorSpec(1, 0, "one")
         base = bound_1d(SquareWell(c=1.0, a=1.0, b=2.0), spec, tol=1e-12).raw
         for lam in (2.0, 5.0, 12.5):
             scaled = bound_1d(SquareWell(c=lam, a=1.0, b=2.0), spec, tol=1e-12).raw
             assert scaled == pytest.approx(lam * base, rel=1e-10)
 
     def test_monotone_in_potential(self):
-        spec = OperatorSpec.for_line_bound(0, "one")
+        spec = OperatorSpec(1, 0, "one")
         shallow = bound_1d(SquareWell(c=1.0, a=1.0, b=2.0), spec).raw
         deeper = bound_1d(SquareWell(c=1.0, a=0.8, b=2.3), spec).raw
         deepest = bound_1d(SquareWell(c=1.5, a=0.8, b=2.3), spec).raw
@@ -120,7 +120,7 @@ class TestBound1d:
 
     def test_depth_one_weight(self):
         # n=1, variant one: threshold e, weight x ln x ln ln x on (e, e^2)
-        spec = OperatorSpec.for_line_bound(1, "one")
+        spec = OperatorSpec(1, 1, "one")
         V = SquareWell(c=1.0, a=math.e, b=math.e**2)
         bv = bound_1d(V, spec, tol=1e-12)
         oracle = integrate(
@@ -134,10 +134,10 @@ class TestBound1d:
     def test_depth_three_weights_and_thresholds(self):
         # depth 3 exercises four nested logs in the weight and the threshold
         # exp^(3)(1) = 3814279...; a well below the threshold contributes 0
-        one = OperatorSpec.for_line_bound(3, "one")
+        one = OperatorSpec(1, 3, "one")
         assert one.threshold.value == pytest.approx(3814279.104760214, rel=1e-12)
         assert bound_1d(SquareWell(c=1.0, a=1.0, b=2.0), one).raw == 0.0
-        zero = OperatorSpec.for_line_bound(3, "zero")
+        zero = OperatorSpec(1, 3, "zero")
         V = SquareWell(c=1.0, a=4.0e6, b=8.0e6)
         bv = bound_1d(V, zero, tol=1e-10)
         oracle = integrate(
@@ -146,7 +146,7 @@ class TestBound1d:
         assert bv.raw == pytest.approx(1.0 + oracle, rel=1e-9)
 
     def test_hypothesis_warning_is_attached_not_fatal(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         V = PowerLogWell(c=1.0, p=-1.0, q=0.0, a=0.001, b=math.inf)
         bv = bound_1d(V, spec)
         assert bv.diagnostics.warnings  # flagged, but evaluation proceeded
@@ -167,7 +167,7 @@ class TestBound1d:
         assert bound_1d(SquareWell(c=1.0, a=1.0, b=13.0), spec).raw == 0.0
 
     def test_floor_consistency(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         for c in (0.3, 1.0, 2.7, 8.1):
             bv = bound_1d(SquareWell(c=c, a=1.0, b=2.0), spec)
             assert bv.integer_cap == math.floor(bv.raw)
@@ -241,7 +241,7 @@ class TestLmax:
 
     def test_central_bound_of_infinite_supremum_is_vacuous(self):
         V = PowerLogWell(c=1.0, p=-1.0, q=0.0, a=2.0, b=math.inf)
-        bv = central_bound(V, OperatorSpec.for_central_bound(3, 0, "one"))
+        bv = central_bound(V, OperatorSpec(3, 0, "one"))
         assert bv.raw == math.inf
         assert bv.integer_cap is None
         assert any("diverge" in note for note in bv.diagnostics.notes)
@@ -249,14 +249,14 @@ class TestLmax:
 
 class TestCentralBound:
     def test_nonnegative_potential_gives_zero(self):
-        spec = OperatorSpec.for_central_bound(3, 0, "zero")
+        spec = OperatorSpec(3, 0, "zero")
         bv = central_bound(ZeroPotential(), spec)
         assert bv.raw == 0.0
         assert bv.integer_cap == 0
         assert bv.channels == ()
 
     def test_d3_variant_one_channel_values(self):
-        spec = OperatorSpec.for_central_bound(3, 0, "one")
+        spec = OperatorSpec(3, 0, "one")
         bv = central_bound(SquareWell(c=1.0, a=1.0, b=2.0), spec, tol=1e-12)
         assert len(bv.channels) == 2
         assert bv.channels[0].integral == pytest.approx(X_LN_X_1_2, abs=1e-9)
@@ -265,10 +265,10 @@ class TestCentralBound:
 
     def test_d3_variant_zero_adds_degeneracies(self):
         one = central_bound(
-            SquareWell(c=1.0, a=1.0, b=2.0), OperatorSpec.for_central_bound(3, 0, "one")
+            SquareWell(c=1.0, a=1.0, b=2.0), OperatorSpec(3, 0, "one")
         )
         zero = central_bound(
-            SquareWell(c=1.0, a=1.0, b=2.0), OperatorSpec.for_central_bound(3, 0, "zero")
+            SquareWell(c=1.0, a=1.0, b=2.0), OperatorSpec(3, 0, "zero")
         )
         # support inside (1,2): integrals match, the zero variant adds D(3,0)+D(3,1)=4
         assert zero.raw == pytest.approx(one.raw + 4.0, rel=1e-10)
@@ -329,8 +329,8 @@ class TestCentralBound:
         # deep narrow well keeps l_max = 0
         V = SquareWell(c=0.4, a=1.0, b=1.5)
         assert l_max(V, 3, DomainThreshold(0, "one")) == 0
-        spec3 = OperatorSpec.for_central_bound(3, 0, "one")
-        spec1 = OperatorSpec.for_line_bound(0, "one")
+        spec3 = OperatorSpec(3, 0, "one")
+        spec1 = OperatorSpec(1, 0, "one")
         assert central_bound(V, spec3).raw == pytest.approx(
             bound_1d(V, spec1).raw, rel=1e-10
         )

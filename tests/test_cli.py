@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
@@ -35,9 +36,9 @@ class TestConfig:
     def test_round_trip(self):
         cfg = RunConfig(theorem="t41", d=1, n=0, variant="one",
                         potential={"family": "square_well", "c": 1.0, "a": 1.0, "b": 2.0})
-        again = RunConfig.from_dict(cfg.to_dict())
+        again = RunConfig.from_dict(asdict(cfg))
         assert again == cfg
-        assert again.to_dict() == cfg.to_dict()
+        assert asdict(again) == asdict(cfg)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError):
@@ -182,6 +183,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "PASS" in out
+
+    def test_report_carries_its_suite_tag(self, tmp_path, capsys):
+        path = tmp_path / "hardy.json"
+        code = main(["verify", "hardy", "--json", str(path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        (d,) = json.loads(path.read_text())["reports"]
+        assert d["suite"] == "hardy" and d["passed"] is True
 
     @pytest.mark.parametrize("argv, expected", [
         ([], 1e-6),
@@ -356,6 +365,68 @@ class TestEnvironmentAndProcess:
         assert code == EXIT_OK
         assert "bound cap  : 0" in out  # variant one drops the +1
 
+    def test_show_defaults_rows_are_the_values_used(self, tmp_path, capsys, monkeypatch):
+        import hardybounds.cli as climod
+        import hardybounds.harness as harnessmod
+        from hardybounds.harness import IdentityReport
+
+        assert main(["--show-defaults"]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()[1:]
+        rows = dict(line.split(None, 1) for line in lines)
+        used = {}
+
+        def spy(name, fn):
+            def record(*args, **kwargs):
+                used[name] = (args, kwargs)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(climod, name, record)
+
+        spy("count_negative", climod.count_negative)
+        assert main(["count", "--potential", "zero"]) == EXIT_OK
+        (spec, _), kw = used["count_negative"]
+        assert (spec.d, spec.n, spec.variant) == (int(rows["d"]), int(rows["n"]), rows["variant"])
+        assert (kw["L"], kw["m"], kw["doublings"]) == (
+            float(rows["L"]), int(rows["m"]), int(rows["doublings"]))
+
+        spy("bound_1d", climod.bound_1d)
+        spy("clr_bound", climod.clr_bound)
+        assert main(["bound", "--theorem", "t41", "--potential", "zero"]) == EXIT_OK
+        assert used["bound_1d"][1]["tol"] == float(rows["bound_tol"])
+        assert main(["bound", "--theorem", "t42", "--d", "3", "--potential", "zero"]) == EXIT_OK
+        assert used["clr_bound"][1]["constants"].get(3) == float(rows["C_3"])
+
+        spy("run_bound_sweep", lambda sweep, theorem, constants=None, tol=None: [])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"sweep": {
+            "theorem": "t41", "family": "square_well",
+            "base_params": {"a": 1.0, "b": 2.0}, "vary": "c", "values": [1]}}))
+        assert main(["sweep", "--config", str(cfg_path)]) == EXIT_OK
+        assert used["run_bound_sweep"][1]["tol"] == float(rows["sweep_tol"])
+
+        spy("run_transform_identity", lambda tol: IdentityReport((), 0.0, True, tol))
+        assert main(["verify", "transform"]) == EXIT_OK
+        assert used["run_transform_identity"][1]["tol"] == float(rows["verify_transform_tol"])
+
+        # with no bound state anywhere the window doubles up to the ceiling
+        class NoCount:
+            negative_count = 0
+        monkeypatch.setattr(harnessmod, "count_negative", lambda *a, **k: NoCount)
+        path = tmp_path / "existence.json"
+        assert main(["verify", "existence", "--json", str(path)]) == EXIT_OK
+        ceiling = float(rows["existence_max_window"])
+        for case in json.loads(path.read_text())["reports"][0]["cases"]:
+            assert case["window"] <= ceiling < 2 * case["window"]
+
+        cap = int(rows["transform_depth_cap"])
+        capsys.readouterr()
+        assert main(["count", "--n", str(cap - 1), "--potential", "zero", "--m", "50"]) == EXIT_OK
+        assert main(["count", "--n", str(cap), "--potential", "zero", "--m", "50"]) \
+            == EXIT_NUMERICAL
+        assert f"cap {cap}" in capsys.readouterr().err
+        assert set(rows) == {"d", "n", "variant", "L", "m", "doublings", "C_3", "bound_tol",
+                             "sweep_tol", "verify_transform_tol", "existence_max_window",
+                             "transform_depth_cap"}
+
     def test_subprocess_exit_codes(self):
         code, out, _ = run_cli("--show-defaults")
         assert code == EXIT_OK and "C_3" in out
@@ -405,9 +476,16 @@ class TestEnvironmentAndProcess:
         (["sweep"], {"sweep": [1]}),
         (["sweep"], {"sweep": {"theorem": "t41", "family": "square_well",
                                "base_params": [1], "vary": "c", "values": [1]}}),
+        (["count", "--d", "3", "--l", "-1", "--potential", "zero"], None),
+        (["count", "--potential", "zero"], {"d": 3, "l": -1}),
+        (["bound", "--theorem", "t41"],
+         {"potential": {"family": "square_well", "c": "x", "a": 1, "b": 2}}),
+        (["bound", "--theorem", "t41"],
+         {"potential": {"family": "tabulated", "r": [1, 2], "v": ["a", 1]}}),
     ], ids=["count-doublings", "sweep-doublings", "m-string", "constants-list",
             "sweep-value-string", "d-float", "samples-key", "potential-list",
-            "sweep-list", "base-params-list"])
+            "sweep-list", "base-params-list", "l-negative-flag", "l-negative-config",
+            "potential-param-string", "tabulated-sample-string"])
     def test_bad_configuration_value_is_a_config_error(self, argv, config, tmp_path):
         if config is not None:
             cfg_path = tmp_path / "config.json"

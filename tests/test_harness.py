@@ -1,8 +1,10 @@
 import math
+from dataclasses import asdict
 
 import pytest
 
 from hardybounds.bounds import OperatorSpec
+from hardybounds.cli import _jsonable
 from hardybounds.errors import DomainError
 from hardybounds.harness import (
     SweepSpec,
@@ -29,8 +31,8 @@ class TestPositivitySuite:
 
     def test_report_serializes(self):
         rep = run_hardy_positivity(d_list=(3,), n_list=(0,), suite_size=1)
-        d = rep.to_dict()
-        assert d["suite"] == "hardy" and d["passed"] is True
+        d = _jsonable(asdict(rep))
+        assert d["passed"] is True and d["cases"][0]["support"] == list(rep.cases[0].support)
 
     def test_rejects_empty_suite(self):
         with pytest.raises(DomainError):
@@ -138,14 +140,14 @@ class TestSweeps:
             family="square_well", base_params={"a": 1.0, "b": 2.0},
             vary="c", values=(2,), d=1, n=0, variant="one", m=1000, doublings=0,
         )
-        row = run_bound_sweep(sweep, "t41")[0].to_dict()
+        row = asdict(run_bound_sweep(sweep, "t41")[0])
         for key in ("experiment_id", "theorem", "count", "bound_raw", "satisfied"):
             assert key in row
 
 
 class TestConvergence:
     def test_zero_potential_constant_zero(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         rep = run_convergence_study(
             spec, ZeroPotential(),
             window_ladder=(5.0, 10.0, 20.0), grid_ladder=(500, 1000, 2000),
@@ -155,7 +157,7 @@ class TestConvergence:
         assert all(r["count"] == 0 for r in rep.window_trail)
 
     def test_deep_well_stabilizes(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         rep = run_convergence_study(
             spec, SquareWell(c=64.0, a=1.0, b=2.0),
             window_ladder=(5.0, 10.0, 20.0), grid_ladder=(1000, 2000, 4000),
@@ -166,7 +168,7 @@ class TestConvergence:
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_weak_well_is_window_limited_but_grid_stable(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         rep = run_convergence_study(
             spec, SquareWell(c=0.01, a=1.0, b=2.0),
             window_ladder=(40.0, 160.0, 320.0), grid_ladder=(8000, 16000, 32000),
@@ -176,7 +178,7 @@ class TestConvergence:
         assert rep.stabilized and rep.stable_count == 1  # grid-stable at large L
 
     def test_ladder_length_validated(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         with pytest.raises(DomainError):
             run_convergence_study(spec, ZeroPotential(), window_ladder=(5.0, 10.0),
                                   grid_ladder=(100, 200, 400))
@@ -189,7 +191,7 @@ class TestCountBoundConsistency:
     def test_line_counts_below_caps(self, c):
         from hardybounds.bounds import bound_1d
 
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         V = SquareWell(c=c, a=1.0, b=2.0)
         count = count_negative(spec, V, L=20.0, m=2000).negative_count
         cap = bound_1d(V, spec).integer_cap

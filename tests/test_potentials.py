@@ -280,3 +280,22 @@ class TestFactory:
             make_potential("square_well", {"c": 1.0, "a": 1.0, "b": 2.0, "x": 5})
         with pytest.raises(DomainError):
             make_potential("square_well", {"c": 1.0})
+
+    @pytest.mark.parametrize("family, params", [
+        ("square_well", {"c": "x", "a": 1, "b": 2}),
+        ("square_well", {"c": True, "a": 1, "b": 2}),
+        ("inverse_square", {"c": None, "a": 1}),
+        ("power_log_well", {"c": 1, "a": 1, "b": 2, "q": [0]}),
+        ("tabulated", {"r": [1, 2], "v": ["a", 1]}),
+        ("tabulated", {"r": [1, 2], "v": [0, False]}),
+        ("tabulated", {"r": 3, "v": [0, 1]}),
+        ("tabulated", {"r": "12", "v": [0, 1]}),
+    ])
+    def test_rejects_non_real_parameters(self, family, params):
+        with pytest.raises(DomainError, match="real number"):
+            make_potential(family, params)
+
+    def test_accepts_ints_and_numpy_samples(self):
+        assert make_potential("square_well", {"c": 1, "a": 1, "b": 2}) == SquareWell(1.0, 1.0, 2.0)
+        V = make_potential("tabulated", {"r": np.array([1.0, 2.0]), "v": (np.int64(-1), 0)})
+        assert V.r == (1.0, 2.0) and V.v == (-1.0, 0.0)

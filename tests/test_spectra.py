@@ -15,6 +15,7 @@ from hardybounds.spectra import (
     Grid,
     TridiagonalOperator,
     assemble,
+    channel_potential,
     count_negative,
     inertia_negative_count,
     lowest_eigenvalues,
@@ -125,12 +126,12 @@ class TestLowestEigenvalues:
 class TestWindowMapping:
     def test_line_domains_map_to_whole_line(self):
         for n in (0, 1, 2):
-            spec = OperatorSpec.for_line_bound(n, "zero")
+            spec = OperatorSpec(1, n, "zero")
             assert transformed_window_start(spec, n + 1) == -math.inf
 
     def test_variant_one_maps_to_origin(self):
         for n in (0, 1, 2):
-            spec = OperatorSpec.for_line_bound(n, "one")
+            spec = OperatorSpec(1, n, "one")
             assert transformed_window_start(spec, n + 1) == 0.0
 
     def test_clr_domains_map_inside(self):
@@ -144,12 +145,12 @@ class TestCountNegative:
     def test_zero_potential_counts_zero(self):
         for variant in ("zero", "one"):
             for n in (0, 1):
-                spec = OperatorSpec.for_line_bound(n, variant)
+                spec = OperatorSpec(1, n, variant)
                 res = count_negative(spec, ZeroPotential(), L=10.0, m=500)
                 assert res.negative_count == 0
 
     def test_halfline_well_below_cap(self):
-        spec = OperatorSpec.for_line_bound(0, "one")
+        spec = OperatorSpec(1, 0, "one")
         res = count_negative(
             spec, SquareWell(c=1.0, a=1.0, b=2.0), L=20.0, m=2000, doublings=1
         )
@@ -157,12 +158,12 @@ class TestCountNegative:
         assert all(step["count"] == 0 for step in res.trail)
 
     def test_line_well_binds(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         res = count_negative(spec, SquareWell(c=1.0, a=1.0, b=2.0), L=20.0, m=2000)
         assert res.negative_count >= 1
 
     def test_window_monotonicity(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         V = SquareWell(c=16.0, a=1.0, b=2.0)
         counts = [
             count_negative(spec, V, L=L, m=int(100 * L)).negative_count
@@ -171,25 +172,25 @@ class TestCountNegative:
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
     def test_deep_well_needs_channels_for_d3(self):
-        spec = OperatorSpec.for_central_bound(3, 0, "one")
+        spec = OperatorSpec(3, 0, "one")
         with pytest.raises(DomainError):
             count_negative(spec, SquareWell(c=50.0, a=0.5, b=2.0))
 
     def test_depth_cap_on_transform_steps(self):
         from hardybounds.errors import DepthCapError
 
-        spec = OperatorSpec.for_line_bound(3, "one")
+        spec = OperatorSpec(1, 3, "one")
         with pytest.raises(DepthCapError):
             count_negative(spec, SquareWell(c=1.0, a=1.0, b=2.0), L=5.0, m=100)
 
     @pytest.mark.parametrize("doublings", [-1, 1.5, True])
     def test_bad_doublings_are_a_domain_error(self, doublings):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         with pytest.raises(DomainError, match="doublings"):
             count_negative(spec, ZeroPotential(), L=5.0, m=100, doublings=doublings)
 
     def test_requested_eigenvalues_are_sorted(self):
-        spec = OperatorSpec.for_line_bound(0, "zero")
+        spec = OperatorSpec(1, 0, "zero")
         res = count_negative(
             spec, SquareWell(c=64.0, a=1.0, b=2.0), L=20.0, m=2000, eigenvalues=4
         )
@@ -197,16 +198,34 @@ class TestCountNegative:
         assert lows == sorted(lows)
         assert sum(1 for e in lows if e < 0.0) == res.negative_count
 
+    def test_eigenvalues_bisected_once_on_the_finest_matrix(self, monkeypatch):
+        import hardybounds.spectra as spectra
+
+        calls = []
+
+        def counted(T, k, *args, **kwargs):
+            calls.append(T)
+            return lowest_eigenvalues(T, k, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "lowest_eigenvalues", counted)
+        spec = OperatorSpec(1, 0, "zero")
+        V = SquareWell(c=64.0, a=1.0, b=2.0)
+        res = count_negative(spec, V, L=10.0, m=500, doublings=2, eigenvalues=2)
+        assert len(calls) == 1
+        finest = assemble(channel_potential(V, spec, None), Grid(-40.0, 40.0, 2000))
+        assert res.m == 2000 and (res.s_min, res.s_max) == (-40.0, 40.0)
+        assert res.lowest_eigenvalues == tuple(lowest_eigenvalues(finest, 2))
+
 
 class TestTotalCentralCount:
     def test_zero_potential(self):
-        spec = OperatorSpec.for_central_bound(3, 0, "one")
+        spec = OperatorSpec(3, 0, "one")
         total, table = total_central_count(spec, ZeroPotential(), L=10.0, m=500)
         assert total == 0
         assert table[0]["count"] == 0
 
     def test_deep_well_channel_counts_non_increasing(self):
-        spec = OperatorSpec.for_central_bound(3, 0, "zero")
+        spec = OperatorSpec(3, 0, "zero")
         total, table = total_central_count(
             spec, SquareWell(c=50.0, a=0.5, b=2.0), L=20.0, m=2000
         )
@@ -216,7 +235,7 @@ class TestTotalCentralCount:
         assert total == sum(r["degeneracy"] * r["count"] for r in table)
 
     def test_total_respects_central_bound_cap(self):
-        spec = OperatorSpec.for_central_bound(3, 0, "one")
+        spec = OperatorSpec(3, 0, "one")
         V = SquareWell(c=1.0, a=1.0, b=2.0)
         total, _ = total_central_count(spec, V, L=20.0, m=2000)
         bv = central_bound(V, spec)
