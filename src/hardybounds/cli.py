@@ -371,6 +371,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite = cfg.suite or "all"
     if suite not in ("hardy", "transform", "bounds", "existence", "convergence", "all"):
         raise ConfigError(f"unknown suite {suite!r}")
+    if cfg.tol is not None and suite not in ("transform", "all"):
+        raise ConfigError(f"tol sets the tolerance of verify transform (and of verify all); "
+                          f"verify {suite} takes none")
     reports = []
     failed = False
     warned = False

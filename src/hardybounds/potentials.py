@@ -458,6 +458,10 @@ def _is_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
+def _is_finite(x) -> bool:
+    return _is_real(x) and math.isfinite(x)
+
+
 def make_potential(family: str, params: Optional[dict] = None) -> Potential:
     """Construct a potential from its family tag and a parameter mapping.
 
@@ -484,10 +488,13 @@ def make_potential(family: str, params: Optional[dict] = None) -> Potential:
     for key in keys:
         value = params[key]
         if family == "tabulated":
-            what = "a sequence of real numbers"
-            ok = isinstance(value, (list, tuple, np.ndarray)) and all(map(_is_real, value))
+            what = "a sequence of finite real numbers"
+            ok = isinstance(value, (list, tuple, np.ndarray)) and all(map(_is_finite, value))
+        elif (family, key) == ("power_log_well", "b"):
+            what = "a real number or inf"
+            ok = _is_real(value) and not math.isnan(value)
         else:
-            what, ok = "a real number", _is_real(value)
+            what, ok = "a finite real number", _is_finite(value)
         if not ok:
             raise DomainError(f"{family} parameter {key} must be {what}, got {value!r}")
     if family == "tabulated":

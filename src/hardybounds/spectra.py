@@ -15,6 +15,7 @@ m >= 400), so the refinement trail is part of the result.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -40,6 +41,7 @@ from .quadrature import integrate
 from .testfunctions import TestFunction, transform_test_function
 
 _PIVOT_EPS = 2.0**-40
+_MIN_H2 = 1.0 / math.sqrt(sys.float_info.max)  # smallest h^2 whose 1/h^4 is finite
 
 
 @dataclass(frozen=True)
@@ -103,9 +105,13 @@ def assemble(W, grid: Grid) -> TridiagonalOperator:
     diagonal 2/h^2 + W(s_i), off-diagonal -1/h^2.
 
     W is called once, on the array of grid points; a scalar result (a constant
-    potential) is broadcast to every point.
+    potential) is broadcast to every point.  EvaluationError when 1/h^2, or
+    its square in the Sturm recurrence, leaves the double range.
     """
     h = grid.h
+    if not h * h > _MIN_H2:
+        raise EvaluationError(f"grid step h = {h:g} is too small: 1/h^2 or its square "
+                              "leaves the double range")
     pts = grid.points()
     try:
         w = np.broadcast_to(W(pts), pts.shape)

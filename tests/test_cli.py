@@ -171,6 +171,15 @@ class TestCountCommand:
         assert "channel l=0" in out
 
 
+    @pytest.mark.parametrize("L", ["1e-150", "1e-300"])
+    def test_window_too_small_for_the_grid_is_a_numerical_failure(self, L, capsys):
+        code = main(["count", "--d", "1", "--L", L, "--potential", "zero"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.err.startswith("numerical failure: grid step h = ")
+        assert "count" not in captured.out
+
+
 class TestVerifyCommand:
     def test_hardy_suite(self, capsys):
         code = main(["verify", "hardy"])
@@ -213,6 +222,31 @@ class TestVerifyCommand:
         capsys.readouterr()
         assert code == EXIT_OK
         assert received == [expected]
+
+
+    @pytest.mark.parametrize("suite", ["hardy", "bounds", "existence", "convergence"])
+    def test_tolerance_of_a_suite_without_one_is_a_config_error(self, suite, capsys):
+        code = main(["verify", suite, "--tol", "1e-3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith("configuration error") and "verify transform" in captured.err
+        assert captured.out == ""
+
+    def test_verify_all_tolerance_reaches_the_transform_suite(self, capsys, monkeypatch):
+        import hardybounds.cli as climod
+        from hardybounds.harness import IdentityReport
+
+        received = []
+
+        def fake_identity(tol):
+            received.append(tol)
+            return IdentityReport(cases=(), max_discrepancy=0.0, tolerance=tol, passed=True)
+
+        monkeypatch.setattr(climod, "run_transform_identity", fake_identity)
+        code = main(["verify", "all", "--tol", "3e-7"])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert received == [3e-7]
 
 
 class TestSweepCommand:
@@ -476,6 +510,11 @@ class TestEnvironmentAndProcess:
         (["sweep"], {"sweep": [1]}),
         (["sweep"], {"sweep": {"theorem": "t41", "family": "square_well",
                                "base_params": [1], "vary": "c", "values": [1]}}),
+        (["bound", "--theorem", "t41", "--potential", "square_well:c=nan,a=1,b=2"], None),
+        (["bound", "--theorem", "t41", "--potential", "square_well:c=inf,a=1,b=2"], None),
+        (["bound", "--theorem", "t41", "--potential", "inverse_square:c=1,a=nan"], None),
+        (["bound", "--theorem", "t41"],
+         {"potential": {"family": "tabulated", "r": [1, 2], "v": [-1, math.inf]}}),
         (["count", "--d", "3", "--l", "-1", "--potential", "zero"], None),
         (["count", "--potential", "zero"], {"d": 3, "l": -1}),
         (["bound", "--theorem", "t41"],
@@ -484,7 +523,9 @@ class TestEnvironmentAndProcess:
          {"potential": {"family": "tabulated", "r": [1, 2], "v": ["a", 1]}}),
     ], ids=["count-doublings", "sweep-doublings", "m-string", "constants-list",
             "sweep-value-string", "d-float", "samples-key", "potential-list",
-            "sweep-list", "base-params-list", "l-negative-flag", "l-negative-config",
+            "sweep-list", "base-params-list", "potential-param-nan",
+            "potential-param-inf", "inverse-square-onset-nan", "tabulated-sample-inf",
+            "l-negative-flag", "l-negative-config",
             "potential-param-string", "tabulated-sample-string"])
     def test_bad_configuration_value_is_a_config_error(self, argv, config, tmp_path):
         if config is not None:

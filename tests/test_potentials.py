@@ -290,6 +290,13 @@ class TestFactory:
         ("tabulated", {"r": [1, 2], "v": [0, False]}),
         ("tabulated", {"r": 3, "v": [0, 1]}),
         ("tabulated", {"r": "12", "v": [0, 1]}),
+        ("square_well", {"c": math.nan, "a": 1, "b": 2}),
+        ("square_well", {"c": math.inf, "a": 1, "b": 2}),
+        ("inverse_square", {"c": 1, "a": math.nan}),
+        ("power_log_well", {"c": 1, "a": 1, "b": math.nan}),
+        ("power_log_well", {"c": 1, "a": 1, "b": 2, "p": -math.inf}),
+        ("tabulated", {"r": [1, 2], "v": [0, math.inf]}),
+        ("tabulated", {"r": [1, math.nan], "v": [0, 1]}),
     ])
     def test_rejects_non_real_parameters(self, family, params):
         with pytest.raises(DomainError, match="real number"):

@@ -51,6 +51,14 @@ class TestAssemble:
         with pytest.raises(EvaluationError, match="grid index"):
             assemble(W, Grid(-5.0, 5.0, 10))
 
+    @pytest.mark.parametrize("L", [1e-150, 1e-300])
+    def test_step_past_the_double_range_is_an_evaluation_error(self, L):
+        # 1e-150: (1/h^2)^2 overflows in the Sturm recurrence; 1e-300: h^2 is 0
+        with pytest.raises(EvaluationError, match="h = "):
+            assemble(lambda s: 0.0, Grid(0.0, L, 4000))
+        with pytest.raises(EvaluationError, match="h = "):
+            count_negative(OperatorSpec(1, 0, "one"), ZeroPotential(), L=L)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             Grid(1.0, 1.0, 10)
