@@ -114,6 +114,55 @@ class BoundConstants:
 
 DEFAULT_CLR_CONSTANTS = BoundConstants()
 
+#: theorem -> (least d, largest d, maker of the operator from (d, n, variant)).
+#: t41: the line and half-line; t42: CLR-type, with threshold depth n + 2;
+#: t43: partial waves.
+_THEOREMS = {
+    "t41": (1, 1, OperatorSpec),
+    "t42": (3, math.inf, OperatorSpec.for_clr_bound),
+    "t43": (2, math.inf, OperatorSpec),
+}
+THEOREMS = tuple(_THEOREMS)
+
+
+def theorem_operator(theorem: str, d: int, n: int, variant: str) -> OperatorSpec:
+    """The operator (d, n, variant) as ``theorem`` states its bound for it.
+
+    DomainError for an unknown theorem, or a d outside the theorem's range."""
+    if theorem not in THEOREMS:
+        raise DomainError(f"theorem must be one of {', '.join(THEOREMS)}, got {theorem!r}")
+    d_min, d_max, make = _THEOREMS[theorem]
+    if not d_min <= d <= d_max:
+        raise DomainError(f"{theorem} needs d {'=' if d_min == d_max else '>='} {d_min}")
+    return make(d, n, variant)
+
+
+def _require_operator(theorem: str, spec: OperatorSpec) -> None:
+    """DomainError unless ``spec`` is an operator ``theorem`` bounds."""
+    fit = theorem_operator(theorem, spec.d, spec.n, spec.variant)
+    if fit != spec:
+        raise DomainError(f"{theorem} needs threshold depth {fit.threshold_depth} at n = {spec.n}")
+
+
+def theorem_bound(
+    theorem: str,
+    V: Potential,
+    spec: OperatorSpec,
+    constants: BoundConstants = DEFAULT_CLR_CONSTANTS,
+    tol: float = 1e-10,
+) -> BoundValue:
+    """The bound of ``theorem`` for V on ``spec``; only t42 reads ``constants``.
+
+    The bound functions are looked up by name at each call, so rebinding one
+    of them in this module reaches every caller."""
+    if theorem == "t41":
+        return bound_1d(V, spec, tol=tol)
+    if theorem == "t42":
+        return clr_bound(V, spec, constants=constants, tol=tol)
+    if theorem == "t43":
+        return central_bound(V, spec, tol=tol)
+    raise DomainError(f"theorem must be one of {', '.join(THEOREMS)}, got {theorem!r}")
+
 
 @dataclass(frozen=True)
 class QuadDiagnostics:
@@ -273,10 +322,7 @@ def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue
     (threshold exp^(n) 1) does not.  A failed boundedness-below check is
     reported as a warning, not an error.
     """
-    if spec.d != 1:
-        raise DomainError(f"bound_1d needs d = 1, got d = {spec.d}")
-    if spec.threshold_depth != spec.n:
-        raise DomainError("bound_1d needs a threshold of depth n")
+    _require_operator("t41", spec)
     warnings = []
     hyp = check_bounded_below_weighted(V, spec.n, spec.threshold)
     if not hyp.passed:
@@ -378,10 +424,7 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> Bound
     with the +1 present exactly on variant "zero" domains.  The empty sum
     (l_max undefined) is 0 for both variants.
     """
-    if spec.d < 2:
-        raise DomainError(f"central_bound needs d >= 2, got d = {spec.d}")
-    if spec.threshold_depth != spec.n:
-        raise DomainError("central_bound needs a threshold of depth n")
+    _require_operator("t43", spec)
     if not V.central:
         raise DomainError("central_bound needs a central potential")
 
@@ -467,10 +510,7 @@ def clr_bound(
 
     A tabulated V is taken as 0 outside its samples.
     """
-    if spec.d < 3:
-        raise DomainError(f"clr_bound needs d >= 3, got d = {spec.d}")
-    if spec.threshold_depth != spec.n + 2:
-        raise DomainError("clr_bound needs a threshold of depth n + 2")
+    _require_operator("t42", spec)
     if not V.central:
         raise DomainError("clr_bound needs a central potential")
 

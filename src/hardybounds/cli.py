@@ -28,11 +28,11 @@ from typing import Optional
 from .errors import DomainError, DepthCapError, EvaluationError
 from .iterfun import DEPTH_CAP
 from .bounds import (
+    THEOREMS,
     BoundConstants,
     OperatorSpec,
-    bound_1d,
-    central_bound,
-    clr_bound,
+    theorem_bound,
+    theorem_operator,
 )
 from .harness import (
     MAX_EXISTENCE_WINDOW,
@@ -76,6 +76,11 @@ CSV_COLUMNS = (
 
 class ConfigError(ValueError):
     pass
+
+
+#: the operator and grid settings: flags, and config-file keys that a sweep
+#: object may also set
+SETTINGS = ("theorem", "d", "n", "variant", "L", "m", "doublings")
 
 
 BOUND_TOL = 1e-8  # quadrature tolerance of ``bound`` when none is given
@@ -209,19 +214,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config file {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
+    sweep = data.get("sweep")
+    if isinstance(sweep, dict):
+        data = {**data, **{k: sweep[k] for k in SETTINGS if k in sweep},
+                "sweep": {k: v for k, v in sweep.items() if k not in SETTINGS}}
     cfg = RunConfig.from_dict(data)
-    for key in (
-        "theorem",
-        "d",
-        "n",
-        "variant",
-        "l",
-        "L",
-        "m",
-        "doublings",
-        "tol",
-        "suite",
-    ):
+    for key in (*SETTINGS, "l", "tol", "suite"):
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -270,24 +268,17 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"need L > 0 and m >= 2, got L={cfg.L}, m={cfg.m}")
     if cfg.tol is not None and cfg.tol <= 0:
         raise ConfigError(f"tolerance must be positive, got {cfg.tol}")
-    if cfg.theorem is not None and cfg.theorem not in ("t41", "t42", "t43"):
-        raise ConfigError(f"theorem must be t41, t42 or t43, got {cfg.theorem!r}")
+    if cfg.theorem is not None and cfg.theorem not in THEOREMS:
+        raise ConfigError(f"theorem must be one of {', '.join(THEOREMS)}, got {cfg.theorem!r}")
 
 
 def _operator_for(cfg: RunConfig) -> OperatorSpec:
-    if cfg.theorem == "t41":
-        if cfg.d != 1:
-            raise ConfigError("t41 needs d = 1")
-        return OperatorSpec(1, cfg.n, cfg.variant)
-    if cfg.theorem == "t42":
-        if cfg.d < 3:
-            raise ConfigError("t42 needs d >= 3")
-        return OperatorSpec.for_clr_bound(cfg.d, cfg.n, cfg.variant)
-    if cfg.theorem == "t43":
-        if cfg.d < 2:
-            raise ConfigError("t43 needs d >= 2 (use t41 for the line)")
-        return OperatorSpec(cfg.d, cfg.n, cfg.variant)
-    raise ConfigError("this command needs --theorem t41|t42|t43")
+    if cfg.theorem is None:
+        raise ConfigError(f"this command needs --theorem {'|'.join(THEOREMS)}")
+    try:
+        return theorem_operator(cfg.theorem, cfg.d, cfg.n, cfg.variant)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def cmd_bound(cfg: RunConfig) -> int:
@@ -295,12 +286,7 @@ def cmd_bound(cfg: RunConfig) -> int:
     spec = _operator_for(cfg)
     if cfg.tol is None:
         cfg.tol = BOUND_TOL
-    if cfg.theorem == "t41":
-        bv = bound_1d(V, spec, tol=cfg.tol)
-    elif cfg.theorem == "t42":
-        bv = clr_bound(V, spec, constants=_constants_from_config(cfg), tol=cfg.tol)
-    else:
-        bv = central_bound(V, spec, tol=cfg.tol)
+    bv = theorem_bound(cfg.theorem, V, spec, constants=_constants_from_config(cfg), tol=cfg.tol)
     print(f"theorem    : {cfg.theorem}")
     print(f"operator   : d={spec.d} n={spec.n} variant={spec.variant} "
           f"threshold={spec.threshold.value:.9g}")
@@ -394,8 +380,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         failed |= not rep.passed
     if suite in ("bounds", "all"):
         ok = True
-        for sweep, theorem in default_sweeps():
-            rows = run_bound_sweep(sweep, theorem)
+        for theorem, spec, sweep in default_sweeps():
+            rows = run_bound_sweep(sweep, theorem, spec, cfg.L, cfg.m, cfg.doublings)
             rows_ok = all(r.satisfied for r in rows)
             ok &= rows_ok
             reports.append({"suite": f"bounds-{theorem}",
@@ -405,8 +391,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                   f"{'PASS' if rows_ok else 'FAIL'}")
         # illustrative, not pass/fail: the extra contribution that appears in
         # the CLR-type bound for every d >= 4 but not at d = 3
-        z3 = clr_bound(ZeroPotential(), OperatorSpec.for_clr_bound(3, 0, "zero"))
-        z5 = clr_bound(ZeroPotential(), OperatorSpec.for_clr_bound(5, 0, "zero"))
+        z3, z5 = (theorem_bound("t42", ZeroPotential(), theorem_operator("t42", d, 0, "zero"))
+                  for d in (3, 5))
         reports.append({"suite": "bounds-dimension-note",
                         "d3_raw": z3.raw, "d5_raw": z5.raw, "informational": True})
         print(f"bounds note : V=0 CLR-type raw: d=3 -> {z3.raw:g}, "
@@ -446,19 +432,15 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep needs a 'sweep' object in the config file")
-    theorem = cfg.sweep.get("theorem", cfg.theorem)
-    if theorem is None:
-        raise ConfigError("sweep needs a theorem selector")
-    spec_kwargs = {k: v for k, v in cfg.sweep.items() if k != "theorem"}
-    if "values" in spec_kwargs:
-        spec_kwargs["values"] = tuple(spec_kwargs["values"])
+    spec = _operator_for(cfg)
     try:
-        sweep = SweepSpec(**spec_kwargs)
+        sweep = SweepSpec(**cfg.sweep)
     except (TypeError, DomainError) as exc:
         raise ConfigError(f"bad sweep specification: {exc}") from exc
     if cfg.tol is None:
         cfg.tol = SWEEP_TOL
-    rows = run_bound_sweep(sweep, theorem, constants=_constants_from_config(cfg), tol=cfg.tol)
+    rows = run_bound_sweep(sweep, cfg.theorem, spec, cfg.L, cfg.m, cfg.doublings,
+                           constants=_constants_from_config(cfg), tol=cfg.tol)
     dicts = [asdict(r) for r in rows]
     for r in rows:
         cap = "inf" if r.bound_cap is None else r.bound_cap
@@ -512,13 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="evaluate a count bound")
     common(p_bound)
-    p_bound.add_argument("--theorem", choices=("t41", "t42", "t43"), default=None,
+    p_bound.add_argument("--theorem", choices=THEOREMS, default=None,
                          help="t41: line/half-line; t42: CLR-type d>=3; "
                               "t43: central partial-wave")
 
     p_count = sub.add_parser("count", help="discrete negative-eigenvalue count")
     common(p_count)
-    p_count.add_argument("--theorem", choices=("t41", "t42", "t43"), default=None)
+    p_count.add_argument("--theorem", choices=THEOREMS, default=None)
     p_count.add_argument("--l", type=int, default=None, help="single channel index")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -529,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a parameter ladder")
     common(p_sweep)
-    p_sweep.add_argument("--theorem", choices=("t41", "t42", "t43"), default=None)
+    p_sweep.add_argument("--theorem", choices=THEOREMS, default=None)
 
     return parser
 

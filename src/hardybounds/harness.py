@@ -8,7 +8,6 @@ self-tests take explicit seeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,9 +16,8 @@ from .bounds import (
     BoundConstants,
     DEFAULT_CLR_CONSTANTS,
     OperatorSpec,
-    bound_1d,
-    central_bound,
-    clr_bound,
+    theorem_bound,
+    theorem_operator,
 )
 from .iterfun import iterated_exp
 from .potentials import (
@@ -30,7 +28,6 @@ from .potentials import (
     make_potential,
 )
 from .spectra import (
-    check_doublings,
     count_negative,
     kinetic_term,
     quadratic_form_value,
@@ -210,34 +207,28 @@ def run_existence_check(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """A one-parameter family of potentials plus the operator and numerics."""
+    """A one-parameter ladder of potentials: ``family`` with ``base_params``,
+    and ``vary`` set to each of ``values`` in turn.
+
+    The potentials are built at construction, as ``potentials``, a tuple of
+    (value, potential) pairs; a bad family, key or value raises DomainError
+    there."""
 
     family: str
     base_params: dict
     vary: str
     values: tuple
-    d: int = 1
-    n: int = 0
-    variant: str = "one"
-    L: float = 20.0
-    m: int = 4000
-    doublings: int = 1
 
     def __post_init__(self):
         if not isinstance(self.base_params, dict):
             raise DomainError(f"sweep base_params must be an object, got {self.base_params!r}")
         if not self.values:
             raise DomainError("sweep needs a non-empty value list")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v)
-               for v in self.values):
-            raise DomainError(f"sweep values must be finite numbers, got {list(self.values)!r}")
-        check_doublings(self.doublings)
-
-    def potentials(self):
-        for v in self.values:
-            params = dict(self.base_params)
-            params[self.vary] = v
-            yield v, make_potential(self.family, params)
+        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "potentials", tuple(
+            (v, make_potential(self.family, {**self.base_params, self.vary: v}))
+            for v in self.values
+        ))
 
 
 @dataclass(frozen=True)
@@ -263,49 +254,33 @@ class ExperimentRow:
 def run_bound_sweep(
     sweep: SweepSpec,
     theorem: str,
+    spec: OperatorSpec,
+    L: float,
+    m: int,
+    doublings: int,
     constants: BoundConstants = DEFAULT_CLR_CONSTANTS,
     tol: float = SWEEP_TOL,
 ) -> list[ExperimentRow]:
-    """One row per ladder value: discrete count at the finest refinement
-    against the floored bound.  count <= cap must hold on every row."""
-    if theorem not in ("t41", "t42", "t43"):
-        raise DomainError(f"unknown bound selector {theorem!r}")
-    if theorem == "t41" and sweep.d != 1:
-        raise DomainError("t41 needs d = 1")
-    if theorem == "t42" and sweep.d < 3:
-        raise DomainError("t42 needs d >= 3")
-    if theorem == "t43" and sweep.d < 2:
-        raise DomainError("t43 needs d >= 2")
-
+    """One row per ladder value: the bound of ``theorem`` on ``spec`` against
+    the discrete count at the finest refinement of window L and grid m.
+    count <= floor(bound) must hold on every row."""
     rows = []
-    for value, V in sweep.potentials():
-        if theorem == "t41":
-            spec = OperatorSpec(1, sweep.n, sweep.variant)
-            bound = bound_1d(V, spec, tol=tol)
-            res = count_negative(spec, V, L=sweep.L, m=sweep.m, doublings=sweep.doublings)
+    for value, V in sweep.potentials:
+        bound = theorem_bound(theorem, V, spec, constants=constants, tol=tol)
+        if spec.d == 1:
+            res = count_negative(spec, V, L=L, m=m, doublings=doublings)
             count, trail = res.negative_count, res.trail
-        elif theorem == "t43":
-            spec = OperatorSpec(sweep.d, sweep.n, sweep.variant)
-            bound = central_bound(V, spec, tol=tol)
-            count, table = total_central_count(
-                spec, V, L=sweep.L, m=sweep.m, doublings=sweep.doublings
-            )
-            trail = tuple(table)
         else:
-            spec = OperatorSpec.for_clr_bound(sweep.d, sweep.n, sweep.variant)
-            bound = clr_bound(V, spec, constants=constants, tol=tol)
-            count, table = total_central_count(
-                spec, V, L=sweep.L, m=sweep.m, doublings=sweep.doublings
-            )
+            count, table = total_central_count(spec, V, L=L, m=m, doublings=doublings)
             trail = tuple(table)
         satisfied = bound.integer_cap is None or count <= bound.integer_cap
         rows.append(
             ExperimentRow(
                 experiment_id=f"{theorem}-{sweep.family}-{sweep.vary}={value:g}",
                 theorem=theorem,
-                d=sweep.d,
-                n=sweep.n,
-                variant=sweep.variant,
+                d=spec.d,
+                n=spec.n,
+                variant=spec.variant,
                 family=sweep.family,
                 params={**sweep.base_params, sweep.vary: value},
                 count=count,
@@ -313,8 +288,8 @@ def run_bound_sweep(
                 bound_raw=bound.raw,
                 bound_cap=bound.integer_cap,
                 satisfied=satisfied,
-                L=sweep.L,
-                m=sweep.m,
+                L=L,
+                m=m,
                 quad_err=bound.diagnostics.error_estimate,
                 notes=bound.diagnostics.warnings + bound.diagnostics.notes,
             )
@@ -366,32 +341,13 @@ def run_convergence_study(
 # default suites used by `verify bounds`
 # ----------------------------------------------------------------------
 
-def default_sweeps() -> list[tuple[SweepSpec, str]]:
-    line = SweepSpec(
-        family="square_well",
-        base_params={"a": 1.0, "b": 2.0},
-        vary="c",
-        values=(1, 2, 4, 8, 16, 32, 64),
-        d=1,
-        n=0,
-        variant="one",
-    )
-    central = SweepSpec(
-        family="square_well",
-        base_params={"a": 1.0, "b": 2.0},
-        vary="c",
-        values=(1, 2, 4, 8),
-        d=3,
-        n=0,
-        variant="one",
-    )
-    clr = SweepSpec(
-        family="square_well",
-        base_params={"a": 3.0, "b": 6.0},
-        vary="c",
-        values=(1, 2, 4, 8, 16),
-        d=3,
-        n=0,
-        variant="zero",
-    )
-    return [(line, "t41"), (central, "t43"), (clr, "t42")]
+def default_sweeps() -> list[tuple[str, OperatorSpec, SweepSpec]]:
+    """(theorem, operator, ladder of square wells) for each bound."""
+    def wells(a, b, values):
+        return SweepSpec("square_well", {"a": a, "b": b}, "c", values)
+
+    return [
+        ("t41", theorem_operator("t41", 1, 0, "one"), wells(1.0, 2.0, (1, 2, 4, 8, 16, 32, 64))),
+        ("t43", theorem_operator("t43", 3, 0, "one"), wells(1.0, 2.0, (1, 2, 4, 8))),
+        ("t42", theorem_operator("t42", 3, 0, "zero"), wells(3.0, 6.0, (1, 2, 4, 8, 16))),
+    ]

@@ -260,12 +260,6 @@ def channel_potential(V: Potential, spec: OperatorSpec, l: Optional[int]):
     return transform_potential(effective_radial_potential(V, l, spec.d), k)
 
 
-def check_doublings(doublings) -> None:
-    """Refinement rounds must be a non-negative integer."""
-    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 0:
-        raise DomainError(f"doublings must be a non-negative integer, got {doublings!r}")
-
-
 def count_negative(
     spec: OperatorSpec,
     V: Potential,
@@ -282,7 +276,8 @@ def count_negative(
     lowest eigenvalues, once, on the finest matrix."""
     if L <= 0.0 or m < 2:
         raise DomainError(f"need L > 0 and m >= 2, got L={L}, m={m}")
-    check_doublings(doublings)
+    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 0:
+        raise DomainError(f"doublings must be a non-negative integer, got {doublings!r}")
     W = channel_potential(V, spec, l)
     s0 = transformed_window_start(spec, spec.n + 1)
     trail = []

@@ -188,11 +188,9 @@ def test_clr_sweep_d3():
             base_params={"a": 3.0, "b": 6.0},
             vary="c",
             values=(1, 2, 4, 8, 16),
-            d=3,
-            n=0,
-            variant="zero",
         )
-        rows = run_bound_sweep(sweep, "t42")
+        spec = OperatorSpec.for_clr_bound(3, 0, "zero")
+        rows = run_bound_sweep(sweep, "t42", spec, L=20.0, m=4000, doublings=1)
     ok = all(r.satisfied for r in rows)
     _report(
         "clr sweep d=3",

@@ -18,6 +18,8 @@ from hardybounds.bounds import (
     central_bound,
     clr_bound,
     l_max,
+    theorem_bound,
+    theorem_operator,
 )
 from hardybounds.errors import DomainError, EvaluationError
 from hardybounds.iterfun import DomainThreshold, iterated_exp, sphere_area
@@ -464,6 +466,50 @@ class TestClrBound:
     def test_requires_matching_threshold_depth(self):
         with pytest.raises(DomainError):
             clr_bound(ZeroPotential(), OperatorSpec(d=3, n=0, variant="zero"))
+
+
+class TestTheoremTable:
+    @pytest.mark.parametrize("theorem, fits, misfits, depth", [
+        ("t41", (1,), (2, 3), 0),
+        ("t42", (3, 4, 7), (1, 2), 2),
+        ("t43", (2, 3, 7), (1,), 0),
+    ])
+    def test_dimension_rule_and_threshold_depth(self, theorem, fits, misfits, depth):
+        for d in fits:
+            for n in (0, 1):
+                spec = theorem_operator(theorem, d, n, "zero")
+                assert (spec.d, spec.n, spec.variant, spec.threshold_depth) == (
+                    d, n, "zero", n + depth)
+        for d in misfits:
+            with pytest.raises(DomainError, match=f"^{theorem} needs d"):
+                theorem_operator(theorem, d, 0, "one")
+
+    @pytest.mark.parametrize("theorem", ["t9", 5, None, "T41"])
+    def test_unknown_theorem(self, theorem):
+        with pytest.raises(DomainError, match="theorem must be one of t41, t42, t43"):
+            theorem_operator(theorem, 3, 0, "one")
+        with pytest.raises(DomainError, match="theorem must be one of"):
+            theorem_bound(theorem, ZeroPotential(), OperatorSpec(3, 0, "one"))
+
+    @pytest.mark.parametrize("bound, spec", [
+        (bound_1d, OperatorSpec(2, 0, "one")),
+        (bound_1d, OperatorSpec(1, 0, "one", threshold_depth=2)),
+        (central_bound, OperatorSpec(1, 0, "one")),
+        (central_bound, OperatorSpec.for_clr_bound(3, 0, "one")),
+        (clr_bound, OperatorSpec.for_clr_bound(2, 0, "zero")),
+        (clr_bound, OperatorSpec(3, 0, "zero")),
+    ])
+    def test_bounds_reject_an_operator_of_another_theorem(self, bound, spec):
+        with pytest.raises(DomainError, match="^t4[123] needs"):
+            bound(SquareWell(c=1.0, a=3.0, b=6.0), spec)
+
+    @pytest.mark.parametrize("theorem, bound, d", [
+        ("t41", bound_1d, 1), ("t42", clr_bound, 3), ("t43", central_bound, 3),
+    ])
+    def test_theorem_bound_is_the_theorems_bound(self, theorem, bound, d):
+        V = SquareWell(c=4.0, a=3.0, b=6.0)
+        spec = theorem_operator(theorem, d, 0, "one")
+        assert theorem_bound(theorem, V, spec) == bound(V, spec)
 
 
 class TestDefaultConstants:

@@ -322,6 +322,52 @@ class TestSweepCommand:
         # channel breakdown rides along in the JSON sidecar
         assert payload["rows"][0]["count_trail"][0]["l"] == 0
 
+    def test_flags_set_the_operator_and_grid_of_the_sweep(self, tmp_path, capsys):
+        json_path = tmp_path / "rows.json"
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"L": 10.0, "sweep": {
+            "theorem": "t41", "family": "square_well", "base_params": {"a": 1.0, "b": 2.0},
+            "vary": "c", "values": [1, 4], "variant": "one", "m": 2000, "L": 20.0,
+        }}))
+        code = main(["sweep", "--config", str(cfg_path), "--m", "500", "--variant", "zero",
+                     "--doublings", "0", "--json", str(json_path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        payload = json.loads(json_path.read_text())
+        config = payload["config"]
+        assert {k: config[k] for k in ("theorem", "d", "n", "variant", "L", "m", "doublings")} \
+            == {"theorem": "t41", "d": 1, "n": 0, "variant": "zero", "L": 20.0, "m": 500,
+                "doublings": 0}
+        assert config["sweep"] == {"family": "square_well", "base_params": {"a": 1.0, "b": 2.0},
+                                   "vary": "c", "values": [1, 4]}
+        assert len(payload["rows"]) == 2
+        for row in payload["rows"]:
+            assert {k: row[k] for k in ("theorem", "d", "n", "variant", "L", "m")} \
+                == {k: config[k] for k in ("theorem", "d", "n", "variant", "L", "m")}
+            (step,) = row["count_trail"]
+            assert (step["L"], step["m"]) == (20.0, 500)
+
+    @pytest.mark.parametrize("setting", [
+        {"theorem": "t9"}, {"theorem": 5},
+        {"theorem": "t43", "d": 1}, {"theorem": "t43", "d": 3.0},
+        {"n": -1}, {"variant": "two"},
+        {"m": 1}, {"m": 2.5},
+        {"L": -1}, {"L": "x"},
+        {"family": "nope"}, {"vary": "zz"}, {"values": [-1]},
+    ], ids=["theorem-unknown", "theorem-number", "t43-d1", "d-float", "n-negative",
+            "variant-unknown", "m-one", "m-float", "L-negative", "L-string",
+            "family-unknown", "vary-unknown", "value-negative"])
+    def test_bad_sweep_setting_is_a_config_error(self, setting, tmp_path, capsys):
+        sweep = {"theorem": "t41", "family": "square_well", "base_params": {"a": 1.0, "b": 2.0},
+                 "vary": "c", "values": [1], "m": 200, "doublings": 0, **setting}
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"sweep": sweep}))
+        code = main(["sweep", "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith("configuration error")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("argv, file_tol, expected", [
         ([], None, 1e-10),
         (["--tol", "1e-6"], None, 1e-6),
@@ -334,7 +380,7 @@ class TestSweepCommand:
 
         received = []
 
-        def fake_sweep(sweep, theorem, constants=None, tol=1e-10):
+        def fake_sweep(sweep, theorem, spec, L, m, doublings, constants=None, tol=1e-10):
             received.append(tol)
             return []
 
@@ -355,7 +401,7 @@ class TestSweepCommand:
         import hardybounds.cli as climod
         from hardybounds.harness import ExperimentRow
 
-        def fake_sweep(sweep, theorem, constants=None, tol=1e-10):
+        def fake_sweep(sweep, theorem, spec, L, m, doublings, constants=None, tol=1e-10):
             return [ExperimentRow(
                 experiment_id="fake", theorem=theorem, d=1, n=0, variant="one",
                 family="square_well", params={"c": 1.0}, count=5, count_trail=(),
@@ -400,6 +446,7 @@ class TestEnvironmentAndProcess:
         assert "bound cap  : 0" in out  # variant one drops the +1
 
     def test_show_defaults_rows_are_the_values_used(self, tmp_path, capsys, monkeypatch):
+        import hardybounds.bounds as boundsmod
         import hardybounds.cli as climod
         import hardybounds.harness as harnessmod
         from hardybounds.harness import IdentityReport
@@ -409,11 +456,11 @@ class TestEnvironmentAndProcess:
         rows = dict(line.split(None, 1) for line in lines)
         used = {}
 
-        def spy(name, fn):
+        def spy(name, fn, module=climod):
             def record(*args, **kwargs):
                 used[name] = (args, kwargs)
                 return fn(*args, **kwargs)
-            monkeypatch.setattr(climod, name, record)
+            monkeypatch.setattr(module, name, record)
 
         spy("count_negative", climod.count_negative)
         assert main(["count", "--potential", "zero"]) == EXIT_OK
@@ -422,20 +469,23 @@ class TestEnvironmentAndProcess:
         assert (kw["L"], kw["m"], kw["doublings"]) == (
             float(rows["L"]), int(rows["m"]), int(rows["doublings"]))
 
-        spy("bound_1d", climod.bound_1d)
-        spy("clr_bound", climod.clr_bound)
+        spy("bound_1d", boundsmod.bound_1d, boundsmod)
+        spy("clr_bound", boundsmod.clr_bound, boundsmod)
         assert main(["bound", "--theorem", "t41", "--potential", "zero"]) == EXIT_OK
         assert used["bound_1d"][1]["tol"] == float(rows["bound_tol"])
         assert main(["bound", "--theorem", "t42", "--d", "3", "--potential", "zero"]) == EXIT_OK
         assert used["clr_bound"][1]["constants"].get(3) == float(rows["C_3"])
 
-        spy("run_bound_sweep", lambda sweep, theorem, constants=None, tol=None: [])
+        spy("run_bound_sweep",
+            lambda sweep, theorem, spec, L, m, doublings, constants=None, tol=None: [])
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"sweep": {
             "theorem": "t41", "family": "square_well",
             "base_params": {"a": 1.0, "b": 2.0}, "vary": "c", "values": [1]}}))
         assert main(["sweep", "--config", str(cfg_path)]) == EXIT_OK
         assert used["run_bound_sweep"][1]["tol"] == float(rows["sweep_tol"])
+        assert used["run_bound_sweep"][0][3:] == (
+            float(rows["L"]), int(rows["m"]), int(rows["doublings"]))
 
         spy("run_transform_identity", lambda tol: IdentityReport((), 0.0, True, tol))
         assert main(["verify", "transform"]) == EXIT_OK
@@ -510,6 +560,9 @@ class TestEnvironmentAndProcess:
         (["sweep"], {"sweep": [1]}),
         (["sweep"], {"sweep": {"theorem": "t41", "family": "square_well",
                                "base_params": [1], "vary": "c", "values": [1]}}),
+        (["sweep"], {"sweep": {"theorem": "t41", "family": "square_well",
+                               "base_params": {"a": 1.0, "b": 2.0}, "vary": "c",
+                               "values": [1], "doublings": 1.5}}),
         (["bound", "--theorem", "t41", "--potential", "square_well:c=nan,a=1,b=2"], None),
         (["bound", "--theorem", "t41", "--potential", "square_well:c=inf,a=1,b=2"], None),
         (["bound", "--theorem", "t41", "--potential", "inverse_square:c=1,a=nan"], None),
@@ -523,7 +576,7 @@ class TestEnvironmentAndProcess:
          {"potential": {"family": "tabulated", "r": [1, 2], "v": ["a", 1]}}),
     ], ids=["count-doublings", "sweep-doublings", "m-string", "constants-list",
             "sweep-value-string", "d-float", "samples-key", "potential-list",
-            "sweep-list", "base-params-list", "potential-param-nan",
+            "sweep-list", "base-params-list", "sweep-doublings-float", "potential-param-nan",
             "potential-param-inf", "inverse-square-onset-nan", "tabulated-sample-inf",
             "l-negative-flag", "l-negative-config",
             "potential-param-string", "tabulated-sample-string"])

@@ -87,13 +87,9 @@ class TestSweeps:
             base_params={"a": 1.0, "b": 2.0},
             vary="c",
             values=(1, 4, 16),
-            d=1,
-            n=0,
-            variant="one",
-            m=2000,
-            doublings=0,
         )
-        rows = run_bound_sweep(sweep, "t41")
+        rows = run_bound_sweep(sweep, "t41", OperatorSpec(1, 0, "one"), L=20.0, m=2000,
+                               doublings=0)
         assert [r.params["c"] for r in rows] == [1, 4, 16]
         assert all(r.satisfied for r in rows)
         counts = [r.count for r in rows]
@@ -102,10 +98,11 @@ class TestSweeps:
     def test_sweep_rejects_mismatched_theorem(self):
         sweep = SweepSpec(
             family="square_well", base_params={"a": 1.0, "b": 2.0},
-            vary="c", values=(1,), d=3,
+            vary="c", values=(1,),
         )
         with pytest.raises(DomainError):
-            run_bound_sweep(sweep, "t41")
+            run_bound_sweep(sweep, "t41", OperatorSpec(3, 0, "one"), L=20.0, m=4000,
+                            doublings=1)
 
     def test_sweep_needs_values(self):
         with pytest.raises(DomainError):
@@ -113,7 +110,6 @@ class TestSweeps:
 
     @pytest.mark.parametrize("kwargs", [
         {"values": ("x",)}, {"values": (True,)}, {"values": (1, math.nan)},
-        {"values": (1,), "doublings": -1}, {"values": (1,), "doublings": 1.5},
     ])
     def test_sweep_rejects_bad_numbers(self, kwargs):
         with pytest.raises(DomainError):
@@ -125,22 +121,18 @@ class TestSweeps:
             base_params={"a": 1.0, "b": 2.0},
             vary="c",
             values=(1,),
-            d=3,
-            n=0,
-            variant="one",
-            m=1000,
-            doublings=0,
         )
-        rows = run_bound_sweep(sweep, "t43")
+        rows = run_bound_sweep(sweep, "t43", OperatorSpec(3, 0, "one"), L=20.0, m=1000,
+                               doublings=0)
         assert rows[0].satisfied
         assert rows[0].count_trail  # per-channel table
 
     def test_experiment_row_serializes(self):
         sweep = SweepSpec(
-            family="square_well", base_params={"a": 1.0, "b": 2.0},
-            vary="c", values=(2,), d=1, n=0, variant="one", m=1000, doublings=0,
+            family="square_well", base_params={"a": 1.0, "b": 2.0}, vary="c", values=(2,),
         )
-        row = asdict(run_bound_sweep(sweep, "t41")[0])
+        row = asdict(run_bound_sweep(sweep, "t41", OperatorSpec(1, 0, "one"), L=20.0, m=1000,
+                                     doublings=0)[0])
         for key in ("experiment_id", "theorem", "count", "bound_raw", "satisfied"):
             assert key in row
 
