@@ -110,10 +110,16 @@ class TestSweeps:
 
     @pytest.mark.parametrize("kwargs", [
         {"values": ("x",)}, {"values": (True,)}, {"values": (1, math.nan)},
+        {"values": (1,), "doublings": -1}, {"values": (1,), "doublings": 1.5},
     ])
     def test_sweep_rejects_bad_numbers(self, kwargs):
+        kwargs = dict(kwargs)
+        doublings = kwargs.pop("doublings", 0)
         with pytest.raises(DomainError):
-            SweepSpec(family="square_well", base_params={"a": 1.0, "b": 2.0}, vary="c", **kwargs)
+            sweep = SweepSpec(family="square_well", base_params={"a": 1.0, "b": 2.0},
+                              vary="c", **kwargs)
+            run_bound_sweep(sweep, "t41", OperatorSpec(1, 0, "one"), L=20.0, m=1000,
+                            doublings=doublings)
 
     def test_t43_row_carries_channel_breakdown(self):
         sweep = SweepSpec(
