@@ -107,7 +107,32 @@ def _cases() -> dict:
     narrow = {"family": "tabulated", "r": [0.5, 1.2, 6.0], "v": [0.0, -20.0, -1.0]}
     cases["count-t41-tabulated-outside"] = (
         ["count", "--theorem", "t41", *OPERATORS["t41"], *COUNT_GRID], {"potential": narrow}, "json")
+    # log depth n >= 1 and CLR dimensions past 3: the iterated-log weights,
+    # the transform's Jacobian and tower at k = 2 and 3, and the telescoped
+    # centrifugal term at k = 2
+    for name, argv in DEPTH_CASES.items():
+        cases[name] = (argv, None, "json")
     return cases
+
+
+DEPTH_CASES = {
+    "bound-t41-n2": ["bound", "--theorem", "t41", "--d", "1", "--n", "2", "--variant", "zero",
+                     "--potential", "square_well:c=4,a=16,b=40"],
+    "count-t41-n2": ["count", "--theorem", "t41", "--d", "1", "--n", "2", "--variant", "zero",
+                     "--potential", "square_well:c=4,a=16,b=40", *COUNT_GRID],
+    "bound-t43-n1-power-log": ["bound", "--theorem", "t43", "--d", "3", "--n", "1",
+                               "--variant", "zero",
+                               "--potential", "power_log_well:c=30,p=-3,q=1,a=3,b=inf"],
+    "count-t43-n1-square": ["count", "--theorem", "t43", "--d", "3", "--n", "1",
+                            "--variant", "zero", "--potential", "square_well:c=40,a=3,b=6",
+                            *COUNT_GRID],
+    "bound-t42-d3-n1-zero": ["bound", "--theorem", "t42", "--d", "3", "--n", "1",
+                             "--variant", "zero", "--potential", "square_well:c=40,a=16,b=30"],
+    "bound-t42-d4-n0-one": ["bound", "--theorem", "t42", "--d", "4", "--n", "0",
+                            "--variant", "one", "--potential", "square_well:c=40,a=16,b=30"],
+    "bound-t42-d5-n0-one": ["bound", "--theorem", "t42", "--d", "5", "--n", "0",
+                            "--variant", "one", "--potential", "square_well:c=4,a=16,b=30"],
+}
 
 
 CASES = _cases()

@@ -1,8 +1,9 @@
 """The command line against its golden outputs in ``tests/golden/``.
 
 Each case of ``tests/golden/regenerate.py`` (``verify all``, the three
-default sweeps as CSV, and a ``bound`` and a ``count`` per theorem and
-potential family) runs again and must reproduce its record: the exit code and
+default sweeps as CSV, a ``bound`` and a ``count`` per theorem and
+potential family, and seven cases at log depth n >= 1 or CLR dimension
+d >= 4) runs again and must reproduce its record: the exit code and
 the first line of standard error exactly, and the report field by field.
 Strings, integers and booleans must match exactly, floats to 1e-12 relative.
 
