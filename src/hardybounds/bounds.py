@@ -31,8 +31,9 @@ from .iterfun import (
     degeneracy,
     float_or_array,
     iterated_exp,
+    log_chain,
     sphere_area,
-    squared_log_weight,
+    squared_product,
 )
 from .potentials import (
     CentrifugalShift,
@@ -200,20 +201,8 @@ class BoundValue:
 @float_or_array
 def absolute_log_weight(x, n: int):
     """x |ln x| |ln^(2) x| ... |ln^(n+1) x| for x above exp^(n)(0)."""
-    bad = x <= 0.0
-    if np.count_nonzero(bad):
-        raise DomainError(f"weight requires x > 0, got {float(x[bad][0])}")
     w = x
-    cur = x
-    for k in range(n + 1):
-        if k:
-            bad = cur <= 0.0
-            if np.count_nonzero(bad):
-                raise DomainError(
-                    f"absolute_log_weight({float(x[bad][0])}, {n}): log #{k + 1} undefined; "
-                    f"x must exceed exp^({n})(0)"
-                )
-        cur = np.log(cur)
+    for cur in log_chain(x, n + 1)[1:]:
         w = w * np.abs(cur)
     return w
 
@@ -469,23 +458,6 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> Bound
     return BoundValue.build(total, diag, tuple(channels))
 
 
-def _log_power_weight(r: np.ndarray, count: int, power: int) -> np.ndarray:
-    """(ln r)^power ... (ln^(count) r)^power elementwise; all factors must be
-    positive."""
-    w = np.ones(r.shape)
-    cur = r
-    for k in range(count):
-        cur = np.log(cur)
-        bad = cur <= 0.0
-        if np.count_nonzero(bad):
-            raise DomainError(
-                f"log weight factor #{k + 1} is not positive at r = {float(r[bad][0])}; "
-                "point lies below the domain threshold"
-            )
-        w *= cur**power
-    return w
-
-
 def clr_bound(
     V: Potential,
     spec: OperatorSpec,
@@ -533,30 +505,20 @@ def clr_bound(
             v[inside] = V(r[inside])
             return v
 
-    if spec.variant == "zero":
-        logs = n + 1
-
-        def improvement(r: np.ndarray) -> np.ndarray:
-            return coeff / (4.0 * squared_log_weight(r, logs))
-
-    else:
-        logs = n + 2
-
-        def improvement(r: np.ndarray) -> np.ndarray:
-            inner = np.log(r)
-            for _ in range(n + 1):
-                inner = np.log(inner)
-            # inner = ln^(n+2) r, positive on the domain
-            return (coeff - inner * inner) / (4.0 * squared_log_weight(r, logs))
+    logs = n + 1 if spec.variant == "zero" else n + 2
 
     def integrand(r: np.ndarray) -> np.ndarray:
-        g = np.maximum(improvement(r) - V_at(r), 0.0)
+        chain = log_chain(r, logs)
+        num = coeff if spec.variant == "zero" else coeff - chain[-1] * chain[-1]
+        g = np.maximum(num / (4.0 * squared_product(chain)) - V_at(r), 0.0)
         on = g != 0.0  # the log weights are evaluated only where g > 0
         r_on = r[on]
         # the powers raise OverflowError as float ** does; a product overflows to inf
         with np.errstate(over="ignore"):
-            g[on] = (checked_pow(g[on], d / 2.0) * _log_power_weight(r_on, logs, d - 1)
-                     * checked_pow(r_on, d - 1))
+            weight = np.ones(r_on.shape)
+            for cur in chain[1:]:  # (ln r)^(d-1) ... (ln^(logs) r)^(d-1), all positive
+                weight *= cur[on] ** (d - 1)
+            g[on] = checked_pow(g[on], d / 2.0) * weight * checked_pow(r_on, d - 1)
         return g
 
     # where does the integrand certainly vanish / certainly diverge?

@@ -4,10 +4,10 @@ Depth 0 always means "no factors": ``iterated_log(x, 0) == x`` and
 ``iterated_exp(x, 0) == x``, so every depth-0 formula in the package reduces
 to the classical critical-Hardy case.
 
-The weights have one formula each, written for float ndarrays.  They also
-take a float and return a float, by ``call_on_array``: the float goes in as a
-one-element array.  The potentials, the transformed potentials and the test
-functions follow the same rule.
+The weights have one formula each, written for float ndarrays on the factors
+of one ``log_chain``.  They also take a float and return a float, by
+``call_on_array``: the float goes in as a one-element array.  The potentials,
+the transformed potentials and the test functions follow the same rule.
 """
 
 from __future__ import annotations
@@ -105,6 +105,24 @@ def float_or_array(f):
     return wrapper
 
 
+def log_chain(x: np.ndarray, count: int) -> list:
+    """[x, ln x, ..., ln^(count) x] for a float ndarray x, the factors of every
+    iterated-log weight.  DomainError where x or the argument of a log is not
+    positive; the last factor may have any sign."""
+    _check_depth(count)
+    chain = [x]
+    for k in range(max(count, 1)):
+        bad = chain[k] <= 0.0
+        if np.count_nonzero(bad):
+            raise DomainError(
+                f"x = {float(x[bad][0])} is outside the domain of ln^({count}): "
+                f"ln^({k}) x = {float(chain[k][bad][0])} is not positive"
+            )
+        if k < count:
+            chain.append(np.log(chain[k]))
+    return chain
+
+
 @float_or_array
 def hardy_weight_stack(x, d: int, n: int):
     """Full subtracted weight of the depth-n Hardy operator in dimension d:
@@ -116,20 +134,10 @@ def hardy_weight_stack(x, d: int, n: int):
     _check_depth(n)
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
-    bad = x <= 0.0
-    if np.count_nonzero(bad):
-        raise DomainError(f"hardy_weight_stack requires x > 0, got {float(x[bad][0])}")
+    chain = log_chain(x, n + 1)  # its first n log factors are positive
     total = (d - 2) ** 2 / (4.0 * x * x)
     acc = 4.0 * x * x
-    cur = x
-    for k in range(1, n + 1):
-        cur = np.log(cur)  # positive after the previous factor's check
-        bad = cur <= 0.0
-        if np.count_nonzero(bad):
-            raise DomainError(
-                f"hardy_weight_stack({float(x[bad][0])}, d={d}, n={n}): log factor #{k} "
-                f"is not positive; need x > exp^({n})(0)"
-            )
+    for cur in chain[1:n + 1]:
         acc = acc * (cur * cur)
         total = total + 1.0 / acc
     return total
@@ -137,25 +145,15 @@ def hardy_weight_stack(x, d: int, n: int):
 
 @float_or_array
 def squared_log_weight(x, count: int):
-    """x^2 (ln x)^2 ... (ln^(count) x)^2, the denominator stack of the weights.
+    """x^2 (ln x)^2 ... (ln^(count) x)^2, the denominator stack of the weights;
+    the innermost factor may vanish, making the product zero."""
+    return squared_product(log_chain(x, count))
 
-    Requires all ``count`` log factors to be defined (intermediates positive);
-    the innermost factor may vanish, making the product zero.
-    """
-    _check_depth(count)
-    bad = x <= 0.0
-    if np.count_nonzero(bad):
-        raise DomainError(f"squared_log_weight requires x > 0, got {float(x[bad][0])}")
-    acc = x * x
-    cur = x
-    for k in range(count):
-        bad = cur <= 0.0
-        if np.count_nonzero(bad):
-            raise DomainError(
-                f"squared_log_weight({float(x[bad][0])}, {count}): log #{k + 1} undefined "
-                f"(argument {float(cur[bad][0])})"
-            )
-        cur = np.log(cur)
+
+def squared_product(chain: list) -> np.ndarray:
+    """The product of the squares of the factors of ``chain``."""
+    acc = chain[0] * chain[0]
+    for cur in chain[1:]:
         acc *= cur * cur
     return acc
 

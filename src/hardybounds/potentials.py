@@ -506,15 +506,17 @@ def make_potential(family: str, params: Optional[dict] = None) -> Potential:
 # transformation
 # --------------------------------------------------------------------------
 
-def _exp_prefactor_exponent(s: np.ndarray, terms: int) -> np.ndarray:
-    """2 * (s + e^s + ... + exp^(terms-1) s) elementwise; the log of the
-    stacked Jacobian.  A tower term past _EXP_MAX counts as inf."""
+def _exp_tower(s: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(2 * (s + e^s + ... + exp^(terms-1) s), exp^(terms) s) elementwise: the
+    log of the stacked Jacobian and the tower, from one pass of exps.  A value
+    past the double range is inf."""
     total = np.zeros(s.shape)
     cur = s
-    for _ in range(terms):
-        total = total + cur
-        cur = np.where(cur < _EXP_MAX, np.exp(np.minimum(cur, _EXP_MAX)), np.inf)
-    return 2.0 * total
+    with np.errstate(over="ignore"):
+        for _ in range(terms):
+            total = total + cur
+            cur = np.exp(cur)
+        return 2.0 * total, cur
 
 
 def _overflow_error(s) -> OverflowError:
@@ -577,7 +579,7 @@ class TransformedPotential:
         out = self._core_array(s)
         if self._coupling > 0.0:
             # l(l+d-2)/y^2 telescopes: c * e^{2s} ... e^{2 exp^(k-2) s}
-            expo = math.log(self._coupling) + _exp_prefactor_exponent(s, self.steps - 1)
+            expo = math.log(self._coupling) + _exp_tower(s, self.steps - 1)[0]
             out += np.where(expo > _EXP_MAX, _POSITIVE_WALL, np.exp(np.minimum(expo, _EXP_MAX)))
         return out
 
@@ -590,7 +592,7 @@ class TransformedPotential:
         if isinstance(V, InverseSquareTail):
             # -c/y^2 telescopes like the centrifugal term, active for y >= onset
             on = s >= lo_s
-            expo = math.log(V.c) + _exp_prefactor_exponent(s[on], k - 1)
+            expo = math.log(V.c) + _exp_tower(s[on], k - 1)[0]
             over = expo > _EXP_MAX
             if np.count_nonzero(over):
                 raise _overflow_error(s[on][np.argmax(over)])
@@ -598,16 +600,12 @@ class TransformedPotential:
             return out
         inside = (s > lo_s) & (s < hi_s)
         s_in = s[inside]
-        y = s_in
-        with np.errstate(over="ignore"):
-            for _ in range(k):
-                y = np.exp(y)
+        expo, y = _exp_tower(s_in, k)
         tower_over = np.isinf(y)
         if np.count_nonzero(tower_over):
             raise _overflow_error(s_in[np.argmax(tower_over)])
         v = V.evaluate_array(y)
         nz = v != 0.0
-        expo = _exp_prefactor_exponent(s_in, k)
         expo[nz] += np.log(np.abs(v[nz]))
         over = nz & (expo > _EXP_MAX)
         neg_over = over & (v < 0.0)
