@@ -86,6 +86,10 @@ SETTINGS = ("theorem", "d", "n", "variant", "L", "m", "doublings")
 BOUND_TOL = 1e-8  # quadrature tolerance of ``bound`` when none is given
 TRANSFORM_TOL = 1e-6  # tolerance of ``verify transform`` when none is given
 
+#: setting -> the one suite of ``verify`` (besides ``all``) that reads it
+VERIFY_READERS = {"tol": "transform", "L": "bounds", "m": "bounds", "doublings": "bounds",
+                  "constants": "bounds"}
+
 
 @dataclass
 class RunConfig:
@@ -357,9 +361,11 @@ def cmd_verify(cfg: RunConfig) -> int:
     suite = cfg.suite or "all"
     if suite not in ("hardy", "transform", "bounds", "existence", "convergence", "all"):
         raise ConfigError(f"unknown suite {suite!r}")
-    if cfg.tol is not None and suite not in ("transform", "all"):
-        raise ConfigError(f"tol sets the tolerance of verify transform (and of verify all); "
-                          f"verify {suite} takes none")
+    defaults = RunConfig()
+    for key, reader in VERIFY_READERS.items():
+        if suite not in (reader, "all") and getattr(cfg, key) != getattr(defaults, key):
+            raise ConfigError(f"{key} is a setting of verify {reader} (and of verify all); "
+                              f"verify {suite} does not read it")
     reports = []
     failed = False
     warned = False
@@ -380,8 +386,10 @@ def cmd_verify(cfg: RunConfig) -> int:
         failed |= not rep.passed
     if suite in ("bounds", "all"):
         ok = True
+        constants = _constants_from_config(cfg)
         for theorem, spec, sweep in default_sweeps():
-            rows = run_bound_sweep(sweep, theorem, spec, cfg.L, cfg.m, cfg.doublings)
+            rows = run_bound_sweep(sweep, theorem, spec, cfg.L, cfg.m, cfg.doublings,
+                                   constants=constants)
             rows_ok = all(r.satisfied for r in rows)
             ok &= rows_ok
             reports.append({"suite": f"bounds-{theorem}",
@@ -391,8 +399,8 @@ def cmd_verify(cfg: RunConfig) -> int:
                   f"{'PASS' if rows_ok else 'FAIL'}")
         # illustrative, not pass/fail: the extra contribution that appears in
         # the CLR-type bound for every d >= 4 but not at d = 3
-        z3, z5 = (theorem_bound("t42", ZeroPotential(), theorem_operator("t42", d, 0, "zero"))
-                  for d in (3, 5))
+        z3, z5 = (theorem_bound("t42", ZeroPotential(), theorem_operator("t42", d, 0, "zero"),
+                                constants=constants) for d in (3, 5))
         reports.append({"suite": "bounds-dimension-note",
                         "d3_raw": z3.raw, "d5_raw": z5.raw, "informational": True})
         print(f"bounds note : V=0 CLR-type raw: d=3 -> {z3.raw:g}, "
@@ -527,8 +535,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         cfg = _merge_config(args)
-        if args.command == "verify" and args.suite is not None:
-            cfg.suite = args.suite
         handler = {
             "bound": cmd_bound,
             "count": cmd_count,

@@ -114,10 +114,8 @@ def log_chain(x: np.ndarray, count: int) -> list:
     for k in range(max(count, 1)):
         bad = chain[k] <= 0.0
         if np.count_nonzero(bad):
-            raise DomainError(
-                f"x = {float(x[bad][0])} is outside the domain of ln^({count}): "
-                f"ln^({k}) x = {float(chain[k][bad][0])} is not positive"
-            )
+            raise DomainError(f"x = {float(x[bad][0])} is outside the domain of ln^({count}): "
+                              f"ln^({k}) x = {float(chain[k][bad][0])} is not positive")
         if k < count:
             chain.append(np.log(chain[k]))
     return chain

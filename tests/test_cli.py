@@ -248,6 +248,63 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert received == [3e-7]
 
+    def test_clr_constant_reaches_the_bound_sweeps(self, tmp_path, capsys):
+        rows = {}
+        for name, argv in (("default", []), ("doubled", ["--C3", "0.2312"])):
+            path = tmp_path / f"{name}.json"
+            assert main(["verify", "bounds", *argv, "--json", str(path)]) == EXIT_OK
+            reports = json.loads(path.read_text())["reports"]
+            rows[name] = {r["suite"]: r["rows"] for r in reports if "rows" in r}
+        capsys.readouterr()
+        default, doubled = rows["default"], rows["doubled"]
+        assert default.keys() == doubled.keys() == {"bounds-t41", "bounds-t42", "bounds-t43"}
+        # C_3 = 2 x 0.1156 doubles the t42 bounds exactly, and nothing else
+        assert [r["bound_raw"] * 2.0 for r in default["bounds-t42"]] == [
+            r["bound_raw"] for r in doubled["bounds-t42"]]
+        assert [r["count"] for r in default["bounds-t42"]] == [
+            r["count"] for r in doubled["bounds-t42"]]
+        assert default["bounds-t41"] == doubled["bounds-t41"]
+        assert default["bounds-t43"] == doubled["bounds-t43"]
+
+    @pytest.mark.parametrize("argv, config", [
+        (["verify", "existence", "--m", "100"], None),
+        (["verify", "convergence", "--L", "5"], None),
+        (["verify", "hardy", "--C3", "0.5"], None),
+        (["verify", "transform"], {"doublings": 2}),
+    ], ids=["existence-m", "convergence-L", "hardy-C3", "transform-file-doublings"])
+    def test_setting_of_the_bounds_suite_elsewhere_is_a_config_error(
+        self, argv, config, tmp_path, capsys
+    ):
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_CONFIG
+        assert captured.err.startswith("configuration error") and "verify bounds" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, setting", [
+        (["verify", "all", "--m", "100"], ("m", 100)),
+        (["verify", "bounds", "--L", "10"], ("L", 10.0)),
+    ])
+    def test_bounds_settings_reach_the_bounds_suite(self, argv, setting, capsys, monkeypatch):
+        import hardybounds.cli as climod
+
+        received = []
+
+        def spy(sweep, theorem, spec, L, m, doublings, **kwargs):
+            received.append({"L": L, "m": m, "doublings": doublings})
+            return []
+
+        monkeypatch.setattr(climod, "run_bound_sweep", spy)
+        code = main(argv)
+        capsys.readouterr()
+        assert code == EXIT_OK
+        key, value = setting
+        assert len(received) == 3 and all(r[key] == value for r in received)
+
 
 class TestSweepCommand:
     def test_sweep_from_config(self, tmp_path, capsys):
