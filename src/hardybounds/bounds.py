@@ -42,6 +42,7 @@ from .potentials import (
     SAMPLED_RANGE_NOTE,
     PowerLogWell,
     SquareWell,
+    TabulatedPotential,
     check_bounded_below_weighted,
     checked_pow,
     effective_radial_potential,
@@ -362,9 +363,11 @@ def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
 def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
     """sup over (threshold, inf) of r^2 max(-V(r), 0).
 
-    Closed forms for the monotone families; otherwise log-spaced sampling,
-    then repeated resampling around the largest sample (heuristic for wild
-    potentials).
+    Closed forms for the five families: c b^2 for a square well, c for an
+    inverse-square tail, c r^(p+2) (ln r)^q at its one maximiser for a
+    power-log well, and the largest value over the ends, the samples and the
+    turning point of each sample interval for a tabulated V.  Any other
+    potential falls back to a sampled zoom (heuristic for wild potentials).
     """
     ns = V.negative_support()
     if ns is None:
@@ -377,12 +380,31 @@ def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
         return V.c * hi * hi
     if isinstance(V, InverseSquareTail):
         return V.c
-    if isinstance(V, PowerLogWell) and V.c > 0.0 and V.p + 2.0 >= 0.0:
-        # r^2 * c r^p (ln r)^q is non-decreasing on the support (a >= 1 when q > 0)
-        if math.isinf(hi):
-            return math.inf
-        return V.c * hi ** (V.p + 2.0) * (math.log(hi) ** V.q if V.q else 1.0)
+    if isinstance(V, PowerLogWell):  # c > 0: a barrier has no negative support
+        # c r^(p+2) (ln r)^q rises on the support for p >= -2 (a >= 1 when
+        # q > 0); for p < -2 it falls, after a peak at ln r = q/|p+2| if q > 0
+        e = V.p + 2.0
+        if e < 0.0 and V.q:
+            # in u = ln r (> 0 here, as a >= 1), so a peak past the doubles stays finite
+            u = min(max(V.q / -e, math.log(lo)), math.log(hi))
+            return V.c * math.exp(e * u) * u**V.q
+        r = hi if e >= 0.0 else lo  # inf ** 0.0 is 1: a p = -2, q = 0 tail has sup c
+        return V.c * r**e * (math.log(r) ** V.q if V.q else 1.0)
+    if isinstance(V, TabulatedPotential):
+        # V = alpha + beta r on a sample interval: r^2 (-V) turns at -2 alpha / (3 beta)
+        rs, vs = V._rs, V._vs
+        beta = np.diff(vs) / np.diff(rs)
+        with np.errstate(all="ignore"):  # a flat interval has no turning point
+            turn = -2.0 * (vs[:-1] - beta * rs[:-1]) / (3.0 * beta)
+        xs = np.concatenate(([lo, hi], rs, turn))
+        xs = xs[(lo <= xs) & (xs <= hi)]
+        return float(np.max(xs * xs * negative_part_abs(V, xs)))
+    return _zoomed_sup(V, lo, hi)
 
+
+def _zoomed_sup(V: Potential, lo: float, hi: float) -> float:
+    """sup over (lo, hi) of r^2 max(-V(r), 0) by log-spaced sampling, then
+    repeated resampling around the largest sample."""
     if math.isinf(hi):
         hi = max(1e6, lo * 1e3)
 

@@ -649,29 +649,24 @@ def check_bounded_below_weighted(
     domain: DomainThreshold,
     samples: int = 2000,
 ) -> BoundedBelowCheck:
-    """Heuristic test that x^2 (ln x)^2 ... (ln^(n) x)^2 V(x) stays bounded
-    below on (threshold, infinity).
+    """Test that x^2 (ln x)^2 ... (ln^(n) x)^2 V(x) stays bounded below on
+    (threshold, infinity).
 
-    Samples the weighted value on a log-spaced grid up to a horizon and flags
-    a downward divergence when the tail keeps sinking well below the mid-range
-    values.  A flag is a warning, not a proof; see the failing point in
-    ``witness``.
+    Exact when the negative support is empty or ends at a finite r: there is
+    no tail, and the weighted V is bounded on a bounded support (as it is for
+    every family here); it passes without sampling.  Otherwise a heuristic
+    tail test: it samples the weighted value on a log-spaced grid up to a
+    horizon and flags a downward divergence when the tail keeps sinking well
+    below the mid-range values.  A flag is a warning, not a proof; see the
+    failing point in ``witness``.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples}")
+    ns = V.negative_support()
+    if ns is None or math.isfinite(ns[1]):
+        return BoundedBelowCheck(passed=True, witness=None, sampled_min=0.0, samples=0)
     lo = max(domain.value * (1.0 + 1e-12), 1e-6)
     hi = max(1e6, 1e4 * lo)
-    supp = V.support()
-    if supp is not None and math.isfinite(supp[1]):
-        hi = max(hi, 10.0 * supp[1])
-    rng = V.sampled_range()
-    if rng is not None:
-        lo = max(lo, rng[0])
-        hi = min(hi, rng[1])
-        if not lo < hi:
-            # the samples end below the domain: there is nothing to check
-            return BoundedBelowCheck(passed=True, witness=None, sampled_min=0.0, samples=0)
-
     xs = np.geomspace(lo, hi, samples)
     w = squared_log_weight(xs, n) * V(xs)
 

@@ -249,6 +249,29 @@ class TestLmax:
         assert any("diverge" in note for note in bv.diagnostics.notes)
 
 
+class TestHypothesisCheckOnBoundedSupports:
+    def test_wide_square_wells_carry_no_warning(self):
+        # the sampled tail window of the check used to overlap these wells
+        # and flag them as unbounded below
+        bv = bound_1d(SquareWell(c=1.0, a=1.0, b=1e6), OperatorSpec(1, 0, "zero"))
+        assert bv.diagnostics.warnings == ()
+        bv = central_bound(SquareWell(c=1e-9, a=1.0, b=1e5), OperatorSpec(3, 0, "zero"))
+        assert bv.diagnostics.warnings == ()
+
+    @pytest.mark.parametrize("V", [
+        ZeroPotential(),
+        SquareWell(c=5.0, a=1.0, b=2.0),
+        PowerLogWell(c=30.0, p=-3.0, q=1.0, a=3.0, b=40.0),
+        PowerLogWell(c=-1.0, p=-1.0, q=0.0, a=1.0, b=math.inf),
+        TabulatedPotential(r=(0.5, 1.0, 4.0, 9.0), v=(0.0, -3.0, -1.0, 0.5)),
+    ], ids=["zero", "square", "power-log", "power-log-barrier", "tabulated"])
+    def test_bounded_negative_support_is_decided_without_samples(self, V):
+        for n, variant in ((0, "zero"), (0, "one"), (1, "zero"), (2, "one")):
+            check = check_bounded_below_weighted(V, n, DomainThreshold(n, variant))
+            assert (check.passed, check.witness, check.sampled_min, check.samples) == (
+                True, None, 0.0, 0)
+
+
 class TestCentralBound:
     def test_nonnegative_potential_gives_zero(self):
         spec = OperatorSpec(3, 0, "zero")

@@ -171,6 +171,19 @@ class TestCountCommand:
         assert "channel l=0" in out
 
 
+    def test_power_log_tail_at_p_minus_two_counts_as_the_inverse_square_tail(self, capsys):
+        # the same V = -5/r^2 on (1, inf) twice: sup r^2 |V_-| is 5, not +inf
+        outs = []
+        for pot in ("power_log_well:c=5,p=-2,q=0,a=1,b=inf", "inverse_square:c=5,a=1"):
+            code = main([
+                "count", "--theorem", "t43", "--d", "3", "--n", "0", "--variant", "zero",
+                "--potential", pot, "--m", "400", "--L", "8",
+            ])
+            outs.append(capsys.readouterr().out)
+            assert code == EXIT_OK
+        assert outs[0] == outs[1]
+        assert "total count: 38" in outs[0]
+
     @pytest.mark.parametrize("L", ["1e-150", "1e-300"])
     def test_window_too_small_for_the_grid_is_a_numerical_failure(self, L, capsys):
         code = main(["count", "--d", "1", "--L", L, "--potential", "zero"])

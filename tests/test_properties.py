@@ -1,9 +1,9 @@
 """Property tests: the single-pass Sturm count against dense eigenvalues and
 against the two-pass reference; the potentials, the transformed potentials
 and the log weights against scalar reference formulas kept here; the array
-bisection of the channel crossings against the scalar one; the l_max sup-scan
-against a dense sup; and the batched GK15 quadrature against the scalar
-rule."""
+bisection of the channel crossings against the scalar one; the l_max sup
+(its closed forms and the sampled zoom) against a dense sup; and the batched
+GK15 quadrature against the scalar rule."""
 
 import bisect
 import heapq
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import event, find, given, settings
 from hypothesis import strategies as st
 
+from hardybounds import bounds
 from hardybounds.errors import DomainError
 from hardybounds.bounds import _sup_r2_negative_part, absolute_log_weight, l_max
 from hardybounds.iterfun import (
@@ -567,7 +568,7 @@ def _check_log_weight(weight, reference, xs, logs):
 
 
 # ---------------------------------------------------------------------------
-# the array bisection of the channel crossings, and the l_max sup-scan
+# the array bisection of the channel crossings, and the l_max sup
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -576,6 +577,26 @@ def tabulated_wells(draw):
     r = draw(_pos(0.2, 2.0)) * np.cumprod([1.0] + [1.0 + draw(_pos(0.01, 0.5)) for _ in range(n - 1)])
     v = [-draw(_pos(0.0, 60.0)) for _ in range(n)]
     return TabulatedPotential(r=tuple(r.tolist()), v=tuple(v))
+
+
+class LogBump(Potential):
+    """V = -c exp(-(ln r - m)^2) on (a, b): r^2 |V| peaks inside, at
+    ln r = m + 1, and only the sampled zoom of l_max covers it."""
+
+    family = "log_bump"
+
+    def __init__(self, c, m, a, b):
+        self.c, self.m, self.a, self.b = c, m, a, b
+
+    def evaluate_array(self, r):
+        inside = (self.a < r) & (r < self.b)
+        return np.where(inside, -self.c * np.exp(-((np.log(r) - self.m) ** 2)), 0.0)
+
+    def support(self):
+        return (self.a, self.b)
+
+    def negative_support(self):
+        return (self.a, self.b)
 
 
 class TestCrossingsAndSupScan:
@@ -599,33 +620,73 @@ class TestCrossingsAndSupScan:
         assert sorted(_tabulated_crossings(L, V)) == sorted(want)
         event(f"{len(want)} roots")
 
-    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("seed", range(34))
     def test_zoom_sup_against_a_dense_sup(self, seed):
         rng = np.random.default_rng(seed)
-        if seed % 2:
+        domain = DomainThreshold(0, "one" if seed % 2 else "zero")
+        if seed < 12 and seed % 2:
             # a power-log tail with p < -2: r^2 |V| peaks inside for q > 0
             q = float(rng.choice([0.0, 1.0, 2.0]))
             a = rng.uniform(1.0, 3.0)
             V = PowerLogWell(c=rng.uniform(5.0, 200.0), p=rng.uniform(-4.0, -2.2), q=q,
                              a=a, b=math.inf)
-            lo, hi = a, max(1e6, a * 1e3)
-        else:
+        elif seed < 12 or 24 <= seed < 30:
             r = np.geomspace(rng.uniform(0.3, 0.8), rng.uniform(20.0, 40.0), 60)
             v = -rng.uniform(1.0, 40.0) * (np.exp(-((np.linspace(-2, 2, 60) - rng.uniform(-1, 1)) ** 2))
                                            + rng.uniform(0.0, 0.2, 60))
             V = TabulatedPotential(r=tuple(r.tolist()), v=tuple(v.tolist()))
-            lo, hi = r[0], r[-1]
+            if seed >= 24:
+                # the threshold, e or e^e, inside the samples
+                domain = DomainThreshold(1 + seed % 2, "one")
+        elif seed < 24:
+            # a power-log well with finite b, p below, at and above -2, q in
+            # {0, 1, 2}, and the threshold, e or e^e, inside the support; the
+            # peak of r^2 |V| for p < -2 falls inside it, past b or before it
+            p = [rng.uniform(-2.8, -2.1), -2.0, rng.uniform(-1.8, 1.0)][seed % 3]
+            V = PowerLogWell(c=rng.uniform(0.5, 20.0), p=p, q=float((seed // 3) % 3),
+                             a=rng.uniform(1.0, 2.5), b=rng.uniform(20.0, 300.0))
+            domain = DomainThreshold(1 + seed % 2, "one")
+        else:
+            # a subclass outside the five families: the sampled zoom's input
+            V = LogBump(c=rng.uniform(0.5, 5.0), m=rng.uniform(0.0, 2.0),
+                        a=rng.uniform(0.5, 1.0), b=rng.uniform(25.0, 40.0))
+        ns = V.negative_support()
+        lo = max(ns[0], domain.value)
+        hi = ns[1] if math.isfinite(ns[1]) else max(1e6, lo * 1e3)
         # the dense grid holds the kinks of a tabulated V, its samples, and
         # reaches as close to the ends as the scan does
         xs = np.geomspace(lo * (1.0 + 1e-12), hi * (1.0 - 1e-12), 200_001)
         if isinstance(V, TabulatedPotential):
-            xs = np.union1d(xs, np.array(V.r[1:-1]))
+            xs = np.union1d(xs, np.array([x for x in V.r[1:-1] if lo < x < hi]))
         dense = float(np.max(xs * xs * np.maximum(-V(xs), 0.0)))
-        S = _sup_r2_negative_part(V, 1.0 if seed % 2 else 0.0)
+        S = _sup_r2_negative_part(V, domain.value)
         assert dense * (1.0 - 1e-13) <= S <= dense * (1.0 + 1e-9)
         d = 3
         want = (math.isqrt(4 * (math.ceil(dense) - 1) + (d - 2) ** 2) - (d - 2)) // 2
-        assert l_max(V, d, DomainThreshold(0, "one" if seed % 2 else "zero")) == want
+        assert l_max(V, d, domain) == want
+
+    def test_no_built_in_family_reaches_the_zoom(self, monkeypatch):
+        def zoom(V, lo, hi):
+            raise AssertionError(f"sampled zoom reached for {V.family}")
+
+        monkeypatch.setattr(bounds, "_zoomed_sup", zoom)
+        r = np.geomspace(0.5, 30.0, 40)
+        families = [
+            ZeroPotential(),
+            SquareWell(c=3.0, a=0.5, b=2.0),
+            InverseSquareTail(c=5.0, a=1.0),
+            PowerLogWell(c=3.0, p=-1.0, q=1.0, a=1.0, b=50.0),
+            PowerLogWell(c=30.0, p=-3.0, q=1.0, a=3.0, b=math.inf),
+            PowerLogWell(c=5.0, p=-2.0, q=0.0, a=1.0, b=math.inf),
+            PowerLogWell(c=-2.0, p=1.0, q=0.0, a=1.0, b=math.inf),
+            TabulatedPotential(r=tuple(r), v=tuple(-20.0 * np.exp(-((r - 4.0) ** 2)))),
+        ]
+        for V in families:
+            for domain in (DomainThreshold(0, "zero"), DomainThreshold(1, "one")):
+                l_max(V, 3, domain)
+        # the patch is live: a potential outside the five families still zooms
+        with pytest.raises(AssertionError, match="sampled zoom reached"):
+            l_max(LogBump(c=1.0, m=1.0, a=0.5, b=30.0), 3, DomainThreshold(0, "zero"))
 
 
 # ---------------------------------------------------------------------------
