@@ -37,11 +37,8 @@ from .iterfun import (
 )
 from .potentials import (
     CentrifugalShift,
-    InverseSquareTail,
     Potential,
     SAMPLED_RANGE_NOTE,
-    PowerLogWell,
-    SquareWell,
     TabulatedPotential,
     check_bounded_below_weighted,
     checked_pow,
@@ -225,30 +222,25 @@ def _log_kinks(n: int, lo: float, hi: float) -> list[float]:
 
 def _tail_is_integrable(V: Potential) -> tuple[bool, Optional[str]]:
     """Whether |V_-| times any of the x * log-power weights has an integrable
-    tail.  The threshold power is x^(-2): decay strictly faster converges,
-    anything at or above it diverges regardless of the log factors."""
+    tail: for -c r^p (ln r)^q exactly when p < -2, whatever the log factors."""
     ns = V.negative_support()
     if ns is None or math.isfinite(ns[1]):
         return True, None
-    if isinstance(V, InverseSquareTail):
-        return False, "inverse-square tail makes the weighted integral diverge"
-    if isinstance(V, PowerLogWell):
-        if V.p < -2.0:
-            return True, None
-        return False, f"power-law tail r^{V.p} makes the weighted integral diverge"
     if isinstance(V, CentrifugalShift):
         return _tail_is_integrable(V.base)
-    return False, "potential with unbounded negative support; tail decay unknown"
+    if (form := V.power_log_form()) is None:
+        return False, "potential with unbounded negative support; tail decay unknown"
+    if form.p < -2.0:
+        return True, None
+    if (form.p, form.q) == (-2.0, 0.0):
+        return False, "inverse-square tail makes the weighted integral diverge"
+    return False, f"power-law tail r^{form.p} makes the weighted integral diverge"
 
 
 def _weighted_negpart_quad(
-    V: Potential,
-    n: int,
-    threshold: float,
-    tol: float,
-    weight=absolute_log_weight,
+    V: Potential, n: int, threshold: float, tol: float
 ) -> tuple[QuadResult, list[str]]:
-    """int_threshold^inf |V_-(x)| * weight(x, n) dx with support clipping."""
+    """int_threshold^inf |V_-(x)| x |ln x| ... |ln^(n+1) x| dx, support clipped."""
     notes: list[str] = []
     ns = V.negative_support()
     if ns is None:
@@ -261,7 +253,7 @@ def _weighted_negpart_quad(
     def f(x: np.ndarray) -> np.ndarray:
         vneg = negative_part_abs(V, x)
         on = vneg != 0.0  # the weight is evaluated only where V dips negative
-        vneg[on] *= weight(x[on], n)
+        vneg[on] *= absolute_log_weight(x[on], n)
         return vneg
 
     pts = [p for p in V.breakpoints() if lo < p < hi]
@@ -272,37 +264,6 @@ def _weighted_negpart_quad(
         return integrate(f, lo, hi, tol=tol, breakpoints=pts), notes
     pts += _log_kinks(n, lo, lo + 1e6)
     return integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts), notes
-
-
-def _line_weight(x: np.ndarray, _n: int) -> np.ndarray:
-    return np.abs(x)
-
-
-def bargmann_line_bound(V: Potential, tol: float = 1e-10) -> BoundValue:
-    """1 + int_{-inf}^{inf} |V(x)_-| |x| dx for the flat operator on the line."""
-    ok, why = _tail_is_integrable(V)
-    if not ok:
-        return BoundValue.build(math.inf, QuadDiagnostics(notes=(why,)))
-    ns = V.negative_support()
-    if ns is None:
-        return BoundValue.build(1.0, QuadDiagnostics())
-    lo, hi = ns
-    pts = [p for p in list(V.breakpoints()) + [0.0] if lo < p < hi]
-    quad = integrate(
-        lambda x: negative_part_abs(V, x) * np.abs(x), lo, hi, tol=tol, breakpoints=pts
-    )
-    diag = QuadDiagnostics(error_estimate=quad.error_estimate, evaluations=quad.evaluations)
-    return BoundValue.build(1.0 + quad.value, diag)
-
-
-def bargmann_halfline_bound(V: Potential, tol: float = 1e-10) -> BoundValue:
-    """int_0^inf |V(x)_-| x dx for the flat Dirichlet operator on (0, inf)."""
-    ok, why = _tail_is_integrable(V)
-    if not ok:
-        return BoundValue.build(math.inf, QuadDiagnostics(notes=(why,)))
-    quad, notes = _weighted_negpart_quad(V, 0, 0.0, tol, weight=_line_weight)
-    diag = QuadDiagnostics(quad.error_estimate, quad.evaluations, notes=tuple(notes))
-    return BoundValue.build(quad.value, diag)
 
 
 def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue:
@@ -363,11 +324,11 @@ def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
 def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
     """sup over (threshold, inf) of r^2 max(-V(r), 0).
 
-    Closed forms for the five families: c b^2 for a square well, c for an
-    inverse-square tail, c r^(p+2) (ln r)^q at its one maximiser for a
-    power-log well, and the largest value over the ends, the samples and the
-    turning point of each sample interval for a tabulated V.  Any other
-    potential falls back to a sampled zoom (heuristic for wild potentials).
+    Closed forms for the five families: c r^(p+2) (ln r)^q at its maximiser
+    for a power-log form (c b^2 for a square well, c for an inverse-square
+    tail), and the largest value over the ends, the samples and the turning
+    point of each sample interval for a tabulated V.  Any other potential
+    falls back to a sampled zoom (heuristic for wild potentials).
     """
     ns = V.negative_support()
     if ns is None:
@@ -376,20 +337,17 @@ def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
     hi = ns[1]
     if hi <= lo:
         return 0.0
-    if isinstance(V, SquareWell):
-        return V.c * hi * hi
-    if isinstance(V, InverseSquareTail):
-        return V.c
-    if isinstance(V, PowerLogWell):  # c > 0: a barrier has no negative support
+    if (form := V.power_log_form()) is not None:  # c > 0: a barrier has no negative support
+        c, p, q = form.c, form.p, form.q
         # c r^(p+2) (ln r)^q rises on the support for p >= -2 (a >= 1 when
         # q > 0); for p < -2 it falls, after a peak at ln r = q/|p+2| if q > 0
-        e = V.p + 2.0
-        if e < 0.0 and V.q:
+        e = p + 2.0
+        if e < 0.0 and q:
             # in u = ln r (> 0 here, as a >= 1), so a peak past the doubles stays finite
-            u = min(max(V.q / -e, math.log(lo)), math.log(hi))
-            return V.c * math.exp(e * u) * u**V.q
+            u = min(max(q / -e, math.log(lo)), math.log(hi))
+            return c * math.exp(e * u) * u**q
         r = hi if e >= 0.0 else lo  # inf ** 0.0 is 1: a p = -2, q = 0 tail has sup c
-        return V.c * r**e * (math.log(r) ** V.q if V.q else 1.0)
+        return c * r**e * (math.log(r) ** q if q else 1.0)
     if isinstance(V, TabulatedPotential):
         # V = alpha + beta r on a sample interval: r^2 (-V) turns at -2 alpha / (3 beta)
         rs, vs = V._rs, V._vs
@@ -404,9 +362,10 @@ def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
 
 def _zoomed_sup(V: Potential, lo: float, hi: float) -> float:
     """sup over (lo, hi) of r^2 max(-V(r), 0) by log-spaced sampling, then
-    repeated resampling around the largest sample."""
+    repeated resampling around the largest sample; hi = inf is an error."""
     if math.isinf(hi):
-        hi = max(1e6, lo * 1e3)
+        raise EvaluationError(f"sup r^2 |V_-| of {V.family} over ({lo:g}, inf) has no "
+                              "closed form, and a sampled sup would cut the tail")
 
     def g(r: np.ndarray) -> np.ndarray:
         return r * r * negative_part_abs(V, r)

@@ -12,7 +12,8 @@ transform turns V into the s-coordinate potential
 
 which is what the flat 1-d operator -d^2/ds^2 + W sees after the Hardy stack
 has been absorbed.  Evaluation accumulates the exponential prefactor as a
-log magnitude so compactly supported wells never overflow.
+log magnitude so compactly supported wells never overflow; the form
+-c r^p (ln r)^q of three families is transformed in log space (tails too).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,11 +39,17 @@ from .iterfun import (
 _EXP_MAX = 700.0  # exp() stays finite below this
 _POSITIVE_WALL = 1e300  # stand-in for astronomically large positive values
 _DOUBLE_MAX = sys.float_info.max
+_TAIL_SAMPLES = 2000  # grid size of the heuristic tail test of the hypothesis check
 SAMPLED_RANGE_NOTE = "tabulated potential: integral restricted to the sampled range"
 
 
+#: V = -c r^p (ln r)^q on (a, b), and 0 elsewhere
+PowerLogForm = namedtuple("PowerLogForm", "c p q a b")
+
+
 class Potential:
-    """Base class: a real potential on a radial or line domain."""
+    """Base class: a real potential on a radial or line domain.  The supports
+    and breakpoints of a V with a power-log form are read off the form."""
 
     family = "abstract"
     central = True
@@ -56,19 +64,29 @@ class Potential:
 
     def support(self) -> Optional[tuple[float, float]]:
         """Interval outside which the potential vanishes (None = empty)."""
-        return None
+        form = self.power_log_form()
+        return None if form is None else (form.a, form.b)
 
     def negative_support(self) -> Optional[tuple[float, float]]:
         """Interval containing {r : V(r) < 0} (None = V >= 0 everywhere)."""
-        return None
+        form = self.power_log_form()
+        return (form.a, form.b) if form is not None and form.c > 0.0 else None
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Points where the potential jumps or kinks."""
-        return ()
+        """Points where the potential or its negative part jumps or kinks."""
+        form = self.power_log_form()
+        if form is None:
+            return ()
+        return (form.a,) if math.isinf(form.b) else (form.a, form.b)
 
     def sampled_range(self) -> Optional[tuple[float, float]]:
         """Interval of the samples of a tabulated V (None = defined for every
         r > 0).  Outside it V raises; the bounds take V as 0 there."""
+        return None
+
+    def power_log_form(self) -> Optional[PowerLogForm]:
+        """(c, p, q, a, b) when V = -c r^p (ln r)^q on (a, b) and 0 elsewhere;
+        None for any other V.  The families build theirs once, at construction."""
         return None
 
     def params(self) -> dict:
@@ -101,18 +119,13 @@ class SquareWell(Potential):
             raise DomainError(f"square well depth must be positive, got c={self.c}")
         if not self.a < self.b:
             raise DomainError(f"square well needs a < b, got a={self.a}, b={self.b}")
+        object.__setattr__(self, "_form", PowerLogForm(self.c, 0.0, 0.0, self.a, self.b))
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         return np.where((self.a < r) & (r < self.b), -self.c, 0.0)
 
-    def support(self):
-        return (self.a, self.b)
-
-    def negative_support(self):
-        return (self.a, self.b)
-
-    def breakpoints(self):
-        return (self.a, self.b)
+    def power_log_form(self):
+        return self._form
 
     def params(self):
         return {"c": self.c, "a": self.a, "b": self.b}
@@ -120,7 +133,7 @@ class SquareWell(Potential):
 
 @dataclass(frozen=True)
 class InverseSquareTail(Potential):
-    """V = -c/r^2 for r >= a, zero before the onset."""
+    """V = -c/r^2 for r > a, zero up to the onset."""
 
     family = "inverse_square"
     c: float
@@ -131,22 +144,17 @@ class InverseSquareTail(Potential):
             raise DomainError(f"inverse-square coefficient must be positive, got {self.c}")
         if self.a < 0.0:
             raise DomainError(f"onset must be >= 0, got {self.a}")
+        object.__setattr__(self, "_form", PowerLogForm(self.c, -2.0, 0.0, self.a, math.inf))
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         _require_positive(r, "inverse-square tail")
         out = np.zeros(r.shape)
-        on = r >= self.a
+        on = r > self.a
         out[on] = -_inverse_square(self.c, r[on])
         return out
 
-    def support(self):
-        return (self.a, math.inf)
-
-    def negative_support(self):
-        return (self.a, math.inf)
-
-    def breakpoints(self):
-        return (self.a,) if self.a > 0.0 else ()
+    def power_log_form(self):
+        return self._form
 
     def params(self):
         return {"c": self.c, "a": self.a}
@@ -176,6 +184,7 @@ class PowerLogWell(Potential):
             raise DomainError(f"log exponent must be >= 0, got q={self.q}")
         if self.q != 0.0 and self.a < 1.0:
             raise DomainError("q != 0 requires a >= 1 so (ln r)^q is single-signed")
+        object.__setattr__(self, "_form", PowerLogForm(self.c, self.p, self.q, self.a, self.b))
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         _require_positive(r, "power-log well")
@@ -191,14 +200,8 @@ class PowerLogWell(Potential):
         out[inside] = -v
         return out
 
-    def support(self):
-        return (self.a, self.b)
-
-    def negative_support(self):
-        return (self.a, self.b) if self.c > 0.0 else None
-
-    def breakpoints(self):
-        return (self.a,) if math.isinf(self.b) else (self.a, self.b)
+    def power_log_form(self):
+        return self._form
 
     def params(self):
         return {"c": self.c, "p": self.p, "q": self.q, "a": self.a, "b": self.b}
@@ -212,9 +215,10 @@ class TabulatedPotential(Potential):
     family = "tabulated"
     r: tuple[float, ...]
     v: tuple[float, ...]
-    # the samples as ndarrays
+    # the samples as ndarrays, and the breakpoints: the samples and V's zeros between them
     _rs: np.ndarray = field(init=False, repr=False, compare=False)
     _vs: np.ndarray = field(init=False, repr=False, compare=False)
+    _breaks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", tuple(float(x) for x in self.r))
@@ -225,8 +229,13 @@ class TabulatedPotential(Potential):
             raise DomainError("tabulated sample points must be positive")
         if any(x >= y for x, y in zip(self.r, self.r[1:])):
             raise DomainError("tabulated sample points must be strictly increasing")
-        object.__setattr__(self, "_rs", np.array(self.r))
-        object.__setattr__(self, "_vs", np.array(self.v))
+        rs, vs = np.array(self.r), np.array(self.v)
+        cross = np.flatnonzero(np.sign(vs[:-1]) * np.sign(vs[1:]) < 0.0)
+        h0, h1 = 0.5 * vs[cross], 0.5 * vs[cross + 1]  # halved, so that h0 - h1 is finite
+        zeros = rs[cross] + (rs[cross + 1] - rs[cross]) * (h0 / (h0 - h1))
+        object.__setattr__(self, "_rs", rs)
+        object.__setattr__(self, "_vs", vs)
+        object.__setattr__(self, "_breaks", tuple(np.insert(rs, cross + 1, zeros).tolist()))
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         rs, vs = self._rs, self._vs
@@ -250,7 +259,7 @@ class TabulatedPotential(Potential):
         return (self.r[0], self.r[-1])
 
     def breakpoints(self):
-        return self.r
+        return self._breaks
 
     def sampled_range(self):
         return (self.r[0], self.r[-1])
@@ -310,12 +319,11 @@ class CentrifugalShift(Potential):
     def breakpoints(self):
         pts = list(self.base.breakpoints())
         L, base = self.coupling, self.base
+        form = base.power_log_form()
         # where L/r^2 + V changes sign, its positive part has a kink
         cross = []
-        if L > 0.0 and isinstance(base, SquareWell):
-            cross = [math.sqrt(L / base.c)]
-        elif L > 0.0 and isinstance(base, PowerLogWell) and base.c > 0.0:
-            cross = _power_log_crossings(L, base)
+        if L > 0.0 and form is not None and form.c > 0.0:
+            cross = _power_log_crossings(L, form)
         elif L > 0.0 and isinstance(base, TabulatedPotential):
             cross = _tabulated_crossings(L, base)
         if cross:
@@ -348,17 +356,17 @@ def _monotone_roots(F, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         hi = np.where(live & ~same, mid, hi)
 
 
-def _power_log_crossings(L: float, V: "PowerLogWell") -> list[float]:
+def _power_log_crossings(L: float, form: PowerLogForm) -> list[float]:
     """The r in (a, b) with c r^p (ln r)^q = L, for c > 0.
 
     In u = ln r the equation is (p+2) u + q ln u = ln(L/c), solved in logs
     because the powers overflow for p near -2.  For q > 0 and p < -2 the left
     side rises up to u = q/|p+2| and falls after it, so each side of that
-    peak holds at most one root."""
-    p, q = V.p, V.q
-    rhs = math.log(L / V.c)
-    lo = math.log(V.a)
-    hi = min(math.log(V.b), _EXP_MAX)
+    peak holds at most one root.  A square well with a <= 0 starts at u = -inf."""
+    c, p, q, a, b = form
+    rhs = math.log(L / c)
+    lo = math.log(a) if a > 0.0 else -math.inf
+    hi = min(math.log(b), _EXP_MAX)
     if q == 0.0:
         if p == -2.0:
             return []
@@ -523,6 +531,29 @@ def _overflow_error(s) -> OverflowError:
     return OverflowError(f"transformed potential value at s={s} exceeds the double range")
 
 
+def _signed_exp(s: np.ndarray, expo: np.ndarray, sign) -> np.ndarray:
+    """sign * e^expo; past e^700 a positive value is the wall, a negative one raises."""
+    over = expo > _EXP_MAX
+    neg_over = over & (sign < 0.0)
+    if np.count_nonzero(neg_over):
+        raise _overflow_error(s[np.argmax(neg_over)])
+    return np.where(over, _POSITIVE_WALL, sign * np.exp(np.minimum(expo, _EXP_MAX)))
+
+
+def _transformed_form(s: np.ndarray, k: int, c: float, p: float, q: float) -> np.ndarray:
+    """The k-step transform of -c y^p (ln y)^q in log space, never forming y:
+    -c exp(2 (s + ... + exp^(k-2) s) + (p+2) u + q ln u), u = ln y = exp^(k-1) s."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        expo, u = _exp_tower(s, k - 1)
+        if p != -2.0:  # at p = -2 u may be inf, and 0 * inf is nan
+            expo = expo + (p + 2.0) * u
+        if q != 0.0:
+            expo = expo + q * np.log(u)
+        # nan is inf - inf: a falling (p+2) u with u = inf outgrows the rest
+        expo = np.where(np.isnan(expo), -math.inf, expo) + math.log(abs(c))
+    return _signed_exp(s, expo, -math.copysign(1.0, c))
+
+
 @dataclass(frozen=True)
 class TransformedPotential:
     """Image of ``base`` under ``steps`` applications of the log change of
@@ -530,20 +561,17 @@ class TransformedPotential:
 
         W(s) = e^{2s} ... e^{2 exp^(steps-1) s} * base(exp^(steps) s)
 
-    W has one formula, on a float ndarray of s, where the base potential is
-    called once on the points inside its mapped support.  Calling W on a
-    float evaluates it on the one-element array and returns a float.  A
-    centrifugal term l(l+d-2)/r^2 and an inverse-square tail -c/r^2 are
-    applied in telescoped form, c * e^{2s} ... e^{2 exp^(steps-2) s}, so they
-    never overflow through exp^(steps) s.  Where the tower exp^(steps) s
-    itself leaves the double range, W raises OverflowError.
+    W has one formula, on a float ndarray of s.  A base with a power-log form,
+    and the centrifugal term l(l+d-2)/r^2 (the form (-l(l+d-2), -2, 0) on
+    (0, inf)), are transformed in log space; any other base is read on the
+    tower exp^(steps) s inside its mapped support, and raises OverflowError
+    where the tower leaves the double range.  A float s gives a float.
     """
 
     base: Potential
     steps: int
     # set at construction: the centrifugal coupling split off the base, the
-    # potential it shifts, and that potential's support mapped into s (the
-    # onset for an inverse-square tail; None for an empty support)
+    # potential it shifts, and its support mapped into s (None if empty)
     _coupling: float = field(init=False, repr=False, compare=False)
     _core: Potential = field(init=False, repr=False, compare=False)
     _window: Optional[tuple[float, float]] = field(init=False, repr=False, compare=False)
@@ -578,9 +606,7 @@ class TransformedPotential:
     def _evaluate_array(self, s: np.ndarray) -> np.ndarray:
         out = self._core_array(s)
         if self._coupling > 0.0:
-            # l(l+d-2)/y^2 telescopes: c * e^{2s} ... e^{2 exp^(k-2) s}
-            expo = math.log(self._coupling) + _exp_tower(s, self.steps - 1)[0]
-            out += np.where(expo > _EXP_MAX, _POSITIVE_WALL, np.exp(np.minimum(expo, _EXP_MAX)))
+            out += _transformed_form(s, self.steps, -self._coupling, -2.0, 0.0)
         return out
 
     def _core_array(self, s: np.ndarray) -> np.ndarray:
@@ -589,17 +615,11 @@ class TransformedPotential:
             return out
         V, k = self._core, self.steps
         lo_s, hi_s = self._window
-        if isinstance(V, InverseSquareTail):
-            # -c/y^2 telescopes like the centrifugal term, active for y >= onset
-            on = s >= lo_s
-            expo = math.log(V.c) + _exp_tower(s[on], k - 1)[0]
-            over = expo > _EXP_MAX
-            if np.count_nonzero(over):
-                raise _overflow_error(s[on][np.argmax(over)])
-            out[on] = -np.exp(expo)
-            return out
         inside = (s > lo_s) & (s < hi_s)
         s_in = s[inside]
+        if (form := V.power_log_form()) is not None:
+            out[inside] = _transformed_form(s_in, k, form.c, form.p, form.q)
+            return out
         expo, y = _exp_tower(s_in, k)
         tower_over = np.isinf(y)
         if np.count_nonzero(tower_over):
@@ -607,12 +627,7 @@ class TransformedPotential:
         v = V.evaluate_array(y)
         nz = v != 0.0
         expo[nz] += np.log(np.abs(v[nz]))
-        over = nz & (expo > _EXP_MAX)
-        neg_over = over & (v < 0.0)
-        if np.count_nonzero(neg_over):
-            raise _overflow_error(s_in[np.argmax(neg_over)])
-        w = np.copysign(np.exp(np.minimum(expo, _EXP_MAX)), v)
-        out[inside] = np.where(over, _POSITIVE_WALL, np.where(nz, w, 0.0))
+        out[inside] = np.where(nz, _signed_exp(s_in, expo, np.sign(v)), 0.0)
         return out
 
 
@@ -644,10 +659,7 @@ class BoundedBelowCheck:
 
 
 def check_bounded_below_weighted(
-    V: Potential,
-    n: int,
-    domain: DomainThreshold,
-    samples: int = 2000,
+    V: Potential, n: int, domain: DomainThreshold
 ) -> BoundedBelowCheck:
     """Test that x^2 (ln x)^2 ... (ln^(n) x)^2 V(x) stays bounded below on
     (threshold, infinity).
@@ -660,19 +672,17 @@ def check_bounded_below_weighted(
     below the mid-range values.  A flag is a warning, not a proof; see the
     failing point in ``witness``.
     """
-    if samples < 100:
-        raise DomainError(f"need at least 100 samples, got {samples}")
     ns = V.negative_support()
     if ns is None or math.isfinite(ns[1]):
         return BoundedBelowCheck(passed=True, witness=None, sampled_min=0.0, samples=0)
     lo = max(domain.value * (1.0 + 1e-12), 1e-6)
     hi = max(1e6, 1e4 * lo)
-    xs = np.geomspace(lo, hi, samples)
+    xs = np.geomspace(lo, hi, _TAIL_SAMPLES)
     w = squared_log_weight(xs, n) * V(xs)
 
     scale = max(1.0, float(np.max(np.abs(w))))
-    tail = w[int(0.9 * samples):]
-    mid = w[int(0.45 * samples):int(0.55 * samples)]
+    tail = w[int(0.9 * _TAIL_SAMPLES):]
+    mid = w[int(0.45 * _TAIL_SAMPLES):int(0.55 * _TAIL_SAMPLES)]
     w_tail = float(tail.min())
     w_mid = float(mid.min())
     diverging = w_tail < -1e-9 * scale and (w_mid >= 0.0 or w_tail <= 2.0 * w_mid)
@@ -682,5 +692,5 @@ def check_bounded_below_weighted(
         passed=not diverging,
         witness=witness,
         sampled_min=float(w.min()),
-        samples=samples,
+        samples=_TAIL_SAMPLES,
     )

@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.optimize
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardybounds.bounds import (
     BoundConstants,
+    BoundValue,
     DEFAULT_CLR_CONSTANTS,
     OperatorSpec,
+    QuadDiagnostics,
+    _tail_is_integrable,
     absolute_log_weight,
-    bargmann_halfline_bound,
-    bargmann_line_bound,
     bound_1d,
     central_bound,
     clr_bound,
@@ -22,22 +23,95 @@ from hardybounds.bounds import (
     theorem_operator,
 )
 from hardybounds.errors import DomainError, EvaluationError
-from hardybounds.iterfun import DomainThreshold, iterated_exp, sphere_area
+from hardybounds.iterfun import DomainThreshold, iterated_exp, safe_iterated_log, sphere_area
 from hardybounds.potentials import (
     InverseSquareTail,
+    Potential,
     PowerLogWell,
     SquareWell,
     TabulatedPotential,
     ZeroPotential,
     check_bounded_below_weighted,
     effective_radial_potential,
+    negative_part_abs,
+    transform_potential,
+    transformed_breakpoints,
 )
-from hardybounds.quadrature import integrate
+from hardybounds.quadrature import integrate, integrate_semiinfinite
 
 # antiderivative oracles used throughout
 X_LN_X_1_2 = 2.0 * math.log(2.0) - 0.75  # int_1^2 x ln x dx
 # int_sqrt2^2 (1 - 2/r^2) r ln r dr  via  r^2/2 ln r - r^2/4 - (ln r)^2
 I1_CHANNEL = 1.5 * math.log(2.0) - 0.5 - 0.75 * math.log(2.0) ** 2
+
+
+# ---------------------------------------------------------------------------
+# the flat Bargmann bounds: the s side of the transform identity
+# ---------------------------------------------------------------------------
+
+class TransformedWell(Potential):
+    """W = transform_potential(V, k) as a potential on the s-line."""
+
+    family = "transformed"
+
+    def __init__(self, V, k):
+        self.V, self.k, self.W = V, k, transform_potential(V, k)
+
+    def evaluate_array(self, s):
+        return self.W(s)
+
+    def negative_support(self):
+        ns = self.V.negative_support()
+        if ns is None:
+            return None
+        if self.V.sampled_range() is not None:
+            # W raises past the samples, and at the image of an end sample
+            # the tower exp^(k) s can round past it: keep the flat quadrature
+            # 1e-14 relative inside them (the identity moves far less)
+            ns = (ns[0] * (1.0 + 1e-14), ns[1] * (1.0 - 1e-14))
+        return tuple(safe_iterated_log(x, self.k) for x in ns)
+
+    def breakpoints(self):
+        return transformed_breakpoints(self.V, self.k)
+
+
+def _flat_tail_is_integrable(V):
+    """The tail test of the bounds; for a transformed V it is read off the x
+    side, whose weighted integral the change of variables maps onto the flat
+    one."""
+    return _tail_is_integrable(V.V if isinstance(V, TransformedWell) else V)
+
+
+def _flat_quad(V, floor, tol):
+    """int over (floor, inf) of |V_-(x)| |x| dx, with support clipping."""
+    ns = V.negative_support()
+    lo, hi = (0.0, 0.0) if ns is None else (max(ns[0], floor), ns[1])
+    if hi <= lo:
+        return 0.0
+
+    def f(x):
+        return negative_part_abs(V, x) * np.abs(x)
+
+    pts = [p for p in (*V.breakpoints(), 0.0) if lo < p < hi]
+    if math.isinf(hi):
+        return integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts).value
+    return integrate(f, lo, hi, tol=tol, breakpoints=pts).value
+
+
+def bargmann_line_bound(V, tol=1e-10):
+    """1 + int_{-inf}^{inf} |V(x)_-| |x| dx for the flat operator on the line."""
+    ok, why = _flat_tail_is_integrable(V)
+    if not ok:
+        return BoundValue.build(math.inf, QuadDiagnostics(notes=(why,)))
+    return BoundValue.build(1.0 + _flat_quad(V, -math.inf, tol), QuadDiagnostics())
+
+
+def bargmann_halfline_bound(V, tol=1e-10):
+    """int_0^inf |V(x)_-| x dx for the flat Dirichlet operator on (0, inf)."""
+    ok, why = _flat_tail_is_integrable(V)
+    if not ok:
+        return BoundValue.build(math.inf, QuadDiagnostics(notes=(why,)))
+    return BoundValue.build(_flat_quad(V, 0.0, tol), QuadDiagnostics())
 
 
 class TestBargmann:
@@ -71,6 +145,48 @@ class TestBargmann:
         bv = bargmann_line_bound(InverseSquareTail(c=1.0, a=1.0))
         assert math.isinf(bv.raw)
         assert bv.integer_cap is None
+
+
+_real = lambda lo, hi: st.floats(lo, hi, allow_nan=False, allow_infinity=False)  # noqa: E731
+
+
+@st.composite
+def identity_cases(draw):
+    """(V, n): a square, a finite power-log or a tabulated well at n in
+    {0, 1, 2}, or a p < -2 power-log tail at n in {0, 1}.  Every support starts
+    past exp^(n)(0), so its image under s = ln^(n+1) x starts at a finite s."""
+    family = draw(st.sampled_from(["square_well", "power_log_well", "tabulated", "tail"]))
+    n = draw(st.integers(0, 1 if family == "tail" else 2))
+    start = iterated_exp(0.0, n) + draw(_real(0.05, 3.0))
+    if family == "square_well":
+        return SquareWell(c=draw(_real(0.1, 50.0)), a=start, b=start + draw(_real(0.1, 20.0))), n
+    if family == "tabulated":
+        r = start + np.cumsum([0.0] + [draw(_real(0.05, 4.0)) for _ in range(draw(st.integers(1, 7)))])
+        return TabulatedPotential(r=tuple(r.tolist()), v=tuple(draw(_real(-20.0, 5.0)) for _ in r)), n
+    q = draw(st.sampled_from([0.0, 1.0, 2.5]))
+    a = max(start, 1.0) if q else start
+    if family == "tail":
+        return PowerLogWell(c=draw(_real(0.1, 50.0)), p=draw(_real(-4.5, -3.5)), q=q, a=a, b=math.inf), n
+    c = draw(_real(0.1, 50.0)) * draw(st.sampled_from([1.0, -1.0]))
+    return PowerLogWell(c=c, p=draw(_real(-4.0, 2.0)), q=q, a=a, b=a + draw(_real(0.1, 20.0))), n
+
+
+class TestTransformIdentity:
+    """bound_1d of V on (1, n, variant) is the flat Bargmann bound of
+    W = transform(V, n + 1): s = ln^(n+1) x carries the weight
+    x |ln x| ... |ln^(n+1) x| dx onto |s| ds, the variant-zero threshold
+    exp^(n)(0) onto s = -inf (the line) and the variant-one threshold
+    exp^(n)(1) onto s = 0 (the half line)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=identity_cases(), variant=st.sampled_from(["zero", "one"]))
+    def test_weighted_bound_is_the_flat_bound_of_the_transform(self, case, variant):
+        V, n = case
+        W = TransformedWell(V, n + 1)
+        flat = bargmann_line_bound(W) if variant == "zero" else bargmann_halfline_bound(W)
+        got = bound_1d(V, OperatorSpec(1, n, variant))
+        # each quadrature stops at an error of 1e-10 max(1, |value|)
+        assert got.raw == pytest.approx(flat.raw, rel=1e-9, abs=1e-9)
 
 
 class TestWeight:

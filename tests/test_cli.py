@@ -184,6 +184,35 @@ class TestCountCommand:
         assert outs[0] == outs[1]
         assert "total count: 38" in outs[0]
 
+    @pytest.mark.parametrize("variant", ["zero", "one"])
+    def test_power_log_tail_counts_at_depth_one(self, variant, tmp_path, capsys):
+        # W = -30 e^{2s} e^{-e^s} e^s underflows to 0 where exp(exp(s)) overflows
+        pot = "power_log_well:c=30,p=-3,q=1,a=3,b=inf"
+        argv = ["--theorem", "t41", "--n", "1", "--variant", variant, "--potential", pot]
+        assert main(["count", *argv, "--json", str(tmp_path / "count.json")]) == EXIT_OK
+        assert main(["bound", *argv, "--json", str(tmp_path / "bound.json")]) == EXIT_OK
+        capsys.readouterr()
+        trail = json.loads((tmp_path / "count.json").read_text())["trail"]
+        cap = json.loads((tmp_path / "bound.json").read_text())["bound_cap"]
+        assert all(step["count"] <= cap for step in trail)
+
+    def test_power_log_tail_counts_in_channels_at_depth_one(self, capsys):
+        code = main(["count", "--theorem", "t43", "--d", "3", "--n", "1", "--L", "8", "--m", "400",
+                     "--potential", "power_log_well:c=30,p=-3,q=1,a=3,b=inf"])
+        assert code == EXIT_OK
+        assert "total count" in capsys.readouterr().out
+
+    def test_power_log_tail_at_p_minus_two_counts_as_the_inverse_square_tail_at_depth_one(
+            self, tmp_path, capsys):
+        trails = []
+        for pot in ("power_log_well:c=30,p=-2,q=0,a=3,b=inf", "inverse_square:c=30,a=3"):
+            path = tmp_path / "count.json"
+            assert main(["count", "--theorem", "t41", "--n", "1", "--potential", pot,
+                         "--json", str(path)]) == EXIT_OK
+            trails.append(json.loads(path.read_text())["trail"])
+        capsys.readouterr()
+        assert trails[0] == trails[1]
+
     @pytest.mark.parametrize("L", ["1e-150", "1e-300"])
     def test_window_too_small_for_the_grid_is_a_numerical_failure(self, L, capsys):
         code = main(["count", "--d", "1", "--L", L, "--potential", "zero"])

@@ -258,12 +258,6 @@ class TestBoundedBelowCheck:
         assert not chk.passed
         assert chk.witness > 1e4
 
-    def test_sample_floor(self):
-        with pytest.raises(DomainError):
-            check_bounded_below_weighted(
-                ZeroPotential(), 0, DomainThreshold(0, "zero"), samples=50
-            )
-
 
 class TestFactory:
     def test_round_trip_families(self):

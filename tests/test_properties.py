@@ -17,7 +17,7 @@ from hypothesis import event, find, given, settings
 from hypothesis import strategies as st
 
 from hardybounds import bounds
-from hardybounds.errors import DomainError
+from hardybounds.errors import DomainError, EvaluationError
 from hardybounds.bounds import _sup_r2_negative_part, absolute_log_weight, l_max
 from hardybounds.iterfun import (
     DomainThreshold,
@@ -195,7 +195,7 @@ def scalar_potential(V, r: float) -> float:
     if isinstance(V, InverseSquareTail):
         if r <= 0.0:
             raise DomainError(f"inverse-square tail needs r > 0, got {r}")
-        if r < V.a:
+        if r <= V.a:
             return 0.0
         if r * r <= V.c / sys.float_info.max:
             raise OverflowError(f"{V.c} / r^2 exceeds the double range at r = {r}")
@@ -231,20 +231,49 @@ def scalar_prefactor_exponent(s: float, terms: int) -> float:
     return 2.0 * total
 
 
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def scalar_transformed_form(c, p, q, s: float, k: int, spread: float = 0.0) -> float:
+    """The k-step transform of -c y^p (ln y)^q at one float s, in log space:
+    -c exp(2 (s + ... + exp^(k-2) s) + (p+2) u + q ln u) with
+    u = ln y = exp^(k-1) s, shifted by ``spread``: a relative error in y is
+    that error in ln y."""
+    total, u = 0.0, s
+    for _ in range(k - 1):
+        total += u
+        u = _exp_or_inf(u)
+    u += spread
+    expo = 2.0 * total
+    if p != -2.0:
+        # an infinite u with p < -2 takes every other term down with it
+        expo = -math.inf if math.isinf(u) and p < -2.0 else expo + (p + 2.0) * u
+    if q != 0.0 and expo != -math.inf:
+        expo += q * math.log(u) if u > 0.0 else -math.inf
+    expo += math.log(abs(c))
+    if expo <= _EXP_MAX:
+        return -math.copysign(math.exp(expo), c)
+    if c < 0.0:
+        return _POSITIVE_WALL
+    raise OverflowError(s)
+
+
 def scalar_transformed(W, s: float, spread: float = 0.0) -> float:
-    """W(s) for one float s, with the tower exp^(k) s computed by math.exp and
-    then scaled by (1 + spread)."""
+    """W(s) for one float s.  A core with a power-log form, and the
+    centrifugal term, are transformed by ``scalar_transformed_form``; any
+    other core is read on the tower exp^(k) s, computed by math.exp and then
+    scaled by (1 + spread)."""
     out = 0.0
     V, k = W._core, W.steps
-    if W._window is not None:
-        lo_s, hi_s = W._window
-        if isinstance(V, InverseSquareTail):
-            if s >= lo_s:
-                expo = math.log(V.c) + scalar_prefactor_exponent(s, k - 1)
-                if expo > _EXP_MAX:
-                    raise OverflowError(s)
-                out = -math.exp(expo)
-        elif lo_s < s < hi_s:
+    form = V.power_log_form()
+    if W._window is not None and W._window[0] < s < W._window[1]:
+        if form is not None:
+            out = scalar_transformed_form(form.c, form.p, form.q, s, k, spread)
+        else:
             v = scalar_potential(V, iterated_exp(s, k) * (1.0 + spread))
             if v != 0.0:
                 expo = scalar_prefactor_exponent(s, k) + math.log(abs(v))
@@ -255,8 +284,7 @@ def scalar_transformed(W, s: float, spread: float = 0.0) -> float:
                 else:
                     raise OverflowError(s)
     if W._coupling > 0.0:
-        expo = math.log(W._coupling) + scalar_prefactor_exponent(s, k - 1)
-        out += _POSITIVE_WALL if expo > _EXP_MAX else math.exp(expo)
+        out += scalar_transformed_form(-W._coupling, -2.0, 0.0, s, k)
     return out
 
 
@@ -413,6 +441,11 @@ class TestTransformedArrayProperties:
         (PowerLogWell(c=-1.0, p=0.0, q=0.0, a=1.0, b=math.inf), 1, 360.0, 1e300),
         # telescoped -c e^{2s} e^{2 e^s}: 2(6 + e^6) > 700 while exp^(2) 6 is finite
         (InverseSquareTail(c=1.0, a=1.0), 3, 6.0, OverflowError),
+        # exp^(2) 7 = e^1096.6 leaves the double range, but W is formed in
+        # logs: the barrier e^{14 + 2 e^7} is capped at the positive wall ...
+        (PowerLogWell(c=-1.0, p=0.0, q=0.0, a=1.0, b=math.inf), 2, 7.0, 1e300),
+        # ... and -2 e^{14 - e^7} e^7 underflows to 0
+        (PowerLogWell(c=2.0, p=-3.0, q=1.0, a=1.0, b=math.inf), 2, 7.0, 0.0),
         # exp^(1) 1 = e lies below the samples
         (TabulatedPotential(r=(3.0, 4.0), v=(-1.0, -2.0)), 1, 1.0, DomainError),
         # outside the support of a well: zero
@@ -431,9 +464,8 @@ class TestTransformedArrayProperties:
             assert W(pts)[1] == expected
 
     @pytest.mark.parametrize("V, k, s", [
-        # exp^(2) 7 = e^1096.6: the tower itself leaves the double range
-        (PowerLogWell(c=-1.0, p=0.0, q=0.0, a=1.0, b=math.inf), 2, 7.0),
-        (PowerLogWell(c=2.0, p=-3.0, q=1.0, a=1.0, b=math.inf), 2, 7.0),
+        # exp^(3) 2 = e^1618.2: the tower, which a tabulated V is read on,
+        # leaves the double range
         (TabulatedPotential(r=(1.0, 4.0), v=(-1.0, -2.0)), 3, 2.0),
     ])
     def test_tower_overflow_is_an_overflow_error(self, V, k, s):
@@ -487,6 +519,26 @@ class TestPotentialArrayProperties:
             assert np.all(np.abs(got - ref) <= (4.0 + V.q) * _EPS * base + _EPS * np.abs(ref))
         else:
             assert np.array_equal(got, ref)
+
+    @settings(max_examples=300, deadline=None)
+    @given(V=potentials(), data=st.data())
+    def test_power_log_form_is_the_potential(self, V, data):
+        # the form is what the transform, the l_max sup, the tail test and
+        # the channel crossings read: it must describe the same V
+        form = V.power_log_form()
+        if form is None:
+            assert isinstance(V, (ZeroPotential, TabulatedPotential))
+            return
+        c, p, q, a, b = form
+        xs = data.draw(st.lists(_pos(1e-6, 60.0), min_size=1, max_size=40))
+        xs += [x for x in (a, b) if 0.0 < x < math.inf]  # open ends: V is 0 there
+        if isinstance(V, SquareWell):  # a line potential: r <= 0 too
+            xs += data.draw(st.lists(_pos(-5.0, 0.0), max_size=3))
+        want = np.array([-c * x**p * (math.log(x) ** q if q else 1.0) if a < x < b else 0.0
+                         for x in xs])
+        got = V(np.array(xs))
+        # rounding of pow and log, as in the test above
+        assert np.all(np.abs(got - want) <= (4.0 + q) * _EPS * np.abs(want))
 
     @pytest.mark.parametrize("V", [
         InverseSquareTail(c=1.0, a=0.5),
@@ -664,6 +716,12 @@ class TestCrossingsAndSupScan:
         d = 3
         want = (math.isqrt(4 * (math.ceil(dense) - 1) + (d - 2) ** 2) - (d - 2)) // 2
         assert l_max(V, d, domain) == want
+
+    def test_zoom_refuses_an_unbounded_negative_support(self):
+        # r^2 |V| peaks at r = e^16 with value e^31 = 2.90e13, past any cut
+        # of the tail a sampled scan could make
+        with pytest.raises(EvaluationError, match="inf"):
+            l_max(LogBump(c=1.0, m=15.0, a=1.0, b=math.inf), 3, DomainThreshold(0, "zero"))
 
     def test_no_built_in_family_reaches_the_zoom(self, monkeypatch):
         def zoom(V, lo, hi):
