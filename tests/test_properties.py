@@ -1,6 +1,7 @@
 """Property tests: the single-pass Sturm count against dense eigenvalues and
 against the two-pass reference; the potentials, the transformed potentials
-and the log weights against scalar reference formulas kept here; the array
+and the log weights against scalar reference formulas kept here; each
+family's power-log form against its potential; the array
 bisection of the channel crossings against the scalar one; the l_max sup
 (its closed forms and the sampled zoom) against a dense sup; and the batched
 GK15 quadrature against the scalar rule."""
@@ -441,15 +442,15 @@ class TestTransformedArrayProperties:
         (PowerLogWell(c=-1.0, p=0.0, q=0.0, a=1.0, b=math.inf), 1, 360.0, 1e300),
         # telescoped -c e^{2s} e^{2 e^s}: 2(6 + e^6) > 700 while exp^(2) 6 is finite
         (InverseSquareTail(c=1.0, a=1.0), 3, 6.0, OverflowError),
+        # exp^(1) 1 = e lies below the samples
+        (TabulatedPotential(r=(3.0, 4.0), v=(-1.0, -2.0)), 1, 1.0, DomainError),
+        # outside the support of a well: zero
+        (SquareWell(c=4.0, a=1.0, b=2.0), 1, 5.0, 0.0),
         # exp^(2) 7 = e^1096.6 leaves the double range, but W is formed in
         # logs: the barrier e^{14 + 2 e^7} is capped at the positive wall ...
         (PowerLogWell(c=-1.0, p=0.0, q=0.0, a=1.0, b=math.inf), 2, 7.0, 1e300),
         # ... and -2 e^{14 - e^7} e^7 underflows to 0
         (PowerLogWell(c=2.0, p=-3.0, q=1.0, a=1.0, b=math.inf), 2, 7.0, 0.0),
-        # exp^(1) 1 = e lies below the samples
-        (TabulatedPotential(r=(3.0, 4.0), v=(-1.0, -2.0)), 1, 1.0, DomainError),
-        # outside the support of a well: zero
-        (SquareWell(c=4.0, a=1.0, b=2.0), 1, 5.0, 0.0),
     ])
     def test_overflow_and_domain_semantics(self, V, k, s, expected):
         W = transform_potential(V, k)
