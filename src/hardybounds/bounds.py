@@ -36,7 +36,6 @@ from .iterfun import (
     squared_product,
 )
 from .potentials import (
-    CentrifugalShift,
     Potential,
     SAMPLED_RANGE_NOTE,
     TabulatedPotential,
@@ -44,6 +43,7 @@ from .potentials import (
     checked_pow,
     effective_radial_potential,
     negative_part_abs,
+    tail_rules,
 )
 from .quadrature import QuadResult, QuadratureError, integrate, integrate_semiinfinite
 
@@ -220,23 +220,6 @@ def _log_kinks(n: int, lo: float, hi: float) -> list[float]:
     return pts
 
 
-def _tail_is_integrable(V: Potential) -> tuple[bool, Optional[str]]:
-    """Whether |V_-| times any of the x * log-power weights has an integrable
-    tail: for -c r^p (ln r)^q exactly when p < -2, whatever the log factors."""
-    ns = V.negative_support()
-    if ns is None or math.isfinite(ns[1]):
-        return True, None
-    if isinstance(V, CentrifugalShift):
-        return _tail_is_integrable(V.base)
-    if (form := V.power_log_form()) is None:
-        return False, "potential with unbounded negative support; tail decay unknown"
-    if form.p < -2.0:
-        return True, None
-    if (form.p, form.q) == (-2.0, 0.0):
-        return False, "inverse-square tail makes the weighted integral diverge"
-    return False, f"power-law tail r^{form.p} makes the weighted integral diverge"
-
-
 def _weighted_negpart_quad(
     V: Potential, n: int, threshold: float, tol: float
 ) -> tuple[QuadResult, list[str]]:
@@ -266,6 +249,20 @@ def _weighted_negpart_quad(
     return integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts), notes
 
 
+def _tail_prologue(
+    V: Potential, spec: OperatorSpec
+) -> tuple[tuple[str, ...], Optional[BoundValue]]:
+    """The warning of a failed boundedness-below check of V on ``spec``, and
+    the vacuous +inf bound when V's negative tail makes the weighted
+    integral diverge (None when it converges)."""
+    hyp = check_bounded_below_weighted(V, spec.n, spec.threshold)
+    warnings = () if hyp.passed else (f"hypothesis not met at depth n = {spec.n}: {hyp.reason}",)
+    why = tail_rules(V, spec.n)[1]
+    if why is None:
+        return warnings, None
+    return warnings, BoundValue.build(math.inf, QuadDiagnostics(warnings=warnings, notes=(why,)))
+
+
 def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue:
     """Weighted bound for the 1-d iterated-log Hardy operator.
 
@@ -274,23 +271,12 @@ def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue
     reported as a warning, not an error.
     """
     _require_operator("t41", spec)
-    warnings = []
-    hyp = check_bounded_below_weighted(V, spec.n, spec.threshold)
-    if not hyp.passed:
-        warnings.append(
-            f"weighted potential may be unbounded below (sampled minimum "
-            f"{hyp.sampled_min:.3e} near x = {hyp.witness:.6g})"
-        )
-    ok, why = _tail_is_integrable(V)
-    if not ok:
-        return BoundValue.build(
-            math.inf, QuadDiagnostics(warnings=tuple(warnings), notes=(why,))
-        )
+    warnings, vacuous = _tail_prologue(V, spec)
+    if vacuous is not None:
+        return vacuous
     quad, notes = _weighted_negpart_quad(V, spec.n, spec.threshold.value, tol)
     base = 1.0 if spec.variant == "zero" else 0.0
-    diag = QuadDiagnostics(
-        quad.error_estimate, quad.evaluations, tuple(warnings), tuple(notes)
-    )
+    diag = QuadDiagnostics(quad.error_estimate, quad.evaluations, warnings, tuple(notes))
     return BoundValue.build(base + quad.value, diag)
 
 
@@ -398,22 +384,13 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> Bound
     if not V.central:
         raise DomainError("central_bound needs a central potential")
 
-    warnings = []
-    hyp = check_bounded_below_weighted(V, spec.n, spec.threshold)
-    if not hyp.passed:
-        warnings.append(
-            f"weighted potential may be unbounded below (sampled minimum "
-            f"{hyp.sampled_min:.3e} near r = {hyp.witness:.6g})"
-        )
     # before l_max: a non-integrable tail can make sup r^2 |V_-| infinite
-    ok, why = _tail_is_integrable(V)
-    if not ok:
-        return BoundValue.build(
-            math.inf, QuadDiagnostics(warnings=tuple(warnings), notes=(why,))
-        )
+    warnings, vacuous = _tail_prologue(V, spec)
+    if vacuous is not None:
+        return vacuous
     lm = l_max(V, spec.d, spec.threshold)
     if lm is None:
-        return BoundValue.build(0.0, QuadDiagnostics(warnings=tuple(warnings)))
+        return BoundValue.build(0.0, QuadDiagnostics(warnings=warnings))
 
     base = 1.0 if spec.variant == "zero" else 0.0
     channels = []
@@ -435,7 +412,7 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> Bound
         err += D * quad.error_estimate
         evals += quad.evaluations
         notes.extend(ch_notes)
-    diag = QuadDiagnostics(err, evals, tuple(warnings), tuple(dict.fromkeys(notes)))
+    diag = QuadDiagnostics(err, evals, warnings, tuple(dict.fromkeys(notes)))
     return BoundValue.build(total, diag, tuple(channels))
 
 

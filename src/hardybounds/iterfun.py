@@ -141,13 +141,6 @@ def hardy_weight_stack(x, d: int, n: int):
     return total
 
 
-@float_or_array
-def squared_log_weight(x, count: int):
-    """x^2 (ln x)^2 ... (ln^(count) x)^2, the denominator stack of the weights;
-    the innermost factor may vanish, making the product zero."""
-    return squared_product(log_chain(x, count))
-
-
 def squared_product(chain: list) -> np.ndarray:
     """The product of the squares of the factors of ``chain``."""
     acc = chain[0] * chain[0]

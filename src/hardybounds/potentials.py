@@ -33,13 +33,11 @@ from .iterfun import (
     DomainThreshold,
     call_on_array,
     safe_iterated_log,
-    squared_log_weight,
 )
 
 _EXP_MAX = 700.0  # exp() stays finite below this
 _POSITIVE_WALL = 1e300  # stand-in for astronomically large positive values
 _DOUBLE_MAX = sys.float_info.max
-_TAIL_SAMPLES = 2000  # grid size of the heuristic tail test of the hypothesis check
 SAMPLED_RANGE_NOTE = "tabulated potential: integral restricted to the sampled range"
 
 
@@ -624,6 +622,11 @@ class TransformedPotential:
         tower_over = np.isinf(y)
         if np.count_nonzero(tower_over):
             raise _overflow_error(s_in[np.argmax(tower_over)])
+        if (rng := V.sampled_range()) is not None:
+            # at the image of an end sample the tower can round just past it
+            ends = [safe_iterated_log(x, k) for x in rng]
+            on = (ends[0] <= s_in) & (s_in <= ends[1])
+            y = np.where(on, np.clip(y, *rng), y)
         v = V.evaluate_array(y)
         nz = v != 0.0
         expo[nz] += np.log(np.abs(v[nz]))
@@ -647,50 +650,52 @@ def transformed_breakpoints(V: Potential, k: int) -> tuple[float, ...]:
 
 
 # --------------------------------------------------------------------------
-# hypothesis check
+# the negative tail: hypothesis check and integrability
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class BoundedBelowCheck:
     passed: bool
-    witness: Optional[float]
-    sampled_min: float
-    samples: int
+    reason: str
+
+
+def tail_rules(V: Potential, n: int) -> tuple[BoundedBelowCheck, Optional[str]]:
+    """The two facts the bounds read off V's negative tail -c r^p (ln r)^q:
+
+    * whether x^2 (ln x)^2 ... (ln^(n) x)^2 V stays bounded below.  On the
+      tail it behaves like -c x^(p+2) (ln x)^(q+2) (ln^(2) x)^2 ..., so it
+      does exactly when p < -2, or when p = -2, q = 0 and n = 0;
+    * the note why |V_-| times the x log weights of the bounds has a
+      divergent integral, or None: it converges exactly when p < -2.
+
+    A negative support that is empty or bounded has no tail, and passes both;
+    every family is bounded on a bounded support.  An unbounded one without a
+    power-log form fails both as undecided.  L/r^2 + V has the tail of V."""
+    ns = V.negative_support()
+    if ns is None or math.isfinite(ns[1]):
+        return BoundedBelowCheck(True, "no negative tail"), None
+    if isinstance(V, CentrifugalShift):
+        return tail_rules(V.base, n)
+    if (form := V.power_log_form()) is None:
+        return (BoundedBelowCheck(False, "undecided, the negative tail has no power-log form"),
+                "potential with unbounded negative support; tail decay unknown")
+    p, q = form.p, form.q
+    tail = f"tail r^{p:g}" + (f" (ln r)^{q:g}" if q else "")
+    if p < -2.0:
+        return BoundedBelowCheck(True, f"{tail}: the weighted potential tends to 0"), None
+    if (p, q) == (-2.0, 0.0):
+        note = "inverse-square tail makes the weighted integral diverge"
+    else:
+        note = f"power-law tail r^{p} makes the weighted integral diverge"
+    if (p, q, n) == (-2.0, 0.0, 0):
+        return BoundedBelowCheck(True, f"{tail}: the weighted potential tends to -c"), note
+    return BoundedBelowCheck(False, f"{tail} makes the weighted potential unbounded below"), note
 
 
 def check_bounded_below_weighted(
     V: Potential, n: int, domain: DomainThreshold
 ) -> BoundedBelowCheck:
-    """Test that x^2 (ln x)^2 ... (ln^(n) x)^2 V(x) stays bounded below on
-    (threshold, infinity).
-
-    Exact when the negative support is empty or ends at a finite r: there is
-    no tail, and the weighted V is bounded on a bounded support (as it is for
-    every family here); it passes without sampling.  Otherwise a heuristic
-    tail test: it samples the weighted value on a log-spaced grid up to a
-    horizon and flags a downward divergence when the tail keeps sinking well
-    below the mid-range values.  A flag is a warning, not a proof; see the
-    failing point in ``witness``.
-    """
-    ns = V.negative_support()
-    if ns is None or math.isfinite(ns[1]):
-        return BoundedBelowCheck(passed=True, witness=None, sampled_min=0.0, samples=0)
-    lo = max(domain.value * (1.0 + 1e-12), 1e-6)
-    hi = max(1e6, 1e4 * lo)
-    xs = np.geomspace(lo, hi, _TAIL_SAMPLES)
-    w = squared_log_weight(xs, n) * V(xs)
-
-    scale = max(1.0, float(np.max(np.abs(w))))
-    tail = w[int(0.9 * _TAIL_SAMPLES):]
-    mid = w[int(0.45 * _TAIL_SAMPLES):int(0.55 * _TAIL_SAMPLES)]
-    w_tail = float(tail.min())
-    w_mid = float(mid.min())
-    diverging = w_tail < -1e-9 * scale and (w_mid >= 0.0 or w_tail <= 2.0 * w_mid)
-    idx = int(np.argmin(w))
-    witness = float(xs[idx]) if diverging else None
-    return BoundedBelowCheck(
-        passed=not diverging,
-        witness=witness,
-        sampled_min=float(w.min()),
-        samples=_TAIL_SAMPLES,
-    )
+    """Whether x^2 (ln x)^2 ... (ln^(n) x)^2 V(x) is bounded below on
+    (threshold, infinity), decided exactly by ``tail_rules``; the threshold of
+    ``domain`` does not enter, as a tail runs past every threshold."""
+    return tail_rules(V, n)[0]

@@ -13,7 +13,6 @@ from hardybounds.bounds import (
     DEFAULT_CLR_CONSTANTS,
     OperatorSpec,
     QuadDiagnostics,
-    _tail_is_integrable,
     absolute_log_weight,
     bound_1d,
     central_bound,
@@ -34,6 +33,7 @@ from hardybounds.potentials import (
     check_bounded_below_weighted,
     effective_radial_potential,
     negative_part_abs,
+    tail_rules,
     transform_potential,
     transformed_breakpoints,
 )
@@ -64,22 +64,17 @@ class TransformedWell(Potential):
         ns = self.V.negative_support()
         if ns is None:
             return None
-        if self.V.sampled_range() is not None:
-            # W raises past the samples, and at the image of an end sample
-            # the tower exp^(k) s can round past it: keep the flat quadrature
-            # 1e-14 relative inside them (the identity moves far less)
-            ns = (ns[0] * (1.0 + 1e-14), ns[1] * (1.0 - 1e-14))
         return tuple(safe_iterated_log(x, self.k) for x in ns)
 
     def breakpoints(self):
         return transformed_breakpoints(self.V, self.k)
 
 
-def _flat_tail_is_integrable(V):
-    """The tail test of the bounds; for a transformed V it is read off the x
-    side, whose weighted integral the change of variables maps onto the flat
-    one."""
-    return _tail_is_integrable(V.V if isinstance(V, TransformedWell) else V)
+def _flat_tail_note(V):
+    """The tail test of the bounds, the note why the integral diverges or
+    None; for a transformed V it is read off the x side, whose weighted
+    integral the change of variables maps onto the flat one."""
+    return tail_rules(V.V if isinstance(V, TransformedWell) else V, 0)[1]
 
 
 def _flat_quad(V, floor, tol):
@@ -100,16 +95,16 @@ def _flat_quad(V, floor, tol):
 
 def bargmann_line_bound(V, tol=1e-10):
     """1 + int_{-inf}^{inf} |V(x)_-| |x| dx for the flat operator on the line."""
-    ok, why = _flat_tail_is_integrable(V)
-    if not ok:
+    why = _flat_tail_note(V)
+    if why is not None:
         return BoundValue.build(math.inf, QuadDiagnostics(notes=(why,)))
     return BoundValue.build(1.0 + _flat_quad(V, -math.inf, tol), QuadDiagnostics())
 
 
 def bargmann_halfline_bound(V, tol=1e-10):
     """int_0^inf |V(x)_-| x dx for the flat Dirichlet operator on (0, inf)."""
-    ok, why = _flat_tail_is_integrable(V)
-    if not ok:
+    why = _flat_tail_note(V)
+    if why is not None:
         return BoundValue.build(math.inf, QuadDiagnostics(notes=(why,)))
     return BoundValue.build(_flat_quad(V, 0.0, tol), QuadDiagnostics())
 
@@ -267,8 +262,21 @@ class TestBound1d:
         spec = OperatorSpec(1, 0, "zero")
         V = PowerLogWell(c=1.0, p=-1.0, q=0.0, a=0.001, b=math.inf)
         bv = bound_1d(V, spec)
-        assert bv.diagnostics.warnings  # flagged, but evaluation proceeded
+        # flagged, but evaluation proceeded
+        assert bv.diagnostics.warnings == (
+            "hypothesis not met at depth n = 0: tail r^-1 makes the weighted potential "
+            "unbounded below",)
         assert math.isinf(bv.raw)  # tail -1/x is not weight-integrable
+
+    def test_central_bound_carries_the_same_warning(self):
+        V = InverseSquareTail(c=2.0, a=2.0)
+        warning = ("hypothesis not met at depth n = 1: tail r^-2 makes the weighted potential "
+                   "unbounded below",)
+        for bv in (bound_1d(V, OperatorSpec(1, 1, "zero")),
+                   central_bound(V, OperatorSpec(3, 1, "zero"))):
+            assert bv.diagnostics.warnings == warning
+            assert bv.diagnostics.notes == ("inverse-square tail makes the weighted integral diverge",)
+            assert bv.raw == math.inf
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(DomainError):
@@ -276,11 +284,11 @@ class TestBound1d:
 
     def test_tabulated_samples_below_the_domain(self):
         # exp^(2)(1) = 15.15...: the samples on [1, 13] end below the domain,
-        # so the hypothesis check has nothing to sample and the bound is 0
+        # so the hypothesis check passes and the bound is 0
         spec = OperatorSpec(1, 2, "one")
         V = TabulatedPotential(r=tuple(range(1, 14)), v=(-1.0,) * 13)
         check = check_bounded_below_weighted(V, 2, spec.threshold)
-        assert check.passed and check.samples == 0
+        assert (check.passed, check.reason) == (True, "no negative tail")
         assert bound_1d(V, spec).raw == 0.0
         assert bound_1d(SquareWell(c=1.0, a=1.0, b=13.0), spec).raw == 0.0
 
@@ -384,8 +392,7 @@ class TestHypothesisCheckOnBoundedSupports:
     def test_bounded_negative_support_is_decided_without_samples(self, V):
         for n, variant in ((0, "zero"), (0, "one"), (1, "zero"), (2, "one")):
             check = check_bounded_below_weighted(V, n, DomainThreshold(n, variant))
-            assert (check.passed, check.witness, check.sampled_min, check.samples) == (
-                True, None, 0.0, 0)
+            assert (check.passed, check.reason) == (True, "no negative tail")
 
 
 class TestCentralBound:

@@ -12,7 +12,6 @@ from hardybounds.iterfun import (
     iterated_log,
     safe_iterated_log,
     sphere_area,
-    squared_log_weight,
 )
 
 mpmath.mp.dps = 40
@@ -118,13 +117,6 @@ class TestHardyWeightStack:
         xs = [lo + 0.5 + 0.37 * i for i in range(40)]
         vals = [hardy_weight_stack(x, d, n) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_squared_log_weight_matches_stack_terms(self):
-        x = 9.3
-        assert squared_log_weight(x, 0) == pytest.approx(x * x, rel=1e-15)
-        assert squared_log_weight(x, 1) == pytest.approx(
-            x * x * math.log(x) ** 2, rel=1e-15
-        )
 
 
 class TestDegeneracy:

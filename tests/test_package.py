@@ -1,6 +1,7 @@
 """The package surface: the top-level exports the README documents, and the
 demos that use them."""
 
+import ast
 import os
 import pathlib
 import re
@@ -46,3 +47,23 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=60.0)
     assert proc.returncode == 0, proc.stderr
+
+
+FORM_FAMILIES = {"SquareWell", "InverseSquareTail", "PowerLogWell"}
+
+
+def test_only_potentials_tests_for_a_form_family():
+    """Outside potentials.py a family with a power-log form is read through
+    ``power_log_form()``, never through an isinstance test on its class."""
+    found = []
+    for path in sorted((ROOT / "src" / "hardybounds").glob("*.py")):
+        if path.name == "potentials.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and len(node.args) == 2):
+                continue
+            classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in classes}
+            found += [f"{path.name}:{node.lineno} {name}" for name in names & FORM_FAMILIES]
+    assert found == []

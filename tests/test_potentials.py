@@ -5,8 +5,9 @@ import pytest
 import scipy.optimize
 
 from hardybounds.errors import DomainError, DepthCapError
-from hardybounds.iterfun import DomainThreshold
+from hardybounds.iterfun import DomainThreshold, safe_iterated_log
 from hardybounds.potentials import (
+    BoundedBelowCheck,
     CentrifugalShift,
     InverseSquareTail,
     PowerLogWell,
@@ -18,6 +19,7 @@ from hardybounds.potentials import (
     make_potential,
     negative_part_abs,
     transform_potential,
+    transformed_breakpoints,
 )
 
 
@@ -155,6 +157,28 @@ class TestTransform:
         with pytest.raises(OverflowError):
             W(20.0)
 
+    def test_tabulated_end_images_evaluate(self):
+        # exp^(3) of the image of the last sample rounds to 8.852362261518689
+        V = TabulatedPotential(r=(4.83833075057046, 8.852362261518687), v=(-1.0, -2.0))
+        W = transform_potential(V, 3)
+        assert W(-0.2489246107597271) < 0.0
+        rng = np.random.default_rng(7)
+        for _ in range(1000):
+            r0 = math.exp(rng.uniform(-2.0, 7.0))
+            V = TabulatedPotential(r=(r0, r0 * (1.0 + rng.uniform(1e-3, 3.0))),
+                                   v=tuple(rng.uniform(-5.0, 5.0, 2)))
+            for k in (1, 2, 3):
+                W = transform_potential(V, k)
+                for s in transformed_breakpoints(V, k):
+                    assert math.isfinite(W(s))
+
+    def test_tabulated_outside_the_end_images_raises(self):
+        V = TabulatedPotential(r=(2.0, 3.0), v=(-1.0, -2.0))
+        W = transform_potential(V, 2)
+        for s in (safe_iterated_log(1.999, 2), safe_iterated_log(3.001, 2)):
+            with pytest.raises(DomainError, match="tabulated potential defined on"):
+                W(s)
+
 
 class TestEffectiveRadial:
     def test_l0_returns_same_object(self):
@@ -234,29 +258,77 @@ class TestBoundedBelowCheck:
         chk = check_bounded_below_weighted(
             SquareWell(c=5.0, a=1.0, b=2.0), 0, DomainThreshold(0, "zero")
         )
-        assert chk.passed
+        assert chk == BoundedBelowCheck(True, "no negative tail")
 
     def test_inverse_square_passes_at_depth_zero(self):
+        # x^2 * (-c/x^2) = -c: bounded below by its infimum -c
         chk = check_bounded_below_weighted(
             InverseSquareTail(c=2.0, a=1.0), 0, DomainThreshold(0, "zero")
         )
-        assert chk.passed
-        assert chk.sampled_min == pytest.approx(-2.0, rel=1e-9)
+        assert chk == BoundedBelowCheck(True, "tail r^-2: the weighted potential tends to -c")
 
     def test_inverse_square_flagged_at_depth_one(self):
         # x^2 (ln x)^2 * (-c/x^2) = -c (ln x)^2 sinks without bound
         chk = check_bounded_below_weighted(
             InverseSquareTail(c=2.0, a=2.0), 1, DomainThreshold(1, "zero")
         )
-        assert not chk.passed
-        assert chk.witness is not None
+        assert chk == BoundedBelowCheck(
+            False, "tail r^-2 makes the weighted potential unbounded below")
 
-    def test_slow_negative_tail_flagged_with_witness(self):
+    def test_slow_negative_tail_flagged(self):
         # V = -1/x: weighted value -x at depth 0
         V = PowerLogWell(c=1.0, p=-1.0, q=0.0, a=1e-3, b=math.inf)
         chk = check_bounded_below_weighted(V, 0, DomainThreshold(0, "zero"))
-        assert not chk.passed
-        assert chk.witness > 1e4
+        assert chk == BoundedBelowCheck(
+            False, "tail r^-1 makes the weighted potential unbounded below")
+
+    @pytest.mark.parametrize("p,q,n,passed", [
+        (-3.0, 0.0, 0, True),
+        (-3.0, 2.0, 1, True),
+        (-2.0, 0.0, 0, True),
+        (-2.0, 0.0, 1, False),
+        (-2.0, 1.0, 0, False),
+        (-1.0, 0.0, 0, False),
+        (0.0, 0.0, 0, False),
+    ])
+    def test_decision_table(self, p, q, n, passed):
+        # the weighted tail behaves like -c x^(p+2) (ln x)^(q+2) ... (ln^(n) x)^2
+        tails = [PowerLogWell(c=3.0, p=p, q=q, a=2.0, b=math.inf)]
+        if (p, q) == (-2.0, 0.0):
+            tails.append(InverseSquareTail(c=3.0, a=2.0))
+        for V in tails:
+            for variant in ("zero", "one"):
+                chk = check_bounded_below_weighted(V, n, DomainThreshold(n, variant))
+                assert chk.passed is passed
+                assert chk.reason.startswith("tail r^")
+                # the channel potentials of a tail share its decision
+                chk = check_bounded_below_weighted(
+                    effective_radial_potential(V, 1, 3), n, DomainThreshold(n, variant))
+                assert chk.passed is passed
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_no_family_is_evaluated(self, n, monkeypatch):
+        def refuse(self, r):
+            raise AssertionError(f"{self.family} evaluated")
+
+        r = np.geomspace(0.5, 30.0, 12)
+        families = [
+            ZeroPotential(),
+            SquareWell(c=3.0, a=0.5, b=2.0),
+            InverseSquareTail(c=5.0, a=1.0),
+            PowerLogWell(c=3.0, p=-1.0, q=1.0, a=1.0, b=50.0),
+            PowerLogWell(c=30.0, p=-3.0, q=1.0, a=3.0, b=math.inf),
+            PowerLogWell(c=5.0, p=-1.0, q=0.0, a=1.0, b=math.inf),
+            PowerLogWell(c=-2.0, p=1.0, q=0.0, a=1.0, b=math.inf),
+            TabulatedPotential(r=tuple(r), v=tuple(-20.0 * np.exp(-((r - 4.0) ** 2)))),
+        ]
+        for V in families:
+            monkeypatch.setattr(type(V), "evaluate_array", refuse)
+        for V in families:
+            for variant in ("zero", "one"):
+                check_bounded_below_weighted(V, n, DomainThreshold(n, variant))
+        with pytest.raises(AssertionError, match="evaluated"):
+            families[0](1.0)  # the patch is live
 
 
 class TestFactory:
