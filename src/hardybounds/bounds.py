@@ -38,12 +38,10 @@ from .iterfun import (
 from .potentials import (
     Potential,
     SAMPLED_RANGE_NOTE,
-    TabulatedPotential,
     check_bounded_below_weighted,
     checked_pow,
     effective_radial_potential,
     negative_part_abs,
-    tail_rules,
 )
 from .quadrature import QuadResult, QuadratureError, integrate, integrate_semiinfinite
 
@@ -195,6 +193,11 @@ class BoundValue:
         cap = None if math.isinf(raw) else int(math.floor(raw))
         return cls(raw=raw, integer_cap=cap, diagnostics=diagnostics, channels=channels)
 
+    @classmethod
+    def vacuous(cls, note: str, warnings: tuple[str, ...] = ()) -> "BoundValue":
+        """The +inf bound, true but empty, with the note why it diverges."""
+        return cls.build(math.inf, QuadDiagnostics(warnings=warnings, notes=(note,)))
+
 
 @float_or_array
 def absolute_log_weight(x, n: int):
@@ -255,12 +258,9 @@ def _tail_prologue(
     """The warning of a failed boundedness-below check of V on ``spec``, and
     the vacuous +inf bound when V's negative tail makes the weighted
     integral diverge (None when it converges)."""
-    hyp = check_bounded_below_weighted(V, spec.n, spec.threshold)
+    hyp, why = check_bounded_below_weighted(V, spec.n)
     warnings = () if hyp.passed else (f"hypothesis not met at depth n = {spec.n}: {hyp.reason}",)
-    why = tail_rules(V, spec.n)[1]
-    if why is None:
-        return warnings, None
-    return warnings, BoundValue.build(math.inf, QuadDiagnostics(warnings=warnings, notes=(why,)))
+    return warnings, None if why is None else BoundValue.vacuous(why, warnings)
 
 
 def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue:
@@ -308,14 +308,9 @@ def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
 
 
 def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
-    """sup over (threshold, inf) of r^2 max(-V(r), 0).
-
-    Closed forms for the five families: c r^(p+2) (ln r)^q at its maximiser
-    for a power-log form (c b^2 for a square well, c for an inverse-square
-    tail), and the largest value over the ends, the samples and the turning
-    point of each sample interval for a tabulated V.  Any other potential
-    falls back to a sampled zoom (heuristic for wild potentials).
-    """
+    """sup over (threshold, inf) of r^2 max(-V(r), 0): V's closed form
+    (``Potential.sup_r2_negative_part``) on its clipped negative support,
+    else a sampled zoom (heuristic for wild potentials)."""
     ns = V.negative_support()
     if ns is None:
         return 0.0
@@ -323,27 +318,8 @@ def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
     hi = ns[1]
     if hi <= lo:
         return 0.0
-    if (form := V.power_log_form()) is not None:  # c > 0: a barrier has no negative support
-        c, p, q = form.c, form.p, form.q
-        # c r^(p+2) (ln r)^q rises on the support for p >= -2 (a >= 1 when
-        # q > 0); for p < -2 it falls, after a peak at ln r = q/|p+2| if q > 0
-        e = p + 2.0
-        if e < 0.0 and q:
-            # in u = ln r (> 0 here, as a >= 1), so a peak past the doubles stays finite
-            u = min(max(q / -e, math.log(lo)), math.log(hi))
-            return c * math.exp(e * u) * u**q
-        r = hi if e >= 0.0 else lo  # inf ** 0.0 is 1: a p = -2, q = 0 tail has sup c
-        return c * r**e * (math.log(r) ** q if q else 1.0)
-    if isinstance(V, TabulatedPotential):
-        # V = alpha + beta r on a sample interval: r^2 (-V) turns at -2 alpha / (3 beta)
-        rs, vs = V._rs, V._vs
-        beta = np.diff(vs) / np.diff(rs)
-        with np.errstate(all="ignore"):  # a flat interval has no turning point
-            turn = -2.0 * (vs[:-1] - beta * rs[:-1]) / (3.0 * beta)
-        xs = np.concatenate(([lo, hi], rs, turn))
-        xs = xs[(lo <= xs) & (xs <= hi)]
-        return float(np.max(xs * xs * negative_part_abs(V, xs)))
-    return _zoomed_sup(V, lo, hi)
+    exact = V.sup_r2_negative_part(lo, hi)
+    return _zoomed_sup(V, lo, hi) if exact is None else exact
 
 
 def _zoomed_sup(V: Potential, lo: float, hi: float) -> float:
@@ -381,9 +357,6 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> Bound
     (l_max undefined) is 0 for both variants.
     """
     _require_operator("t43", spec)
-    if not V.central:
-        raise DomainError("central_bound needs a central potential")
-
     # before l_max: a non-integrable tail can make sup r^2 |V_-| infinite
     warnings, vacuous = _tail_prologue(V, spec)
     if vacuous is not None:
@@ -441,8 +414,6 @@ def clr_bound(
     A tabulated V is taken as 0 outside its samples.
     """
     _require_operator("t42", spec)
-    if not V.central:
-        raise DomainError("clr_bound needs a central potential")
 
     d, n = spec.d, spec.n
     coeff = float((d - 1) * (d - 3))
@@ -484,21 +455,12 @@ def clr_bound(
     supp = V.support()
     supp_end = 0.0 if supp is None else supp[1]
     if ns is not None and math.isinf(ns[1]):
-        return BoundValue.build(
-            math.inf,
-            QuadDiagnostics(notes=("negative tail extends to infinity; bound diverges",)),
-        )
+        return BoundValue.vacuous("negative tail extends to infinity; bound diverges")
 
     if spec.variant == "zero":
         if coeff > 0.0 and horizon is None:
-            return BoundValue.build(
-                math.inf,
-                QuadDiagnostics(
-                    notes=(
-                        "variant-zero integrand decays like 1/(r ln r ...) for d >= 4; "
-                        "the bound is +inf",
-                    )
-                ),
+            return BoundValue.vacuous(
+                "variant-zero integrand decays like 1/(r ln r ...) for d >= 4; the bound is +inf"
             )
         hi = horizon if horizon is not None else supp_end
         if coeff > 0.0:
@@ -511,14 +473,9 @@ def clr_bound(
                 hi = max(hi, iterated_exp(math.sqrt(coeff), n + 2))
             except OverflowError:
                 if horizon is None:
-                    return BoundValue.build(
-                        math.inf,
-                        QuadDiagnostics(
-                            notes=(
-                                f"r* = exp^({n + 2})(sqrt({coeff:g})) exceeds the double "
-                                "range; the bound is +inf",
-                            )
-                        ),
+                    return BoundValue.vacuous(
+                        f"r* = exp^({n + 2})(sqrt({coeff:g})) exceeds the double range; "
+                        "the bound is +inf"
                     )
                 hi = math.inf  # r* lies past every double; the horizon cuts it
         if horizon is not None:

@@ -498,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--C3", type=float, default=None,
                        help="CLR constant for d = 3")
         p.add_argument("--json", dest="json_out", default=None)
-        p.add_argument("--csv", dest="csv_out", default=None)
 
     p_bound = sub.add_parser("bound", help="evaluate a count bound")
     common(p_bound)
@@ -520,6 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a parameter ladder")
     common(p_sweep)
     p_sweep.add_argument("--theorem", choices=THEOREMS, default=None)
+    p_sweep.add_argument("--csv", dest="csv_out", default=None)
 
     return parser
 

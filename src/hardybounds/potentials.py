@@ -22,7 +22,7 @@ import math
 import numbers
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DomainError, DepthCapError
 from .iterfun import (
     DEPTH_CAP,
-    DomainThreshold,
     call_on_array,
     safe_iterated_log,
 )
@@ -47,10 +46,11 @@ PowerLogForm = namedtuple("PowerLogForm", "c p q a b")
 
 class Potential:
     """Base class: a real potential on a radial or line domain.  The supports
-    and breakpoints of a V with a power-log form are read off the form."""
+    and breakpoints of a V with a power-log form are read off the form, which
+    a family with one sets as ``_form`` at construction."""
 
     family = "abstract"
-    central = True
+    _form: Optional[PowerLogForm] = None
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         """V elementwise on a float ndarray of r; each family defines it."""
@@ -84,11 +84,33 @@ class Potential:
 
     def power_log_form(self) -> Optional[PowerLogForm]:
         """(c, p, q, a, b) when V = -c r^p (ln r)^q on (a, b) and 0 elsewhere;
-        None for any other V.  The families build theirs once, at construction."""
-        return None
+        None for any other V."""
+        return self._form
+
+    def sup_r2_negative_part(self, lo: float, hi: float) -> Optional[float]:
+        """sup over (lo, hi) of r^2 max(-V(r), 0) in closed form, for
+        lo < hi inside the negative support; None when V has no closed form.
+
+        For a power-log form it is c r^(p+2) (ln r)^q at its maximiser: c b^2
+        for a square well, c for an inverse-square tail."""
+        if (form := self._form) is None:
+            return None
+        c, p, q = form.c, form.p, form.q  # c > 0: a barrier has no negative support
+        # c r^(p+2) (ln r)^q rises on the support for p >= -2 (a >= 1 when
+        # q > 0); for p < -2 it falls, after a peak at ln r = q/|p+2| if q > 0
+        e = p + 2.0
+        if e < 0.0 and q:
+            # in u = ln r (> 0 here, as a >= 1), so a peak past the doubles stays finite
+            u = min(max(q / -e, math.log(lo)), math.log(hi))
+            return c * math.exp(e * u) * u**q
+        r = hi if e >= 0.0 else lo  # inf ** 0.0 is 1: a p = -2, q = 0 tail has sup c
+        return c * r**e * (math.log(r) ** q if q else 1.0)
 
     def params(self) -> dict:
-        return {}
+        """The constructor's arguments by name, in field order (none for a
+        potential that is not a dataclass)."""
+        own = fields(self) if is_dataclass(self) else ()
+        return {f.name: getattr(self, f.name) for f in own if f.init}
 
 
 @dataclass(frozen=True)
@@ -122,12 +144,6 @@ class SquareWell(Potential):
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         return np.where((self.a < r) & (r < self.b), -self.c, 0.0)
 
-    def power_log_form(self):
-        return self._form
-
-    def params(self):
-        return {"c": self.c, "a": self.a, "b": self.b}
-
 
 @dataclass(frozen=True)
 class InverseSquareTail(Potential):
@@ -150,12 +166,6 @@ class InverseSquareTail(Potential):
         on = r > self.a
         out[on] = -_inverse_square(self.c, r[on])
         return out
-
-    def power_log_form(self):
-        return self._form
-
-    def params(self):
-        return {"c": self.c, "a": self.a}
 
 
 @dataclass(frozen=True)
@@ -197,12 +207,6 @@ class PowerLogWell(Potential):
                 v *= checked_pow(np.log(x), self.q)
         out[inside] = -v
         return out
-
-    def power_log_form(self):
-        return self._form
-
-    def params(self):
-        return {"c": self.c, "p": self.p, "q": self.q, "a": self.a, "b": self.b}
 
 
 @dataclass(frozen=True)
@@ -262,6 +266,18 @@ class TabulatedPotential(Potential):
     def sampled_range(self):
         return (self.r[0], self.r[-1])
 
+    def sup_r2_negative_part(self, lo, hi):
+        """The largest value over the ends, the samples and the turning point
+        of each sample interval."""
+        # V = alpha + beta r on a sample interval: r^2 (-V) turns at -2 alpha / (3 beta)
+        rs, vs = self._rs, self._vs
+        beta = np.diff(vs) / np.diff(rs)
+        with np.errstate(all="ignore"):  # a flat interval has no turning point
+            turn = -2.0 * (vs[:-1] - beta * rs[:-1]) / (3.0 * beta)
+        xs = np.concatenate(([lo, hi], rs, turn))
+        xs = xs[(lo <= xs) & (xs <= hi)]
+        return float(np.max(xs * xs * negative_part_abs(self, xs)))
+
     def params(self):
         return {"r": list(self.r), "v": list(self.v)}
 
@@ -282,8 +298,6 @@ class CentrifugalShift(Potential):
             raise DomainError("centrifugal term needs d >= 2")
         if isinstance(self.base, CentrifugalShift):
             raise DomainError("refusing to stack centrifugal terms")
-        if not self.base.central:
-            raise DomainError("effective radial potential needs a central base")
 
     @property
     def coupling(self) -> float:
@@ -659,7 +673,9 @@ class BoundedBelowCheck:
     reason: str
 
 
-def tail_rules(V: Potential, n: int) -> tuple[BoundedBelowCheck, Optional[str]]:
+def check_bounded_below_weighted(
+    V: Potential, n: int
+) -> tuple[BoundedBelowCheck, Optional[str]]:
     """The two facts the bounds read off V's negative tail -c r^p (ln r)^q:
 
     * whether x^2 (ln x)^2 ... (ln^(n) x)^2 V stays bounded below.  On the
@@ -670,12 +686,13 @@ def tail_rules(V: Potential, n: int) -> tuple[BoundedBelowCheck, Optional[str]]:
 
     A negative support that is empty or bounded has no tail, and passes both;
     every family is bounded on a bounded support.  An unbounded one without a
-    power-log form fails both as undecided.  L/r^2 + V has the tail of V."""
+    power-log form fails both as undecided.  No potential is evaluated, and
+    no domain threshold enters, as a tail runs past every threshold."""
     ns = V.negative_support()
     if ns is None or math.isfinite(ns[1]):
         return BoundedBelowCheck(True, "no negative tail"), None
     if isinstance(V, CentrifugalShift):
-        return tail_rules(V.base, n)
+        V = V.base  # L/r^2 + V has the tail of V
     if (form := V.power_log_form()) is None:
         return (BoundedBelowCheck(False, "undecided, the negative tail has no power-log form"),
                 "potential with unbounded negative support; tail decay unknown")
@@ -690,12 +707,3 @@ def tail_rules(V: Potential, n: int) -> tuple[BoundedBelowCheck, Optional[str]]:
     if (p, q, n) == (-2.0, 0.0, 0):
         return BoundedBelowCheck(True, f"{tail}: the weighted potential tends to -c"), note
     return BoundedBelowCheck(False, f"{tail} makes the weighted potential unbounded below"), note
-
-
-def check_bounded_below_weighted(
-    V: Potential, n: int, domain: DomainThreshold
-) -> BoundedBelowCheck:
-    """Whether x^2 (ln x)^2 ... (ln^(n) x)^2 V(x) is bounded below on
-    (threshold, infinity), decided exactly by ``tail_rules``; the threshold of
-    ``domain`` does not enter, as a tail runs past every threshold."""
-    return tail_rules(V, n)[0]

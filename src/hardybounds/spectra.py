@@ -320,8 +320,6 @@ def total_central_count(
     """
     if spec.d < 2:
         raise DomainError("total_central_count needs d >= 2")
-    if not V.central:
-        raise DomainError("total_central_count needs a central potential")
     lm = l_max(V, spec.d, spec.threshold)
     lm_eff = -1 if lm is None else lm
     total = 0

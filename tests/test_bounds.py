@@ -33,7 +33,6 @@ from hardybounds.potentials import (
     check_bounded_below_weighted,
     effective_radial_potential,
     negative_part_abs,
-    tail_rules,
     transform_potential,
     transformed_breakpoints,
 )
@@ -74,7 +73,7 @@ def _flat_tail_note(V):
     """The tail test of the bounds, the note why the integral diverges or
     None; for a transformed V it is read off the x side, whose weighted
     integral the change of variables maps onto the flat one."""
-    return tail_rules(V.V if isinstance(V, TransformedWell) else V, 0)[1]
+    return check_bounded_below_weighted(V.V if isinstance(V, TransformedWell) else V, 0)[1]
 
 
 def _flat_quad(V, floor, tol):
@@ -287,7 +286,7 @@ class TestBound1d:
         # so the hypothesis check passes and the bound is 0
         spec = OperatorSpec(1, 2, "one")
         V = TabulatedPotential(r=tuple(range(1, 14)), v=(-1.0,) * 13)
-        check = check_bounded_below_weighted(V, 2, spec.threshold)
+        check = check_bounded_below_weighted(V, 2)[0]
         assert (check.passed, check.reason) == (True, "no negative tail")
         assert bound_1d(V, spec).raw == 0.0
         assert bound_1d(SquareWell(c=1.0, a=1.0, b=13.0), spec).raw == 0.0
@@ -390,8 +389,8 @@ class TestHypothesisCheckOnBoundedSupports:
         TabulatedPotential(r=(0.5, 1.0, 4.0, 9.0), v=(0.0, -3.0, -1.0, 0.5)),
     ], ids=["zero", "square", "power-log", "power-log-barrier", "tabulated"])
     def test_bounded_negative_support_is_decided_without_samples(self, V):
-        for n, variant in ((0, "zero"), (0, "one"), (1, "zero"), (2, "one")):
-            check = check_bounded_below_weighted(V, n, DomainThreshold(n, variant))
+        for n in (0, 1, 2):
+            check = check_bounded_below_weighted(V, n)[0]
             assert (check.passed, check.reason) == (True, "no negative tail")
 
 

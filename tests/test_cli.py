@@ -378,6 +378,36 @@ class TestSweepCommand:
         assert rows[0]["satisfied"] == "true"
         assert rows[0]["theorem"] == "t41"
 
+    def test_csv_flag_writes_the_rows(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"sweep": {
+            "theorem": "t41", "family": "square_well", "base_params": {"a": 1.0, "b": 2.0},
+            "vary": "c", "values": [1, 2], "d": 1, "n": 0, "variant": "one",
+            "m": 2000, "doublings": 0,
+        }}))
+        csv_path = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", str(cfg_path), "--csv", str(csv_path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        with open(csv_path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["params"] for row in rows] == [
+            json.dumps({"a": 1.0, "b": 2.0, "c": c}) for c in (1, 2)]
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--theorem", "t41", "--potential", "square_well:c=1,a=1,b=2"],
+        ["count", "--theorem", "t41", "--potential", "square_well:c=1,a=1,b=2"],
+        ["verify", "transform"],
+    ], ids=["bound", "count", "verify"])
+    def test_csv_is_a_usage_error_outside_sweep(self, argv, tmp_path, capsys):
+        # only a sweep writes rows, so no other command takes the flag
+        csv_path = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--csv", str(csv_path)])
+        assert exc.value.code == 2
+        assert "--csv" in capsys.readouterr().err
+        assert not csv_path.exists()
+
     def test_empty_ladder_is_config_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({

@@ -2,6 +2,8 @@
 demos that use them."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import pathlib
 import re
@@ -49,21 +51,66 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr
 
 
-FORM_FAMILIES = {"SquareWell", "InverseSquareTail", "PowerLogWell"}
+FAMILIES = {"ZeroPotential", "SquareWell", "InverseSquareTail", "PowerLogWell",
+            "TabulatedPotential"}
+# a family's form and samples, which only potentials.py reads
+FAMILY_INTERNALS = {"_form", "_rs", "_vs"}
+
+
+def source_trees():
+    """(file name, AST) of every module of the package."""
+    for path in sorted((ROOT / "src" / "hardybounds").glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def test_only_potentials_tests_for_a_form_family():
-    """Outside potentials.py a family with a power-log form is read through
-    ``power_log_form()``, never through an isinstance test on its class."""
+    """Outside potentials.py a family is read through its methods, such as
+    ``power_log_form()`` and ``sup_r2_negative_part()``: never through an
+    isinstance test on its class, nor through its form or samples."""
     found = []
-    for path in sorted((ROOT / "src" / "hardybounds").glob("*.py")):
-        if path.name == "potentials.py":
+    for name, tree in source_trees():
+        if name == "potentials.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in FAMILY_INTERNALS:
+                found.append(f"{name}:{node.lineno} .{node.attr}")
             if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
                     and len(node.args) == 2):
                 continue
             classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
             names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in classes}
-            found += [f"{path.name}:{node.lineno} {name}" for name in names & FORM_FAMILIES]
+            found += [f"{name}:{node.lineno} {cls}" for cls in names & FAMILIES]
     assert found == []
+
+
+INF_SPELLINGS = {"math.inf", "np.inf", "inf", "float('inf')"}
+
+
+def test_only_vacuous_builds_an_infinite_bound():
+    """The +inf bound is built in one place, ``BoundValue.vacuous``."""
+    found = []
+    for name, tree in source_trees():
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "vacuous"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "build"
+                    and id(node) not in inside):
+                continue
+            raw = node.args[:1] + [k.value for k in node.keywords if k.arg == "raw"]
+            if any(ast.unparse(arg) in INF_SPELLINGS for arg in raw):
+                found.append(f"{name}:{node.lineno}")
+    assert found == []
+
+
+def test_bench_tracer_names_resolve():
+    """``bench/tracing.py`` wraps each layer function by module and name; a
+    name missing from the package would fail every traced bench run."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}" for module, name, _ in tracing.LAYERS
+               if not callable(getattr(importlib.import_module(f"hardybounds.{module}"),
+                                       name, None))]
+    assert tracing.LAYERS
+    assert missing == []

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from hardybounds.errors import DomainError, DepthCapError
-from hardybounds.iterfun import DomainThreshold, safe_iterated_log
+from hardybounds.iterfun import safe_iterated_log
 from hardybounds.potentials import (
     BoundedBelowCheck,
     CentrifugalShift,
@@ -255,30 +255,25 @@ class TestEffectiveRadial:
 
 class TestBoundedBelowCheck:
     def test_square_well_passes(self):
-        chk = check_bounded_below_weighted(
-            SquareWell(c=5.0, a=1.0, b=2.0), 0, DomainThreshold(0, "zero")
-        )
+        chk, note = check_bounded_below_weighted(SquareWell(c=5.0, a=1.0, b=2.0), 0)
         assert chk == BoundedBelowCheck(True, "no negative tail")
+        assert note is None
 
     def test_inverse_square_passes_at_depth_zero(self):
         # x^2 * (-c/x^2) = -c: bounded below by its infimum -c
-        chk = check_bounded_below_weighted(
-            InverseSquareTail(c=2.0, a=1.0), 0, DomainThreshold(0, "zero")
-        )
+        chk = check_bounded_below_weighted(InverseSquareTail(c=2.0, a=1.0), 0)[0]
         assert chk == BoundedBelowCheck(True, "tail r^-2: the weighted potential tends to -c")
 
     def test_inverse_square_flagged_at_depth_one(self):
         # x^2 (ln x)^2 * (-c/x^2) = -c (ln x)^2 sinks without bound
-        chk = check_bounded_below_weighted(
-            InverseSquareTail(c=2.0, a=2.0), 1, DomainThreshold(1, "zero")
-        )
+        chk = check_bounded_below_weighted(InverseSquareTail(c=2.0, a=2.0), 1)[0]
         assert chk == BoundedBelowCheck(
             False, "tail r^-2 makes the weighted potential unbounded below")
 
     def test_slow_negative_tail_flagged(self):
         # V = -1/x: weighted value -x at depth 0
         V = PowerLogWell(c=1.0, p=-1.0, q=0.0, a=1e-3, b=math.inf)
-        chk = check_bounded_below_weighted(V, 0, DomainThreshold(0, "zero"))
+        chk = check_bounded_below_weighted(V, 0)[0]
         assert chk == BoundedBelowCheck(
             False, "tail r^-1 makes the weighted potential unbounded below")
 
@@ -297,14 +292,12 @@ class TestBoundedBelowCheck:
         if (p, q) == (-2.0, 0.0):
             tails.append(InverseSquareTail(c=3.0, a=2.0))
         for V in tails:
-            for variant in ("zero", "one"):
-                chk = check_bounded_below_weighted(V, n, DomainThreshold(n, variant))
-                assert chk.passed is passed
-                assert chk.reason.startswith("tail r^")
-                # the channel potentials of a tail share its decision
-                chk = check_bounded_below_weighted(
-                    effective_radial_potential(V, 1, 3), n, DomainThreshold(n, variant))
-                assert chk.passed is passed
+            chk = check_bounded_below_weighted(V, n)[0]
+            assert chk.passed is passed
+            assert chk.reason.startswith("tail r^")
+            # the channel potentials of a tail share its decision
+            chk = check_bounded_below_weighted(effective_radial_potential(V, 1, 3), n)[0]
+            assert chk.passed is passed
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_no_family_is_evaluated(self, n, monkeypatch):
@@ -325,13 +318,26 @@ class TestBoundedBelowCheck:
         for V in families:
             monkeypatch.setattr(type(V), "evaluate_array", refuse)
         for V in families:
-            for variant in ("zero", "one"):
-                check_bounded_below_weighted(V, n, DomainThreshold(n, variant))
+            check_bounded_below_weighted(V, n)
         with pytest.raises(AssertionError, match="evaluated"):
             families[0](1.0)  # the patch is live
 
 
 class TestFactory:
+    @pytest.mark.parametrize("V, params", [
+        (ZeroPotential(), {}),
+        (SquareWell(c=1.0, a=0.5, b=2.0), {"c": 1.0, "a": 0.5, "b": 2.0}),
+        (InverseSquareTail(c=2.0, a=1.0), {"c": 2.0, "a": 1.0}),
+        (PowerLogWell(c=3.0, p=-3.0, q=1.0, a=2.0, b=math.inf),
+         {"c": 3.0, "p": -3.0, "q": 1.0, "a": 2.0, "b": math.inf}),
+        (TabulatedPotential(r=(1, 2), v=(-1, 0)), {"r": [1.0, 2.0], "v": [-1.0, 0.0]}),
+        (CentrifugalShift(base=InverseSquareTail(c=2.0, a=1.0), l=1, d=3),
+         {"l": 1, "d": 3, "base": {"family": "inverse_square", "c": 2.0, "a": 1.0}}),
+    ], ids=["zero", "square", "inverse-square", "power-log", "tabulated", "channel"])
+    def test_params_are_the_constructor_arguments(self, V, params):
+        # the keys in order: reports and CSV rows print them so
+        assert list(V.params().items()) == list(params.items())
+
     def test_round_trip_families(self):
         V = make_potential("square_well", {"c": 1.0, "a": 1.0, "b": 2.0})
         assert isinstance(V, SquareWell)

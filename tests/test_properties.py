@@ -48,6 +48,7 @@ from hardybounds.potentials import (
     _monotone_roots,
     _tabulated_crossings,
     effective_radial_potential,
+    make_potential,
     transform_potential,
 )
 from hardybounds.spectra import (
@@ -507,6 +508,12 @@ class TestPotentialArrayProperties:
             assert np.all(np.abs(got - ref) <= (4.0 + V.q) * _EPS * base + _EPS * np.abs(ref))
         else:
             assert np.array_equal(got, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(V=potentials())
+    def test_params_rebuild_the_potential(self, V):
+        # a potential is its family and its params, the factory's input
+        assert make_potential(V.family, V.params()) == V
 
     @settings(max_examples=300, deadline=None)
     @given(V=potentials(), data=st.data())
