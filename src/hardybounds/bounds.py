@@ -209,9 +209,10 @@ def absolute_log_weight(x, n: int):
 
 
 def _log_kinks(n: int, lo: float, hi: float) -> list[float]:
-    """Zeros of |ln^(k) x| factors (x = exp^(k-1) 1) inside (lo, hi)."""
+    """Zeros x = exp^(k)(1), k = 0..n, of the factors |ln x|, ..., |ln^(n+1) x|
+    of the depth-n weight, inside (lo, hi)."""
     pts = []
-    for k in range(n + 2):
+    for k in range(n + 1):
         try:
             p = iterated_exp(1.0, k)  # 1, e, e^e, ...
         except OverflowError:

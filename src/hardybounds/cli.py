@@ -235,6 +235,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         cfg.json_out = args.json_out
     if getattr(args, "csv_out", None) is not None:
         cfg.csv_out = args.csv_out
+    if cfg.csv_out is not None and args.command != "sweep":
+        raise ConfigError(f"csv_out is a setting of sweep; {args.command} writes no CSV")
     _validate(cfg)
     return cfg
 

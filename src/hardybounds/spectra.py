@@ -10,6 +10,10 @@ carries no such guarantee: the three-point stencil with point-sampled W can
 over-count as well as under-count on a coarse grid (a square well with c=256
 on (1, 2), d=1, n=0, variant one, L=20 counts 6 at m=200 and 5 at every
 m >= 400), so the refinement trail is part of the result.
+
+The lowest eigenvalues are bracketed by the same Sturm count: bisection until
+a bracket isolates one eigenvalue, then Newton steps on det(T - x) whose
+derivative comes from the same pivots, every bracket end still counted.
 """
 
 from __future__ import annotations
@@ -189,33 +193,97 @@ def inertia_negative_count(
     return (min(up, down), max(up, down))
 
 
+def _sturm_newton(diag, off_sq, shift: float, pivot_sub: float) -> tuple[int, float]:
+    """The +eps Sturm count of ``_sturm_count`` and G = sum_i d_i'/d_i =
+    sum_k 1/(shift - lambda_k), the logarithmic derivative of det(T - shift),
+    from the same pivots in one pass.  The pivots are computed with the same
+    expression as ``_sturm_count``, so the count is the same bit for bit."""
+    count = 0
+    d = diag[0] - shift
+    if d == 0.0:
+        d = pivot_sub
+    if d < 0.0:
+        count += 1
+    u = -1.0 / d
+    g = u
+    for a, e2 in zip(diag[1:], off_sq):
+        r = e2 / d
+        d = (a - shift) - r
+        if d == 0.0:
+            d = pivot_sub
+        if d < 0.0:
+            count += 1
+        u = (r * u - 1.0) / d
+        g += u
+    return count, g
+
+
 def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> list[float]:
-    """k smallest eigenvalues by bisection on the inertia function (the +eps
-    Sturm count), each bracketed to width <= tol, sorted ascending."""
-    if not 1 <= k <= T.size:
-        raise DomainError(f"need 1 <= k <= {T.size}, got {k}")
+    """k smallest eigenvalues, sorted ascending.  Eigenvalue j is the midpoint
+    of a bracket [lo, hi] with count(lo) < j <= count(hi) under the +eps
+    Sturm count, closed once hi - lo <= tol or once no double lies strictly
+    between lo and hi (ulps are wider than tol = 1e-10 from magnitude 2^19).
+
+    All k brackets start at the Gershgorin interval, and every counted point
+    narrows each of them, so eigenvalue j + 1 starts from what the search for
+    j has found.  A bracket is bisected until it holds exactly one eigenvalue
+    (end counts j - 1 and j) and is narrow (width <= 1e-2 max(1, |lo| + |hi|)).
+    From there each point is a Newton step x - 1/G on det(T - x), with
+    G = sum 1/(x - lambda) from ``_sturm_newton``, unless the step leaves the
+    bracket or is more than half the step before it: then it is a bisection.
+    Every point is counted before it moves an end.  A step below tol/4 is
+    closed by one count on each side of the Newton point at x +/- tol/2, or at
+    the next double where x +/- tol/2 rounds back to x; a probe that is not
+    strictly inside the bracket is not counted.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= T.size:
+        raise DomainError(f"need an integer 1 <= k <= {T.size}, got {k!r}")
     diag, off_sq, sub = _sturm_inputs(T)
     d = T.diagonal
     e = np.abs(T.off_diagonal)
     radius = np.zeros(T.size)
     radius[:-1] += e
     radius[1:] += e
-    lo_all = float((d - radius).min())
-    hi_all = float((d + radius).max())
+    # Bracket ends of eigenvalue j at index j - 1, with their counts.
+    lo = [float((d - radius).min())] * k
+    hi = [float((d + radius).max())] * k
+    c_lo = [0] * k
+    c_hi = [T.size] * k
+
+    def narrow(first: int, x: float, count: int) -> None:
+        for i in range(first, k):
+            if lo[i] < x < hi[i]:
+                if count > i:
+                    hi[i], c_hi[i] = x, count
+                else:
+                    lo[i], c_lo[i] = x, count
+
     out = []
-    lo_j = lo_all
-    for j in range(1, k + 1):
-        lo, hi = lo_j, hi_all
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if _sturm_count(diag, off_sq, mid, sub)[0] >= j:
-                hi = mid
-            else:
-                lo = mid
-        val = 0.5 * (lo + hi)
-        out.append(val)
-        lo_j = lo  # eigenvalues are ordered; restart the next search here
-    return out
+    for i in range(k):
+        x_next, last_step = math.nan, math.inf
+        while hi[i] - lo[i] > tol and math.nextafter(lo[i], hi[i]) < hi[i]:
+            if not (c_lo[i] == i and c_hi[i] == i + 1
+                    and hi[i] - lo[i] <= 1e-2 * max(1.0, abs(lo[i]) + abs(hi[i]))):
+                x = 0.5 * (lo[i] + hi[i])
+                narrow(i, x, _sturm_count(diag, off_sq, x, sub)[0])
+                continue
+            if not lo[i] < x_next < hi[i]:
+                x_next, last_step = 0.5 * (lo[i] + hi[i]), math.inf
+            x = x_next
+            count, g = _sturm_newton(diag, off_sq, x, sub)
+            narrow(i, x, count)
+            step = 1.0 / g if g else math.inf
+            x_next = x - step
+            if abs(step) < 0.25 * tol:
+                for probe in (min(x_next - 0.5 * tol, math.nextafter(x_next, -math.inf)),
+                              max(x_next + 0.5 * tol, math.nextafter(x_next, math.inf))):
+                    if lo[i] < probe < hi[i]:
+                        narrow(i, probe, _sturm_count(diag, off_sq, probe, sub)[0])
+            if not abs(step) <= 0.5 * last_step:
+                x_next = math.nan  # not converging fast enough: bisect next
+            last_step = abs(step)
+        out.append(0.5 * (lo[i] + hi[i]))
+    return sorted(out)  # brackets of eigenvalues closer than tol may overlap
 
 
 @dataclass(frozen=True)
@@ -272,12 +340,13 @@ def count_negative(
     """Negative-eigenvalue count of the transformed operator on a Dirichlet
     window of half-width L (full line) or length L (half line), with
     ``doublings`` rounds of simultaneous window and grid doubling recorded in
-    the refinement trail.  ``eigenvalues`` > 0 also bisects for that many
-    lowest eigenvalues, once, on the finest matrix."""
+    the refinement trail.  ``eigenvalues`` > 0 also finds that many lowest
+    eigenvalues (``lowest_eigenvalues``), once, on the finest matrix."""
     if L <= 0.0 or m < 2:
         raise DomainError(f"need L > 0 and m >= 2, got L={L}, m={m}")
-    if not isinstance(doublings, int) or isinstance(doublings, bool) or doublings < 0:
-        raise DomainError(f"doublings must be a non-negative integer, got {doublings!r}")
+    for name, value in (("doublings", doublings), ("eigenvalues", eigenvalues)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise DomainError(f"{name} must be a non-negative integer, got {value!r}")
     W = channel_potential(V, spec, l)
     s0 = transformed_window_start(spec, spec.n + 1)
     trail = []

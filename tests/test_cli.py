@@ -703,12 +703,18 @@ class TestEnvironmentAndProcess:
          {"potential": {"family": "square_well", "c": "x", "a": 1, "b": 2}}),
         (["bound", "--theorem", "t41"],
          {"potential": {"family": "tabulated", "r": [1, 2], "v": ["a", 1]}}),
+        # only sweep writes a CSV
+        (["bound", "--theorem", "t41", "--potential", "square_well:c=1,a=1,b=2"],
+         {"csv_out": "x.csv"}),
+        (["count", "--potential", "square_well:c=1,a=1,b=2"], {"csv_out": "x.csv"}),
+        (["verify", "hardy"], {"csv_out": "x.csv"}),
     ], ids=["count-doublings", "sweep-doublings", "m-string", "constants-list",
             "sweep-value-string", "d-float", "samples-key", "potential-list",
             "sweep-list", "base-params-list", "sweep-doublings-float", "potential-param-nan",
             "potential-param-inf", "inverse-square-onset-nan", "tabulated-sample-inf",
             "l-negative-flag", "l-negative-config",
-            "potential-param-string", "tabulated-sample-string"])
+            "potential-param-string", "tabulated-sample-string",
+            "bound-csv-out", "count-csv-out", "verify-csv-out"])
     def test_bad_configuration_value_is_a_config_error(self, argv, config, tmp_path):
         if config is not None:
             cfg_path = tmp_path / "config.json"

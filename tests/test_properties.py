@@ -54,7 +54,10 @@ from hardybounds.potentials import (
 from hardybounds.spectra import (
     TridiagonalOperator,
     _sturm_count,
+    _sturm_inputs,
+    _sturm_newton,
     inertia_negative_count,
+    lowest_eigenvalues,
 )
 
 _PIVOT_EPS = 2.0**-40
@@ -169,6 +172,32 @@ class TestSturmProperties:
     def test_strategy_reaches_zero_pivots(self):
         found = find(tridiagonals(), lambda T: first_zero_pivot(T) not in (None, 0))
         assert first_zero_pivot(found) >= 1
+
+
+class TestLowestEigenvalueProperties:
+    """The bracketed Newton search on the tridiagonals above, whose small
+    integer entries repeat diagonals, zero couplings and hit zero pivots."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(T=tridiagonals(), data=st.data())
+    def test_values_against_dense_and_sturm_brackets(self, T, data):
+        k = data.draw(st.integers(1, T.size), label="k")
+        tol = 1e-10
+        got = lowest_eigenvalues(T, k, tol)
+        ref = np.linalg.eigvalsh(T.dense())[:k]
+        assert np.all(np.abs(np.array(got) - ref) <= tol + 64 * np.finfo(float).eps * T.norm_inf())
+        diag, off_sq, sub = _sturm_inputs(T)
+        for j, v in enumerate(got, start=1):
+            assert _sturm_count(diag, off_sq, v - tol / 2, sub)[0] < j
+            assert _sturm_count(diag, off_sq, v + tol / 2, sub)[0] >= j
+
+    @settings(max_examples=200, deadline=None)
+    @given(T=tridiagonals(), shifts=st.lists(
+        st.one_of(st.integers(-4, 4).map(float), st.floats(-10.0, 10.0)), min_size=1, max_size=8))
+    def test_newton_pass_counts_as_the_sturm_pass(self, T, shifts):
+        diag, off_sq, sub = _sturm_inputs(T)
+        for shift in shifts:
+            assert _sturm_newton(diag, off_sq, shift, sub)[0] == _sturm_count(diag, off_sq, shift, sub)[0]
 
 
 # ---------------------------------------------------------------------------

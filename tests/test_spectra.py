@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,9 @@ from hardybounds.spectra import (
     total_central_count,
     transformed_window_start,
 )
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def dense_negative_count(T, shift=0.0):
@@ -130,6 +137,53 @@ class TestLowestEigenvalues:
         with pytest.raises(DomainError):
             lowest_eigenvalues(T, 3)
 
+    @pytest.mark.parametrize("k", [1.5, True])
+    def test_k_must_be_a_positive_integer(self, k):
+        T = TridiagonalOperator(np.array([1.0, 2.0]), np.array([0.0]))
+        with pytest.raises(DomainError, match="integer"):
+            lowest_eigenvalues(T, k)
+
+    def test_sturm_passes_are_shared_and_newton_refined(self, monkeypatch):
+        # bisection alone runs about 47 passes per eigenvalue here
+        import hardybounds.spectra as spectra
+
+        shifts = []
+        for name in ("_sturm_count", "_sturm_newton"):
+            def counted(diag, off_sq, shift, sub, _pass=getattr(spectra, name)):
+                shifts.append(shift)
+                return _pass(diag, off_sq, shift, sub)
+
+            monkeypatch.setattr(spectra, name, counted)
+        spec = OperatorSpec(1, 0, "zero")
+        V = SquareWell(c=64.0, a=1.0, b=2.0)
+        T = assemble(channel_potential(V, spec, None), Grid(-20.0, 20.0, 2000))
+        got = lowest_eigenvalues(T, 2)
+        assert len(shifts) < 60
+        assert got == pytest.approx(np.linalg.eigvalsh(T.dense())[:2], abs=1e-9)
+
+    @pytest.mark.parametrize("snippet", [
+        "lowest_eigenvalues(TridiagonalOperator(np.array([-1e6, 2e6]), np.array([0.0])), 1)",
+        "count_negative(OperatorSpec(1, 0, 'one'), SquareWell(c=2e6, a=1, b=2), m=400,"
+        " eigenvalues=1)",
+    ], ids=["diagonal", "deep-well"])
+    def test_eigenvalues_past_two_to_the_19_terminate(self, snippet):
+        # one ulp of these eigenvalues is wider than tol = 1e-10; the search
+        # ran forever before it stopped at adjacent doubles, so it runs in a
+        # child process that a deadline can end
+        code = ("import numpy as np\n"
+                "from hardybounds.bounds import OperatorSpec\n"
+                "from hardybounds.potentials import SquareWell\n"
+                "from hardybounds.spectra import TridiagonalOperator, count_negative, "
+                "lowest_eigenvalues\n"
+                f"print({snippet})\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=20.0)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestWindowMapping:
     def test_line_domains_map_to_whole_line(self):
@@ -191,11 +245,17 @@ class TestCountNegative:
         with pytest.raises(DepthCapError):
             count_negative(spec, SquareWell(c=1.0, a=1.0, b=2.0), L=5.0, m=100)
 
-    @pytest.mark.parametrize("doublings", [-1, 1.5, True])
-    def test_bad_doublings_are_a_domain_error(self, doublings):
+    @pytest.mark.parametrize("name, value", [
+        pytest.param("doublings", -1, id="-1"),
+        pytest.param("doublings", 1.5, id="1.5"),
+        pytest.param("doublings", True, id="True"),
+        pytest.param("eigenvalues", 1.5, id="eigenvalues-1.5"),
+        pytest.param("eigenvalues", True, id="eigenvalues-True"),
+    ])
+    def test_bad_doublings_are_a_domain_error(self, name, value):
         spec = OperatorSpec(1, 0, "zero")
-        with pytest.raises(DomainError, match="doublings"):
-            count_negative(spec, ZeroPotential(), L=5.0, m=100, doublings=doublings)
+        with pytest.raises(DomainError, match=name):
+            count_negative(spec, ZeroPotential(), L=5.0, m=100, **{name: value})
 
     def test_requested_eigenvalues_are_sorted(self):
         spec = OperatorSpec(1, 0, "zero")
