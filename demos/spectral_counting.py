@@ -28,7 +28,7 @@ print("=" * 72)
 m = 40
 T = assemble(lambda s: 0.0, Grid(0.0, float(m + 1), m))
 got = lowest_eigenvalues(T, 5, tol=1e-12)
-print("    j   bisection        2(1 - cos(j pi/(m+1)))")
+print("    j   Sturm bracket    2(1 - cos(j pi/(m+1)))")
 for j, val in enumerate(got, start=1):
     exact = 2.0 * (1.0 - math.cos(j * math.pi / (m + 1)))
     print(f"    {j}   {val:.12f}   {exact:.12f}")
