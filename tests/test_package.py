@@ -103,6 +103,28 @@ def test_only_vacuous_builds_an_infinite_bound():
     assert found == []
 
 
+def is_pivot_update(node) -> bool:
+    """The shape of the Sturm pivot update ``(a - shift) - e2 / d``."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Sub)
+            and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Div))
+
+
+def test_one_function_steps_the_sturm_pivots():
+    """The pivot update ``(a - shift) - e2 / d`` appears in one function of
+    the package, so every count runs the one Sturm pass."""
+
+    def functions(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            if is_pivot_update(child):
+                yield owner
+            yield from functions(child, inner)
+
+    found = {f"{name}:{fn}" for name, tree in source_trees() for fn in functions(tree, None)}
+    assert found == {"spectra.py:_sturm_count"}
+
+
 def test_bench_tracer_names_resolve():
     """``bench/tracing.py`` wraps each layer function by module and name; a
     name missing from the package would fail every traced bench run."""

@@ -1,5 +1,6 @@
-"""Property tests: the single-pass Sturm count against dense eigenvalues and
-against the two-pass reference; the potentials, the transformed potentials
+"""Property tests: the single-pass Sturm count, and its closed-form step
+across runs of equal rows, against dense eigenvalues and against the
+two-pass reference; the potentials, the transformed potentials
 and the log weights against scalar reference formulas kept here; each
 family's power-log form against its potential; the array
 bisection of the channel crossings against the scalar one; the l_max sup
@@ -14,6 +15,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 from hypothesis import event, find, given, settings
 from hypothesis import strategies as st
 
@@ -52,10 +54,10 @@ from hardybounds.potentials import (
     transform_potential,
 )
 from hardybounds.spectra import (
+    _MIN_RUN,
     TridiagonalOperator,
     _sturm_count,
     _sturm_inputs,
-    _sturm_newton,
     inertia_negative_count,
     lowest_eigenvalues,
 )
@@ -137,8 +139,8 @@ class TestSturmProperties:
         res = inertia_negative_count(T, 0.0)
         assert res == two_pass_count(T, 0.0)
         # the -eps re-run happens exactly when an exact zero pivot occurs
-        diag, off_sq = T.diagonal.tolist(), (T.off_diagonal**2).tolist()
-        _, zero_pivot = _sturm_count(diag, off_sq, 0.0, pivot_sub(T))
+        pieces, _ = _sturm_inputs(T)
+        _, zero_pivot = _sturm_count(pieces, 0.0, pivot_sub(T))
         assert zero_pivot == (first_zero_pivot(T) is not None)
         # dense oracle: the count brackets the eigenvalues below +-delta, and
         # an interval appears only where an eigenvalue sits at zero
@@ -156,8 +158,9 @@ class TestSturmProperties:
         T = TridiagonalOperator(np.array([1.0, 1.0]), np.array([-1.0]))
         assert first_zero_pivot(T) == 1
         sub = _PIVOT_EPS * T.norm_inf()
-        assert _sturm_count([1.0, 1.0], [1.0], 0.0, sub) == (0, True)
-        assert _sturm_count([1.0, 1.0], [1.0], 0.0, -sub) == (1, True)
+        pieces, _ = _sturm_inputs(T)
+        assert _sturm_count(pieces, 0.0, sub) == (0, True)
+        assert _sturm_count(pieces, 0.0, -sub) == (1, True)
         assert inertia_negative_count(T, 0.0) == (0, 1)
         # an interior zero pivot: both perturbations agree on the count
         T = TridiagonalOperator(np.array([1.0, 1.0, 3.0]), np.array([-1.0, 1.0]))
@@ -175,7 +178,7 @@ class TestSturmProperties:
 
 
 class TestLowestEigenvalueProperties:
-    """The bracketed Newton search on the tridiagonals above, whose small
+    """The bracketed bisection on the tridiagonals above, whose small
     integer entries repeat diagonals, zero couplings and hit zero pivots."""
 
     @settings(max_examples=200, deadline=None)
@@ -187,19 +190,90 @@ class TestLowestEigenvalueProperties:
         ref = np.linalg.eigvalsh(T.dense())[:k]
         bound = tol + 64 * np.finfo(float).eps * T.norm_inf()
         assert np.all(np.abs(np.array(got) - ref) <= bound)
-        diag, off_sq, sub = _sturm_inputs(T)
+        pieces, sub = _sturm_inputs(T)
         for j, v in enumerate(got, start=1):
-            assert _sturm_count(diag, off_sq, v - tol / 2, sub)[0] < j
-            assert _sturm_count(diag, off_sq, v + tol / 2, sub)[0] >= j
+            # where an ulp of v is wider than tol, v +/- tol/2 rounds back to
+            # v, and the bracket ends are the doubles next to v
+            below = min(v - tol / 2, math.nextafter(v, -math.inf))
+            above = max(v + tol / 2, math.nextafter(v, math.inf))
+            assert _sturm_count(pieces, below, sub)[0] < j
+            assert _sturm_count(pieces, above, sub)[0] >= j
 
-    @settings(max_examples=200, deadline=None)
-    @given(T=tridiagonals(), shifts=st.lists(
-        st.one_of(st.integers(-4, 4).map(float), st.floats(-10.0, 10.0)), min_size=1, max_size=8))
-    def test_newton_pass_counts_as_the_sturm_pass(self, T, shifts):
-        diag, off_sq, sub = _sturm_inputs(T)
-        for shift in shifts:
-            count, _ = _sturm_newton(diag, off_sq, shift, sub)
-            assert count == _sturm_count(diag, off_sq, shift, sub)[0]
+
+@st.composite
+def stretched_tridiagonals(draw):
+    """Tridiagonals built, as an assembled grid is, from stretches of rows
+    (diagonal, coupling to the row before): free stretches whose diagonal is
+    exactly 2|e|, level stretches at another diagonal, stretches with zero
+    coupling and stretches of unequal rows.  Lengths run from 1 to 1000, at
+    and around ``_MIN_RUN``; entries are scaled by 1 or 1e3."""
+    scale = draw(st.sampled_from([1.0, 1e3]))
+    lengths = st.one_of(st.integers(1, 1000), st.integers(_MIN_RUN - 1, _MIN_RUN + 1),
+                        st.integers(_MIN_RUN, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    diag, off = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(lengths)
+        kind = draw(st.sampled_from(["free", "level", "decoupled", "unequal"]))
+        e = scale * draw(st.sampled_from([1.0, 0.5, draw(st.floats(0.25, 4.0))]))
+        if kind == "unequal":
+            diag += (scale * rng.uniform(-4.0, 4.0, k)).tolist()
+            off += (scale * rng.uniform(-2.0, 2.0, k)).tolist()
+            continue
+        a = {"free": 2.0 * e, "level": scale * draw(st.floats(-4.0, 4.0)),
+             "decoupled": scale * draw(st.integers(-2, 2))}[kind]
+        diag += [a] * k
+        off += [0.0 if kind == "decoupled" else draw(st.sampled_from([e, -e]))] * k
+    if len(diag) < 2:
+        diag.append(diag[0])
+        off.append(off[0])
+    return TridiagonalOperator(np.array(diag), np.array(off[1:]))
+
+
+def run_shifts(T, ev):
+    """Shifts in the three regimes c > 1, |c| < 1 and c < -1 of a row
+    (a, e), c = (a - x)/(2|e|), at its band edges a +/- 2|e|, within 1e-9 of
+    an eigenvalue, and anywhere in the spectrum."""
+    rows = st.integers(1, T.size - 1)
+
+    def at(i, c):
+        return float(T.diagonal[i] - 2.0 * abs(T.off_diagonal[i - 1]) * c)
+
+    return st.one_of(
+        st.builds(at, rows, st.floats(-3.0, 3.0)),
+        st.builds(at, rows, st.sampled_from([-1.0, 1.0])),
+        st.builds(lambda j, u: float(ev[j] + 1e-9 * u),
+                  st.integers(0, len(ev) - 1), st.floats(-1.0, 1.0)),
+        st.floats(float(ev[0]) - 1.0, float(ev[-1]) + 1.0),
+    )
+
+
+class TestRunStepProperties:
+    """The closed-form step across runs of equal rows against the plain
+    recurrence, the dense spectrum and the eigenvalue search."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(T=stretched_tridiagonals(), data=st.data())
+    def test_count_against_plain_recurrence_and_dense(self, T, data):
+        ev = eigvalsh_tridiagonal(T.diagonal, T.off_diagonal)
+        delta = 1e-9 * T.norm_inf()
+        for x in data.draw(st.lists(run_shifts(T, ev), min_size=1, max_size=6), label="x"):
+            res = inertia_negative_count(T, x)
+            below = int(np.sum(ev < x - delta))
+            at_most = int(np.sum(ev <= x + delta))
+            low, high = res if isinstance(res, tuple) else (res, res)
+            assert below <= low <= high <= at_most
+            if below == at_most:  # no eigenvalue within 1e-9 ||T|| of x
+                assert res == two_pass_count(T, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(T=stretched_tridiagonals(), data=st.data())
+    def test_lowest_eigenvalues_against_dense(self, T, data):
+        k = data.draw(st.integers(1, min(T.size, 4)), label="k")
+        tol = 1e-10
+        got = lowest_eigenvalues(T, k, tol)
+        ref = eigvalsh_tridiagonal(T.diagonal, T.off_diagonal)[:k]
+        assert np.all(np.abs(np.array(got) - ref) <= tol + 64 * np.finfo(float).eps * T.norm_inf())
 
 
 # ---------------------------------------------------------------------------

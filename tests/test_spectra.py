@@ -66,11 +66,42 @@ class TestAssemble:
         with pytest.raises(EvaluationError, match="h = "):
             count_negative(OperatorSpec(1, 0, "one"), ZeroPotential(), L=L)
 
+    def test_infinite_potential_values_are_an_evaluation_error(self):
+        with pytest.raises(EvaluationError, match="assembled matrix"):
+            assemble(lambda s: np.where(s > 0.5, np.inf, 0.0), Grid(0.0, 1.0, 10))
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             Grid(1.0, 1.0, 10)
         with pytest.raises(DomainError):
             Grid(0.0, 1.0, 1)
+
+
+class TestTridiagonalOperator:
+    def test_squared_coupling_past_the_double_range_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="double range"):
+            TridiagonalOperator(np.array([0.0, 0.0]), np.array([1e200]))
+
+    def test_overflowing_entries_fail_instead_of_hanging(self):
+        # the eigenvalue search on this matrix ran forever before ||T|| was
+        # checked (every midpoint of its Gershgorin interval was -inf), so it
+        # runs in a child process that a deadline can end
+        code = ("import numpy as np\n"
+                "from hardybounds.errors import DomainError\n"
+                "from hardybounds.spectra import TridiagonalOperator, lowest_eigenvalues\n"
+                "try:\n"
+                "    lowest_eigenvalues(TridiagonalOperator(np.array([-1.5e308, 1.0]),"
+                " np.array([1e308])), 1)\n"
+                "except DomainError:\n"
+                "    print('DomainError')\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=20.0)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "DomainError"
 
 
 class TestInertiaCount:
@@ -143,22 +174,39 @@ class TestLowestEigenvalues:
         with pytest.raises(DomainError, match="integer"):
             lowest_eigenvalues(T, k)
 
-    def test_sturm_passes_are_shared_and_newton_refined(self, monkeypatch):
-        # bisection alone runs about 47 passes per eigenvalue here
+    def test_value_stays_in_its_bracket_past_gershgorin_rounding(self):
+        # d - radius rounds up to d here (radius 1 is far below an ulp of d),
+        # so the unwidened Gershgorin end already counted the eigenvalue
+        T = TridiagonalOperator(np.array([-1.474921998521854e-106, -6.780019560371233e+105, 0.0]),
+                                np.array([1.0, 0.0]))
+        v = lowest_eigenvalues(T, 1)[0]
+        assert inertia_negative_count(T, math.nextafter(v, -math.inf)) == 0
+        assert inertia_negative_count(T, math.nextafter(v, math.inf)) == 1
+
+    def test_free_stretches_are_crossed_as_runs(self, monkeypatch):
+        # outside the image of the well W = 0, so all but a few rows of the
+        # matrix are equal; a plain pass would step all 2000 rows each time
         import hardybounds.spectra as spectra
 
-        shifts = []
-        for name in ("_sturm_count", "_sturm_newton"):
-            def counted(diag, off_sq, shift, sub, _pass=getattr(spectra, name)):
-                shifts.append(shift)
-                return _pass(diag, off_sq, shift, sub)
-
-            monkeypatch.setattr(spectra, name, counted)
         spec = OperatorSpec(1, 0, "zero")
         V = SquareWell(c=64.0, a=1.0, b=2.0)
         T = assemble(channel_potential(V, spec, None), Grid(-20.0, 20.0, 2000))
+        pieces, _ = spectra._sturm_inputs(T)
+        plain = sum(len(diag) for diag, _, _ in pieces)
+        runs = [run[-1] for _, _, run in pieces if run is not None]
+        assert plain <= 100
+        assert plain + sum(runs) == T.size
+        assert all(k >= spectra._MIN_RUN for k in runs)
+        passes = []
+
+        def counted(pieces, shift, sub, _count=spectra._sturm_count):
+            passes.append(shift)
+            return _count(pieces, shift, sub)
+
+        monkeypatch.setattr(spectra, "_sturm_count", counted)
         got = lowest_eigenvalues(T, 2)
-        assert len(shifts) < 60
+        # about 47 bisections each when the second search starts afresh
+        assert 0 < len(passes) <= 90
         assert got == pytest.approx(np.linalg.eigvalsh(T.dense())[:2], abs=1e-9)
 
     @pytest.mark.parametrize("snippet", [
