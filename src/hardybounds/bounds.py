@@ -38,12 +38,12 @@ from .iterfun import (
 from .potentials import (
     Potential,
     SAMPLED_RANGE_NOTE,
+    _centrifugal_crossings,
     check_bounded_below_weighted,
     checked_pow,
-    effective_radial_potential,
     negative_part_abs,
 )
-from .quadrature import QuadResult, QuadratureError, integrate, integrate_semiinfinite
+from .quadrature import integrate, integrate_semiinfinite
 
 
 @dataclass(frozen=True)
@@ -224,33 +224,58 @@ def _log_kinks(n: int, lo: float, hi: float) -> list[float]:
     return pts
 
 
-def _weighted_negpart_quad(
-    V: Potential, n: int, threshold: float, tol: float
-) -> tuple[QuadResult, list[str]]:
-    """int_threshold^inf |V_-(x)| x |ln x| ... |ln^(n+1) x| dx, support clipped."""
+def _channel_integrals(
+    V: Potential, couplings: list[float], n: int, threshold: float, tol: float
+) -> tuple[list[float], list[float], int, list[str]]:
+    """I_l = int_threshold^inf (-L_l/r^2 - V(r))_+ r |ln r| ... |ln^(n+1) r| dr
+    for the couplings L_0 = 0 < L_1 < ... (I_0 is the integral of |V_-|):
+    the integrals, their error estimates, the integrand nodes and the notes.
+
+    One quadrature, with a component per coupling, covers V's negative
+    support clipped to the threshold, which holds every channel's; V and the
+    weight are evaluated once per node.  Panels break at V's breakpoints, the
+    weight's kinks and each channel's crossings, where its integrand kinks."""
     notes: list[str] = []
+    m = len(couplings)
     ns = V.negative_support()
-    if ns is None:
-        return QuadResult(0.0, 0.0, 0), notes
-    lo = max(ns[0], threshold)
-    hi = ns[1]
+    lo, hi = (0.0, 0.0) if ns is None else (max(ns[0], threshold), ns[1])
     if hi <= lo:
-        return QuadResult(0.0, 0.0, 0), notes
+        return [0.0] * m, [0.0] * m, 0, notes
+    pts = list(V.breakpoints())
+    if m > 1:
+        pts += _centrifugal_crossings(V, couplings[1:])
+        shifts = np.array(couplings[1:])
 
     def f(x: np.ndarray) -> np.ndarray:
         vneg = negative_part_abs(V, x)
         on = vneg != 0.0  # the weight is evaluated only where V dips negative
-        vneg[on] *= absolute_log_weight(x[on], n)
-        return vneg
+        x_on = x[on]
+        w = absolute_log_weight(x_on, n)
+        if m == 1:  # a plain integrand
+            vneg[on] *= w
+            return vneg
+        # channel l in column l; where r^2 underflows, L/r^2 is inf and the
+        # channel's integrand 0
+        g_on = np.empty((len(x_on), m))
+        g_on[:, 0] = vneg[on]
+        with np.errstate(divide="ignore", over="ignore"):
+            g_on[:, 1:] = np.maximum(g_on[:, :1] - shifts / (x_on * x_on)[:, None], 0.0)
+        g_on *= w[:, None]
+        g = np.zeros(x.shape + (m,))
+        g[on] = g_on
+        return g
 
-    pts = [p for p in V.breakpoints() if lo < p < hi]
     if math.isfinite(hi):
         pts += _log_kinks(n, lo, hi)
         if V.sampled_range() is not None:
             notes.append(SAMPLED_RANGE_NOTE)
-        return integrate(f, lo, hi, tol=tol, breakpoints=pts), notes
-    pts += _log_kinks(n, lo, lo + 1e6)
-    return integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts), notes
+        quad = integrate(f, lo, hi, tol=tol, breakpoints=pts)
+    else:
+        pts += _log_kinks(n, lo, lo + 1e6)
+        quad = integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts)
+    if m == 1:
+        return [quad.value], [quad.error_estimate], quad.evaluations, notes
+    return quad.value.tolist(), quad.error_estimate.tolist(), quad.evaluations, notes
 
 
 def _tail_prologue(
@@ -275,10 +300,12 @@ def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue
     warnings, vacuous = _tail_prologue(V, spec)
     if vacuous is not None:
         return vacuous
-    quad, notes = _weighted_negpart_quad(V, spec.n, spec.threshold.value, tol)
+    (value,), (err,), evals, notes = _channel_integrals(
+        V, [0.0], spec.n, spec.threshold.value, tol
+    )
     base = 1.0 if spec.variant == "zero" else 0.0
-    diag = QuadDiagnostics(quad.error_estimate, quad.evaluations, warnings, tuple(notes))
-    return BoundValue.build(base + quad.value, diag)
+    diag = QuadDiagnostics(err, evals, warnings, tuple(notes))
+    return BoundValue.build(base + value, diag)
 
 
 # a zoom pass samples its bracket at these fractions, shrinking it 128-fold;
@@ -367,26 +394,17 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> Bound
         return BoundValue.build(0.0, QuadDiagnostics(warnings=warnings))
 
     base = 1.0 if spec.variant == "zero" else 0.0
+    values, errors, evals, notes = _channel_integrals(
+        V, [float(l * (l + spec.d - 2)) for l in range(lm + 1)], spec.n, spec.threshold.value, tol
+    )
     channels = []
-    notes: list[str] = []
-    total = 0.0
-    err = 0.0
-    evals = 0
-    for l in range(lm + 1):
-        Veff = effective_radial_potential(V, l, spec.d)
-        try:
-            quad, ch_notes = _weighted_negpart_quad(
-                Veff, spec.n, spec.threshold.value, tol
-            )
-        except QuadratureError as exc:
-            raise QuadratureError(f"channel l = {l}: {exc}") from exc
+    total = err = 0.0
+    for l, value, error in zip(range(lm + 1), values, errors):
         D = degeneracy(spec.d, l)
-        channels.append(ChannelTerm(l, D, quad.value, quad.error_estimate))
-        total += D * (base + quad.value)
-        err += D * quad.error_estimate
-        evals += quad.evaluations
-        notes.extend(ch_notes)
-    diag = QuadDiagnostics(err, evals, warnings, tuple(dict.fromkeys(notes)))
+        channels.append(ChannelTerm(l, D, value, error))
+        total += D * (base + value)
+        err += D * error
+    diag = QuadDiagnostics(err, evals, warnings, tuple(notes))
     return BoundValue.build(total, diag, tuple(channels))
 
 

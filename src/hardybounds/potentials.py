@@ -330,17 +330,8 @@ class CentrifugalShift(Potential):
 
     def breakpoints(self):
         pts = list(self.base.breakpoints())
-        L, base = self.coupling, self.base
-        form = base.power_log_form()
-        # where L/r^2 + V changes sign, its positive part has a kink
-        cross = []
-        if L > 0.0 and form is not None and form.c > 0.0:
-            cross = _power_log_crossings(L, form)
-        elif L > 0.0 and isinstance(base, TabulatedPotential):
-            cross = _tabulated_crossings(L, base)
-        if cross:
-            lo, hi = base.support()
-            pts += [x for x in cross if lo < x < hi]
+        if self.coupling > 0.0:
+            pts += _centrifugal_crossings(self.base, (self.coupling,))
         return tuple(sorted(pts))
 
     def sampled_range(self):
@@ -348,6 +339,24 @@ class CentrifugalShift(Potential):
 
     def params(self):
         return {"l": self.l, "d": self.d, "base": describe_potential(self.base)}
+
+
+def _centrifugal_crossings(V: Potential, couplings) -> list[float]:
+    """The r inside V's support where L/r^2 + V(r) changes sign, for each
+    coupling L > 0: there the positive part of -(L/r^2 + V) has a kink.
+    Found for a power-log form with c > 0 and for a tabulated V; empty for
+    any other V."""
+    form = V.power_log_form()
+    if form is not None and form.c > 0.0:
+        cross = [x for L in couplings for x in _power_log_crossings(L, form)]
+    elif isinstance(V, TabulatedPotential):
+        cross = [x for L in couplings for x in _tabulated_crossings(L, V)]
+    else:
+        return []
+    if not cross:
+        return []
+    lo, hi = V.support()
+    return [x for x in cross if lo < x < hi]
 
 
 def _monotone_roots(F, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -4,10 +4,13 @@ two-pass reference; the potentials, the transformed potentials
 and the log weights against scalar reference formulas kept here; each
 family's power-log form against its potential; the array
 bisection of the channel crossings against the scalar one; the l_max sup
-(its closed forms and the sampled zoom) against a dense sup; and the batched
-GK15 quadrature against the scalar rule."""
+(its closed forms and the sampled zoom) against a dense sup; the batched
+GK15 quadrature against the scalar rule, component by component; and
+central_bound's shared channel quadrature against one quadrature per
+channel."""
 
 import bisect
+import dataclasses
 import heapq
 import math
 import sys
@@ -21,7 +24,7 @@ from hypothesis import strategies as st
 
 from hardybounds import bounds
 from hardybounds.errors import DomainError, EvaluationError
-from hardybounds.bounds import _sup_r2_negative_part, absolute_log_weight, l_max
+from hardybounds.bounds import OperatorSpec, _sup_r2_negative_part, absolute_log_weight, central_bound, l_max
 from hardybounds.iterfun import (
     DomainThreshold,
     hardy_weight_stack,
@@ -51,6 +54,7 @@ from hardybounds.potentials import (
     _tabulated_crossings,
     effective_radial_potential,
     make_potential,
+    negative_part_abs,
     transform_potential,
 )
 from hardybounds.spectra import (
@@ -907,20 +911,41 @@ def scalar_integrate(f, a, b, tol, breakpoints=()):
             serial += 1
 
 
-@st.composite
-def smooth_integrands(draw):
+def _smooth_function(draw, a, b):
     """exp(alpha sin(omega x + phi)) plus a Lorentzian peak of width s at mu:
     smooth and positive, so that relative differences are well defined."""
-    a = draw(st.floats(-5.0, 5.0))
-    b = a + draw(st.floats(0.1, 20.0))
     alpha, omega, phi = draw(st.floats(-2.0, 2.0)), draw(st.floats(0.1, 20.0)), draw(st.floats(0.0, 6.3))
     mu, s = draw(st.floats(a, b)), draw(st.floats(0.01, 2.0))
 
     def f(x):
         return np.exp(alpha * np.sin(omega * x + phi)) + 1.0 / (s * s + (x - mu) ** 2)
 
-    pts = draw(st.lists(st.floats(a, b), max_size=6))
+    return f
+
+
+@st.composite
+def smooth_integrands(draw):
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(0.1, 20.0))
+    f = _smooth_function(draw, a, b)
+    pts = draw(st.lists(st.floats(a, b), max_size=40))
     return f, a, b, pts
+
+
+@st.composite
+def component_integrands(draw):
+    """One to eight smooth functions on a shared interval and shared
+    breakpoints: each alone, and all of them stacked on a trailing
+    component axis."""
+    a = draw(st.floats(-5.0, 5.0))
+    b = a + draw(st.floats(0.1, 20.0))
+    parts = [_smooth_function(draw, a, b) for _ in range(draw(st.integers(1, 8)))]
+
+    def stacked(x):
+        return np.stack([g(x) for g in parts], axis=-1)
+
+    pts = draw(st.lists(st.floats(a, b), max_size=20))
+    return parts, stacked, a, b, pts
 
 
 class TestBatchedQuadrature:
@@ -933,7 +958,18 @@ class TestBatchedQuadrature:
         assert res.evaluations == count
         assert abs(res.value - value) <= 1e-13 * abs(value)
 
-    @pytest.mark.parametrize("pts", [(), (0.25, 0.75)])
+    @settings(max_examples=60, deadline=None)
+    @given(case=component_integrands(), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
+    def test_each_component_matches_the_scalar_rule(self, case, tol):
+        parts, stacked, a, b, pts = case
+        res = integrate(stacked, a, b, tol=tol, breakpoints=pts)
+        assert res.value.shape == res.error_estimate.shape == (len(parts),)
+        for g, got, err in zip(parts, res.value, res.error_estimate):
+            want, _ = scalar_integrate(g, a, b, tol, pts)
+            assert abs(got - want) <= tol * max(1.0, abs(want))
+            assert err <= tol * max(1.0, abs(got))
+
+    @pytest.mark.parametrize("pts", [(), (0.25, 0.75), tuple(i / 31.0 for i in range(1, 31))])
     def test_nan_names_the_first_nan_node(self, pts):
         def f(x):
             return np.where(x > 0.6, np.nan, 1.0)
@@ -954,3 +990,85 @@ class TestBatchedQuadrature:
         # x^-1.2 decays too slowly: bisection toward x = infinity reaches t = 1
         with pytest.raises(QuadratureError, match="t = 1"):
             integrate_semiinfinite(lambda x: x**-1.2, 1.5)
+
+
+# ---------------------------------------------------------------------------
+# central_bound's shared channel quadrature against one quadrature per channel
+# ---------------------------------------------------------------------------
+
+def weighted_negpart_quad(V, n, threshold, tol):
+    """Reference: int_threshold^inf |V_-(x)| x |ln x| ... |ln^(n+1) x| dx in one
+    quadrature over V's own negative support, split at V's breakpoints and
+    the weight's kinks.  With V a channel's effective radial potential, this
+    is how each channel integral was computed before the channels shared one
+    quadrature."""
+    ns = V.negative_support()
+    if ns is None:
+        return 0.0
+    lo, hi = max(ns[0], threshold), ns[1]
+    if hi <= lo:
+        return 0.0
+
+    def f(x):
+        vneg = negative_part_abs(V, x)
+        on = vneg != 0.0
+        vneg[on] *= absolute_log_weight(x[on], n)
+        return vneg
+
+    pts = [p for p in V.breakpoints() if lo < p < hi]
+    if math.isfinite(hi):
+        pts += bounds._log_kinks(n, lo, hi)
+        return integrate(f, lo, hi, tol=tol, breakpoints=pts).value
+    pts += bounds._log_kinks(n, lo, lo + 1e6)
+    return integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts).value
+
+
+def per_channel_integrals(V, spec, tol):
+    """Reference: the channel integrals I_0 .. I_lmax, one quadrature each."""
+    lm = l_max(V, spec.d, spec.threshold)
+    return [
+        weighted_negpart_quad(effective_radial_potential(V, l, spec.d), spec.n, spec.threshold.value, tol)
+        for l in range(lm + 1)
+    ]
+
+
+@st.composite
+def central_wells(draw):
+    """A square, power-log (finite or tail) or tabulated well on an operator
+    (d, n, variant), its depth scaled so that l_max is a drawn 0..25."""
+    spec = OperatorSpec(draw(st.sampled_from([2, 3, 5])), draw(st.integers(0, 1)),
+                        draw(st.sampled_from(["zero", "one"])))
+    th = spec.threshold.value
+    family = draw(st.sampled_from(["square", "power_log", "tail", "tabulated"]))
+    a = max(th, 1.0) * draw(_pos(1.05, 2.0))
+    if family == "square":
+        V = SquareWell(c=1.0, a=a, b=a * draw(_pos(1.5, 4.0)))
+    elif family in ("power_log", "tail"):
+        b = math.inf if family == "tail" else a * draw(_pos(1.5, 4.0))
+        # p <= -3 on tails, as slower ones exhaust the semi-infinite rule at 1e-10
+        p = draw(_pos(-4.0, -3.0)) if family == "tail" else draw(_pos(-2.0, 1.0))
+        V = PowerLogWell(c=1.0, p=p, q=float(draw(st.integers(0, 1))), a=a, b=b)
+    else:
+        k = draw(st.integers(3, 30))
+        r = np.geomspace(draw(_pos(0.3, 1.0)), a * draw(_pos(2.0, 10.0)), k)
+        V = TabulatedPotential(r=tuple(r.tolist()), v=tuple(-draw(_pos(0.1, 1.0)) for _ in range(k)))
+    # place sup r^2 |V_-| inside the bracket of the drawn l_max
+    lm, c = draw(st.integers(0, 25)), spec.d - 2
+    lo_s, hi_s = lm * (lm + c), (lm + 1) * (lm + 1 + c)
+    scale = (lo_s + draw(_pos(0.2, 0.8)) * (hi_s - lo_s)) / _sup_r2_negative_part(V, th)
+    if family == "tabulated":
+        V = TabulatedPotential(r=V.r, v=tuple(scale * v for v in V.v))
+    else:
+        V = dataclasses.replace(V, c=scale)
+    return V, spec, lm
+
+
+class TestSharedChannelQuadrature:
+    @settings(max_examples=60, deadline=None)
+    @given(case=central_wells())
+    def test_channel_integrals_match_one_quadrature_per_channel(self, case):
+        V, spec, lm = case
+        bv = central_bound(V, spec)
+        assert [ch.l for ch in bv.channels] == list(range(lm + 1))
+        for ch, want in zip(bv.channels, per_channel_integrals(V, spec, 1e-10)):
+            assert abs(ch.integral - want) <= 1e-10 * max(1.0, abs(want)), (ch.l, ch.integral, want)
