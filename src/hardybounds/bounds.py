@@ -12,6 +12,11 @@ Three families:
   I_l the weighted integral of the negative part of the channel-l effective
   radial potential.
 
+The line and partial-wave integrals are flat integrals int |W_-| |s| ds of
+W = transform(V, n+1) in s = ln^(n+1) r, the paper's identity used as the
+implementation.  They reach every depth whose threshold is a double, past
+the counts' cap DEPTH_CAP = 3 on the transform steps.
+
 Bounds are real numbers; comparisons against integer counts use floor(raw).
 A bound whose integrand has a non-integrable tail is reported as +inf with
 integer_cap None (the inequality is then vacuous but still true).
@@ -29,9 +34,9 @@ from .errors import DomainError, EvaluationError
 from .iterfun import (
     DomainThreshold,
     degeneracy,
-    float_or_array,
     iterated_exp,
     log_chain,
+    safe_iterated_log,
     sphere_area,
     squared_product,
 )
@@ -39,9 +44,12 @@ from .potentials import (
     Potential,
     SAMPLED_RANGE_NOTE,
     _centrifugal_crossings,
+    _transformed_form,
     check_bounded_below_weighted,
     checked_pow,
     negative_part_abs,
+    transform_potential,
+    transformed_breakpoints,
 )
 from .quadrature import integrate, integrate_semiinfinite
 
@@ -199,83 +207,66 @@ class BoundValue:
         return cls.build(math.inf, QuadDiagnostics(warnings=warnings, notes=(note,)))
 
 
-@float_or_array
-def absolute_log_weight(x, n: int):
-    """x |ln x| |ln^(2) x| ... |ln^(n+1) x| for x above exp^(n)(0)."""
-    w = x
-    for cur in log_chain(x, n + 1)[1:]:
-        w = w * np.abs(cur)
-    return w
-
-
-def _log_kinks(n: int, lo: float, hi: float) -> list[float]:
-    """Zeros x = exp^(k)(1), k = 0..n, of the factors |ln x|, ..., |ln^(n+1) x|
-    of the depth-n weight, inside (lo, hi)."""
-    pts = []
-    for k in range(n + 1):
-        try:
-            p = iterated_exp(1.0, k)  # 1, e, e^e, ...
-        except OverflowError:
-            break
-        if lo < p < hi:
-            pts.append(p)
-        if p > hi:
-            break
-    return pts
-
-
 def _channel_integrals(
     V: Potential, couplings: list[float], n: int, threshold: float, tol: float
 ) -> tuple[list[float], list[float], int, list[str]]:
-    """I_l = int_threshold^inf (-L_l/r^2 - V(r))_+ r |ln r| ... |ln^(n+1) r| dr
-    for the couplings L_0 = 0 < L_1 < ... (I_0 is the integral of |V_-|):
-    the integrals, their error estimates, the integrand nodes and the notes.
+    """I_l = int |(W_0(s) + L_l C(s))_-| |s| ds for the couplings
+    L_0 = 0 < L_1 < ... (I_0 is the integral of |W_0-| |s|): the integrals,
+    their error estimates, the integrand nodes and the notes.
 
-    One quadrature, with a component per coupling, covers V's negative
-    support clipped to the threshold, which holds every channel's; V and the
-    weight are evaluated once per node.  Panels break at V's breakpoints, the
-    weight's kinks and each channel's crossings, where its integrand kinks."""
+    W_0 = transform(V, n + 1) is the potential that the counts assemble, and
+    C(s) = exp(2 (s + e^s + ... + exp^(n-1) s)) the transform of 1/r^2, from
+    the same helper.  The change of variables s = ln^(n+1) r carries
+    int_threshold^inf (-L_l/r^2 - V(r))_+ r |ln r| ... |ln^(n+1) r| dr onto
+    I_l: the paper's identity is the implementation.
+
+    One quadrature, with a component per coupling, covers the image of V's
+    negative support clipped to the threshold, which holds every channel's;
+    W_0 is evaluated once per node.  Panels break at the images of V's
+    breakpoints and of each channel's crossings, where its integrand kinks,
+    and at s = 0, the kink of |s|.  An end at s = -inf is mirrored onto
+    +inf, and a line with both ends infinite is split at 0."""
     notes: list[str] = []
-    m = len(couplings)
+    m, k = len(couplings), n + 1
     ns = V.negative_support()
     lo, hi = (0.0, 0.0) if ns is None else (max(ns[0], threshold), ns[1])
+    lo, hi = safe_iterated_log(lo, k), safe_iterated_log(hi, k)
     if hi <= lo:
         return [0.0] * m, [0.0] * m, 0, notes
-    pts = list(V.breakpoints())
+    if V.sampled_range() is not None:
+        notes.append(SAMPLED_RANGE_NOTE)
+    W = transform_potential(V, k)
+    pts = [*transformed_breakpoints(V, k), 0.0]
     if m > 1:
-        pts += _centrifugal_crossings(V, couplings[1:])
-        shifts = np.array(couplings[1:])
+        crossings = (safe_iterated_log(x, k) for x in _centrifugal_crossings(V, couplings[1:]))
+        pts += [s for s in crossings if math.isfinite(s)]
+        shifts = np.array(couplings)
 
-    def f(x: np.ndarray) -> np.ndarray:
-        vneg = negative_part_abs(V, x)
-        on = vneg != 0.0  # the weight is evaluated only where V dips negative
-        x_on = x[on]
-        w = absolute_log_weight(x_on, n)
+    def f(s: np.ndarray) -> np.ndarray:
+        g = -W(s)
         if m == 1:  # a plain integrand
-            vneg[on] *= w
-            return vneg
-        # channel l in column l; where r^2 underflows, L/r^2 is inf and the
-        # channel's integrand 0
-        g_on = np.empty((len(x_on), m))
-        g_on[:, 0] = vneg[on]
-        with np.errstate(divide="ignore", over="ignore"):
-            g_on[:, 1:] = np.maximum(g_on[:, :1] - shifts / (x_on * x_on)[:, None], 0.0)
-        g_on *= w[:, None]
-        g = np.zeros(x.shape + (m,))
-        g[on] = g_on
-        return g
+            return np.maximum(g, 0.0) * np.abs(s)
+        # channel l in column l; where L C overflows, the channel's integrand is 0
+        with np.errstate(over="ignore"):
+            g = g[..., None] - shifts * _transformed_form(s, k, -1.0, -2.0, 0.0)[..., None]
+        return np.maximum(g, 0.0) * np.abs(s)[..., None]
 
-    if math.isfinite(hi):
-        pts += _log_kinks(n, lo, hi)
-        if V.sampled_range() is not None:
-            notes.append(SAMPLED_RANGE_NOTE)
-        quad = integrate(f, lo, hi, tol=tol, breakpoints=pts)
+    if math.isfinite(lo) and math.isfinite(hi):
+        quads = [integrate(f, lo, hi, tol=tol, breakpoints=pts)]
     else:
-        pts += _log_kinks(n, lo, lo + 1e6)
-        quad = integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts)
+        start = hi if math.isfinite(hi) else lo if math.isfinite(lo) else 0.0
+        quads = []
+        if math.isinf(hi):
+            quads.append(integrate_semiinfinite(f, start, tol=tol, breakpoints=pts))
+        if math.isinf(lo):
+            quads.append(integrate_semiinfinite(
+                lambda t: f(-t), -start, tol=tol, breakpoints=[-p for p in pts]))
+    value = sum(q.value for q in quads)
+    error = sum(q.error_estimate for q in quads)
+    evals = sum(q.evaluations for q in quads)
     if m == 1:
-        return [quad.value], [quad.error_estimate], quad.evaluations, notes
-    return quad.value.tolist(), quad.error_estimate.tolist(), quad.evaluations, notes
+        return [value], [error], evals, notes
+    return value.tolist(), error.tolist(), evals, notes
 
 
 def _tail_prologue(

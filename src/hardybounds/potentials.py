@@ -27,12 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, DepthCapError
-from .iterfun import (
-    DEPTH_CAP,
-    call_on_array,
-    safe_iterated_log,
-)
+from .errors import DomainError
+from .iterfun import call_on_array, safe_iterated_log
 
 _EXP_MAX = 700.0  # exp() stays finite below this
 _POSITIVE_WALL = 1e300  # stand-in for astronomically large positive values
@@ -538,14 +534,14 @@ def make_potential(family: str, params: Optional[dict] = None) -> Potential:
 def _exp_tower(s: np.ndarray, terms: int) -> tuple[np.ndarray, np.ndarray]:
     """(2 * (s + e^s + ... + exp^(terms-1) s), exp^(terms) s) elementwise: the
     log of the stacked Jacobian and the tower, from one pass of exps.  A value
-    past the double range is inf."""
-    total = np.zeros(s.shape)
-    cur = s
-    with np.errstate(over="ignore"):
-        for _ in range(terms):
-            total = total + cur
-            cur = np.exp(cur)
-        return 2.0 * total, cur
+    past the double range is inf; call it under ``np.errstate(over="ignore")``."""
+    if not terms:
+        return np.zeros(s.shape), s
+    total, cur = s, np.exp(s)
+    for _ in range(terms - 1):
+        total = total + cur
+        cur = np.exp(cur)
+    return 2.0 * total, cur
 
 
 def _overflow_error(s) -> OverflowError:
@@ -555,9 +551,11 @@ def _overflow_error(s) -> OverflowError:
 def _signed_exp(s: np.ndarray, expo: np.ndarray, sign) -> np.ndarray:
     """sign * e^expo; past e^700 a positive value is the wall, a negative one raises."""
     over = expo > _EXP_MAX
+    if not np.count_nonzero(over):
+        return sign * np.exp(expo)
     neg_over = over & (sign < 0.0)
     if np.count_nonzero(neg_over):
-        raise _overflow_error(s[np.argmax(neg_over)])
+        raise _overflow_error(s.flat[np.argmax(neg_over)])
     return np.where(over, _POSITIVE_WALL, sign * np.exp(np.minimum(expo, _EXP_MAX)))
 
 
@@ -571,7 +569,7 @@ def _transformed_form(s: np.ndarray, k: int, c: float, p: float, q: float) -> np
         if q != 0.0:
             expo = expo + q * np.log(u)
         # nan is inf - inf: a falling (p+2) u with u = inf outgrows the rest
-        expo = np.where(np.isnan(expo), -math.inf, expo) + math.log(abs(c))
+        expo = np.fmax(expo, -math.inf) + math.log(abs(c))
     return _signed_exp(s, expo, -math.copysign(1.0, c))
 
 
@@ -592,24 +590,24 @@ class TransformedPotential:
     base: Potential
     steps: int
     # set at construction: the centrifugal coupling split off the base, the
-    # potential it shifts, and its support mapped into s (None if empty)
+    # potential it shifts, its support mapped into s (None if empty), and
+    # the images of the end samples of a sampled core (None for any other)
     _coupling: float = field(init=False, repr=False, compare=False)
     _core: Potential = field(init=False, repr=False, compare=False)
     _window: Optional[tuple[float, float]] = field(init=False, repr=False, compare=False)
+    _ends: Optional[tuple[float, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.steps, int) or self.steps < 1:
             raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
-        if self.steps > DEPTH_CAP:
-            raise DepthCapError(
-                f"transform depth {self.steps} exceeds the cap {DEPTH_CAP}"
-            )
         core, coupling = self.base, 0.0
         if isinstance(core, CentrifugalShift):
             core, coupling = core.base, core.coupling
-        if core.sampled_range() is not None:
+        ends = core.sampled_range()
+        if ends is not None:
             # no zero extension: outside the sampled range the value is undefined
             window = (-math.inf, math.inf)
+            ends = tuple(safe_iterated_log(x, self.steps) for x in ends)
         else:
             supp = core.support()
             window = None if supp is None else (
@@ -619,6 +617,7 @@ class TransformedPotential:
         object.__setattr__(self, "_coupling", coupling)
         object.__setattr__(self, "_core", core)
         object.__setattr__(self, "_window", window)
+        object.__setattr__(self, "_ends", ends)
 
     def __call__(self, s):
         """W(s) for a float, or elementwise for an ndarray of s."""
@@ -631,44 +630,51 @@ class TransformedPotential:
         return out
 
     def _core_array(self, s: np.ndarray) -> np.ndarray:
+        if self._ends is not None:  # the window of a sampled core is the line
+            return self._tower_array(s)
         out = np.zeros(s.shape)
         if self._window is None:
             return out
-        V, k = self._core, self.steps
-        lo_s, hi_s = self._window
-        inside = (s > lo_s) & (s < hi_s)
+        inside = (s > self._window[0]) & (s < self._window[1])
         s_in = s[inside]
-        if (form := V.power_log_form()) is not None:
-            out[inside] = _transformed_form(s_in, k, form.c, form.p, form.q)
-            return out
-        expo, y = _exp_tower(s_in, k)
+        if (form := self._core.power_log_form()) is not None:
+            out[inside] = _transformed_form(s_in, self.steps, form.c, form.p, form.q)
+        else:
+            out[inside] = self._tower_array(s_in)
+        return out
+
+    def _tower_array(self, s: np.ndarray) -> np.ndarray:
+        """The core read on the tower exp^(steps) s, times the Jacobian."""
+        V = self._core
+        with np.errstate(over="ignore"):
+            expo, y = _exp_tower(s, self.steps)
         tower_over = np.isinf(y)
         if np.count_nonzero(tower_over):
-            raise _overflow_error(s_in[np.argmax(tower_over)])
-        if (rng := V.sampled_range()) is not None:
+            raise _overflow_error(s.flat[np.argmax(tower_over)])
+        if self._ends is not None:
             # at the image of an end sample the tower can round just past it
-            ends = [safe_iterated_log(x, k) for x in rng]
-            on = (ends[0] <= s_in) & (s_in <= ends[1])
-            y = np.where(on, np.clip(y, *rng), y)
+            on = (self._ends[0] <= s) & (s <= self._ends[1])
+            y = np.where(on, np.clip(y, *V.sampled_range()), y)
         v = V.evaluate_array(y)
+        # v e^expo at once where no value can pass e^700, else in log space
+        big = math.log(max(np.max(np.abs(v), initial=0.0), 1.0))
+        if np.max(expo, initial=-math.inf) + big <= _EXP_MAX:
+            return v * np.exp(expo)
         nz = v != 0.0
         expo[nz] += np.log(np.abs(v[nz]))
-        out[inside] = np.where(nz, _signed_exp(s_in, expo, np.sign(v)), 0.0)
-        return out
+        return np.where(nz, _signed_exp(s, expo, np.sign(v)), 0.0)
 
 
 def transform_potential(V: Potential, k: int) -> TransformedPotential:
-    """k-fold log change of variables applied to V (1 <= k <= depth cap)."""
+    """k-fold log change of variables applied to V (k >= 1)."""
     return TransformedPotential(base=V, steps=k)
 
 
 def transformed_breakpoints(V: Potential, k: int) -> tuple[float, ...]:
     """Images of V's breakpoints under s = ln^(k) r, dropping unreachable ones."""
-    out = []
-    for p in V.breakpoints():
-        q = safe_iterated_log(p, k)
-        if math.isfinite(q):
-            out.append(q)
+    out = V.breakpoints()
+    for _ in range(k):  # a point that a log meets at or below 0 has no image
+        out = [math.log(p) for p in out if 0.0 < p < math.inf]
     return tuple(sorted(out))
 
 

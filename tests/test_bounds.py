@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -13,7 +14,6 @@ from hardybounds.bounds import (
     DEFAULT_CLR_CONSTANTS,
     OperatorSpec,
     QuadDiagnostics,
-    absolute_log_weight,
     bound_1d,
     central_bound,
     clr_bound,
@@ -22,10 +22,9 @@ from hardybounds.bounds import (
     theorem_operator,
 )
 from hardybounds.errors import DomainError, EvaluationError
-from hardybounds.iterfun import DomainThreshold, iterated_exp, safe_iterated_log, sphere_area
+from hardybounds.iterfun import DomainThreshold, iterated_exp, sphere_area
 from hardybounds.potentials import (
     InverseSquareTail,
-    Potential,
     PowerLogWell,
     SquareWell,
     TabulatedPotential,
@@ -33,10 +32,9 @@ from hardybounds.potentials import (
     check_bounded_below_weighted,
     effective_radial_potential,
     negative_part_abs,
-    transform_potential,
-    transformed_breakpoints,
 )
 from hardybounds.quadrature import integrate, integrate_semiinfinite
+from weighted_oracle import absolute_log_weight, weighted_negpart_quad
 
 # antiderivative oracles used throughout
 X_LN_X_1_2 = 2.0 * math.log(2.0) - 0.75  # int_1^2 x ln x dx
@@ -45,35 +43,13 @@ I1_CHANNEL = 1.5 * math.log(2.0) - 0.5 - 0.75 * math.log(2.0) ** 2
 
 
 # ---------------------------------------------------------------------------
-# the flat Bargmann bounds: the s side of the transform identity
+# the flat Bargmann bounds: the operator -d^2/dx^2 + V on the line and the
+# half line, whose bounds the t41 bounds become in s = ln^(n+1) x
 # ---------------------------------------------------------------------------
 
-class TransformedWell(Potential):
-    """W = transform_potential(V, k) as a potential on the s-line."""
-
-    family = "transformed"
-
-    def __init__(self, V, k):
-        self.V, self.k, self.W = V, k, transform_potential(V, k)
-
-    def evaluate_array(self, s):
-        return self.W(s)
-
-    def negative_support(self):
-        ns = self.V.negative_support()
-        if ns is None:
-            return None
-        return tuple(safe_iterated_log(x, self.k) for x in ns)
-
-    def breakpoints(self):
-        return transformed_breakpoints(self.V, self.k)
-
-
 def _flat_tail_note(V):
-    """The tail test of the bounds, the note why the integral diverges or
-    None; for a transformed V it is read off the x side, whose weighted
-    integral the change of variables maps onto the flat one."""
-    return check_bounded_below_weighted(V.V if isinstance(V, TransformedWell) else V, 0)[1]
+    """The tail test of the bounds, the note why the integral diverges or None."""
+    return check_bounded_below_weighted(V, 0)[1]
 
 
 def _flat_quad(V, floor, tol):
@@ -166,21 +142,23 @@ def identity_cases(draw):
 
 
 class TestTransformIdentity:
-    """bound_1d of V on (1, n, variant) is the flat Bargmann bound of
+    """bound_1d of V on (1, n, variant) is computed as the flat bound of
     W = transform(V, n + 1): s = ln^(n+1) x carries the weight
     x |ln x| ... |ln^(n+1) x| dx onto |s| ds, the variant-zero threshold
     exp^(n)(0) onto s = -inf (the line) and the variant-one threshold
-    exp^(n)(1) onto s = 0 (the half line)."""
+    exp^(n)(1) onto s = 0 (the half line).  The weighted integral in x,
+    kept in ``weighted_oracle``, is the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(case=identity_cases(), variant=st.sampled_from(["zero", "one"]))
     def test_weighted_bound_is_the_flat_bound_of_the_transform(self, case, variant):
         V, n = case
-        W = TransformedWell(V, n + 1)
-        flat = bargmann_line_bound(W) if variant == "zero" else bargmann_halfline_bound(W)
-        got = bound_1d(V, OperatorSpec(1, n, variant))
+        spec = OperatorSpec(1, n, variant)
+        base = 1.0 if variant == "zero" else 0.0
+        weighted = base + weighted_negpart_quad(V, n, spec.threshold.value, 1e-10)
+        got = bound_1d(V, spec)
         # each quadrature stops at an error of 1e-10 max(1, |value|)
-        assert got.raw == pytest.approx(flat.raw, rel=1e-9, abs=1e-9)
+        assert got.raw == pytest.approx(weighted, rel=1e-9, abs=1e-9)
 
 
 class TestWeight:
@@ -297,6 +275,35 @@ class TestBound1d:
             bv = bound_1d(SquareWell(c=c, a=1.0, b=2.0), spec)
             assert bv.integer_cap == math.floor(bv.raw)
             assert bv.integer_cap <= bv.raw < bv.integer_cap + 1
+
+
+class TestSlowTails:
+    """Integrable tails -c r^p (ln r)^q with -3 < p < -2.  In x the
+    semi-infinite map turns them into singularities at t = 1; in
+    s = ln^(n+1) r they decay exponentially."""
+
+    @pytest.mark.parametrize("variant", ["zero", "one"])
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("q", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("p", [-2.2, -2.5, -2.8, -3.0])
+    def test_tail_bound_is_finite(self, p, q, n, variant):
+        a = max(1.0, math.e**n) + 0.5
+        bv = bound_1d(PowerLogWell(c=5.0, p=p, q=q, a=a, b=math.inf), OperatorSpec(1, n, variant))
+        assert math.isfinite(bv.raw)
+        if n == 0:
+            # int_(ln a)^inf 5 s^(q+1) e^(-eps s) ds = 5 Gamma(q+2, eps ln a) / eps^(q+2)
+            eps = -(p + 2.0)
+            with mpmath.workdps(30):
+                tail = 5.0 * mpmath.gammainc(q + 2.0, eps * math.log(a)) / mpmath.mpf(eps)**(q + 2.0)
+            base = 1.0 if variant == "zero" else 0.0
+            assert bv.raw == pytest.approx(base + float(tail), rel=1e-12, abs=0.0)
+
+    def test_depth_four_tail(self):
+        # n = 4 on variant zero: the transform takes 5 steps, past the
+        # count's depth cap; mpmath in v = ln x gives 1.19726233952e-9
+        V = PowerLogWell(c=5.0, p=-3.5, q=0.0, a=3.9e6, b=math.inf)
+        bv = bound_1d(V, OperatorSpec(1, 4, "zero"))
+        assert bv.raw == pytest.approx(1.0 + 1.19726233952e-9, rel=0.0, abs=1e-10)
 
 
 class TestLmax:

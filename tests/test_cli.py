@@ -661,15 +661,16 @@ class TestEnvironmentAndProcess:
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err and "infinite" in err
 
-    def test_slow_tail_quadrature_is_a_numerical_failure(self):
-        # bisection toward x = infinity puts a node on t = 1 of x = a + t/(1-t)
-        code, _, err = run_cli("bound", "--theorem", "t41", "--d", "1", "--n", "0",
-                               "--variant", "one", "--potential",
-                               "power_log_well:c=2,p=-2.5,q=1,a=1.5,b=inf",
-                               deadline=60.0)
-        assert code == EXIT_NUMERICAL
-        assert "numerical failure" in err and "t = 1" in err
-        assert "Traceback" not in err
+    def test_slow_tail_bound_is_computed(self):
+        # -2 r^-2.5 ln r: in s = ln r the integrand 2 s^2 e^(-s/2) decays
+        # exponentially, and the bound is 2 Gamma(3, 0.5 ln 1.5) / 0.5^3
+        code, out, err = run_cli("bound", "--theorem", "t41", "--d", "1", "--n", "0",
+                                 "--variant", "one", "--potential",
+                                 "power_log_well:c=2,p=-2.5,q=1,a=1.5,b=inf",
+                                 deadline=60.0)
+        assert code == EXIT_OK, err
+        assert "bound raw  : 31.961799114\n" in out
+        assert "bound cap  : 31\n" in out
 
     @pytest.mark.parametrize("argv, config", [
         (["count", "--d", "1", "--potential", "zero", "--doublings", "-1"], None),

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hardybounds.errors import DomainError, DepthCapError
-from hardybounds.iterfun import safe_iterated_log
+from hardybounds.errors import DomainError
+from hardybounds.iterfun import iterated_exp, safe_iterated_log
 from hardybounds.potentials import (
     BoundedBelowCheck,
     CentrifugalShift,
@@ -133,9 +133,22 @@ class TestTransform:
         assert W(50.0) == 0.0
         assert W(-50.0) == 0.0
 
-    def test_depth_cap(self):
-        with pytest.raises(DepthCapError):
-            transform_potential(SquareWell(c=1.0, a=1.0, b=2.0), 4)
+    def test_depth_past_the_count_cap(self):
+        # the transform has no depth cap (the count keeps its own): a tail
+        # -c y^-3 at k = 4 and 5 is exact in log space, also where the tower
+        # exp^(k) s leaves the doubles, and a well inside the doubles at k = 4
+        # reads V on the tower
+        V = PowerLogWell(c=2.0, p=-3.0, q=0.0, a=1.0, b=math.inf)
+        for k in (4, 5):
+            s = 0.5
+            jac = sum(iterated_exp(s, j) for j in range(k - 1))
+            want = -2.0 * math.exp(2.0 * jac - iterated_exp(s, k - 1))
+            assert transform_potential(V, k)(s) == pytest.approx(want, rel=1e-12)
+        assert transform_potential(V, 5)(3.0) == 0.0  # exp^(4) 3 is past the doubles
+        W = transform_potential(SquareWell(c=1.0, a=4.0e6, b=8.0e6), 4)
+        s = safe_iterated_log(5.0e6, 4)
+        jac = sum(iterated_exp(s, j) for j in range(4))
+        assert W(s) == pytest.approx(-math.exp(2.0 * jac), rel=1e-9)
 
     def test_inverse_square_telescopes(self):
         # transform of -c/r^2 with k steps is -c e^{2s} ... e^{2 exp^(k-2) s}
@@ -156,6 +169,15 @@ class TestTransform:
         W = transform_potential(V, 3)
         with pytest.raises(OverflowError):
             W(20.0)
+
+    def test_overflow_names_the_node_of_a_panel_array(self):
+        # quadrature passes one row of nodes per panel: the error names the
+        # node, for a form and for a core read on the tower
+        s = np.array([[0.0, 0.5], [1.0, 20.0]])
+        for V in (InverseSquareTail(c=1.0, a=0.0),
+                  TabulatedPotential(r=(1.0, 1e300), v=(-1.0, -1.0))):
+            with pytest.raises(OverflowError, match=r"at s=20\.0 exceeds"):
+                transform_potential(V, 3)(s)
 
     def test_tabulated_end_images_evaluate(self):
         # exp^(3) of the image of the last sample rounds to 8.852362261518689

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from hardybounds import bounds
 from hardybounds.errors import DomainError, EvaluationError
-from hardybounds.bounds import OperatorSpec, _sup_r2_negative_part, absolute_log_weight, central_bound, l_max
+from hardybounds.bounds import OperatorSpec, _sup_r2_negative_part, central_bound, l_max
 from hardybounds.iterfun import (
     DomainThreshold,
     hardy_weight_stack,
@@ -65,6 +65,7 @@ from hardybounds.spectra import (
     inertia_negative_count,
     lowest_eigenvalues,
 )
+from weighted_oracle import absolute_log_weight, weighted_negpart_quad
 
 _PIVOT_EPS = 2.0**-40
 
@@ -996,35 +997,10 @@ class TestBatchedQuadrature:
 # central_bound's shared channel quadrature against one quadrature per channel
 # ---------------------------------------------------------------------------
 
-def weighted_negpart_quad(V, n, threshold, tol):
-    """Reference: int_threshold^inf |V_-(x)| x |ln x| ... |ln^(n+1) x| dx in one
-    quadrature over V's own negative support, split at V's breakpoints and
-    the weight's kinks.  With V a channel's effective radial potential, this
-    is how each channel integral was computed before the channels shared one
-    quadrature."""
-    ns = V.negative_support()
-    if ns is None:
-        return 0.0
-    lo, hi = max(ns[0], threshold), ns[1]
-    if hi <= lo:
-        return 0.0
-
-    def f(x):
-        vneg = negative_part_abs(V, x)
-        on = vneg != 0.0
-        vneg[on] *= absolute_log_weight(x[on], n)
-        return vneg
-
-    pts = [p for p in V.breakpoints() if lo < p < hi]
-    if math.isfinite(hi):
-        pts += bounds._log_kinks(n, lo, hi)
-        return integrate(f, lo, hi, tol=tol, breakpoints=pts).value
-    pts += bounds._log_kinks(n, lo, lo + 1e6)
-    return integrate_semiinfinite(f, lo, tol=tol, breakpoints=pts).value
-
-
 def per_channel_integrals(V, spec, tol):
-    """Reference: the channel integrals I_0 .. I_lmax, one quadrature each."""
+    """Reference: the channel integrals I_0 .. I_lmax, one x-side quadrature
+    each over the channel's effective radial potential, as each channel
+    integral was computed before the channels shared one quadrature."""
     lm = l_max(V, spec.d, spec.threshold)
     return [
         weighted_negpart_quad(effective_radial_potential(V, l, spec.d), spec.n, spec.threshold.value, tol)
