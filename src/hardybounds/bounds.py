@@ -119,34 +119,41 @@ class BoundConstants:
 
 DEFAULT_CLR_CONSTANTS = BoundConstants()
 
-#: theorem -> (least d, largest d, maker of the operator from (d, n, variant)).
+#: theorem -> (least d, largest d, threshold depth less n).
 #: t41: the line and half-line; t42: CLR-type, with threshold depth n + 2;
 #: t43: partial waves.
 _THEOREMS = {
-    "t41": (1, 1, OperatorSpec),
-    "t42": (3, math.inf, OperatorSpec.for_clr_bound),
-    "t43": (2, math.inf, OperatorSpec),
+    "t41": (1, 1, 0),
+    "t42": (3, math.inf, 2),
+    "t43": (2, math.inf, 0),
 }
 THEOREMS = tuple(_THEOREMS)
+
+
+def _depth_offset(theorem: str, d: int) -> int:
+    """Threshold depth less n of the operators ``theorem`` bounds in
+    dimension d.  DomainError for an unknown theorem, or a d outside the
+    theorem's range."""
+    if theorem not in THEOREMS:
+        raise DomainError(f"theorem must be one of {', '.join(THEOREMS)}, got {theorem!r}")
+    d_min, d_max, offset = _THEOREMS[theorem]
+    if not d_min <= d <= d_max:
+        raise DomainError(f"{theorem} needs d {'=' if d_min == d_max else '>='} {d_min}")
+    return offset
 
 
 def theorem_operator(theorem: str, d: int, n: int, variant: str) -> OperatorSpec:
     """The operator (d, n, variant) as ``theorem`` states its bound for it.
 
     DomainError for an unknown theorem, or a d outside the theorem's range."""
-    if theorem not in THEOREMS:
-        raise DomainError(f"theorem must be one of {', '.join(THEOREMS)}, got {theorem!r}")
-    d_min, d_max, make = _THEOREMS[theorem]
-    if not d_min <= d <= d_max:
-        raise DomainError(f"{theorem} needs d {'=' if d_min == d_max else '>='} {d_min}")
-    return make(d, n, variant)
+    return OperatorSpec(d, n, variant, threshold_depth=n + _depth_offset(theorem, d))
 
 
 def _require_operator(theorem: str, spec: OperatorSpec) -> None:
     """DomainError unless ``spec`` is an operator ``theorem`` bounds."""
-    fit = theorem_operator(theorem, spec.d, spec.n, spec.variant)
-    if fit != spec:
-        raise DomainError(f"{theorem} needs threshold depth {fit.threshold_depth} at n = {spec.n}")
+    depth = spec.n + _depth_offset(theorem, spec.d)
+    if spec.threshold_depth != depth:
+        raise DomainError(f"{theorem} needs threshold depth {depth} at n = {spec.n}")
 
 
 def theorem_bound(
@@ -214,11 +221,11 @@ def _channel_integrals(
     L_0 = 0 < L_1 < ... (I_0 is the integral of |W_0-| |s|): the integrals,
     their error estimates, the integrand nodes and the notes.
 
-    W_0 = transform(V, n + 1) is the potential that the counts assemble, and
-    C(s) = exp(2 (s + e^s + ... + exp^(n-1) s)) the transform of 1/r^2, from
-    the same helper.  The change of variables s = ln^(n+1) r carries
-    int_threshold^inf (-L_l/r^2 - V(r))_+ r |ln r| ... |ln^(n+1) r| dr onto
-    I_l: the paper's identity is the implementation.
+    W_0 = transform(V, n + 1) and C(s) = exp(2 (s + e^s + ... + exp^(n-1) s)),
+    the transform of 1/r^2 from the same helper: W_0 + L_l C(s) is the
+    potential the count assembles for channel l.  The change of variables
+    s = ln^(n+1) r carries int_threshold^inf (-L_l/r^2 - V(r))_+ r |ln r| ...
+    |ln^(n+1) r| dr onto I_l: the paper's identity is the implementation.
 
     One quadrature, with a component per coupling, covers the image of V's
     negative support clipped to the threshold, which holds every channel's;

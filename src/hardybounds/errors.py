@@ -6,11 +6,11 @@ class DomainError(ValueError):
 
 
 class DepthCapError(ValueError):
-    """A composition depth beyond the supported cap was requested.
+    """A count was asked for more transform steps than ``DEPTH_CAP``.
 
     Exponential towers deeper than three factors leave the double-precision
-    range for arguments >= 1, so the transformation machinery refuses them
-    loudly instead of saturating.
+    range for arguments >= 1, so the count refuses them loudly instead of
+    saturating.  The transform itself and the bounds take no such cap.
     """
 
 

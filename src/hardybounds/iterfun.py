@@ -20,8 +20,9 @@ import numpy as np
 
 from .errors import DomainError
 
-#: Largest composition depth accepted by exponential-tower paths.  A tower of
-#: depth 4 applied to x >= 1 already exceeds the double-precision range.
+#: Most transform steps a count takes (``spectra.channel_potential``): a tower
+#: of depth 4 applied to x >= 1 already exceeds the double-precision range.
+#: The t41 and t43 bounds take no cap; they reach n = 4 on variant zero.
 DEPTH_CAP = 3
 
 #: Valid domain-threshold variants: exp^(k)(0) and exp^(k)(1).

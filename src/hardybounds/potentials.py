@@ -278,65 +278,6 @@ class TabulatedPotential(Potential):
         return {"r": list(self.r), "v": list(self.v)}
 
 
-@dataclass(frozen=True)
-class CentrifugalShift(Potential):
-    """l(l+d-2)/r^2 + base(r): the effective radial potential of channel l."""
-
-    family = "effective_radial"
-    base: Potential
-    l: int
-    d: int
-
-    def __post_init__(self):
-        if not isinstance(self.l, int) or self.l < 0:
-            raise DomainError(f"channel index must be a non-negative integer, got {self.l!r}")
-        if self.l > 0 and self.d < 2:
-            raise DomainError("centrifugal term needs d >= 2")
-        if isinstance(self.base, CentrifugalShift):
-            raise DomainError("refusing to stack centrifugal terms")
-
-    @property
-    def coupling(self) -> float:
-        return float(self.l * (self.l + self.d - 2))
-
-    def evaluate_array(self, r: np.ndarray) -> np.ndarray:
-        _require_positive(r, "effective radial potential")
-        if self.coupling == 0.0:
-            return self.base.evaluate_array(r)
-        return _inverse_square(self.coupling, r) + self.base.evaluate_array(r)
-
-    def support(self):
-        if self.coupling == 0.0:
-            return self.base.support()
-        return (0.0, math.inf)
-
-    def negative_support(self):
-        L = self.coupling
-        if L == 0.0:
-            return self.base.negative_support()
-        base = self.base
-        if isinstance(base, SquareWell):
-            lo = max(base.a, math.sqrt(L / base.c))
-            return (lo, base.b) if lo < base.b else None
-        if isinstance(base, InverseSquareTail):
-            return (base.a, math.inf) if base.c > L else None
-        # conservative: the positive part of -V_eff vanishes automatically
-        # outside the true region, so over-covering is harmless
-        return base.negative_support()
-
-    def breakpoints(self):
-        pts = list(self.base.breakpoints())
-        if self.coupling > 0.0:
-            pts += _centrifugal_crossings(self.base, (self.coupling,))
-        return tuple(sorted(pts))
-
-    def sampled_range(self):
-        return self.base.sampled_range()
-
-    def params(self):
-        return {"l": self.l, "d": self.d, "base": describe_potential(self.base)}
-
-
 def _centrifugal_crossings(V: Potential, couplings) -> list[float]:
     """The r inside V's support where L/r^2 + V(r) changes sign, for each
     coupling L > 0: there the positive part of -(L/r^2 + V) has a kink.
@@ -457,15 +398,6 @@ def negative_part_abs(V: Potential, r):
     return np.maximum(-V(r), 0.0)
 
 
-def effective_radial_potential(V: Potential, l: int, d: int) -> Potential:
-    """r -> l(l+d-2)/r^2 + V(r); the l = 0 channel returns V unchanged."""
-    if not isinstance(l, int) or l < 0:
-        raise DomainError(f"channel index must be a non-negative integer, got {l!r}")
-    if l == 0:
-        return V
-    return CentrifugalShift(base=V, l=l, d=d)
-
-
 def describe_potential(V: Potential) -> dict:
     return {"family": V.family, **V.params()}
 
@@ -575,47 +507,45 @@ def _transformed_form(s: np.ndarray, k: int, c: float, p: float, q: float) -> np
 
 @dataclass(frozen=True)
 class TransformedPotential:
-    """Image of ``base`` under ``steps`` applications of the log change of
-    variables:
+    """Image of coupling/r^2 + base(r) under ``steps`` applications of the
+    log change of variables:
 
-        W(s) = e^{2s} ... e^{2 exp^(steps-1) s} * base(exp^(steps) s)
+        W(s) = coupling C(s) + e^{2s} ... e^{2 exp^(steps-1) s} * base(exp^(steps) s),
 
-    W has one formula, on a float ndarray of s.  A base with a power-log form,
-    and the centrifugal term l(l+d-2)/r^2 (the form (-l(l+d-2), -2, 0) on
-    (0, inf)), are transformed in log space; any other base is read on the
-    tower exp^(steps) s inside its mapped support, and raises OverflowError
-    where the tower leaves the double range.  A float s gives a float.
+    with C(s) = e^{2s} ... e^{2 exp^(steps-2) s} the transform of 1/r^2 (1 at
+    one step).  ``spectra.channel_potential`` builds a count's channel l as
+    ``TransformedPotential(V, n + 1, l(l+d-2))``; the bounds integrate the
+    same W_0 + L C(s), one C(s) broadcast over all their couplings.
+
+    W has one formula, on a float ndarray of s.  A base with a power-log
+    form, and the coupling term (the form (-coupling, -2, 0) on (0, inf)),
+    are transformed in log space; any other base is read on the tower
+    exp^(steps) s inside its mapped support, and raises OverflowError where
+    the tower leaves the double range.  A float s gives a float.
     """
 
     base: Potential
     steps: int
-    # set at construction: the centrifugal coupling split off the base, the
-    # potential it shifts, its support mapped into s (None if empty), and
-    # the images of the end samples of a sampled core (None for any other)
-    _coupling: float = field(init=False, repr=False, compare=False)
-    _core: Potential = field(init=False, repr=False, compare=False)
+    coupling: float = 0.0
+    # set at construction: the base's support mapped into s (None if empty),
+    # and the images of the end samples of a sampled base (None for any other)
     _window: Optional[tuple[float, float]] = field(init=False, repr=False, compare=False)
     _ends: Optional[tuple[float, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.steps, int) or self.steps < 1:
             raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
-        core, coupling = self.base, 0.0
-        if isinstance(core, CentrifugalShift):
-            core, coupling = core.base, core.coupling
-        ends = core.sampled_range()
+        ends = self.base.sampled_range()
         if ends is not None:
             # no zero extension: outside the sampled range the value is undefined
             window = (-math.inf, math.inf)
             ends = tuple(safe_iterated_log(x, self.steps) for x in ends)
         else:
-            supp = core.support()
+            supp = self.base.support()
             window = None if supp is None else (
                 safe_iterated_log(supp[0], self.steps),
                 safe_iterated_log(supp[1], self.steps),  # inf maps to inf
             )
-        object.__setattr__(self, "_coupling", coupling)
-        object.__setattr__(self, "_core", core)
         object.__setattr__(self, "_window", window)
         object.__setattr__(self, "_ends", ends)
 
@@ -624,28 +554,28 @@ class TransformedPotential:
         return call_on_array(self._evaluate_array, s)
 
     def _evaluate_array(self, s: np.ndarray) -> np.ndarray:
-        out = self._core_array(s)
-        if self._coupling > 0.0:
-            out += _transformed_form(s, self.steps, -self._coupling, -2.0, 0.0)
+        out = self._base_array(s)
+        if self.coupling != 0.0:
+            out += _transformed_form(s, self.steps, -self.coupling, -2.0, 0.0)
         return out
 
-    def _core_array(self, s: np.ndarray) -> np.ndarray:
-        if self._ends is not None:  # the window of a sampled core is the line
+    def _base_array(self, s: np.ndarray) -> np.ndarray:
+        if self._ends is not None:  # the window of a sampled base is the line
             return self._tower_array(s)
         out = np.zeros(s.shape)
         if self._window is None:
             return out
         inside = (s > self._window[0]) & (s < self._window[1])
         s_in = s[inside]
-        if (form := self._core.power_log_form()) is not None:
+        if (form := self.base.power_log_form()) is not None:
             out[inside] = _transformed_form(s_in, self.steps, form.c, form.p, form.q)
         else:
             out[inside] = self._tower_array(s_in)
         return out
 
     def _tower_array(self, s: np.ndarray) -> np.ndarray:
-        """The core read on the tower exp^(steps) s, times the Jacobian."""
-        V = self._core
+        """The base read on the tower exp^(steps) s, times the Jacobian."""
+        V = self.base
         with np.errstate(over="ignore"):
             expo, y = _exp_tower(s, self.steps)
         tower_over = np.isinf(y)
@@ -706,8 +636,6 @@ def check_bounded_below_weighted(
     ns = V.negative_support()
     if ns is None or math.isfinite(ns[1]):
         return BoundedBelowCheck(True, "no negative tail"), None
-    if isinstance(V, CentrifugalShift):
-        V = V.base  # L/r^2 + V has the tail of V
     if (form := V.power_log_form()) is None:
         return (BoundedBelowCheck(False, "undecided, the negative tail has no power-log form"),
                 "potential with unbounded negative support; tail decay unknown")

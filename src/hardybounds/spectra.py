@@ -39,9 +39,8 @@ from .iterfun import (
 from .bounds import OperatorSpec, l_max
 from .potentials import (
     Potential,
+    TransformedPotential,
     ZeroPotential,
-    effective_radial_potential,
-    transform_potential,
     transformed_breakpoints,
 )
 from .quadrature import integrate
@@ -398,9 +397,9 @@ def transformed_window_start(spec: OperatorSpec, steps: int) -> float:
 def channel_potential(V: Potential, spec: OperatorSpec, l: Optional[int]):
     """Transformed potential seen by the flat operator -d^2/ds^2 + W.
 
-    d = 1 takes the potential as is; central d >= 2 prepends the channel's
-    centrifugal term, whose transform picks up one fewer exponential factor
-    than the potential itself.
+    d = 1 takes the potential as is; channel l of a central d >= 2 adds the
+    coupling l(l+d-2) times C(s), the transform of 1/r^2, which has one fewer
+    exponential factor than the potential's own.
     """
     k = spec.n + 1
     if k > DEPTH_CAP:
@@ -408,10 +407,12 @@ def channel_potential(V: Potential, spec: OperatorSpec, l: Optional[int]):
     if spec.d == 1:
         if l not in (None, 0):
             raise DomainError("d = 1 has no angular channels")
-        return transform_potential(V, k)
-    if l is None:
+        l = 0
+    elif l is None:
         raise DomainError("central operators with d >= 2 need a channel index l")
-    return transform_potential(effective_radial_potential(V, l, spec.d), k)
+    elif not isinstance(l, int) or l < 0:
+        raise DomainError(f"channel index must be a non-negative integer, got {l!r}")
+    return TransformedPotential(V, k, float(l * (l + spec.d - 2)))
 
 
 def count_negative(

@@ -29,8 +29,8 @@ from hardybounds.potentials import (
     SquareWell,
     TabulatedPotential,
     ZeroPotential,
+    _centrifugal_crossings,
     check_bounded_below_weighted,
-    effective_radial_potential,
     negative_part_abs,
 )
 from hardybounds.quadrature import integrate, integrate_semiinfinite
@@ -433,7 +433,7 @@ class TestCentralBound:
         c, p, a = 20.52529275988548, -3.5379243902274493, 1.5468400070144628
         V = PowerLogWell(c=c, p=p, q=0.0, a=a, b=math.inf)
         cross = (6.0 / c) ** (1.0 / (p + 2.0))
-        assert cross in effective_radial_potential(V, 2, 3).breakpoints()
+        assert cross in _centrifugal_crossings(V, [6.0])
         bv = central_bound(V, OperatorSpec(3, 1, "zero"), tol=1e-10)
         ref, _ = scipy.integrate.quad(
             lambda r: (c * r**p - 6.0 / r**2) * absolute_log_weight(r, 1), a, cross,
@@ -475,7 +475,7 @@ class TestCentralBound:
         # p = -2.01: the crossing (L/c)^(1/(p+2)) = (2e-4)^(-100) is about
         # 1e370, past b and past the float range; it adds no breakpoint
         V = PowerLogWell(c=1e4, p=-2.01, q=0.0, a=2.0, b=10.0)
-        assert effective_radial_potential(V, 1, 3).breakpoints() == (2.0, 10.0)
+        assert _centrifugal_crossings(V, [2.0]) == []
         bv = central_bound(V, OperatorSpec(3, 0, "zero"), tol=1e-10)
         assert math.isfinite(bv.raw) and bv.channels[1].integral > 0.0
 

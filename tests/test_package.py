@@ -13,6 +13,7 @@ import sys
 import pytest
 
 import hardybounds
+from hardybounds.potentials import _FAMILIES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -81,6 +82,20 @@ def test_only_potentials_tests_for_a_form_family():
             names = {getattr(c, "id", None) or getattr(c, "attr", None) for c in classes}
             found += [f"{name}:{node.lineno} {cls}" for cls in names & FAMILIES]
     assert found == []
+
+
+def test_every_potential_class_is_a_family():
+    """Each ``Potential`` subclass of the package is a family the factory
+    builds: a channel is not a potential class of its own, but a
+    ``TransformedPotential`` of V with the channel's coupling."""
+    bases = {node.name: {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+             for _, tree in source_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.ClassDef)}
+    subclasses, found = set(), {"Potential"}
+    while found:  # down the class tree, one generation at a time
+        found = {cls for cls, of in bases.items() if of & (found | subclasses)} - subclasses
+        subclasses |= found
+    assert subclasses == {cls.__name__ for cls, _ in _FAMILIES.values()}
 
 
 INF_SPELLINGS = {"math.inf", "np.inf", "inf", "float('inf')"}

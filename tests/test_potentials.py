@@ -4,23 +4,25 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from hardybounds.bounds import OperatorSpec
 from hardybounds.errors import DomainError
 from hardybounds.iterfun import iterated_exp, safe_iterated_log
 from hardybounds.potentials import (
     BoundedBelowCheck,
-    CentrifugalShift,
     InverseSquareTail,
     PowerLogWell,
     SquareWell,
     TabulatedPotential,
+    TransformedPotential,
     ZeroPotential,
+    _centrifugal_crossings,
     check_bounded_below_weighted,
-    effective_radial_potential,
     make_potential,
     negative_part_abs,
     transform_potential,
     transformed_breakpoints,
 )
+from hardybounds.spectra import channel_potential
 
 
 class TestEvaluation:
@@ -160,8 +162,7 @@ class TestTransform:
 
     def test_centrifugal_wall_instead_of_overflow(self):
         # positive centrifugal term saturates rather than raising
-        Veff = effective_radial_potential(ZeroPotential(), 2, 3)
-        W = transform_potential(Veff, 3)
+        W = channel_potential(ZeroPotential(), OperatorSpec(3, 2, "one"), 2)
         assert W(20.0) >= 1e299
 
     def test_unbounded_negative_overflow_raises(self):
@@ -203,76 +204,87 @@ class TestTransform:
 
 
 class TestEffectiveRadial:
+    """Channel l of a central operator, as ``channel_potential`` builds it:
+    W_0(s) + l(l+d-2) C(s), with C(s) the transform of 1/r^2."""
+
     def test_l0_returns_same_object(self):
         V = SquareWell(c=1.0, a=1.0, b=2.0)
-        assert effective_radial_potential(V, 0, 3) is V
+        W = channel_potential(V, OperatorSpec(3, 0, "one"), 0)
+        assert W.base is V and W.coupling == 0.0
+        assert W == transform_potential(V, 1)
 
     def test_centrifugal_of_zero(self):
-        Veff = effective_radial_potential(ZeroPotential(), 1, 3)
-        assert Veff(1.0) == pytest.approx(2.0, rel=1e-15)
-        assert Veff(2.0) == pytest.approx(0.5, rel=1e-15)
+        # 2/r^2 is the constant 2 after one step, and 2 e^{2s} after two
+        W = channel_potential(ZeroPotential(), OperatorSpec(3, 0, "one"), 1)
+        assert W(0.0) == pytest.approx(2.0, rel=1e-15)
+        assert W(5.0) == pytest.approx(2.0, rel=1e-15)
+        W = channel_potential(ZeroPotential(), OperatorSpec(3, 1, "one"), 1)
+        assert W(0.5) == pytest.approx(2.0 * math.e, rel=1e-15)
 
     def test_well_with_centrifugal(self):
-        Veff = effective_radial_potential(SquareWell(c=4.0, a=1.0, b=2.0), 1, 3)
-        assert Veff(1.5) == pytest.approx(2.0 / 2.25 - 4.0, rel=1e-14)
+        # r^2 (2/r^2 - 4) at r = 1.5
+        W = channel_potential(SquareWell(c=4.0, a=1.0, b=2.0), OperatorSpec(3, 0, "one"), 1)
+        assert W(math.log(1.5)) == pytest.approx(2.0 - 4.0 * 2.25, rel=1e-14)
 
     def test_pointwise_nondecreasing_in_l(self):
         V = SquareWell(c=2.0, a=0.5, b=3.0)
+        s = np.linspace(-4.0, 2.0, 50)
         for d in (2, 3, 5):
-            for r in np.geomspace(0.2, 5.0, 50):
-                vals = [
-                    effective_radial_potential(V, l, d)(float(r))
-                    for l in range(4)
-                ]
-                assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
+            for n in (0, 1):
+                spec = OperatorSpec(d, n, "zero")
+                vals = [channel_potential(V, spec, l)(s) for l in range(4)]
+                assert all(np.all(x <= y) for x, y in zip(vals, vals[1:]))
 
     def test_negative_support_shrinks_with_l(self):
+        # 2/r^2 - 1 < 0 on (sqrt 2, 2); 6/r^2 - 1 > 0 on the whole well
         V = SquareWell(c=1.0, a=1.0, b=2.0)
-        eff = effective_radial_potential(V, 1, 3)
-        lo, hi = eff.negative_support()
-        assert lo == pytest.approx(math.sqrt(2.0), rel=1e-14)
-        assert hi == 2.0
-        assert effective_radial_potential(V, 2, 3).negative_support() is None
-
+        spec = OperatorSpec(3, 0, "one")
+        s = np.linspace(-1.0, 1.0, 2001)
+        inside = (s > 0.5 * math.log(2.0)) & (s < math.log(2.0))
+        assert np.array_equal(channel_potential(V, spec, 1)(s) < 0.0, inside)
+        assert _centrifugal_crossings(V, [2.0]) == pytest.approx([math.sqrt(2.0)], rel=1e-14)
+        assert np.all(channel_potential(V, spec, 2)(s) >= 0.0)
+        assert _centrifugal_crossings(V, [6.0]) == []
 
     @pytest.mark.parametrize("V", [
         InverseSquareTail(c=1.0, a=0.0),
-        effective_radial_potential(SquareWell(c=1.0, a=0.0, b=2.0), 1, 3),
+        PowerLogWell(c=1.0, p=-2.0, q=0.0, a=1e-300, b=2.0),
     ])
     def test_underflowing_r_squared_is_an_overflow_error(self, V):
-        # r*r underflows to 0 at r = 1e-200: c / r^2 is past the double range
+        # r*r underflows to 0 at r = 1e-200, and r**-2 overflows: c / r^2 is
+        # past the double range
         with pytest.raises(OverflowError):
             V(1e-200)
         with pytest.raises(OverflowError):
             V(np.array([1.0, 1e-200]))
 
     def test_zero_coupling_returns_the_base(self):
-        base = SquareWell(c=3.0, a=0.0, b=2.0)
-        V = CentrifugalShift(base=base, l=0, d=3)
-        assert V(1e-200) == -3.0
-        assert np.array_equal(V(np.array([1e-200, 1.0, 5.0])), [-3.0, -3.0, 0.0])
+        # a zero coupling adds nothing, also at s = 20, where C(s) at three
+        # steps is past the double range and a coupling of 6 is the wall
+        base = SquareWell(c=3.0, a=0.0, b=1e6)
+        s = np.array([-5.0, 0.0, 0.5, 20.0])
+        got = TransformedPotential(base, 3, 0.0)(s)
+        assert np.array_equal(got, transform_potential(base, 3)(s))
+        assert np.all(got[:3] < 0.0) and got[3] == 0.0
+        assert TransformedPotential(base, 3, 6.0)(20.0) == 1e300
 
     def test_power_log_crossings_on_both_sides_of_the_peak(self):
         # 10 r^-3 (ln r)^2 = 2 / r^2, i.e. -u + 2 ln u = ln(1/5) in u = ln r:
         # the left side peaks at u = 2, with one root on each side
         V = PowerLogWell(c=10.0, p=-3.0, q=2.0, a=1.0, b=math.inf)
-        pts = effective_radial_potential(V, 1, 3).breakpoints()
         gap = lambda r: 10.0 * r**-3 * math.log(r) ** 2 - 2.0 / r**2
         left = scipy.optimize.brentq(gap, 1.01, math.exp(2.0), xtol=1e-14)
         right = scipy.optimize.brentq(gap, math.exp(2.0), 1e3, xtol=1e-14)
-        assert pts[0] == 1.0
-        assert pts[1:] == pytest.approx([left, right], rel=1e-13)
+        assert _centrifugal_crossings(V, [2.0]) == pytest.approx([left, right], rel=1e-13)
 
     def test_tabulated_crossing_inside_a_sample_interval(self):
         # 20/r^2 + V changes sign between the samples 1.8 and 2.4
         r = np.linspace(1.2, 6.0, 9)
         V = TabulatedPotential(r=tuple(r), v=tuple(-30.0 * r**-2.5))
-        pts = effective_radial_potential(V, 4, 3).breakpoints()
-        extra = sorted(set(pts) - set(V.r))
         cross = scipy.optimize.brentq(
             lambda x: 20.0 / x**2 + np.interp(x, r, V.v), 1.8, 2.4, xtol=1e-14
         )
-        assert extra == pytest.approx([cross], rel=1e-13)
+        assert _centrifugal_crossings(V, [20.0]) == pytest.approx([cross], rel=1e-13)
 
 
 class TestBoundedBelowCheck:
@@ -317,9 +329,6 @@ class TestBoundedBelowCheck:
             chk = check_bounded_below_weighted(V, n)[0]
             assert chk.passed is passed
             assert chk.reason.startswith("tail r^")
-            # the channel potentials of a tail share its decision
-            chk = check_bounded_below_weighted(effective_radial_potential(V, 1, 3), n)[0]
-            assert chk.passed is passed
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_no_family_is_evaluated(self, n, monkeypatch):
@@ -353,9 +362,7 @@ class TestFactory:
         (PowerLogWell(c=3.0, p=-3.0, q=1.0, a=2.0, b=math.inf),
          {"c": 3.0, "p": -3.0, "q": 1.0, "a": 2.0, "b": math.inf}),
         (TabulatedPotential(r=(1, 2), v=(-1, 0)), {"r": [1.0, 2.0], "v": [-1.0, 0.0]}),
-        (CentrifugalShift(base=InverseSquareTail(c=2.0, a=1.0), l=1, d=3),
-         {"l": 1, "d": 3, "base": {"family": "inverse_square", "c": 2.0, "a": 1.0}}),
-    ], ids=["zero", "square", "inverse-square", "power-log", "tabulated", "channel"])
+    ], ids=["zero", "square", "inverse-square", "power-log", "tabulated"])
     def test_params_are_the_constructor_arguments(self, V, params):
         # the keys in order: reports and CSV rows print them so
         assert list(V.params().items()) == list(params.items())

@@ -7,7 +7,8 @@ bisection of the channel crossings against the scalar one; the l_max sup
 (its closed forms and the sampled zoom) against a dense sup; the batched
 GK15 quadrature against the scalar rule, component by component; and
 central_bound's shared channel quadrature against one quadrature per
-channel."""
+channel and against flat integrals of the channel potentials the count
+assembles."""
 
 import bisect
 import dataclasses
@@ -30,6 +31,7 @@ from hardybounds.iterfun import (
     hardy_weight_stack,
     iterated_exp,
     iterated_log,
+    safe_iterated_log,
 )
 from hardybounds.quadrature import (
     QuadratureError,
@@ -43,25 +45,27 @@ from hardybounds.quadrature import (
     integrate_semiinfinite,
 )
 from hardybounds.potentials import (
-    CentrifugalShift,
     InverseSquareTail,
     Potential,
     PowerLogWell,
     SquareWell,
     TabulatedPotential,
+    TransformedPotential,
     ZeroPotential,
+    _centrifugal_crossings,
     _monotone_roots,
     _tabulated_crossings,
-    effective_radial_potential,
     make_potential,
     negative_part_abs,
     transform_potential,
+    transformed_breakpoints,
 )
 from hardybounds.spectra import (
     _MIN_RUN,
     TridiagonalOperator,
     _sturm_count,
     _sturm_inputs,
+    channel_potential,
     inertia_negative_count,
     lowest_eigenvalues,
 )
@@ -291,14 +295,6 @@ _POSITIVE_WALL = 1e300
 
 def scalar_potential(V, r: float) -> float:
     """V(r) for one float r, one family at a time, with math's functions."""
-    if isinstance(V, CentrifugalShift):
-        if r <= 0.0:
-            raise DomainError(f"effective radial potential needs r > 0, got {r}")
-        if V.coupling == 0.0:
-            return scalar_potential(V.base, r)
-        if r * r <= V.coupling / sys.float_info.max:
-            raise OverflowError(f"{V.coupling} / r^2 exceeds the double range at r = {r}")
-        return V.coupling / (r * r) + scalar_potential(V.base, r)
     if isinstance(V, ZeroPotential):
         return 0.0
     if isinstance(V, SquareWell):
@@ -374,12 +370,12 @@ def scalar_transformed_form(c, p, q, s: float, k: int, spread: float = 0.0) -> f
 
 
 def scalar_transformed(W, s: float, spread: float = 0.0) -> float:
-    """W(s) for one float s.  A core with a power-log form, and the
-    centrifugal term, are transformed by ``scalar_transformed_form``; any
-    other core is read on the tower exp^(k) s, computed by math.exp and then
-    scaled by (1 + spread)."""
+    """W(s) for one float s.  A base with a power-log form, and the coupling
+    term, are transformed by ``scalar_transformed_form``; any other base is
+    read on the tower exp^(k) s, computed by math.exp and then scaled by
+    (1 + spread)."""
     out = 0.0
-    V, k = W._core, W.steps
+    V, k = W.base, W.steps
     form = V.power_log_form()
     if W._window is not None and W._window[0] < s < W._window[1]:
         if form is not None:
@@ -394,8 +390,8 @@ def scalar_transformed(W, s: float, spread: float = 0.0) -> float:
                     out = _POSITIVE_WALL
                 else:
                     raise OverflowError(s)
-    if W._coupling > 0.0:
-        out += scalar_transformed_form(-W._coupling, -2.0, 0.0, s, k)
+    if W.coupling != 0.0:
+        out += scalar_transformed_form(-W.coupling, -2.0, 0.0, s, k)
     return out
 
 
@@ -504,7 +500,7 @@ class TestTransformedArrayProperties:
         m=st.integers(1, 300),
     )
     def test_array_matches_scalar_evaluate(self, V, k, l, lo, width, m):
-        W = transform_potential(effective_radial_potential(V, l, 3), k)
+        W = channel_potential(V, OperatorSpec(3, k - 1, "one"), l)
         s = np.linspace(lo, lo + width, m).tolist()
         ref = _reference_or_error(lambda x: scalar_transformed(W, x), s)
         if isinstance(ref, type):
@@ -529,7 +525,7 @@ class TestTransformedArrayProperties:
         hi_ref = np.maximum.reduce([ref] + [e for e in ends if not isinstance(e, type)])
         terms = np.abs(transform_potential(V, k)(np.array(s)))
         if l:
-            terms += np.abs(transform_potential(effective_radial_potential(ZeroPotential(), l, 3), k)(np.array(s)))
+            terms += np.abs(TransformedPotential(ZeroPotential(), k, W.coupling)(np.array(s)))
         tol = 1e-12 * terms
         assert np.all((lo_ref - tol <= got) & (got <= hi_ref + tol))
 
@@ -577,7 +573,7 @@ class TestTransformedArrayProperties:
                 W(np.array([0.5, s, 2.0 * s]))
 
     def test_scalar_call_returns_the_scalar_value(self):
-        W = transform_potential(effective_radial_potential(SquareWell(c=4.0, a=1.0, b=2.0), 1, 3), 1)
+        W = channel_potential(SquareWell(c=4.0, a=1.0, b=2.0), OperatorSpec(3, 0, "one"), 1)
         got = W(0.5)
         assert type(got) is float
         assert got == W(np.array([0.5]))[0]
@@ -591,8 +587,8 @@ class TestTransformedArrayProperties:
 
 class TestPotentialArrayProperties:
     @settings(max_examples=300, deadline=None)
-    @given(V=potentials(), l=st.sampled_from([0, 1, 3]), data=st.data())
-    def test_array_matches_scalar_evaluate(self, V, l, data):
+    @given(V=potentials(), data=st.data())
+    def test_array_matches_scalar_evaluate(self, V, data):
         anywhere = st.one_of(_pos(1e-6, 60.0), _pos(-5.0, 0.0))
         if isinstance(V, TabulatedPotential):
             inside = st.one_of(_pos(V.r[0], V.r[-1]), st.sampled_from(V.r))
@@ -600,22 +596,19 @@ class TestPotentialArrayProperties:
             inside = anywhere
         xs = data.draw(st.lists(inside, min_size=1, max_size=40))
         xs += data.draw(st.lists(anywhere, max_size=2))
-        W = effective_radial_potential(V, l, 3)
-        ref = _reference_or_error(lambda x: scalar_potential(W, x), xs)
+        ref = _reference_or_error(lambda x: scalar_potential(V, x), xs)
         if isinstance(ref, type):
             event("both paths raise")
             with pytest.raises(ref):
-                W(np.array(xs))
+                V(np.array(xs))
             return
         event("both paths evaluate")
-        got = W(np.array(xs))
+        got = V(np.array(xs))
         assert got.shape == (len(xs),)
         if isinstance(V, PowerLogWell):
             # numpy's log and pow differ from libm's by up to an ulp each, and
-            # (ln r)^q scales the log's difference by q; a centrifugal term
-            # adds the same value on both paths, plus one rounding of the sum
-            base = np.abs(_reference_or_error(lambda x: scalar_potential(V, x), xs))
-            assert np.all(np.abs(got - ref) <= (4.0 + V.q) * _EPS * base + _EPS * np.abs(ref))
+            # (ln r)^q scales the log's difference by q
+            assert np.all(np.abs(got - ref) <= (4.0 + V.q) * _EPS * np.abs(ref))
         else:
             assert np.array_equal(got, ref)
 
@@ -648,7 +641,7 @@ class TestPotentialArrayProperties:
     @pytest.mark.parametrize("V", [
         InverseSquareTail(c=1.0, a=0.5),
         PowerLogWell(c=1.0, p=-1.0, q=0.0, a=0.5, b=3.0),
-        effective_radial_potential(SquareWell(c=1.0, a=0.5, b=3.0), 1, 3),
+        TabulatedPotential(r=(0.5, 3.0), v=(-1.0, -1.0)),
     ])
     def test_nonpositive_r_is_a_domain_error(self, V):
         with pytest.raises(DomainError):
@@ -1050,13 +1043,34 @@ class TestBatchedQuadrature:
 
 def per_channel_integrals(V, spec, tol):
     """Reference: the channel integrals I_0 .. I_lmax, one x-side quadrature
-    each over the channel's effective radial potential, as each channel
+    each of max(-(l(l+d-2)/x^2 + V), 0) times the weight, as each channel
     integral was computed before the channels shared one quadrature."""
     lm = l_max(V, spec.d, spec.threshold)
     return [
-        weighted_negpart_quad(effective_radial_potential(V, l, spec.d), spec.n, spec.threshold.value, tol)
+        weighted_negpart_quad(V, spec.n, spec.threshold.value, tol, L=l * (l + spec.d - 2))
         for l in range(lm + 1)
     ]
+
+
+def flat_negpart_integral(W, lo, hi, pts, tol):
+    """int_lo^hi |W_-(s)| |s| ds, split at s = 0, by the plain rule on a
+    finite piece and by the semi-infinite one (mirrored at -inf) on an
+    infinite piece."""
+    def f(s):
+        return np.maximum(-W(s), 0.0) * np.abs(s)
+
+    total = 0.0
+    for a, b in ((lo, min(hi, 0.0)), (max(lo, 0.0), hi)):
+        if not a < b:
+            continue
+        if math.isinf(b):
+            total += integrate_semiinfinite(f, a, tol=tol, breakpoints=pts).value
+        elif math.isinf(a):
+            total += integrate_semiinfinite(lambda t: f(-t), -b, tol=tol,
+                                            breakpoints=[-p for p in pts]).value
+        else:
+            total += integrate(f, a, b, tol=tol, breakpoints=pts).value
+    return total
 
 
 @st.composite
@@ -1098,4 +1112,21 @@ class TestSharedChannelQuadrature:
         bv = central_bound(V, spec)
         assert [ch.l for ch in bv.channels] == list(range(lm + 1))
         for ch, want in zip(bv.channels, per_channel_integrals(V, spec, 1e-10)):
+            assert abs(ch.integral - want) <= 1e-10 * max(1.0, abs(want)), (ch.l, ch.integral, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=central_wells())
+    def test_channel_integrals_are_flat_integrals_of_the_counted_potential(self, case):
+        # I_l of the bound is int |W_l-| |s| ds of the W_l = channel_potential(V, spec, l)
+        # that count_negative assembles, over the bound's domain and breakpoints
+        V, spec, lm = case
+        k, threshold = spec.n + 1, spec.threshold.value
+        lo, hi = V.negative_support()
+        lo, hi = safe_iterated_log(max(lo, threshold), k), safe_iterated_log(hi, k)
+        couplings = [l * (l + spec.d - 2) for l in range(1, lm + 1)]
+        crossings = [safe_iterated_log(x, k) for x in _centrifugal_crossings(V, couplings)]
+        pts = [*transformed_breakpoints(V, k), 0.0, *(s for s in crossings if math.isfinite(s))]
+        bv = central_bound(V, spec)
+        for ch in bv.channels:
+            want = flat_negpart_integral(channel_potential(V, spec, ch.l), lo, hi, pts, 1e-12)
             assert abs(ch.integral - want) <= 1e-10 * max(1.0, abs(want)), (ch.l, ch.integral, want)

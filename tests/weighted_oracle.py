@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from hardybounds.iterfun import float_or_array, iterated_exp, log_chain
-from hardybounds.potentials import negative_part_abs
+from hardybounds.potentials import _centrifugal_crossings
 from hardybounds.quadrature import integrate, integrate_semiinfinite
 
 
@@ -42,12 +42,13 @@ def log_kinks(n: int, lo: float, hi: float) -> list[float]:
     return pts
 
 
-def weighted_negpart_quad(V, n, threshold, tol):
-    """int_threshold^inf |V_-(x)| x |ln x| ... |ln^(n+1) x| dx in one
-    quadrature over V's own negative support, split at V's breakpoints and
-    the weight's kinks.  With V a channel's effective radial potential, this
-    is the channel integral I_l of ``central_bound``; with V itself, the
-    integral of ``bound_1d``."""
+def weighted_negpart_quad(V, n, threshold, tol, L=0.0):
+    """int_threshold^inf max(-(L/x^2 + V(x)), 0) x |ln x| ... |ln^(n+1) x| dx
+    in one quadrature over V's own negative support, split at V's
+    breakpoints, at the crossings of L/x^2 + V and at the weight's kinks.
+    With the coupling L = l(l+d-2) of channel l, this is the channel
+    integral I_l of ``central_bound``; with L = 0, the integral of
+    ``bound_1d``."""
     ns = V.negative_support()
     if ns is None:
         return 0.0
@@ -56,12 +57,15 @@ def weighted_negpart_quad(V, n, threshold, tol):
         return 0.0
 
     def f(x):
-        vneg = negative_part_abs(V, x)
+        with np.errstate(over="ignore", divide="ignore"):  # L/x^2 = inf: 0
+            vneg = np.maximum(-(L / (x * x) + V(x)), 0.0)
         on = vneg != 0.0
         vneg[on] *= absolute_log_weight(x[on], n)
         return vneg
 
     pts = [p for p in V.breakpoints() if lo < p < hi]
+    if L:
+        pts += [p for p in _centrifugal_crossings(V, [L]) if lo < p < hi]
     if math.isfinite(hi):
         pts += log_kinks(n, lo, hi)
         return integrate(f, lo, hi, tol=tol, breakpoints=pts).value
