@@ -12,10 +12,17 @@ Three families:
   I_l the weighted integral of the negative part of the channel-l effective
   radial potential.
 
-The line and partial-wave integrals are flat integrals int |W_-| |s| ds of
-W = transform(V, n+1) in s = ln^(n+1) r, the paper's identity used as the
-implementation.  They reach every depth whose threshold is a double, past
-the counts' cap DEPTH_CAP = 3 on the transform steps.
+Every bound is a flat integral of W = transform(V, n+1) in s = ln^(n+1) r,
+the paper's identity used as the implementation.  The line and partial-wave
+integrals are int |W_-| |s| ds; the CLR integrals are
+
+    C_d |S^(d-1)| int_1^inf ( (d-1)(d-3) / (4 s^2) - W )_+^{d/2} s^{d-1} ds,
+    C_d |S^(d-1)| int_e^inf ( ((d-1)(d-3) - ln^2 s) / (4 s^2 ln^2 s) - W )_+^{d/2}
+                            (s ln s)^{d-1} ds
+
+on the variant "zero" and "one" domains.  They reach every depth whose
+threshold is a double, past the counts' cap DEPTH_CAP = 3 on the transform
+steps.
 
 Bounds are real numbers; comparisons against integer counts use floor(raw).
 A bound whose integrand has a non-integrable tail is reported as +inf with
@@ -34,11 +41,8 @@ from .errors import DomainError, EvaluationError
 from .iterfun import (
     DomainThreshold,
     degeneracy,
-    iterated_exp,
-    log_chain,
     safe_iterated_log,
     sphere_area,
-    squared_product,
 )
 from .potentials import (
     Potential,
@@ -422,99 +426,77 @@ def clr_bound(
     Variant "one" (threshold exp^(n+2) 1): the numerator gains the
     -(ln^(n+2) r)^2 improvement and the weight stack extends to ln^(n+2).
 
-    For d >= 4 the variant-"zero" integrand behaves like const / (r ln r ...)
-    wherever V has died off, which is not integrable: the bound is then +inf
-    (vacuous but true).  Pass ``horizon`` to integrate up to a finite radius
-    instead, for illustration purposes; the truncation is recorded in the
-    diagnostics and is a lower estimate of the true integral.
+    In s = ln^(n+1) r, dr = r ln r ... ln^(n) r ds carries these onto the
+    flat integrals of W = transform(V, n+1) in the module docstring, which is
+    how they are computed.  The variant-one improvement term is positive up
+    to s* = exp(sqrt((d-1)(d-3))), a double at every depth.
+
+    For d >= 4 the variant-"zero" integrand behaves like const / s wherever V
+    has died off, which is not integrable: the bound is then +inf (vacuous
+    but true).  Pass ``horizon`` to integrate up to a finite radius instead,
+    for illustration purposes; the truncation is recorded in the diagnostics
+    and is a lower estimate of the true integral.
 
     A tabulated V is taken as 0 outside its samples.
     """
     _require_operator("t42", spec)
 
-    d, n = spec.d, spec.n
+    d, k = spec.d, spec.n + 1
     coeff = float((d - 1) * (d - 3))
-    th = spec.threshold.value
     Cd = constants.get(d)
     prefactor = Cd * sphere_area(d)
     notes: list[str] = []
 
-    rng = V.sampled_range()
-    if rng is None or coeff == 0.0:
-        V_at = V
-    else:
-        notes.append("tabulated potential: taken as 0 outside the sampled range")
-
-        def V_at(r: np.ndarray) -> np.ndarray:
-            v = np.zeros(r.shape)
-            inside = (rng[0] <= r) & (r <= rng[1])
-            v[inside] = V(r[inside])
-            return v
-
-    logs = n + 1 if spec.variant == "zero" else n + 2
-
-    def integrand(r: np.ndarray) -> np.ndarray:
-        chain = log_chain(r, logs)
-        num = coeff if spec.variant == "zero" else coeff - chain[-1] * chain[-1]
-        g = np.maximum(num / (4.0 * squared_product(chain)) - V_at(r), 0.0)
-        on = g != 0.0  # the log weights are evaluated only where g > 0
-        r_on = r[on]
-        # the powers raise OverflowError as float ** does; a product overflows to inf
-        with np.errstate(over="ignore"):
-            weight = np.ones(r_on.shape)
-            for cur in chain[1:]:  # (ln r)^(d-1) ... (ln^(logs) r)^(d-1), all positive
-                weight *= cur[on] ** (d - 1)
-            g[on] = checked_pow(g[on], d / 2.0) * weight * checked_pow(r_on, d - 1)
-        return g
-
-    # where does the integrand certainly vanish / certainly diverge?
     ns = V.negative_support()
-    supp = V.support()
-    supp_end = 0.0 if supp is None else supp[1]
     if ns is not None and math.isinf(ns[1]):
         return BoundValue.vacuous("negative tail extends to infinity; bound diverges")
-
+    # past V's negative support the integrand is at most that of V = 0
+    ns_end = -math.inf if ns is None else safe_iterated_log(ns[1], k)
     if spec.variant == "zero":
         if coeff > 0.0 and horizon is None:
             return BoundValue.vacuous(
                 "variant-zero integrand decays like 1/(r ln r ...) for d >= 4; the bound is +inf"
             )
-        hi = horizon if horizon is not None else supp_end
-        if coeff > 0.0:
-            notes.append(f"integral truncated at horizon r = {hi:g} (true value is +inf)")
+        lo, hi = 1.0, math.inf if coeff > 0.0 else ns_end
     else:
-        hi = supp_end
-        if coeff > 0.0:
-            # improvement term positive until r* = exp^(n+2) sqrt((d-1)(d-3))
-            try:
-                hi = max(hi, iterated_exp(math.sqrt(coeff), n + 2))
-            except OverflowError:
-                if horizon is None:
-                    return BoundValue.vacuous(
-                        f"r* = exp^({n + 2})(sqrt({coeff:g})) exceeds the double range; "
-                        "the bound is +inf"
-                    )
-                hi = math.inf  # r* lies past every double; the horizon cuts it
-        if horizon is not None:
-            hi = min(hi, horizon)
-            notes.append(f"integral truncated at horizon r = {hi:g}")
+        lo, hi = math.e, max(ns_end, math.exp(math.sqrt(coeff)))
 
-    lo = th
+    W = W_at = transform_potential(V, k)
+    rng = V.sampled_range()
+    if rng is not None:
+        ends = [safe_iterated_log(x, k) for x in rng]
+        if coeff != 0.0:
+            notes.append("tabulated potential: taken as 0 outside the sampled range")
+
+            def W_at(s: np.ndarray) -> np.ndarray:
+                w = np.zeros(s.shape)
+                inside = (ends[0] <= s) & (s <= ends[1])
+                w[inside] = W(s[inside])
+                return w
+
+    if horizon is not None and (cut := safe_iterated_log(horizon, k)) < hi:
+        notes.append(f"integral truncated at horizon r = {horizon:g}"
+                     + (" (true value is +inf)" if math.isinf(hi) else ""))
+        hi = cut
     if rng is not None and coeff == 0.0:
-        # A <= 0 everywhere, so the integrand vanishes outside the samples
-        lo, hi = max(lo, rng[0]), min(hi, rng[1])
+        # the improvement term is <= 0 everywhere, so the integrand vanishes outside the samples
+        lo, hi = max(lo, ends[0]), min(hi, ends[1])
         notes.append(SAMPLED_RANGE_NOTE)
     if hi <= lo:
         return BoundValue.build(0.0, QuadDiagnostics(notes=tuple(notes)))
 
-    pts = [p for p in V.breakpoints() if lo < p < hi]
-    # geometric midpoints help the adaptive rule over wide log ranges
-    if hi / lo > 1e3:
-        k = lo
-        while k * 100.0 < hi:
-            k *= 100.0
-            pts.append(k)
-    quad = integrate(integrand, lo, hi, tol=tol, breakpoints=pts)
+    def integrand(s: np.ndarray) -> np.ndarray:
+        if spec.variant == "zero":
+            x, num = s, coeff
+        else:
+            u = np.log(s)
+            x, num = s * u, coeff - u * u
+        g = np.maximum(num / (4.0 * x * x) - W_at(s), 0.0)
+        # the power raises OverflowError as float ** does; the product overflows to inf
+        with np.errstate(over="ignore"):
+            return checked_pow(g, d / 2.0) * x ** (d - 1)
+
+    quad = integrate(integrand, lo, hi, tol=tol, breakpoints=transformed_breakpoints(V, k))
     if d in constants.placeholders:
         notes.append(
             f"C_{d} = {Cd:g} is a placeholder, not a literature value; "

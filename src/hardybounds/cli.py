@@ -37,6 +37,7 @@ from .bounds import (
 from .harness import (
     MAX_EXISTENCE_WINDOW,
     SWEEP_TOL,
+    TRANSFORM_TOL,
     SweepSpec,
     default_sweeps,
     run_bound_sweep,
@@ -84,7 +85,6 @@ SETTINGS = ("theorem", "d", "n", "variant", "L", "m", "doublings")
 
 
 BOUND_TOL = 1e-8  # quadrature tolerance of ``bound`` when none is given
-TRANSFORM_TOL = 1e-6  # tolerance of ``verify transform`` when none is given
 
 #: setting -> the one suite of ``verify`` (besides ``all``) that reads it
 VERIFY_READERS = {"tol": "transform", "L": "bounds", "m": "bounds", "doublings": "bounds",

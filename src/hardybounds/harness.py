@@ -38,6 +38,7 @@ from .testfunctions import bump_suite
 #: Window escalation ceiling for existence checks.
 MAX_EXISTENCE_WINDOW = 320.0
 SWEEP_TOL = 1e-10  # quadrature tolerance of a bound sweep when none is given
+TRANSFORM_TOL = 1e-6  # tolerance of the transform-identity suite when none is given
 
 
 def _domain_lo(d: int, n: int) -> float:
@@ -120,8 +121,7 @@ def run_transform_identity(
     d_list=(1, 2, 3, 5),
     n_list=(0, 1),
     suite_size: int = 5,
-    tol: float = 1e-6,
-    include_well: bool = True,
+    tol: float = TRANSFORM_TOL,
 ) -> IdentityReport:
     """Relative discrepancy between the original and transformed quadratic
     forms over the suite, for the zero potential and a square well.
@@ -133,10 +133,7 @@ def run_transform_identity(
     for d in d_list:
         for n in n_list:
             lo = _domain_lo(d, n)
-            pots: list[Potential] = [ZeroPotential()]
-            if include_well:
-                pots.append(_suite_well(lo))
-            for V in pots:
+            for V in (ZeroPotential(), _suite_well(lo)):
                 for u in bump_suite(lo, suite_size):
                     qo = quadratic_form_value("original", d, n, u, V=V)
                     qt = quadratic_form_value("transformed", d, n, u, V=V)

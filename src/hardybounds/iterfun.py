@@ -142,14 +142,6 @@ def hardy_weight_stack(x, d: int, n: int):
     return total
 
 
-def squared_product(chain: list) -> np.ndarray:
-    """The product of the squares of the factors of ``chain``."""
-    acc = chain[0] * chain[0]
-    for cur in chain[1:]:
-        acc *= cur * cur
-    return acc
-
-
 def degeneracy(d: int, l: int) -> int:
     """Multiplicity of the sphere-Laplacian eigenvalue l(l+d-2) on S^(d-1):
 

@@ -586,16 +586,55 @@ class TestClrBound:
         prefactor = DEFAULT_CLR_CONSTANTS.get(5) * sphere_area(5)
         assert bv.raw - zero.raw == pytest.approx(prefactor * ref, rel=1e-8)
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_d4_variant_one_closed_form(self, n):
+        # in u = ln s the integrand of V = 0 is (3 - u^2)^2 / (16 u) on (1, sqrt 3),
+        # the same at every depth n; at n = 1 the x-side weight (r ln r ...)^3
+        # passes the double range below r* = exp^(3)(sqrt 3) = 1.9e123
+        bv = clr_bound(ZeroPotential(), OperatorSpec.for_clr_bound(4, n, "one"))
+        closed = 0.1156 * sphere_area(4) * (9.0 * math.log(3.0) - 8.0) / 32.0
+        assert closed == pytest.approx(0.13459440149044413, abs=1e-16)
+        assert bv.raw == pytest.approx(closed, abs=1e-12)
+
     def test_r_star_past_the_double_range(self):
-        # d = 5, n = 1, variant one: r* = exp^(3)(sqrt 8) overflows
+        # d = 5, n = 1, variant one: r* = exp^(3)(sqrt 8) passes the double
+        # range, but s* = exp(sqrt 8) = 16.9 does not
         spec = OperatorSpec.for_clr_bound(5, 1, "one")
         bv = clr_bound(ZeroPotential(), spec)
-        assert math.isinf(bv.raw) and bv.integer_cap is None
-        assert any("exceeds the double range" in note for note in bv.diagnostics.notes)
-        # a horizon makes the range finite: integrate up to it
+        assert bv.raw == pytest.approx(
+            clr_bound(ZeroPotential(), OperatorSpec.for_clr_bound(5, 0, "one")).raw, abs=1e-10)
+        assert bv.integer_cap == 5
+        assert not any("exceeds the double range" in note for note in bv.diagnostics.notes)
+        # a horizon below r* cuts the range: integrate up to it
         vals = [clr_bound(ZeroPotential(), spec, horizon=h) for h in (1e8, 1e12)]
-        assert 0.0 < vals[0].raw < vals[1].raw < math.inf
+        assert 0.0 < vals[0].raw < vals[1].raw < bv.raw
         assert "integral truncated at horizon r = 1e+12" in vals[1].diagnostics.notes
+
+    @pytest.mark.xfail(strict=True, reason="the bound does not split where the improvement "
+                       "term crosses a positive tabulated V")
+    def test_tabulated_crossing_of_the_improvement_term(self):
+        # d = 4, variant one: V = 0.5 (r - r1) / (r2 - r1) rises past the
+        # improvement term (3 - (ln ln r)^2) / (4 (r ln r ln ln r)^2) about
+        # 1.4e-3 after r1, and every node of the panel (r1, r2) misses the
+        # positive stretch before that crossing; the reference splits there
+        r = (15.154262241479262, 21.431363189658473, 30.308524482958525)
+        V = TabulatedPotential(r=r, v=(0.0, 0.0, 0.5))
+        spec = OperatorSpec.for_clr_bound(4, 0, "one")
+
+        def gap(x):  # the improvement term less V, V = 0 outside the samples
+            u = math.log(math.log(x))
+            A = (3.0 - u * u) / (4.0 * (x * math.log(x) * u) ** 2)
+            return A - np.interp(x, r, V.v, right=0.0)
+
+        def integrand(x):
+            return max(gap(x), 0.0) ** 2 * (x * math.log(x) * math.log(math.log(x))) ** 3
+
+        cross = scipy.optimize.brentq(gap, r[1], r[2], xtol=1e-14)
+        ref, _ = scipy.integrate.quad(integrand, spec.threshold.value, iterated_exp(math.sqrt(3.0), 2),
+                                      points=[r[0], r[1], cross, r[2]], epsabs=0.0,
+                                      epsrel=1e-12, limit=200)
+        prefactor = DEFAULT_CLR_CONSTANTS.get(4) * sphere_area(4)
+        assert clr_bound(V, spec).raw == pytest.approx(prefactor * ref, rel=1e-9)
 
     def test_placeholder_constant_is_noted(self):
         V = SquareWell(c=1.0, a=20.0, b=30.0)

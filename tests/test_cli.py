@@ -96,15 +96,22 @@ class TestBoundCommand:
         assert payload["bound_raw"] == pytest.approx(2 * math.log(2) - 0.75, rel=1e-9)
         assert payload["bound_cap"] == 0
 
-    def test_clr_r_star_overflow_is_a_vacuous_bound(self, capsys):
+    @pytest.mark.parametrize("d, potential, raw", [
+        # r* = exp^(3)(sqrt 8) passes the double range
+        pytest.param(5, "zero", "bound raw  : 5.99905753148\n", id="d5-zero"),
+        # the x-side weight (r ln r ...)^3 passed it; the well lies below the threshold
+        pytest.param(4, "square_well:c=1,a=20,b=40", "bound raw  : 0.13459440149\n",
+                     id="d4-square-well"),
+    ])
+    def test_clr_bound_past_the_x_side_range(self, d, potential, raw, capsys):
         code = main([
-            "bound", "--theorem", "t42", "--d", "5", "--n", "1",
-            "--variant", "one", "--potential", "zero",
+            "bound", "--theorem", "t42", "--d", str(d), "--n", "1",
+            "--variant", "one", "--potential", potential,
         ])
         out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert "bound raw  : inf" in out
-        assert "exceeds the double range" in out
+        assert raw in out
+        assert "exceeds the double range" not in out
 
     @pytest.mark.parametrize("constants, noted", [
         (None, True),  # the default table: C_5 is a placeholder

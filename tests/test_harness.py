@@ -46,8 +46,7 @@ class TestIdentitySuite:
         assert rep.max_discrepancy <= 1e-8
 
     def test_cases_record_both_sides(self):
-        rep = run_transform_identity(d_list=(1,), n_list=(0,), suite_size=1,
-                                     include_well=False)
+        rep = run_transform_identity(d_list=(1,), n_list=(0,), suite_size=1)
         case = rep.cases[0]
         assert case.original == pytest.approx(case.transformed, rel=1e-7)
 

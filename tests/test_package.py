@@ -98,6 +98,18 @@ def test_every_potential_class_is_a_family():
     assert subclasses == {cls.__name__ for cls, _ in _FAMILIES.values()}
 
 
+X_SIDE_WEIGHTS = {"log_chain", "hardy_weight_stack"}
+
+
+def test_no_bound_builds_an_x_side_weight():
+    """Every bound is a flat integral of a transformed potential in s, so
+    ``bounds.py`` imports none of the iterated-log weights of the x side."""
+    tree = dict(source_trees())["bounds.py"]
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert imported & X_SIDE_WEIGHTS == set()
+
+
 INF_SPELLINGS = {"math.inf", "np.inf", "inf", "float('inf')"}
 
 

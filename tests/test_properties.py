@@ -8,7 +8,7 @@ bisection of the channel crossings against the scalar one; the l_max sup
 GK15 quadrature against the scalar rule, component by component; and
 central_bound's shared channel quadrature against one quadrature per
 channel and against flat integrals of the channel potentials the count
-assembles."""
+assembles; and clr_bound's flat integral against its x side."""
 
 import bisect
 import dataclasses
@@ -25,13 +25,21 @@ from hypothesis import strategies as st
 
 from hardybounds import bounds
 from hardybounds.errors import DomainError, EvaluationError
-from hardybounds.bounds import OperatorSpec, _sup_r2_negative_part, central_bound, l_max
+from hardybounds.bounds import (
+    DEFAULT_CLR_CONSTANTS,
+    OperatorSpec,
+    _sup_r2_negative_part,
+    central_bound,
+    clr_bound,
+    l_max,
+)
 from hardybounds.iterfun import (
     DomainThreshold,
     hardy_weight_stack,
     iterated_exp,
     iterated_log,
     safe_iterated_log,
+    sphere_area,
 )
 from hardybounds.quadrature import (
     QuadratureError,
@@ -69,7 +77,7 @@ from hardybounds.spectra import (
     inertia_negative_count,
     lowest_eigenvalues,
 )
-from weighted_oracle import absolute_log_weight, weighted_negpart_quad
+from weighted_oracle import absolute_log_weight, clr_x_integral, weighted_negpart_quad
 
 _PIVOT_EPS = 2.0**-40
 
@@ -1130,3 +1138,61 @@ class TestSharedChannelQuadrature:
         for ch in bv.channels:
             want = flat_negpart_integral(channel_potential(V, spec, ch.l), lo, hi, pts, 1e-12)
             assert abs(ch.integral - want) <= 1e-10 * max(1.0, abs(want)), (ch.l, ch.integral, want)
+
+
+# ---------------------------------------------------------------------------
+# clr_bound's flat integral in s against its x side
+# ---------------------------------------------------------------------------
+
+@st.composite
+def clr_cases(draw):
+    """A square well, a power-log well (finite or tail) or barrier, a
+    tabulated well, or V = 0, on a t42 operator (d, n, variant) with d in
+    3..5 and n in 0..1, and a horizon or None.
+
+    The tabulated samples are <= 0: where a positive sample interval crosses
+    the improvement term, clr_bound misses the kink
+    (``tests/test_bounds.py::TestClrBound::test_tabulated_crossing_of_the_improvement_term``)."""
+    spec = OperatorSpec.for_clr_bound(draw(st.integers(3, 5)), draw(st.integers(0, 1)),
+                                      draw(st.sampled_from(["zero", "one"])))
+    th = spec.threshold.value
+    family = draw(st.sampled_from(["square", "power_log", "tail", "tabulated", "zero"]))
+    a = th * draw(_pos(0.5, 3.0))
+    b = a * draw(_pos(1.2, 10.0))
+    if family == "square":
+        V = SquareWell(c=draw(_pos(0.01, 10.0)), a=a, b=b)
+    elif family in ("power_log", "tail"):
+        c = draw(_pos(0.01, 10.0)) * draw(st.sampled_from([1.0, -1.0]))
+        V = PowerLogWell(c=c, p=draw(_pos(-3.0, 1.0)), q=float(draw(st.integers(0, 1))),
+                         a=max(a, 1.0), b=math.inf if family == "tail" else b)
+    elif family == "tabulated":
+        k = draw(st.integers(3, 20))
+        r = np.geomspace(a, b, k)
+        V = TabulatedPotential(r=tuple(r.tolist()), v=tuple(draw(_pos(-2.0, 0.0)) for _ in range(k)))
+    else:
+        V = ZeroPotential()
+    # a horizon 1e-3 or more above the threshold: in s the ends of the range
+    # round to ulp(s) dr/ds in x, so a range only a few ulps of x wide loses
+    # its x-side value (a FOUND line in CHANGES.md)
+    horizon = draw(st.one_of(st.none(), _pos(1.001, 1e6).map(lambda t: th * t)))
+    return V, spec, horizon
+
+
+class TestClrFlatIntegral:
+    @settings(max_examples=150, deadline=None)
+    @given(case=clr_cases())
+    def test_flat_integral_matches_the_x_side(self, case):
+        # the s-side bound against C_d |S^(d-1)| times the x-side integral,
+        # wherever the x side reaches
+        V, spec, horizon = case
+        try:
+            want = clr_x_integral(V, spec, 1e-10, horizon)
+        except OverflowError:
+            event("the x side overflows")
+            return
+        got = clr_bound(V, spec, horizon=horizon).raw
+        if math.isinf(want):
+            assert got == want
+            return
+        want *= DEFAULT_CLR_CONSTANTS.get(spec.d) * sphere_area(spec.d)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (got, want)
