@@ -94,8 +94,9 @@ class OperatorSpec:
 
 @dataclass(frozen=True)
 class BoundConstants:
-    """CLR constants C_d.  Only d = 3 has a pinned literature value here;
-    the entries for 4 <= d <= 7 are configurable placeholders.
+    """CLR constants C_d.  Only d = 3 has a pinned literature value here,
+    C_3 = 0.1156 (Lieb); the entries for 4 <= d <= 7 are configurable
+    placeholders equal to C_3, not literature values.
 
     ``placeholders`` lists the d whose entry is still a placeholder; a bound
     computed with one of them says so in its notes.  A caller that sets an
@@ -104,10 +105,6 @@ class BoundConstants:
 
     values: dict = field(
         default_factory=lambda: {3: 0.1156, 4: 0.1156, 5: 0.1156, 6: 0.1156, 7: 0.1156}
-    )
-    source: str = (
-        "C_3 = 0.1156 (Lieb); entries for d in [4, 7] are placeholders equal to "
-        "C_3, not literature values"
     )
     placeholders: frozenset = frozenset({4, 5, 6, 7})
 

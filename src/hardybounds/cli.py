@@ -26,8 +26,9 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Optional
 
 from .errors import DomainError, DepthCapError, EvaluationError
-from .iterfun import DEPTH_CAP
+from .iterfun import DEPTH_CAP, VARIANTS
 from .bounds import (
+    DEFAULT_CLR_CONSTANTS,
     THEOREMS,
     BoundConstants,
     OperatorSpec,
@@ -86,6 +87,9 @@ SETTINGS = ("theorem", "d", "n", "variant", "L", "m", "doublings")
 
 BOUND_TOL = 1e-8  # quadrature tolerance of ``bound`` when none is given
 
+#: the suites of ``verify``, which also takes ``all``
+SUITES = ("hardy", "transform", "bounds", "existence", "convergence")
+
 #: setting -> the one suite of ``verify`` (besides ``all``) that reads it
 VERIFY_READERS = {"tol": "transform", "L": "bounds", "m": "bounds", "doublings": "bounds",
                   "constants": "bounds"}
@@ -105,7 +109,7 @@ class RunConfig:
     m: int = 4000
     doublings: int = 1
     tol: Optional[float] = None  # None: the command's own default
-    constants: dict = field(default_factory=lambda: {"3": 0.1156})
+    constants: dict = field(default_factory=lambda: {"3": DEFAULT_CLR_CONSTANTS.values[3]})
     suite: Optional[str] = None
     sweep: Optional[dict] = None
     json_out: Optional[str] = None
@@ -156,11 +160,9 @@ def _constants_from_config(cfg: RunConfig) -> BoundConstants:
         values = {int(k): float(v) for k, v in cfg.constants.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad CLR constant table: {exc}") from exc
-    base = BoundConstants()
-    merged = {**base.values, **values}
-    return BoundConstants(
-        values=merged, source=base.source, placeholders=base.placeholders - values.keys()
-    )
+    base = DEFAULT_CLR_CONSTANTS
+    return BoundConstants(values={**base.values, **values},
+                          placeholders=base.placeholders - values.keys())
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -223,18 +225,12 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         data = {**data, **{k: sweep[k] for k in SETTINGS if k in sweep},
                 "sweep": {k: v for k, v in sweep.items() if k not in SETTINGS}}
     cfg = RunConfig.from_dict(data)
-    for key in (*SETTINGS, "l", "tol", "suite"):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
-    if getattr(args, "potential", None) is not None:
-        cfg.potential = parse_potential_literal(args.potential)
-    if getattr(args, "C3", None) is not None:
+    known = {f.name for f in fields(RunConfig)}
+    for key, value in vars(args).items():
+        if key in known and value is not None:
+            setattr(cfg, key, parse_potential_literal(value) if key == "potential" else value)
+    if args.C3 is not None:
         cfg.constants = {**cfg.constants, "3": args.C3}
-    if getattr(args, "json_out", None) is not None:
-        cfg.json_out = args.json_out
-    if getattr(args, "csv_out", None) is not None:
-        cfg.csv_out = args.csv_out
     if cfg.csv_out is not None and args.command != "sweep":
         raise ConfigError(f"csv_out is a setting of sweep; {args.command} writes no CSV")
     _validate(cfg)
@@ -264,8 +260,9 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be an object, got {value!r}")
     if cfg.doublings < 0:
         raise ConfigError(f"doublings must be >= 0, got {cfg.doublings}")
-    if cfg.variant not in ("zero", "one"):
-        raise ConfigError(f"variant must be 'zero' or 'one', got {cfg.variant!r}")
+    if cfg.variant not in VARIANTS:
+        raise ConfigError(f"variant must be {' or '.join(map(repr, VARIANTS))}, "
+                          f"got {cfg.variant!r}")
     if cfg.n < 0 or cfg.d < 1:
         raise ConfigError(f"need d >= 1 and n >= 0, got d={cfg.d}, n={cfg.n}")
     if cfg.l is not None and cfg.l < 0:
@@ -287,7 +284,7 @@ def _operator_for(cfg: RunConfig) -> OperatorSpec:
         raise ConfigError(str(exc)) from exc
 
 
-def cmd_bound(cfg: RunConfig) -> int:
+def cmd_bound(cfg: RunConfig) -> tuple[int, dict]:
     V = _potential_from_config(cfg)
     spec = _operator_for(cfg)
     if cfg.tol is None:
@@ -309,32 +306,25 @@ def cmd_bound(cfg: RunConfig) -> int:
         print(f"note       : {note}")
     for ch in bv.channels:
         print(f"channel l={ch.l}: degeneracy={ch.degeneracy} integral={ch.integral:.12g}")
-    if cfg.json_out:
-        write_json_report(
-            cfg.json_out,
-            {
-                "config": asdict(cfg),
-                "bound_raw": bv.raw,
-                "bound_cap": bv.integer_cap,
-                "error_estimate": bv.diagnostics.error_estimate,
-                "evaluations": bv.diagnostics.evaluations,
-                "warnings": list(bv.diagnostics.warnings),
-                "notes": list(bv.diagnostics.notes),
-                "channels": [
-                    {"l": c.l, "degeneracy": c.degeneracy, "integral": c.integral}
-                    for c in bv.channels
-                ],
-            },
-        )
-    return EXIT_OK
+    return EXIT_OK, {
+        "bound_raw": bv.raw,
+        "bound_cap": bv.integer_cap,
+        "error_estimate": bv.diagnostics.error_estimate,
+        "evaluations": bv.diagnostics.evaluations,
+        "warnings": list(bv.diagnostics.warnings),
+        "notes": list(bv.diagnostics.notes),
+        "channels": [{"l": c.l, "degeneracy": c.degeneracy, "integral": c.integral}
+                     for c in bv.channels],
+    }
 
 
-def cmd_count(cfg: RunConfig) -> int:
+def cmd_count(cfg: RunConfig) -> tuple[int, dict]:
     V = _potential_from_config(cfg)
+    if cfg.d == 1 and cfg.l not in (None, 0):
+        raise ConfigError("d = 1 has no angular channels")
     if cfg.theorem is None:
         cfg.theorem = "t41" if cfg.d == 1 else "t43"
     spec = _operator_for(cfg)
-    payload: dict = {"config": asdict(cfg)}
     if spec.d == 1 or cfg.l is not None:
         res = count_negative(
             spec, V, l=cfg.l, L=cfg.L, m=cfg.m, doublings=cfg.doublings
@@ -344,24 +334,17 @@ def cmd_count(cfg: RunConfig) -> int:
             print(f"refinement : L={step['L']} m={step['m']} count={step['count']}")
         if res.ambiguous:
             print(f"warning    : pivot ambiguity, count interval {res.pivot_interval}")
-        payload.update(count=res.negative_count, trail=list(res.trail))
-    else:
-        total, table = total_central_count(
-            spec, V, L=cfg.L, m=cfg.m, doublings=cfg.doublings
-        )
-        print(f"total count: {total}")
-        for row in table:
-            print(f"channel l={row['l']}: degeneracy={row['degeneracy']} "
-                  f"count={row['count']}")
-        payload.update(count=total, channels=table)
-    if cfg.json_out:
-        write_json_report(cfg.json_out, payload)
-    return EXIT_OK
+        return EXIT_OK, {"count": res.negative_count, "trail": list(res.trail)}
+    total, table = total_central_count(spec, V, L=cfg.L, m=cfg.m, doublings=cfg.doublings)
+    print(f"total count: {total}")
+    for row in table:
+        print(f"channel l={row['l']}: degeneracy={row['degeneracy']} count={row['count']}")
+    return EXIT_OK, {"count": total, "channels": table}
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig) -> tuple[int, dict]:
     suite = cfg.suite or "all"
-    if suite not in ("hardy", "transform", "bounds", "existence", "convergence", "all"):
+    if suite not in (*SUITES, "all"):
         raise ConfigError(f"unknown suite {suite!r}")
     defaults = RunConfig()
     for key, reader in VERIFY_READERS.items():
@@ -430,16 +413,12 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"count={rep.stable_count} "
               f"{'PASS' if rep.stabilized else 'INCONCLUSIVE'}")
 
-    if cfg.json_out:
-        write_json_report(cfg.json_out, {"config": asdict(cfg), "reports": reports})
-    if failed:
-        return EXIT_VERIFY_FAILED
-    if warned:
+    if warned and not failed:
         print("note        : some existence cases inconclusive (window-limited)")
-    return EXIT_OK
+    return EXIT_VERIFY_FAILED if failed else EXIT_OK, {"reports": reports}
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
+def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     if not cfg.sweep:
         raise ConfigError("sweep needs a 'sweep' object in the config file")
     spec = _operator_for(cfg)
@@ -458,9 +437,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
               f"{'ok' if r.satisfied else 'VIOLATED'}")
     if cfg.csv_out:
         write_csv_rows(cfg.csv_out, dicts)
-    if cfg.json_out:
-        write_json_report(cfg.json_out, {"config": asdict(cfg), "rows": dicts})
-    return EXIT_OK if all(r.satisfied for r in rows) else EXIT_VERIFY_FAILED
+    return EXIT_OK if all(r.satisfied for r in rows) else EXIT_VERIFY_FAILED, {"rows": dicts}
 
 
 def show_defaults() -> None:
@@ -490,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help=f"JSON config file (or ${ENV_CONFIG})")
         p.add_argument("--d", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
-        p.add_argument("--variant", choices=("zero", "one"), default=None)
+        p.add_argument("--variant", choices=VARIANTS, default=None)
         p.add_argument("--potential",
                        help="family:key=value,... e.g. square_well:c=1,a=1,b=2")
         p.add_argument("--tol", type=float, default=None)
@@ -515,8 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     common(p_verify)
     p_verify.add_argument("suite", nargs="?", default=None,
-                          choices=("hardy", "transform", "bounds", "existence",
-                                   "convergence", "all"))
+                          choices=(*SUITES, "all"))
 
     p_sweep = sub.add_parser("sweep", help="run a parameter ladder")
     common(p_sweep)
@@ -543,7 +519,10 @@ def main(argv=None) -> int:
             "verify": cmd_verify,
             "sweep": cmd_sweep,
         }[args.command]
-        return handler(cfg)
+        code, payload = handler(cfg)
+        if cfg.json_out:
+            write_json_report(cfg.json_out, {"config": asdict(cfg), **payload})
+        return code
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

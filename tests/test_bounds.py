@@ -708,5 +708,4 @@ class TestDefaultConstants:
         assert DEFAULT_CLR_CONSTANTS.get(3) == 0.1156
 
     def test_placeholders_labeled(self):
-        assert "placeholder" in DEFAULT_CLR_CONSTANTS.source
         assert DEFAULT_CLR_CONSTANTS.placeholders == {4, 5, 6, 7}

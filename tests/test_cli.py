@@ -557,6 +557,73 @@ class TestSweepCommand:
         assert code == EXIT_VERIFY_FAILED
 
 
+class TestReportEcho:
+    """``main`` writes the report after the command returns, so the echoed
+    config holds the defaults that the command filled in."""
+
+    SWEEP = {"sweep": {"theorem": "t41", "family": "square_well",
+                       "base_params": {"a": 1.0, "b": 2.0}, "vary": "c", "values": [1]}}
+
+    def report(self, argv, config, tmp_path):
+        if config is not None:
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(cfg_path)]
+        path = tmp_path / "report.json"
+        code = main([*argv, "--json", str(path)])
+        return code, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("argv, key, echoed", [
+        (["count", "--potential", "zero"], "theorem", "t41"),
+        (["count", "--d", "3", "--potential", "zero"], "theorem", "t43"),
+        (["bound", "--theorem", "t41", "--potential", "zero"], "tol", 1e-8),
+        (["verify", "hardy"], "tol", None),
+        (["verify", "transform"], "tol", 1e-6),
+        (["sweep"], "tol", 1e-10),
+    ], ids=["count-d1", "count-d3", "bound", "verify-hardy", "verify-transform", "sweep"])
+    def test_filled_default_is_echoed(self, argv, key, echoed, tmp_path, capsys, monkeypatch):
+        import hardybounds.cli as climod
+
+        monkeypatch.setattr(climod, "run_bound_sweep", lambda *args, **kwargs: [])
+        code, report = self.report(argv, self.SWEEP if argv == ["sweep"] else None, tmp_path)
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert report["config"][key] == echoed
+
+    def test_failed_verify_writes_its_report(self, tmp_path, capsys, monkeypatch):
+        import hardybounds.cli as climod
+        from hardybounds.harness import PositivityReport
+
+        monkeypatch.setattr(climod, "run_hardy_positivity",
+                            lambda: PositivityReport((), -1.0, False, 0.0))
+        code, report = self.report(["verify", "hardy"], None, tmp_path)
+        assert "FAIL" in capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAILED
+        (rep,) = report["reports"]
+        assert rep["suite"] == "hardy" and rep["passed"] is False
+        assert report["config"]["suite"] == "hardy"
+
+    def test_failed_sweep_writes_its_report(self, tmp_path, capsys, monkeypatch):
+        import hardybounds.cli as climod
+        from hardybounds.harness import ExperimentRow
+
+        def fake_sweep(sweep, theorem, spec, L, m, doublings, constants=None, tol=1e-10):
+            return [ExperimentRow(
+                experiment_id="fake", theorem=theorem, d=1, n=0, variant="one",
+                family="square_well", params={"c": 1.0}, count=5, count_trail=(),
+                bound_raw=1.0, bound_cap=1, satisfied=False, L=20.0, m=100,
+                quad_err=0.0,
+            )]
+
+        monkeypatch.setattr(climod, "run_bound_sweep", fake_sweep)
+        code, report = self.report(["sweep"], self.SWEEP, tmp_path)
+        assert "VIOLATED" in capsys.readouterr().out
+        assert code == EXIT_VERIFY_FAILED
+        (row,) = report["rows"]
+        assert row["experiment_id"] == "fake" and row["satisfied"] is False
+        assert report["config"]["tol"] == 1e-10
+
+
 class TestEnvironmentAndProcess:
     def test_env_var_config(self, tmp_path, capsys, monkeypatch):
         cfg_path = tmp_path / "config.json"
@@ -707,6 +774,8 @@ class TestEnvironmentAndProcess:
          {"potential": {"family": "tabulated", "r": [1, 2], "v": [-1, math.inf]}}),
         (["count", "--d", "3", "--l", "-1", "--potential", "zero"], None),
         (["count", "--potential", "zero"], {"d": 3, "l": -1}),
+        # a line has no angular channels
+        (["count", "--d", "1", "--l", "2", "--potential", "zero"], None),
         (["bound", "--theorem", "t41"],
          {"potential": {"family": "square_well", "c": "x", "a": 1, "b": 2}}),
         (["bound", "--theorem", "t41"],
@@ -720,7 +789,7 @@ class TestEnvironmentAndProcess:
             "sweep-value-string", "d-float", "samples-key", "potential-list",
             "sweep-list", "base-params-list", "sweep-doublings-float", "potential-param-nan",
             "potential-param-inf", "inverse-square-onset-nan", "tabulated-sample-inf",
-            "l-negative-flag", "l-negative-config",
+            "l-negative-flag", "l-negative-config", "l-at-d1",
             "potential-param-string", "tabulated-sample-string",
             "bound-csv-out", "count-csv-out", "verify-csv-out"])
     def test_bad_configuration_value_is_a_config_error(self, argv, config, tmp_path):

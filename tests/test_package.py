@@ -163,3 +163,24 @@ def test_bench_tracer_names_resolve():
                                        name, None))]
     assert tracing.LAYERS
     assert missing == []
+
+
+def test_main_writes_every_json_report():
+    """``cli.main`` writes the JSON report of every command, with the echoed
+    config, at the one call of ``write_json_report`` in ``cli.py``."""
+    tree = dict(source_trees())["cli.py"]
+    owners = [fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "write_json_report"]
+    assert owners == ["main"]
+
+
+def test_verify_suites_are_named_once():
+    """The ``verify`` positional and every reader of a setting name the
+    suites of ``cli.SUITES``."""
+    from hardybounds import cli
+
+    assert set(cli.VERIFY_READERS.values()) <= set(cli.SUITES)
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert tuple(suite.choices) == (*cli.SUITES, "all")
