@@ -113,8 +113,8 @@ class BoundConstants:
             c = self.values[d]
         except KeyError:
             raise DomainError(f"no CLR constant configured for d = {d}") from None
-        if c <= 0.0:
-            raise DomainError(f"CLR constant for d = {d} must be positive, got {c}")
+        if not (math.isfinite(c) and c > 0.0):
+            raise DomainError(f"CLR constant for d = {d} must be positive and finite, got {c}")
         return float(c)
 
 

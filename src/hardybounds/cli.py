@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -49,7 +50,7 @@ from .harness import (
 )
 from .potentials import SquareWell, ZeroPotential, describe_potential, make_potential
 from .quadrature import QuadratureError
-from .spectra import count_negative, total_central_count
+from .spectra import DEFAULT_L, DEFAULT_M, count_negative, total_central_count
 
 ENV_CONFIG = "HARDYBOUNDS_CONFIG"
 
@@ -105,8 +106,8 @@ class RunConfig:
     variant: str = "one"
     potential: Optional[dict] = None
     l: Optional[int] = None
-    L: float = 20.0
-    m: int = 4000
+    L: float = DEFAULT_L
+    m: int = DEFAULT_M
     doublings: int = 1
     tol: Optional[float] = None  # None: the command's own default
     constants: dict = field(default_factory=lambda: {"3": DEFAULT_CLR_CONSTANTS.values[3]})
@@ -155,11 +156,22 @@ def _potential_from_config(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
 
 
+def _classical_constant(d: int) -> float:
+    """L^cl_(0,d) = omega_d / (2 pi)^d, the Weyl limit: no CLR constant lies below it."""
+    return 1.0 / (math.gamma(d / 2 + 1) * (4 * math.pi) ** (d / 2))
+
+
 def _constants_from_config(cfg: RunConfig) -> BoundConstants:
     try:
         values = {int(k): float(v) for k, v in cfg.constants.items()}
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad CLR constant table: {exc}") from exc
+    for d, c in values.items():
+        if d < 1:
+            raise ConfigError(f"CLR constants are indexed by a dimension d >= 1, got d = {d}")
+        if not math.isfinite(c) or c < _classical_constant(d):
+            raise ConfigError(f"CLR constant for d = {d} must be finite and at least the "
+                              f"classical constant {_classical_constant(d):.5g}, got {c}")
     base = DEFAULT_CLR_CONSTANTS
     return BoundConstants(values={**base.values, **values},
                           placeholders=base.placeholders - values.keys())
@@ -254,6 +266,7 @@ def _validate(cfg: RunConfig) -> None:
             raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if not isinstance(cfg.constants, dict):
         raise ConfigError(f"constants must be an object of d -> C_d, got {cfg.constants!r}")
+    _constants_from_config(cfg)
     for key in ("potential", "sweep"):
         value = getattr(cfg, key)
         if value is not None and not isinstance(value, dict):
@@ -454,7 +467,10 @@ def show_defaults() -> None:
         print(f"  {key:<24} {value}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser tree, built on the first call and shared by every later
+    one; each ``parse_args`` returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="hardybounds",
         description="Eigenvalue-count bounds for iterated-log Hardy operators",

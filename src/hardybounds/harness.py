@@ -28,6 +28,8 @@ from .potentials import (
     make_potential,
 )
 from .spectra import (
+    DEFAULT_L,
+    DEFAULT_M,
     count_negative,
     kinetic_term,
     quadratic_form_value,
@@ -172,8 +174,8 @@ class ExistenceReport:
 def run_existence_check(
     potentials,
     n: int = 0,
-    L: float = 20.0,
-    m: int = 4000,
+    L: float = DEFAULT_L,
+    m: int = DEFAULT_M,
     max_window: float = MAX_EXISTENCE_WINDOW,
 ) -> ExistenceReport:
     """Every non-zero V <= 0 must produce at least one negative eigenvalue on
@@ -311,20 +313,22 @@ def run_convergence_study(
 ) -> ConvergenceReport:
     """Counts along a window ladder (grid density held fixed) and a grid
     ladder (largest window held fixed).  Window growth must never lose
-    eigenvalues; the grid ladder should go constant."""
+    eigenvalues; the grid ladder should go constant.
+
+    A rung (L, m) on both ladders (at the defaults, the last of each) is
+    counted once and entered in both trails."""
     if len(window_ladder) < 3 or len(grid_ladder) < 3:
         raise DomainError("ladders need at least 3 rungs")
+    counts: dict = {}
+
+    def rung(L, m) -> dict:
+        if (L, m) not in counts:
+            counts[L, m] = count_negative(spec, V, l=l, L=L, m=m).negative_count
+        return {"L": L, "m": m, "count": counts[L, m]}
+
     density = grid_ladder[0] / window_ladder[0]
-    window_trail = []
-    for L in window_ladder:
-        m = max(2, int(round(density * L)))
-        c = count_negative(spec, V, l=l, L=L, m=m).negative_count
-        window_trail.append({"L": L, "m": m, "count": c})
-    L_big = window_ladder[-1]
-    grid_trail = []
-    for m in grid_ladder:
-        c = count_negative(spec, V, l=l, L=L_big, m=m).negative_count
-        grid_trail.append({"L": L_big, "m": m, "count": c})
+    window_trail = [rung(L, max(2, int(round(density * L)))) for L in window_ladder]
+    grid_trail = [rung(window_ladder[-1], m) for m in grid_ladder]
     stabilized = grid_trail[-1]["count"] == grid_trail[-2]["count"]
     return ConvergenceReport(
         tuple(window_trail),

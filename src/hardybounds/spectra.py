@@ -46,6 +46,11 @@ from .potentials import (
 from .quadrature import integrate
 from .testfunctions import TestFunction, transform_test_function
 
+#: the default window L and interior grid size m of a count, which the
+#: harness and the CLI read too
+DEFAULT_L = 20.0
+DEFAULT_M = 4000
+
 _PIVOT_EPS = 2.0**-40
 _MIN_H2 = 1.0 / math.sqrt(sys.float_info.max)  # smallest h^2 whose 1/h^4 is finite
 # Shortest stretch of equal rows that the Sturm pass crosses in one closed-form
@@ -419,8 +424,8 @@ def count_negative(
     spec: OperatorSpec,
     V: Potential,
     l: Optional[int] = None,
-    L: float = 20.0,
-    m: int = 4000,
+    L: float = DEFAULT_L,
+    m: int = DEFAULT_M,
     doublings: int = 0,
     eigenvalues: int = 0,
 ) -> CountResult:
@@ -464,8 +469,8 @@ def count_negative(
 def total_central_count(
     spec: OperatorSpec,
     V: Potential,
-    L: float = 20.0,
-    m: int = 4000,
+    L: float = DEFAULT_L,
+    m: int = DEFAULT_M,
     doublings: int = 0,
 ) -> tuple[int, list[dict]]:
     """Degeneracy-weighted sum of channel counts for a central potential.

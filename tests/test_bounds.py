@@ -709,3 +709,12 @@ class TestDefaultConstants:
 
     def test_placeholders_labeled(self):
         assert DEFAULT_CLR_CONSTANTS.placeholders == {4, 5, 6, 7}
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_get_refuses_a_constant_that_is_not_positive_and_finite(self, c):
+        with pytest.raises(DomainError, match="d = 3"):
+            BoundConstants(values={3: c}).get(3)
+
+    def test_get_accepts_a_positive_constant_below_the_classical_one(self):
+        # a certified violated verdict needs one; only the CLI refuses it
+        assert BoundConstants(values={3: 1e-9}).get(3) == 1e-9

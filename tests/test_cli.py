@@ -785,13 +785,23 @@ class TestEnvironmentAndProcess:
          {"csv_out": "x.csv"}),
         (["count", "--potential", "square_well:c=1,a=1,b=2"], {"csv_out": "x.csv"}),
         (["verify", "hardy"], {"csv_out": "x.csv"}),
+        # a CLR constant that is not finite or lies below the classical one
+        *[(["bound", "--theorem", "t42", "--d", "3", "--n", "0", "--variant", "zero",
+            "--potential", "square_well:c=400,a=3,b=6", "--C3", c], None)
+          for c in ("nan", "inf", "0", "-1", "1e-9")],
+        (["bound", "--theorem", "t42", "--d", "3", "--potential", "square_well:c=400,a=3,b=6"],
+         {"constants": {"3": 0.1156, "5": 1e-5}}),
+        (["bound", "--theorem", "t42", "--d", "3", "--potential", "zero"],
+         {"constants": {"-2": 0.5}}),
     ], ids=["count-doublings", "sweep-doublings", "m-string", "constants-list",
             "sweep-value-string", "d-float", "samples-key", "potential-list",
             "sweep-list", "base-params-list", "sweep-doublings-float", "potential-param-nan",
             "potential-param-inf", "inverse-square-onset-nan", "tabulated-sample-inf",
             "l-negative-flag", "l-negative-config", "l-at-d1",
             "potential-param-string", "tabulated-sample-string",
-            "bound-csv-out", "count-csv-out", "verify-csv-out"])
+            "bound-csv-out", "count-csv-out", "verify-csv-out",
+            "C3-nan", "C3-inf", "C3-zero", "C3-negative", "C3-below-classical",
+            "C5-below-classical-in-file", "C-of-no-dimension"])
     def test_bad_configuration_value_is_a_config_error(self, argv, config, tmp_path):
         if config is not None:
             cfg_path = tmp_path / "config.json"
@@ -807,3 +817,69 @@ class TestEnvironmentAndProcess:
         bad.write_text("{ not json")
         code, _, err = run_cli("verify", "hardy", "--config", str(bad))
         assert code == EXIT_CONFIG
+
+
+class TestParserOnce:
+    """``main`` builds its parser tree on its first call and reuses it."""
+
+    def test_two_calls_build_one_parser_tree(self, capsys, monkeypatch):
+        import argparse
+
+        from hardybounds import cli
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        cli.build_parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        assert main(["--show-defaults"]) == EXIT_OK
+        tree = len(built)
+        assert tree == 1 + len(("bound", "count", "verify", "sweep"))
+        assert main(["count", "--potential", "zero", "--m", "50"]) == EXIT_OK
+        assert len(built) == tree
+
+    def test_import_builds_no_parser(self):
+        probe = (
+            "import argparse\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "def spy(self, *a, **k):\n"
+            "    built.append(1)\n"
+            "    init(self, *a, **k)\n"
+            "argparse.ArgumentParser.__init__ = spy\n"
+            "import hardybounds.cli\n"
+            "print(len(built), hardybounds.cli.build_parser.cache_info().currsize)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              timeout=60.0)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "0"]
+
+    def test_parsed_state_does_not_leak_between_calls(self, tmp_path, capsys):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        argv = ["count", "--d", "3", "--potential", "zero", "--m", "50"]
+        assert main([*argv[:3], "--l", "1", *argv[3:], "--json", str(first)]) == EXIT_OK
+        assert main([*argv, "--json", str(second)]) == EXIT_OK
+        assert json.loads(first.read_text())["config"]["l"] == 1
+        assert json.loads(second.read_text())["config"]["l"] is None
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--no-such-flag"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("d, floor", [(3, 0.016887), (4, 0.0031663), (5, 5.375e-4)])
+def test_classical_constant(d, floor):
+    from hardybounds.cli import _classical_constant
+    from hardybounds.iterfun import sphere_area
+
+    assert _classical_constant(d) == pytest.approx(floor, rel=1e-4)
+    # omega_d / (2 pi)^d, with omega_d = |S^(d-1)| / d
+    assert _classical_constant(d) == pytest.approx(
+        sphere_area(d) / d / (2 * math.pi) ** d, rel=1e-14)

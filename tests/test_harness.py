@@ -7,6 +7,7 @@ from hardybounds.bounds import OperatorSpec
 from hardybounds.cli import _jsonable
 from hardybounds.errors import DomainError
 from hardybounds.harness import (
+    ConvergenceReport,
     SweepSpec,
     run_bound_sweep,
     run_convergence_study,
@@ -173,6 +174,31 @@ class TestConvergence:
         counts = [r["count"] for r in rep.window_trail]
         assert counts[0] == 0 and counts[-1] == 1  # window-limited at first
         assert rep.stabilized and rep.stable_count == 1  # grid-stable at large L
+
+    def test_shared_rung_is_counted_once(self, monkeypatch):
+        # the defaults of `verify convergence`: both ladders end at (80, 8000)
+        import hardybounds.harness as harnessmod
+
+        spec, V = OperatorSpec(1, 0, "zero"), SquareWell(c=16.0, a=1.0, b=2.0)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs["L"], kwargs["m"]))
+            return count_negative(*args, **kwargs)
+
+        monkeypatch.setattr(harnessmod, "count_negative", spy)
+        rep = run_convergence_study(spec, V)
+        assert len(calls) == 5 and len(set(calls)) == 5
+
+        def trail(rungs):
+            return tuple({"L": L, "m": m, "count": count_negative(spec, V, L=L, m=m).negative_count}
+                         for L, m in rungs)
+
+        window = trail([(20.0, 2000), (40.0, 4000), (80.0, 8000)])
+        grid = trail([(80.0, 2000), (80.0, 4000), (80.0, 8000)])
+        stable = grid[-1]["count"] == grid[-2]["count"]
+        assert asdict(rep) == asdict(ConvergenceReport(
+            window, grid, stable, grid[-1]["count"] if stable else None))
 
     def test_ladder_length_validated(self):
         spec = OperatorSpec(1, 0, "zero")

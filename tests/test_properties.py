@@ -8,7 +8,8 @@ bisection of the channel crossings against the scalar one; the l_max sup
 GK15 quadrature against the scalar rule, component by component; and
 central_bound's shared channel quadrature against one quadrature per
 channel and against flat integrals of the channel potentials the count
-assembles; and clr_bound's flat integral against its x side."""
+assembles; clr_bound's flat integral against its x side; and Weyl
+monotonicity of the count in the depth of a well."""
 
 import bisect
 import dataclasses
@@ -74,6 +75,7 @@ from hardybounds.spectra import (
     _sturm_count,
     _sturm_inputs,
     channel_potential,
+    count_negative,
     inertia_negative_count,
     lowest_eigenvalues,
 )
@@ -1196,3 +1198,41 @@ class TestClrFlatIntegral:
             return
         want *= DEFAULT_CLR_CONSTANTS.get(spec.d) * sphere_area(spec.d)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (got, want)
+
+
+@st.composite
+def deepening_wells(draw):
+    """A square well above the domain threshold of a line operator (d = 1) or
+    of a d = 3 channel l in 0..2, at n 0..2 on either variant; a ladder of
+    its depths, each at least 1 + 1e-6 times the one before; and a grid (L, m)."""
+    d = draw(st.sampled_from([1, 3]))
+    spec = OperatorSpec(d, draw(st.integers(0, 2)), draw(st.sampled_from(["zero", "one"])))
+    l = None if d == 1 else draw(st.integers(0, 2))
+    a = max(spec.threshold.value, 1.0) * draw(_pos(1.01, 3.0))
+    b = a * draw(_pos(1.2, 10.0))
+    depths = [10.0 ** draw(_pos(-2.0, 3.0))]
+    for _ in range(draw(st.integers(1, 4))):
+        depths.append(depths[-1] * (1 + 1e-6) * draw(st.one_of(st.just(1.0), _pos(1.0, 30.0))))
+    grid = draw(st.sampled_from([2.0, 5.0, 10.0, 20.0])), draw(st.integers(50, 1500))
+    return spec, l, a, b, depths, grid
+
+
+class TestWeylMonotonicity:
+    @settings(max_examples=300, deadline=None)
+    @given(case=deepening_wells())
+    # a channel whose centrifugal barrier the well overcomes as it deepens:
+    # the counts read 1, 4, 14, 49
+    @example(case=(OperatorSpec(3, 0, "zero"), 2, 1.5, 15.0, [0.1, 1.0, 10.0, 100.0],
+                   (5.0, 400)))
+    def test_count_does_not_fall_as_the_well_deepens(self, case):
+        # W, and with it the FD matrix, only decreases as c grows, so by
+        # min-max its negative count cannot fall
+        spec, l, a, b, depths, (L, m) = case
+        results = [count_negative(spec, SquareWell(c=c, a=a, b=b), l=l, L=L, m=m, doublings=0)
+                   for c in depths]
+        if any(res.ambiguous for res in results):
+            event("pivot-ambiguous trail")
+            return
+        counts = [res.negative_count for res in results]
+        event("counts rise" if counts[-1] > counts[0] else "counts equal")
+        assert counts == sorted(counts), (depths, counts)
