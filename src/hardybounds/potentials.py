@@ -208,7 +208,11 @@ class PowerLogWell(Potential):
 @dataclass(frozen=True)
 class TabulatedPotential(Potential):
     """Sample points with linear interpolation; evaluation outside the sampled
-    range is a domain error."""
+    range is a domain error.
+
+    On the sample interval [r_i, r_(i+1)] that holds r, V(r) is numpy's
+    ``interp``: slope_i (r - r_i) + v_i with slope_i = (v_(i+1) - v_i) /
+    (r_(i+1) - r_i), and v_(-1) at the last sample."""
 
     family = "tabulated"
     r: tuple[float, ...]
@@ -243,10 +247,7 @@ class TabulatedPotential(Potential):
                 f"tabulated potential defined on [{self.r[0]}, {self.r[-1]}], "
                 f"got r={float(r[outside][0])}"
             )
-        # at r = r[-1] the last interval gives t = 1 and the value v[-1] exactly
-        i = np.minimum(np.searchsorted(rs, r, side="right") - 1, len(rs) - 2)
-        t = (r - rs[i]) / (rs[i + 1] - rs[i])
-        return vs[i] * (1.0 - t) + vs[i + 1] * t
+        return np.interp(r, rs, vs)
 
     def support(self):
         return (self.r[0], self.r[-1])
@@ -601,11 +602,14 @@ def transform_potential(V: Potential, k: int) -> TransformedPotential:
 
 
 def transformed_breakpoints(V: Potential, k: int) -> tuple[float, ...]:
-    """Images of V's breakpoints under s = ln^(k) r, dropping unreachable ones."""
-    out = V.breakpoints()
+    """Images of V's breakpoints under s = ln^(k) r, dropping unreachable
+    ones, in increasing order."""
+    out = sorted(V.breakpoints())
     for _ in range(k):  # a point that a log meets at or below 0 has no image
-        out = [math.log(p) for p in out if 0.0 < p < math.inf]
-    return tuple(sorted(out))
+        if out and (out[0] <= 0.0 or out[-1] == math.inf):  # the log keeps the order
+            out = [p for p in out if 0.0 < p < math.inf]
+        out = list(map(math.log, out))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------

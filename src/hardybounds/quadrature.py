@@ -4,7 +4,9 @@ The core rule is the 15-point Kronrod extension of the 7-point Gauss rule,
 driven by worst-interval bisection: QUADPACK's QK15 and QAG (Piessens et al.,
 1983).  All nodes are interior, so integrable endpoint singularities need no
 special casing.  Semi-infinite ranges use the rational substitution
-x = a + t/(1-t).
+x = a + t/(1-t), with a dyadic start: t = 1/2, 3/4, 7/8 and 15/16
+(x - a = 1, 3, 7, 15) are initial breakpoints, so the first pass already
+grades its panels toward x = infinity instead of bisecting its way there.
 
 Integrands are array functions: ``f(x)`` receives an ndarray of nodes, one
 row of 15 per panel, and returns the values as an ndarray of the same shape
@@ -19,6 +21,12 @@ the largest component error is bisected.  ``evaluations`` counts integrand
 nodes, each shared by all components.  A pass of many rows (panels times
 components) is post-processed in numpy, a pass of few in a Python loop,
 which costs less there.
+
+No panel's error estimate falls below its rounding floor 50 eps resabs h,
+so a component's summed estimate stays near 50 eps int |f| however far it
+is bisected.  A target below that floor fails at once with
+QuadratureError, as QUADPACK's QAG reports roundoff, instead of running
+the evaluation budget out.
 """
 
 from __future__ import annotations
@@ -109,19 +117,24 @@ def _nonfinite(x: np.ndarray, fx: np.ndarray) -> QuadratureError:
     return QuadratureError(f"integrand returned {what} at x = {float(x[p, i])!r}")
 
 
-def _gk15(f, edges: Sequence[float]) -> tuple[list, list, bool]:
+def _gk15(f, edges: Sequence[float]) -> tuple[list, list, list, bool]:
     """Gauss-Kronrod 7/15 on the panels between consecutive ``edges``, all
-    evaluated in one call of f.  Returns the integrals and the error
-    estimates, each as one column per component (a single column for a plain
-    integrand) holding one entry per panel, and whether f has a component
-    axis."""
-    panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
-    ch = np.array(panels)
-    x = ch[:, :1] + ch[:, 1:] * _NODES
+    evaluated in one call of f.  Returns the integrals, the error estimates
+    and their rounding floors 50 eps resabs h, each as one column per
+    component (a single column for a plain integrand) holding one entry per
+    panel, and whether f has a component axis."""
+    p = len(edges) - 1
+    if p < _WIDE_ROWS:  # the loop of few rows reads the panels as tuples
+        panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
+        ch = np.array(panels)
+        c, h = ch[:, :1], ch[:, 1:]
+    else:  # the same operations on an array of edges
+        e = np.array(edges)
+        c, h = 0.5 * (e[:-1] + e[1:])[:, None], 0.5 * (e[1:] - e[:-1])[:, None]
+    x = c + h * _NODES
     fx = f(x)
     if getattr(fx, "shape", ())[:2] != x.shape:  # a scalar result
         fx = np.full(x.shape, fx)
-    p = len(panels)
     # one row of 15 values per component and panel; a NaN (or infinite) value
     # makes its row's sums NaN
     rows = fx if fx.ndim == 2 else fx.transpose(2, 0, 1).reshape(-1, 15)
@@ -131,16 +144,17 @@ def _gk15(f, edges: Sequence[float]) -> tuple[list, list, bool]:
         resk, resg, resabs, resasc = sums[:, 0], sums[:, 1], abs_sums[:, 0], abs_sums[:, 1]
         if math.isnan(resabs.sum()):
             raise _nonfinite(x, fx)
-        hp = np.tile(ch[:, 1], len(rows) // p)
+        hp = np.tile(h[:, 0], len(rows) // p)
         err = np.abs((resk - resg) * hp)
         resasc = resasc * hp
         # err = resasc min(1, (200 err / resasc)^1.5) where resasc != 0
         nz = resasc != 0.0
         ratio = np.divide(200.0 * err, resasc, out=np.zeros(len(hp)), where=nz)
         err = np.where(nz, resasc * np.minimum(ratio, 1.0) ** 1.5, err)
-        err = np.maximum(err, 50.0 * _EPS * resabs * hp)
-        return (resk * hp).reshape(-1, p).tolist(), err.reshape(-1, p).tolist(), fx.ndim == 3
-    vals, errs = [], []
+        floor = 50.0 * _EPS * resabs * hp
+        err = np.maximum(err, floor)
+        return (*(a.reshape(-1, p).tolist() for a in (resk * hp, err, floor)), fx.ndim == 3)
+    vals, errs, floors = [], [], []
     for (resk, resg), (resabs, resasc), (_, hp) in zip(
         sums[:, :2].tolist(), abs_sums.tolist(), panels * (len(rows) // p)
     ):
@@ -150,13 +164,14 @@ def _gk15(f, edges: Sequence[float]) -> tuple[list, list, bool]:
         resasc *= hp
         if resasc != 0.0 and err != 0.0:
             err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+        floor = 50.0 * _EPS * resabs * hp
         vals.append(resk * hp)
-        errs.append(max(err, 50.0 * _EPS * resabs * hp))
+        errs.append(max(err, floor))
+        floors.append(floor)
     if len(rows) == p:
-        return [vals], [errs], fx.ndim == 3
-    return [vals[j : j + p] for j in range(0, len(vals), p)], [
-        errs[j : j + p] for j in range(0, len(errs), p)
-    ], True
+        return [vals], [errs], [floors], fx.ndim == 3
+    split = ([col[j : j + p] for j in range(0, len(col), p)] for col in (vals, errs, floors))
+    return (*split, True)
 
 
 def integrate(
@@ -174,9 +189,11 @@ def integrate(
     integrals and m error estimates.  Each component stops when its summed
     error estimate is <= tol * max(1, |its value|); until all do, the panel
     with the largest component error is bisected.  Raises QuadratureError if
-    the evaluation budget runs out first.  ``evaluations`` counts integrand
-    nodes, each shared by all components.  Points listed in ``breakpoints``
-    (kinks, jumps) become initial panel boundaries so each panel is smooth.
+    the evaluation budget runs out first, or as soon as a component's
+    estimate sits at its rounding floor above its target.  ``evaluations``
+    counts integrand nodes, each shared by all components.  Points listed in
+    ``breakpoints`` (kinks, jumps) become initial panel boundaries so each
+    panel is smooth.
     """
     if not (a < b):
         raise QuadratureError(f"need a < b, got a={a}, b={b}")
@@ -186,22 +203,24 @@ def integrate(
         raise QuadratureError(f"tolerance must be positive, got {tol}")
 
     edges = [a, *sorted({p for p in breakpoints if a < p < b}), b]
-    # per component, a column of panel values and one of errors
-    val_cols, err_cols, components = _gk15(f, edges)
+    # per component, a column of panel values, one of errors and one of
+    # their rounding floors
+    val_cols, err_cols, floor_cols, components = _gk15(f, edges)
     evaluations = 15 * (len(edges) - 1)
     heap = None
     while True:
         total_val = list(map(math.fsum, val_cols))
         total_err = list(map(math.fsum, err_cols))
-        for value, error in zip(total_val, total_err):
-            if error > tol * max(1.0, abs(value)):
+        for j, (value, error) in enumerate(zip(total_val, total_err)):
+            target = tol * max(1.0, abs(value))
+            if error > target:
                 break
         else:  # every component meets its target
             break
         if evaluations >= max_evals:
             raise QuadratureError(
                 f"no convergence within {max_evals} evaluations: "
-                f"error estimate {error:.3e} > target {tol * max(1.0, abs(value)):.3e}"
+                f"error estimate {error:.3e} > target {target:.3e}"
             )
         if heap is None:
             # panels by their largest component error, worst first; the
@@ -211,9 +230,23 @@ def integrate(
                     for serial, (e, lo, hi) in enumerate(zip(map(max, zip(*err_cols)), edges, edges[1:]))]
             heapq.heapify(heap)
             serial = len(heap)
-            cols = [dict(enumerate(col)) for col in val_cols + err_cols]
-            val_cols = [col.values() for col in cols[: len(val_cols)]]
-            err_cols = [col.values() for col in cols[len(val_cols) :]]
+            m = len(val_cols)
+            cols = [dict(enumerate(col)) for col in val_cols + err_cols + floor_cols]
+            val_cols, err_cols, floor_cols = (
+                [col.values() for col in cols[i : i + m]] for i in (0, m, 2 * m))
+        # the summed floor, about 50 eps int |f|, does not shrink as panels
+        # are bisected: once the worst panel sits at its floor and the floor
+        # exceeds the target by at least the error above the floor, the
+        # target is out of reach (QUADPACK's roundoff exit)
+        top = heap[0][1]
+        if cols[m + j][top] <= cols[2 * m + j][top]:
+            floor = math.fsum(floor_cols[j])
+            if 2.0 * floor >= error + target:
+                raise QuadratureError(
+                    f"error estimate {error:.3e} sits at its rounding floor {floor:.3e} "
+                    f"(50 eps times the integral of |f|), above the target {target:.3e}: "
+                    "the tolerance is below what double precision resolves"
+                )
         _, worst, lo, hi = heapq.heappop(heap)
         for col in cols:
             del col[worst]
@@ -223,11 +256,11 @@ def integrate(
                 f"interval [{lo}, {hi}] cannot be subdivided further; "
                 "integrand is too singular for the requested tolerance"
             )
-        v, e, _ = _gk15(f, (lo, mid, hi))
+        v, e, fl, _ = _gk15(f, (lo, mid, hi))
         left, right = map(max, zip(*e))
         heapq.heappush(heap, (-left, serial, lo, mid))
         heapq.heappush(heap, (-right, serial + 1, mid, hi))
-        for col, (left, right) in zip(cols, v + e):
+        for col, (left, right) in zip(cols, v + e + fl):
             col[serial], col[serial + 1] = left, right
         serial += 2
         evaluations += 30
@@ -246,6 +279,9 @@ def integrate_semiinfinite(
     """Integrate the array function f over (a, infinity) via the substitution
     x = a + t/(1-t).
 
+    The first pass breaks (0, 1) at t = 1/2, 3/4, 7/8 and 15/16, which are
+    x - a = 1, 3, 7 and 15, so its panels grade toward x = infinity; a tail
+    that decays like a power of x needs few bisections after it.
     ``breakpoints`` are given on the x axis and mapped into t.  f must be
     absolutely integrable; slow tails exhaust the budget or drive a node
     onto t = 1 (x = infinity), and both raise.
@@ -265,7 +301,8 @@ def integrate_semiinfinite(
         om2 = om * om
         return fx / (om2[..., None] if getattr(fx, "ndim", 0) == 3 else om2)
 
-    mapped = []
+    # x - a = 1, 3, 7, 15: the first pass grades its panels toward x = infinity
+    mapped = [0.5, 0.75, 0.875, 0.9375]
     for p in breakpoints:
         if p > a and math.isfinite(p):
             u = p - a

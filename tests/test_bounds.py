@@ -33,6 +33,7 @@ from hardybounds.potentials import (
     check_bounded_below_weighted,
     negative_part_abs,
 )
+from hardybounds import quadrature
 from hardybounds.quadrature import integrate, integrate_semiinfinite
 from weighted_oracle import absolute_log_weight, weighted_negpart_quad
 
@@ -304,6 +305,28 @@ class TestSlowTails:
         V = PowerLogWell(c=5.0, p=-3.5, q=0.0, a=3.9e6, b=math.inf)
         bv = bound_1d(V, OperatorSpec(1, 4, "zero"))
         assert bv.raw == pytest.approx(1.0 + 1.19726233952e-9, rel=0.0, abs=1e-10)
+
+
+class TestTailPasses:
+    """The semi-infinite map's dyadic start, x - a = 1, 3, 7, 15, grades the
+    first pass toward x = infinity: the power-log tails of the bound goldens
+    need few bisection passes after it."""
+
+    @pytest.mark.parametrize("bound, V, spec, most", [
+        (bound_1d, PowerLogWell(c=5.0, p=-3.0, q=1.0, a=1.0, b=math.inf),
+         OperatorSpec(1, 0, "one"), 2),  # bound-t41-power-log: 6 passes before it
+        (central_bound, PowerLogWell(c=30.0, p=-3.0, q=1.0, a=1.0, b=math.inf),
+         OperatorSpec(3, 0, "one"), 2),  # bound-t43-power-log: 6 before it
+        (central_bound, PowerLogWell(c=30.0, p=-3.0, q=1.0, a=3.0, b=math.inf),
+         OperatorSpec(3, 1, "zero"), 6),  # bound-t43-n1-power-log: 5 before it
+    ], ids=["t41-power-log", "t43-power-log", "t43-n1-power-log"])
+    def test_golden_tails_take_few_passes(self, bound, V, spec, most, monkeypatch):
+        passes = []
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, edges: passes.append(edges) or gk15(f, edges))
+        assert math.isfinite(bound(V, spec).raw)
+        assert len(passes) <= most
+        assert len(passes[0]) - 1 >= 5  # the dyadic panels are in the first pass
 
 
 class TestLmax:

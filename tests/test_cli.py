@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from dataclasses import asdict
 
 import pytest
@@ -144,6 +145,28 @@ class TestBoundCommand:
         code = main(["bound", "--theorem", "t41", "--d", "1"])
         capsys.readouterr()
         assert code == EXIT_CONFIG
+
+
+    @pytest.mark.parametrize("potential, tol", [
+        ("square_well:c=5,a=3,b=7", "1e-14"),
+        ("power_log_well:c=5,p=-3,q=0,a=3,b=inf", "1e-16"),
+    ])
+    def test_tolerance_below_the_rounding_floor_fails_at_once(self, potential, tol, capsys):
+        # the summed error estimate cannot fall below 50 eps int |f|, so the
+        # run ends at its first pass there, not at the evaluation budget
+        start = time.perf_counter()
+        code = main(["bound", "--theorem", "t41", "--d", "1", "--n", "0", "--variant", "one",
+                     "--potential", potential, "--tol", tol])
+        err = capsys.readouterr().err
+        assert time.perf_counter() - start < 2.0
+        assert code == EXIT_NUMERICAL
+        assert err.startswith("numerical failure: ") and "rounding floor" in err
+
+    def test_tolerance_above_the_rounding_floor_still_converges(self, capsys):
+        code = main(["bound", "--theorem", "t41", "--d", "1", "--n", "0", "--variant", "one",
+                     "--potential", "square_well:c=5,a=3,b=7", "--tol", "1e-13"])
+        assert code == EXIT_OK
+        assert "bound raw  : 163.655216764\n" in capsys.readouterr().out
 
 
 class TestCountCommand:

@@ -45,6 +45,7 @@ from hardybounds.iterfun import (
 from hardybounds.quadrature import (
     QuadratureError,
     _EPS as _QUAD_EPS,
+    _gk15,
     _WG,
     _WG_CENTER,
     _WGK,
@@ -329,11 +330,13 @@ def scalar_potential(V, r: float) -> float:
     if isinstance(V, TabulatedPotential):
         if r < V.r[0] or r > V.r[-1]:
             raise DomainError(f"tabulated potential defined on [{V.r[0]}, {V.r[-1]}], got r={r}")
+        # numpy's interp: the sample interval's slope times the offset from
+        # its left end, plus the left value; v[-1] at the last sample
         i = bisect.bisect_right(V.r, r) - 1
         if i == len(V.r) - 1:
             return V.v[-1]
-        t = (r - V.r[i]) / (V.r[i + 1] - V.r[i])
-        return V.v[i] * (1.0 - t) + V.v[i + 1] * t
+        slope = (V.v[i + 1] - V.v[i]) / (V.r[i + 1] - V.r[i])
+        return slope * (r - V.r[i]) + V.v[i]
     raise TypeError(V)
 
 
@@ -750,6 +753,29 @@ class LogBump(Potential):
         return (self.a, self.b)
 
 
+def filtered_breakpoints(V, k: int) -> tuple[float, ...]:
+    """Reference: the images of V's breakpoints under s = ln^(k) r, one list
+    comprehension per log that drops each point it meets at or below 0 or at
+    infinity, sorted at the end."""
+    out = V.breakpoints()
+    for _ in range(k):
+        out = [math.log(p) for p in out if 0.0 < p < math.inf]
+    return tuple(sorted(out))
+
+
+class TestTransformedBreakpoints:
+    @settings(max_examples=300, deadline=None)
+    @given(V=st.one_of(potentials(), tabulated_wells()), k=st.sampled_from([1, 2, 3]))
+    # samples at 1 and e, whose images reach 0 and leave at the next log
+    @example(V=TabulatedPotential(r=(0.5, 1.0, math.e, 4.0), v=(-1.0, 2.0, -3.0, 0.0)), k=3)
+    @example(V=make_potential("tabulated", {"r": np.geomspace(0.3, 30.0, 320).tolist(),
+                                            "v": [-1.0] * 320}), k=2)
+    def test_the_images_are_the_filtered_ones(self, V, k):
+        got = transformed_breakpoints(V, k)
+        assert list(map(float.hex, got)) == list(map(float.hex, filtered_breakpoints(V, k)))
+        event(f"{len(got)} of {len(V.breakpoints())} points")
+
+
 class TestCrossingsAndSupScan:
     @settings(max_examples=150, deadline=None)
     @given(V=tabulated_wells(), L=st.sampled_from([2.0, 6.0, 20.0, 110.0]))
@@ -1045,6 +1071,39 @@ class TestBatchedQuadrature:
         # x^-1.2 decays too slowly: bisection toward x = infinity reaches t = 1
         with pytest.raises(QuadratureError, match="t = 1"):
             integrate_semiinfinite(lambda x: x**-1.2, 1.5)
+
+    @pytest.mark.parametrize("components", [0, 3])
+    def test_a_wide_first_pass_is_its_single_panel_passes(self, components):
+        # 320 panels take the array-built nodes, one panel the tuple-built
+        # ones: the nodes must be the same floats.  The 15-node sums of all
+        # rows are one matrix product, whose summation order may follow the
+        # row count, so values and floors agree to rounding
+        rng = np.random.default_rng(320)
+        edges = np.sort(rng.uniform(-5.0, 15.0, 321)).tolist()
+        parts = [_smooth(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 20.0), 0.0, 3.0, 0.1)
+                 for _ in range(max(components, 1))]
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            out = np.stack([g(x) for g in parts], axis=-1)
+            return out if components else out[..., 0]
+
+        vals, _, floors, stacked = _gk15(f, edges)
+        single = [_gk15(f, edges[i : i + 2]) for i in range(320)]
+        assert stacked == bool(components)
+        assert np.array_equal(seen[0], np.vstack(seen[1:]))
+        for got, want in ((vals, [s[0] for s in single]), (floors, [s[2] for s in single])):
+            want = np.array(want)[:, :, 0].T  # (component, panel)
+            assert np.all(np.abs(np.array(got) - want) <= 4.0 * _QUAD_EPS * np.abs(want))
+
+    def test_a_tolerance_below_the_rounding_floor_fails_at_once(self):
+        # each panel's estimate is at least 50 eps int |f| over it, so the sum
+        # cannot reach tol = 1e-17; the parent bisected to the budget
+        with pytest.raises(QuadratureError, match="rounding floor") as exc:
+            integrate(lambda x: np.exp(x), 0.0, 1.0, tol=1e-17, max_evals=1_000_000)
+        floor = 50.0 * _QUAD_EPS * (math.e - 1.0)
+        assert f"rounding floor {floor:.3e}" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
