@@ -314,11 +314,11 @@ class TestTailPasses:
 
     @pytest.mark.parametrize("bound, V, spec, most", [
         (bound_1d, PowerLogWell(c=5.0, p=-3.0, q=1.0, a=1.0, b=math.inf),
-         OperatorSpec(1, 0, "one"), 2),  # bound-t41-power-log: 6 passes before it
+         OperatorSpec(1, 0, "one"), 2),  # bound-t41-power-log
         (central_bound, PowerLogWell(c=30.0, p=-3.0, q=1.0, a=1.0, b=math.inf),
-         OperatorSpec(3, 0, "one"), 2),  # bound-t43-power-log: 6 before it
+         OperatorSpec(3, 0, "one"), 2),  # bound-t43-power-log
         (central_bound, PowerLogWell(c=30.0, p=-3.0, q=1.0, a=3.0, b=math.inf),
-         OperatorSpec(3, 1, "zero"), 6),  # bound-t43-n1-power-log: 5 before it
+         OperatorSpec(3, 1, "zero"), 6),  # bound-t43-n1-power-log
     ], ids=["t41-power-log", "t43-power-log", "t43-n1-power-log"])
     def test_golden_tails_take_few_passes(self, bound, V, spec, most, monkeypatch):
         passes = []

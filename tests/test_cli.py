@@ -146,7 +146,6 @@ class TestBoundCommand:
         capsys.readouterr()
         assert code == EXIT_CONFIG
 
-
     @pytest.mark.parametrize("potential, tol", [
         ("square_well:c=5,a=3,b=7", "1e-14"),
         ("power_log_well:c=5,p=-3,q=0,a=3,b=inf", "1e-16"),
