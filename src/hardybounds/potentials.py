@@ -554,6 +554,13 @@ class TransformedPotential:
         """W(s) for a float, or elementwise for an ndarray of s."""
         return call_on_array(self._evaluate_array, s)
 
+    def zero_outside(self) -> Optional[tuple[float, float]]:
+        """An open interval of s outside which W is exactly 0.0, or None where
+        W can be nonzero anywhere: with a coupling, or on a sampled base."""
+        if self.coupling != 0.0 or self._ends is not None:
+            return None
+        return self._window or (0.0, 0.0)
+
     def _evaluate_array(self, s: np.ndarray) -> np.ndarray:
         out = self._base_array(s)
         if self.coupling != 0.0:

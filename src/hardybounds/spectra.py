@@ -12,8 +12,11 @@ on (1, 2), d=1, n=0, variant one, L=20 counts 6 at m=200 and 5 at every
 m >= 400), so the refinement trail is part of the result.
 
 Where W is 0, as everywhere on the window outside the image of a finite
-well, the rows of the matrix are equal, and the Sturm pass crosses each such
-run in one closed-form step (Chebyshev polynomials of the second kind give
+well, the rows of the matrix are equal.  ``assemble`` reads W only on the
+rows strictly inside that image, and holds each free stretch on either side
+as at most ``_MIN_RUN`` rows and a count, so a count's work follows the rows
+of the well, not the grid size m.  The Sturm pass crosses each run of equal
+rows in one closed-form step (Chebyshev polynomials of the second kind give
 the run's pivots); it steps the other rows one at a time.  The lowest
 eigenvalues are found by bisection on the same count, with brackets shared
 between the requested eigenvalues.
@@ -21,9 +24,11 @@ between the requested eigenvalues.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -53,6 +58,7 @@ DEFAULT_M = 4000
 
 _PIVOT_EPS = 2.0**-40
 _MIN_H2 = 1.0 / math.sqrt(sys.float_info.max)  # smallest h^2 whose 1/h^4 is finite
+_MAX_H2 = 1.0 / math.sqrt(sys.float_info.min)  # largest h^2 whose 1/h^4 is about normal
 # Shortest stretch of equal rows that the Sturm pass crosses in one closed-form
 # step: that step costs about 18 plain steps (1.2 us against 64 ns, timeit).
 _MIN_RUN = 18
@@ -80,40 +86,72 @@ class Grid:
         return self.s_min + self.h * np.arange(1, self.m + 1)
 
 
-@dataclass(frozen=True)
 class TridiagonalOperator:
-    diagonal: np.ndarray
-    off_diagonal: np.ndarray
+    """Symmetric tridiagonal matrix, held by rows: row i is the pair
+    (diagonal i, |off-diagonal i - 1|), with coupling 0 for row 0.  A matrix
+    built from its two diagonals holds every row.  ``assemble`` holds only
+    the first ``_MIN_RUN`` rows of a longer free stretch, and the number of
+    rows left out.
 
-    def __post_init__(self):
-        diag = np.asarray(self.diagonal, dtype=float)
-        off = np.asarray(self.off_diagonal, dtype=float)
-        object.__setattr__(self, "diagonal", diag)
-        object.__setattr__(self, "off_diagonal", off)
+    ``diagonal``, ``off_diagonal`` and ``dense()`` are formed on first access.
+    ||T||, the Gershgorin ends and the Sturm pieces with their zero-pivot
+    substitute are formed once, from the held rows, equal bit for bit to what
+    the full diagonals give.
+    """
+
+    def __init__(self, diagonal, off_diagonal):
+        diag = np.asarray(diagonal, dtype=float)
+        off = np.asarray(off_diagonal, dtype=float)
         if diag.ndim != 1 or off.ndim != 1 or len(off) != len(diag) - 1:
             raise DomainError("need m diagonal and m-1 off-diagonal entries")
-        if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(off))):
-            raise DomainError("tridiagonal entries must be finite")
-        top = float(max(-off.min(initial=0.0), off.max(initial=0.0)))
-        # max |diagonal| + 2 max |off-diagonal| >= ||T||; ||T|| itself is
-        # summed only where that sum overflows
-        bound = float(max(-diag.min(initial=0.0), diag.max(initial=0.0))) + 2.0 * top
-        if math.isinf(bound):
-            with np.errstate(over="ignore"):
-                bound = self.norm_inf()
-        if math.isinf(bound) or math.isinf(top * top):
-            raise DomainError("||T|| or a squared off-diagonal entry leaves the double range")
+        self.diagonal, self.off_diagonal = diag, off
+        self._hold(diag, np.concatenate(([0.0], np.abs(off))), np.ones(len(diag), dtype=np.intp))
 
-    @property
-    def size(self) -> int:
-        return len(self.diagonal)
+    @classmethod
+    def _from_rows(cls, diag: np.ndarray, coupling: np.ndarray, reps: np.ndarray):
+        """The assembled matrix, with off-diagonal -coupling, whose held row i
+        stands for reps[i] equal rows.  A row held with reps > 1 lies in a
+        stretch of at least ``_MIN_RUN`` equal held rows, so its copies add no
+        row sum and no plain row that the held rows lack."""
+        T = cls.__new__(cls)
+        T._hold(diag, coupling, reps)
+        return T
+
+    def _hold(self, diag: np.ndarray, coupling: np.ndarray, reps: np.ndarray) -> None:
+        self._rows = (diag, coupling, reps)
+        self.size = int(reps.sum())
+        self._after = np.concatenate((coupling[1:], [0.0]))  # coupling to the next row
+        with np.errstate(over="ignore", invalid="ignore"):
+            # added in the order of |d_i| + |e_i| + |e_(i-1)|; NaN and inf
+            # entries give a NaN or an infinite norm
+            self._norm = float(((np.abs(diag) + self._after) + coupling).max())
+        top = float(coupling.max())
+        if not (math.isfinite(self._norm) and math.isfinite(top * top)):
+            raise DomainError("entries, ||T|| and squared off-diagonal entries must lie "
+                              "in the double range")
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        diag, _, reps = self._rows
+        return np.repeat(diag, reps)
+
+    @cached_property
+    def off_diagonal(self) -> np.ndarray:
+        _, coupling, reps = self._rows
+        return -np.repeat(coupling, reps)[1:]
+
+    @cached_property
+    def _sturm(self) -> tuple[list, float]:
+        return _sturm_inputs(self)
+
+    @cached_property
+    def _gershgorin(self) -> tuple[float, float]:
+        diag, coupling, _ = self._rows
+        radius = self._after + coupling
+        return float((diag - radius).min()), float((diag + radius).max())
 
     def norm_inf(self) -> float:
-        d = np.abs(self.diagonal).copy()
-        e = np.abs(self.off_diagonal)
-        d[:-1] += e
-        d[1:] += e
-        return float(d.max()) if len(d) else 0.0
+        return self._norm
 
     def dense(self) -> np.ndarray:
         return (
@@ -127,32 +165,67 @@ def assemble(W, grid: Grid) -> TridiagonalOperator:
     """Three-point stencil for -d^2/ds^2 + W(s) on the grid:
     diagonal 2/h^2 + W(s_i), off-diagonal -1/h^2.
 
-    W is called once, on the array of grid points; a scalar result (a constant
-    potential) is broadcast to every point.  EvaluationError when 1/h^2, or
-    its square in the Sturm recurrence, leaves the double range, and when an
-    entry or ||T|| does.
+    W is called once, on an array of grid points; a scalar result (a constant
+    potential) is broadcast to them.  A ``TransformedPotential`` that names an
+    interval outside which it is 0.0 (``zero_outside``) is read only on the
+    rows strictly inside it.  The free rows 2/h^2 on either side are held as
+    at most ``_MIN_RUN`` rows and a count, so no array of length m is formed.
+    Any other W is read on every row.  EvaluationError when 1/h^2, or its
+    square in the Sturm recurrence, leaves the double range or underflows,
+    and when an entry or ||T|| leaves the double range.
     """
     h = grid.h
     if not h * h > _MIN_H2:
         raise EvaluationError(f"grid step h = {h:g} is too small: 1/h^2 or its square "
                               "leaves the double range")
-    pts = grid.points()
+    if not h * h < _MAX_H2:
+        raise EvaluationError(f"grid step h = {h:g} is too large: 1/h^2 or its square "
+                              "underflows")
+    lo, hi = _live_rows(W, grid)
+    pts = grid.s_min + h * np.arange(lo + 1, hi + 1)
+    free = 2.0 / (h * h)
     try:
-        w = np.broadcast_to(W(pts), pts.shape)
+        live = np.add(free, W(pts), out=np.empty_like(pts))
     except (DomainError, OverflowError) as exc:
-        raise EvaluationError(_first_failure(W, pts, exc)) from exc
-    diag = 2.0 / (h * h) + w
-    off = np.full(grid.m - 1, -1.0 / (h * h))
+        raise EvaluationError(_first_failure(W, pts, lo, exc)) from exc
+    # held: row 0 and up to _MIN_RUN free rows before the live ones, the live
+    # rows, and up to _MIN_RUN free rows after them
+    head, tail = min(lo, _MIN_RUN + 1), min(grid.m - hi, _MIN_RUN)
+    diag = np.concatenate(([free] * head, live, [free] * tail))
+    coupling = np.full(len(diag), 1.0 / (h * h))
+    coupling[0] = 0.0
+    reps = np.ones(len(diag), dtype=np.intp)
+    reps[min(1, head)] += lo - head
+    reps[-1] += grid.m - hi - tail
     try:
-        return TridiagonalOperator(diag, off)
+        return TridiagonalOperator._from_rows(diag, coupling, reps)
     except DomainError as exc:
         raise EvaluationError(f"assembled matrix: {exc}") from exc
 
 
-def _first_failure(W, pts: np.ndarray, exc: Exception) -> str:
-    """Message naming the first grid point at which W fails.  Runs only after
-    the array evaluation has failed."""
-    for i, s in enumerate(pts.tolist()):
+def _live_rows(W, grid: Grid) -> tuple[int, int]:
+    """Rows lo..hi-1 outside which W is 0.0 on the grid: those whose points,
+    formed as ``Grid.points`` forms them, lie strictly inside the interval of
+    ``W.zero_outside()``; (m, m) when no row does, and every row for a W that
+    names no interval."""
+    window = W.zero_outside() if isinstance(W, TransformedPotential) else None
+    if window is None:
+        return 0, grid.m
+    s_min, h = grid.s_min, grid.h
+
+    def point(i):
+        return s_min + h * (i + 1)
+
+    lo = bisect.bisect_right(range(grid.m), window[0], key=point)
+    hi = bisect.bisect_left(range(grid.m), window[1], key=point)
+    return (lo, hi) if lo < hi else (grid.m, grid.m)
+
+
+def _first_failure(W, pts: np.ndarray, start: int, exc: Exception) -> str:
+    """Message naming the first grid point at which W fails; ``pts`` are the
+    points of rows ``start`` on.  Runs only after the array evaluation has
+    failed."""
+    for i, s in enumerate(pts.tolist(), start=start):
         try:
             W(s)
         except (DomainError, OverflowError) as point_exc:
@@ -295,23 +368,24 @@ def _sturm_inputs(T: TridiagonalOperator) -> tuple[list, float]:
     Row i is the pair (diagonal i, coupling to row i - 1), 0 for row 0.  A
     stretch of at least ``_MIN_RUN`` equal rows is a run; the rows between
     runs form plain stretches.  A matrix without such a stretch is one plain
-    stretch, stepped as the plain recurrence.
+    stretch, stepped as the plain recurrence.  Rows left out of the held ones
+    lie in runs, and count in their lengths.
     """
-    diag = T.diagonal
-    e = np.concatenate(([0.0], np.abs(T.off_diagonal)))
+    diag, e, reps = T._rows
     e2 = e * e
     starts = np.flatnonzero(np.concatenate(
         ([True], (diag[1:] != diag[:-1]) | (e[1:] != e[:-1]))))
-    ends = np.append(starts[1:], len(diag))
-    runs = ends - starts >= _MIN_RUN
+    ends = np.concatenate((starts[1:], [len(diag)]))
+    lengths = np.add.reduceat(reps, starts)
+    runs = lengths >= _MIN_RUN
+    rows, rows_e2 = diag.tolist(), e2.tolist()
     pieces = []
     first = 0
-    for i, j in zip(starts[runs].tolist(), ends[runs].tolist()):
-        a, c = float(diag[i]), float(e[i])
-        run = (a, c, a - 2.0 * c, a + 2.0 * c, j - i)
-        pieces.append((diag[first:i].tolist(), e2[first:i].tolist(), run))
+    for i, j, k in zip(starts[runs].tolist(), ends[runs].tolist(), lengths[runs].tolist()):
+        a, c = rows[i], float(e[i])
+        pieces.append((rows[first:i], rows_e2[first:i], (a, c, a - 2.0 * c, a + 2.0 * c, k)))
         first = j
-    pieces.append((diag[first:].tolist(), e2[first:].tolist(), None))
+    pieces.append((rows[first:], rows_e2[first:], None))
     return pieces, max(_PIVOT_EPS * (T.norm_inf() or 1.0), math.ulp(0.0))
 
 
@@ -326,7 +400,7 @@ def inertia_negative_count(
     when the +eps pass met an exact zero pivot: otherwise the two passes are
     the same recurrence.
     """
-    pieces, sub = _sturm_inputs(T)
+    pieces, sub = T._sturm
     up, zero_pivot = _sturm_count(pieces, shift, sub)
     if not zero_pivot:
         return up
@@ -348,18 +422,14 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> li
     """
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= T.size:
         raise DomainError(f"need an integer 1 <= k <= {T.size}, got {k!r}")
-    pieces, sub = _sturm_inputs(T)
-    d = T.diagonal
-    e = np.abs(T.off_diagonal)
-    radius = np.zeros(T.size)
-    radius[:-1] += e
-    radius[1:] += e
+    pieces, sub = T._sturm
     # Bracket ends of eigenvalue j at index j - 1: the Gershgorin interval,
     # widened past the rounding of d -/+ radius and of the Sturm count, so
     # that count(lo) = 0 and count(hi) = T.size.
+    low, high = T._gershgorin
     slack = 8.0 * sys.float_info.epsilon * T.norm_inf()
-    lo = [max(float((d - radius).min()) - slack, -sys.float_info.max)] * k
-    hi = [min(float((d + radius).max()) + slack, sys.float_info.max)] * k
+    lo = [max(low - slack, -sys.float_info.max)] * k
+    hi = [min(high + slack, sys.float_info.max)] * k
 
     out = []
     for i in range(k):
@@ -434,8 +504,8 @@ def count_negative(
     ``doublings`` rounds of simultaneous window and grid doubling recorded in
     the refinement trail.  ``eigenvalues`` > 0 also finds that many lowest
     eigenvalues (``lowest_eigenvalues``), once, on the finest matrix."""
-    if L <= 0.0 or m < 2:
-        raise DomainError(f"need L > 0 and m >= 2, got L={L}, m={m}")
+    if not 0.0 < L < math.inf or m < 2:
+        raise DomainError(f"need a finite L > 0 and m >= 2, got L={L}, m={m}")
     for name, value in (("doublings", doublings), ("eigenvalues", eigenvalues)):
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise DomainError(f"{name} must be a non-negative integer, got {value!r}")

@@ -250,6 +250,16 @@ class TestCountCommand:
         assert captured.err.startswith("numerical failure: grid step h = ")
         assert "count" not in captured.out
 
+    @pytest.mark.parametrize("L", ["1e160", "1e308"])
+    def test_window_too_large_for_the_grid_is_a_numerical_failure(self, L, capsys):
+        # 1/h^2 underflowed and decoupled the rows: this printed count 8000
+        code = main(["count", "--d", "1", "--n", "0", "--variant", "one", "--L", L,
+                     "--potential", "square_well:c=4,a=1,b=2"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert "is too large" in captured.err
+        assert "count" not in captured.out
+
 
 class TestVerifyCommand:
     def test_hardy_suite(self, capsys):

@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
-from hypothesis import event, example, find, given, settings
+from hypothesis import assume, event, example, find, given, settings
 from hypothesis import strategies as st
 
 from hardybounds import bounds
@@ -72,13 +72,17 @@ from hardybounds.potentials import (
 )
 from hardybounds.spectra import (
     _MIN_RUN,
+    Grid,
     TridiagonalOperator,
+    _live_rows,
     _sturm_count,
     _sturm_inputs,
+    assemble,
     channel_potential,
     count_negative,
     inertia_negative_count,
     lowest_eigenvalues,
+    transformed_window_start,
 )
 from weighted_oracle import absolute_log_weight, clr_x_integral, weighted_negpart_quad
 
@@ -294,6 +298,121 @@ class TestRunStepProperties:
         got = lowest_eigenvalues(T, k, tol)
         ref = eigvalsh_tridiagonal(T.diagonal, T.off_diagonal)[:k]
         assert np.all(np.abs(np.array(got) - ref) <= tol + 64 * np.finfo(float).eps * T.norm_inf())
+
+
+def dense_reference(W, grid):
+    """What a count reads off the matrix built from full diagonals, row by
+    row: the materialised diagonal, the Sturm pieces, eps ||T||, ||T|| and
+    the widened-free Gershgorin ends."""
+    h = grid.h
+    pts = grid.points()
+    diag = 2.0 / (h * h) + np.broadcast_to(W(pts), pts.shape)
+    off = np.full(grid.m - 1, -1.0 / (h * h))
+    e = np.concatenate(([0.0], np.abs(off)))
+    pieces, first, i = [], 0, 0
+    while i < len(diag):
+        j = i + 1
+        while j < len(diag) and diag[j] == diag[i] and e[j] == e[i]:
+            j += 1
+        if j - i >= _MIN_RUN:
+            a, c = float(diag[i]), float(e[i])
+            pieces.append((diag[first:i].tolist(), (e[first:i] * e[first:i]).tolist(),
+                           (a, c, a - 2.0 * c, a + 2.0 * c, j - i)))
+            first = j
+        i = j
+    pieces.append((diag[first:].tolist(), (e[first:] * e[first:]).tolist(), None))
+    norm = np.abs(diag)
+    norm[:-1] += e[1:]
+    norm[1:] += e[1:]
+    radius = np.zeros(len(diag))
+    radius[:-1] += e[1:]
+    radius[1:] += e[1:]
+    norm = float(norm.max())
+    return {"diagonal": diag.tobytes(), "off_diagonal": off.tobytes(), "pieces": pieces,
+            "sub": max(_PIVOT_EPS * (norm or 1.0), math.ulp(0.0)), "norm": norm,
+            "gershgorin": (float((diag - radius).min()), float((diag + radius).max()))}
+
+
+@st.composite
+def assembled_wells(draw):
+    """(W, grid) pairs as a count assembles them: wells, barriers (c < 0),
+    tails (b = inf) and q = 1 wells at n in {0, 1, 2} on both variants, whose
+    image in s covers row 0, the last row, both or neither, or misses the
+    window; with depths down to 1e-320, so that W rounds to 0.0 on some rows
+    inside its support; and tabulated V and coupled channels, which are
+    read on every row.  m runs down to 2."""
+    n = draw(st.integers(0, 2), label="n")
+    variant = draw(st.sampled_from(["zero", "one"]), label="variant")
+    m = draw(st.one_of(st.integers(2, 40), st.integers(41, 400)), label="m")
+    L = draw(st.floats(0.25, 12.0 if n < 2 else 1.5), label="L")
+    s0 = transformed_window_start(OperatorSpec(1, n, variant), n + 1)
+    grid = Grid(-L, L, m) if math.isinf(s0) else Grid(s0, s0 + L, m)
+    span = grid.s_max - grid.s_min
+    kind = draw(st.sampled_from(["square", "power", "barrier", "tail", "tabulated"]), label="kind")
+    s_a = grid.s_min + span * draw(st.floats(-0.3, 1.3), label="start")
+    s_b = s_a + span * draw(st.one_of(st.floats(0.001, 0.2), st.floats(0.01, 1.6)), label="width")
+
+    def image(s):  # x = exp^(n+1) s, or inf past the double range
+        try:
+            return iterated_exp(s, n + 1)
+        except OverflowError:
+            return math.inf
+
+    a, b = image(s_a), math.inf if kind == "tail" else image(s_b)
+    assume(a < b and math.isfinite(a))
+    depth = 10.0 ** draw(st.one_of(st.floats(-3.0, 3.0), st.floats(-320.0, 3.0)), label="log10 c")
+    if kind == "square":
+        V = SquareWell(c=depth, a=a, b=b)
+    elif kind == "tabulated":  # samples past both ends of the grid's image
+        ends = [image(s) for s in (grid.s_min - 0.5, grid.s_max + 0.5)]
+        assume(math.isfinite(ends[1]))
+        r = np.geomspace(*ends, draw(st.integers(2, 12)))
+        V = TabulatedPotential(r=tuple(r), v=tuple(-depth * np.cos(np.arange(len(r)))))
+    else:
+        q = float(draw(st.integers(0, 1))) if a >= 1.0 else 0.0
+        p = draw(st.floats(-80.0, 2.0), label="p")
+        V = PowerLogWell(c=-depth if kind == "barrier" else depth, p=p, q=q, a=a, b=b)
+    if draw(st.sampled_from([False, False, True]), label="coupled"):
+        spec, l = OperatorSpec(draw(st.integers(2, 3)), n, variant), draw(st.integers(1, 2))
+    else:
+        spec, l = OperatorSpec(1, n, variant), None
+    return channel_potential(V, spec, l), grid
+
+
+class TestHeldRowProperties:
+    """``assemble`` reads W only where it can be nonzero and holds the free
+    stretches by their length; what a count reads off it is what the full
+    diagonals give, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=assembled_wells())
+    def test_held_rows_match_the_full_diagonals(self, case):
+        W, grid = case
+        try:
+            want = dense_reference(W, grid)
+        except (DomainError, OverflowError):
+            event("both paths raise")
+            with pytest.raises(EvaluationError):
+                assemble(W, grid)
+            return
+        if not math.isfinite(want["norm"]):
+            event("both paths raise")
+            with pytest.raises(EvaluationError):
+                assemble(W, grid)
+            return
+        T = assemble(W, grid)
+        pieces, sub = _sturm_inputs(T)
+        got = {"diagonal": T.diagonal.tobytes(), "off_diagonal": T.off_diagonal.tobytes(),
+               "pieces": pieces, "sub": sub, "norm": T.norm_inf(), "gershgorin": T._gershgorin}
+        assert got == want
+        assert T.size == grid.m
+        event("every row held" if len(T._rows[0]) == grid.m else "free rows left out")
+        lo, hi = _live_rows(W, grid)
+        if W.zero_outside() is not None:
+            event("image misses the window" if lo == hi else
+                  f"image covers row 0: {lo == 0}, the last row: {hi == grid.m}")
+        if np.any(np.frombuffer(want["diagonal"])[lo:hi] == 2.0 / (grid.h * grid.h)):
+            event("W is 0.0 on a row inside its interval")
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hardybounds import spectra
 from hardybounds.bounds import OperatorSpec, central_bound
 from hardybounds.errors import DomainError, EvaluationError
 from hardybounds.potentials import (
@@ -66,9 +68,58 @@ class TestAssemble:
         with pytest.raises(EvaluationError, match="h = "):
             count_negative(OperatorSpec(1, 0, "one"), ZeroPotential(), L=L)
 
+    @pytest.mark.parametrize("L", [1e160, 1e308])
+    def test_step_too_large_for_the_stencil_is_an_evaluation_error(self, L):
+        # 1/h^2 underflows (or h^2 overflows), which decoupled every row, so
+        # that each read as a zero pivot: count_negative returned m
+        with pytest.raises(EvaluationError, match="is too large"):
+            assemble(lambda s: 0.0, Grid(0.0, L, 4000))
+        with pytest.raises(EvaluationError, match="is too large"):
+            count_negative(OperatorSpec(1, 0, "one"), SquareWell(c=4.0, a=1.0, b=2.0), L=L)
+
+    @pytest.mark.parametrize("L", [math.inf, math.nan])
+    def test_window_that_is_not_finite_is_a_domain_error(self, L):
+        with pytest.raises(DomainError, match="finite L"):
+            count_negative(OperatorSpec(1, 0, "one"), SquareWell(c=4.0, a=1.0, b=2.0), L=L, m=100)
+
     def test_infinite_potential_values_are_an_evaluation_error(self):
         with pytest.raises(EvaluationError, match="assembled matrix"):
             assemble(lambda s: np.where(s > 0.5, np.inf, 0.0), Grid(0.0, 1.0, 10))
+
+    def test_a_well_is_read_only_on_the_rows_inside_its_image(self):
+        spec = OperatorSpec(1, 0, "one")
+        W = channel_potential(SquareWell(c=40.0, a=1.0, b=2.0), spec, None)
+        grid = Grid(0.0, 20.0, 4000)
+        inside = int(np.count_nonzero((grid.points() > 0.0) & (grid.points() < math.log(2.0))))
+        read = []
+
+        class Spy(type(W)):
+            def __call__(self, s):
+                read.append(len(s))
+                return super().__call__(s)
+
+        T = assemble(Spy(W.base, W.steps), grid)
+        assert read == [inside]
+        # row 0 is inside; the free rows after the well are held as _MIN_RUN rows
+        assert len(T._rows[0]) == inside + spectra._MIN_RUN and T.size == grid.m
+        want = assemble(lambda s: W(s), grid)  # read on every row
+        assert np.array_equal(T.diagonal, want.diagonal)
+        assert spectra._sturm_inputs(T) == spectra._sturm_inputs(want)
+
+    def test_a_count_at_a_million_rows_forms_no_array_of_that_length(self):
+        # at the parent the peak was 50.8 MB: W, the diagonals and the Sturm
+        # inputs on every row
+        spec = OperatorSpec(1, 0, "one")
+        V = SquareWell(c=40.0, a=1.0, b=2.0)
+        count_negative(spec, V, m=100)
+        tracemalloc.start()
+        try:
+            res = count_negative(spec, V, m=1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.negative_count == 2
+        assert peak < 10e6
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
@@ -186,8 +237,6 @@ class TestLowestEigenvalues:
     def test_free_stretches_are_crossed_as_runs(self, monkeypatch):
         # outside the image of the well W = 0, so all but a few rows of the
         # matrix are equal; a plain pass would step all 2000 rows each time
-        import hardybounds.spectra as spectra
-
         spec = OperatorSpec(1, 0, "zero")
         V = SquareWell(c=64.0, a=1.0, b=2.0)
         T = assemble(channel_potential(V, spec, None), Grid(-20.0, 20.0, 2000))
@@ -314,9 +363,20 @@ class TestCountNegative:
         assert lows == sorted(lows)
         assert sum(1 for e in lows if e < 0.0) == res.negative_count
 
-    def test_eigenvalues_bisected_once_on_the_finest_matrix(self, monkeypatch):
-        import hardybounds.spectra as spectra
+    def test_an_eigenvalue_count_compresses_its_matrix_once(self, monkeypatch):
+        calls = []
 
+        def counted(T, _inputs=spectra._sturm_inputs):
+            calls.append(T)
+            return _inputs(T)
+
+        monkeypatch.setattr(spectra, "_sturm_inputs", counted)
+        res = count_negative(OperatorSpec(1, 0, "zero"), SquareWell(c=64.0, a=1.0, b=2.0),
+                             L=20.0, m=2000, eigenvalues=2)
+        assert len(calls) == 1
+        assert len(res.lowest_eigenvalues) == 2
+
+    def test_eigenvalues_bisected_once_on_the_finest_matrix(self, monkeypatch):
         calls = []
 
         def counted(T, k, *args, **kwargs):
