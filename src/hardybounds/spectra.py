@@ -121,7 +121,7 @@ class TridiagonalOperator:
         self._rows = (diag, coupling, reps)
         self.size = int(reps.sum())
         self._after = np.concatenate((coupling[1:], [0.0]))  # coupling to the next row
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
             # added in the order of |d_i| + |e_i| + |e_(i-1)|; NaN and inf
             # entries give a NaN or an infinite norm
             self._norm = float(((np.abs(diag) + self._after) + coupling).max())
@@ -189,7 +189,8 @@ def assemble(W, grid: Grid) -> TridiagonalOperator:
     except (DomainError, OverflowError) as exc:
         raise EvaluationError(_first_failure(W, pts, lo, exc)) from exc
     # held: row 0 and up to _MIN_RUN free rows before the live ones, the live
-    # rows, and up to _MIN_RUN free rows after them
+    # rows, and up to _MIN_RUN free rows after them; the free rows left out
+    # are counted on row 1 and on the last row, each inside a held run
     head, tail = min(lo, _MIN_RUN + 1), min(grid.m - hi, _MIN_RUN)
     diag = np.concatenate(([free] * head, live, [free] * tail))
     coupling = np.full(len(diag), 1.0 / (h * h))
