@@ -150,6 +150,10 @@ class TridiagonalOperator:
         radius = self._after + coupling
         return float((diag - radius).min()), float((diag + radius).max())
 
+    def __repr__(self) -> str:
+        return (f"TridiagonalOperator(diagonal={self.diagonal!r}, "
+                f"off_diagonal={self.off_diagonal!r})")
+
     def norm_inf(self) -> float:
         return self._norm
 
