@@ -47,13 +47,11 @@ from .iterfun import (
 from .potentials import (
     Potential,
     SAMPLED_RANGE_NOTE,
-    _centrifugal_crossings,
     _transformed_form,
     check_bounded_below_weighted,
     checked_pow,
     negative_part_abs,
     transform_potential,
-    transformed_breakpoints,
 )
 from .quadrature import integrate, integrate_semiinfinite
 
@@ -230,25 +228,19 @@ def _channel_integrals(
 
     One quadrature, with a component per coupling, covers the image of V's
     negative support clipped to the threshold, which holds every channel's;
-    W_0 is evaluated once per node.  Panels break at the images of V's
-    breakpoints and of each channel's crossings, where its integrand kinks,
-    and at s = 0, the kink of |s|.  An end at s = -inf is mirrored onto
-    +inf, and a line with both ends infinite is split at 0."""
+    W_0 is evaluated once per node.  Panels break at W_0's kinks for the
+    couplings, and at s = 0, the kink of |s|.  An end at s = -inf is mirrored
+    onto +inf, and a line with both ends infinite is split at 0."""
     notes: list[str] = []
     m, k = len(couplings), n + 1
-    ns = V.negative_support()
-    lo, hi = (0.0, 0.0) if ns is None else (max(ns[0], threshold), ns[1])
-    lo, hi = safe_iterated_log(lo, k), safe_iterated_log(hi, k)
+    W = transform_potential(V, k)
+    lo, hi = W.negative_interval(threshold)
     if hi <= lo:
         return [0.0] * m, [0.0] * m, 0, notes
     if V.sampled_range() is not None:
         notes.append(SAMPLED_RANGE_NOTE)
-    W = transform_potential(V, k)
-    pts = [*transformed_breakpoints(V, k), 0.0]
-    if m > 1:
-        crossings = (safe_iterated_log(x, k) for x in _centrifugal_crossings(V, couplings[1:]))
-        pts += [s for s in crossings if math.isfinite(s)]
-        shifts = np.array(couplings)
+    pts = [*W.kinks(couplings[1:]), 0.0]
+    shifts = np.array(couplings) if m > 1 else None
 
     def f(s: np.ndarray) -> np.ndarray:
         g = -W(s)
@@ -444,11 +436,11 @@ def clr_bound(
     prefactor = Cd * sphere_area(d)
     notes: list[str] = []
 
-    ns = V.negative_support()
-    if ns is not None and math.isinf(ns[1]):
-        return BoundValue.vacuous("negative tail extends to infinity; bound diverges")
+    W = W_at = transform_potential(V, k)
     # past V's negative support the integrand is at most that of V = 0
-    ns_end = -math.inf if ns is None else safe_iterated_log(ns[1], k)
+    ns_end = W.negative_interval(spec.threshold.value)[1]
+    if ns_end == math.inf:
+        return BoundValue.vacuous("negative tail extends to infinity; bound diverges")
     if spec.variant == "zero":
         if coeff > 0.0 and horizon is None:
             return BoundValue.vacuous(
@@ -458,24 +450,21 @@ def clr_bound(
     else:
         lo, hi = math.e, max(ns_end, math.exp(math.sqrt(coeff)))
 
-    W = W_at = transform_potential(V, k)
-    rng = V.sampled_range()
-    if rng is not None:
-        ends = [safe_iterated_log(x, k) for x in rng]
-        if coeff != 0.0:
-            notes.append("tabulated potential: taken as 0 outside the sampled range")
+    ends = W._ends  # the images of the samples' ends, or None
+    if ends is not None and coeff != 0.0:
+        notes.append("tabulated potential: taken as 0 outside the sampled range")
 
-            def W_at(s: np.ndarray) -> np.ndarray:
-                w = np.zeros(s.shape)
-                inside = (ends[0] <= s) & (s <= ends[1])
-                w[inside] = W(s[inside])
-                return w
+        def W_at(s: np.ndarray) -> np.ndarray:
+            w = np.zeros(s.shape)
+            inside = (ends[0] <= s) & (s <= ends[1])
+            w[inside] = W(s[inside])
+            return w
 
     if horizon is not None and (cut := safe_iterated_log(horizon, k)) < hi:
         notes.append(f"integral truncated at horizon r = {horizon:g}"
                      + (" (true value is +inf)" if math.isinf(hi) else ""))
         hi = cut
-    if rng is not None and coeff == 0.0:
+    if ends is not None and coeff == 0.0:
         # the improvement term is <= 0 everywhere, so the integrand vanishes outside the samples
         lo, hi = max(lo, ends[0]), min(hi, ends[1])
         notes.append(SAMPLED_RANGE_NOTE)
@@ -493,7 +482,7 @@ def clr_bound(
         with np.errstate(over="ignore"):
             return checked_pow(g, d / 2.0) * x ** (d - 1)
 
-    quad = integrate(integrand, lo, hi, tol=tol, breakpoints=transformed_breakpoints(V, k))
+    quad = integrate(integrand, lo, hi, tol=tol, breakpoints=W.kinks())
     if d in constants.placeholders:
         notes.append(
             f"C_{d} = {Cd:g} is a placeholder, not a literature value; "

@@ -522,7 +522,9 @@ class TransformedPotential:
     form, and the coupling term (the form (-coupling, -2, 0) on (0, inf)),
     are transformed in log space; any other base is read on the tower
     exp^(steps) s inside its mapped support, and raises OverflowError where
-    the tower leaves the double range.  A float s gives a float.
+    the tower leaves the double range.  A float s gives a float.  The bounds
+    and the counts read V's geometry in s off ``negative_interval``, ``kinks``
+    and ``exterior``, and map none of it themselves.
     """
 
     base: Potential
@@ -536,17 +538,13 @@ class TransformedPotential:
     def __post_init__(self):
         if not isinstance(self.steps, int) or self.steps < 1:
             raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
-        ends = self.base.sampled_range()
+        k, ends = self.steps, self.base.sampled_range()
+        # no zero extension of a sampled base: outside its samples the value is undefined
+        window = (-math.inf, math.inf) if ends is not None else self.base.support()
         if ends is not None:
-            # no zero extension: outside the sampled range the value is undefined
-            window = (-math.inf, math.inf)
-            ends = tuple(safe_iterated_log(x, self.steps) for x in ends)
-        else:
-            supp = self.base.support()
-            window = None if supp is None else (
-                safe_iterated_log(supp[0], self.steps),
-                safe_iterated_log(supp[1], self.steps),  # inf maps to inf
-            )
+            ends = (safe_iterated_log(ends[0], k), safe_iterated_log(ends[1], k))
+        elif window is not None:  # inf maps to inf
+            window = (safe_iterated_log(window[0], k), safe_iterated_log(window[1], k))
         object.__setattr__(self, "_window", window)
         object.__setattr__(self, "_ends", ends)
 
@@ -554,12 +552,36 @@ class TransformedPotential:
         """W(s) for a float, or elementwise for an ndarray of s."""
         return call_on_array(self._evaluate_array, s)
 
-    def zero_outside(self) -> Optional[tuple[float, float]]:
-        """An open interval of s outside which W is exactly 0.0, or None where
-        W can be nonzero anywhere: with a coupling, or on a sampled base."""
-        if self.coupling != 0.0 or self._ends is not None:
+    def negative_interval(self, threshold: float) -> tuple[float, float]:
+        """The image in s of the base's negative support clipped to
+        r > threshold; empty (lo >= hi) where there is none."""
+        ns = self.base.negative_support()
+        lo, hi = (0.0, 0.0) if ns is None else (max(ns[0], threshold), ns[1])
+        return safe_iterated_log(lo, self.steps), safe_iterated_log(hi, self.steps)
+
+    def kinks(self, couplings=()) -> list[float]:
+        """The images in s of the base's breakpoints, unreachable ones dropped,
+        in increasing order; then the finite images of the crossings of
+        L/r^2 + base for each coupling L > 0 given, where the negative part of
+        W + L C(s) kinks."""
+        out = sorted(self.base.breakpoints())
+        for _ in range(self.steps):  # a point that a log meets at or below 0 has no image
+            if out and (out[0] <= 0.0 or out[-1] == math.inf):  # the log keeps the order
+                out = [p for p in out if 0.0 < p < math.inf]
+            out = list(map(math.log, out))
+        for x in _centrifugal_crossings(self.base, couplings) if couplings else ():
+            if math.isfinite(s := safe_iterated_log(x, self.steps)):
+                out.append(s)
+        return out
+
+    def exterior(self) -> Optional[tuple[float, float, float]]:
+        """(a, b, w) with W exactly w outside the open interval (a, b) of s;
+        None on a sampled base, and with a coupling past one step.  w is 0.0,
+        or at one step W's own coupling value: exp(log L), maybe not L."""
+        if self._ends is not None or (self.coupling != 0.0 and self.steps > 1):
             return None
-        return self._window or (0.0, 0.0)
+        a, b = self._window or (0.0, 0.0)
+        return a, b, self(b) if self.coupling else 0.0  # b lies outside (a, b)
 
     def _evaluate_array(self, s: np.ndarray) -> np.ndarray:
         out = self._base_array(s)
@@ -606,17 +628,6 @@ class TransformedPotential:
 def transform_potential(V: Potential, k: int) -> TransformedPotential:
     """k-fold log change of variables applied to V (k >= 1)."""
     return TransformedPotential(base=V, steps=k)
-
-
-def transformed_breakpoints(V: Potential, k: int) -> tuple[float, ...]:
-    """Images of V's breakpoints under s = ln^(k) r, dropping unreachable
-    ones, in increasing order."""
-    out = sorted(V.breakpoints())
-    for _ in range(k):  # a point that a log meets at or below 0 has no image
-        if out and (out[0] <= 0.0 or out[-1] == math.inf):  # the log keeps the order
-            out = [p for p in out if 0.0 < p < math.inf]
-        out = list(map(math.log, out))
-    return tuple(out)
 
 
 # --------------------------------------------------------------------------

@@ -11,15 +11,15 @@ over-count as well as under-count on a coarse grid (a square well with c=256
 on (1, 2), d=1, n=0, variant one, L=20 counts 6 at m=200 and 5 at every
 m >= 400), so the refinement trail is part of the result.
 
-Where W is 0, as everywhere on the window outside the image of a finite
-well, the rows of the matrix are equal.  ``assemble`` reads W only on the
-rows strictly inside that image, and holds each free stretch on either side
-as at most ``_MIN_RUN`` rows and a count, so a count's work follows the rows
-of the well, not the grid size m.  The Sturm pass crosses each run of equal
-rows in one closed-form step (Chebyshev polynomials of the second kind give
-the run's pivots); it steps the other rows one at a time.  The lowest
-eigenvalues are found by bisection on the same count, with brackets shared
-between the requested eigenvalues.
+Outside the image of a finite well W is constant (0, or the coupling on an
+n = 0 channel), and the rows of the matrix are equal.  ``assemble`` reads W
+only on the rows strictly inside that image, and holds each free stretch on
+either side as at most ``_MIN_RUN`` rows and a count, so a count's work
+follows the rows of the well, not the grid size m.  The Sturm pass crosses
+each run of equal rows in one closed-form step (Chebyshev polynomials of the
+second kind give the run's pivots); it steps the other rows one at a time.
+The lowest eigenvalues are found by bisection on the same count, with
+brackets shared between the requested eigenvalues.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .potentials import (
     Potential,
     TransformedPotential,
     ZeroPotential,
-    transformed_breakpoints,
 )
 from .quadrature import integrate
 from .testfunctions import TestFunction, transform_test_function
@@ -171,9 +170,10 @@ def assemble(W, grid: Grid) -> TridiagonalOperator:
 
     W is called once, on an array of grid points; a scalar result (a constant
     potential) is broadcast to them.  A ``TransformedPotential`` that names an
-    interval outside which it is 0.0 (``zero_outside``) is read only on the
-    rows strictly inside it.  The free rows 2/h^2 on either side are held as
-    at most ``_MIN_RUN`` rows and a count, so no array of length m is formed.
+    interval outside which it is a constant w (``exterior``: 0, or the
+    coupling on an n = 0 channel) is read only on the rows strictly inside
+    it.  The free rows 2/h^2 + w on either side are held as at most
+    ``_MIN_RUN`` rows and a count, so no array of length m is formed.
     Any other W is read on every row.  EvaluationError when 1/h^2, or its
     square in the Sturm recurrence, leaves the double range or underflows,
     and when an entry or ||T|| leaves the double range.
@@ -185,18 +185,18 @@ def assemble(W, grid: Grid) -> TridiagonalOperator:
     if not h * h < _MAX_H2:
         raise EvaluationError(f"grid step h = {h:g} is too large: 1/h^2 or its square "
                               "underflows")
-    lo, hi = _live_rows(W, grid)
+    lo, hi, w = _live_rows(W, grid)
     pts = grid.s_min + h * np.arange(lo + 1, hi + 1)
     free = 2.0 / (h * h)
     try:
         live = np.add(free, W(pts), out=np.empty_like(pts))
     except (DomainError, OverflowError) as exc:
         raise EvaluationError(_first_failure(W, pts, lo, exc)) from exc
-    # held: row 0 and up to _MIN_RUN free rows before the live ones, the live
-    # rows, and up to _MIN_RUN free rows after them; the free rows left out
-    # are counted on row 1 and on the last row, each inside a held run
+    # held: row 0 and up to _MIN_RUN free rows 2/h^2 + w before the live ones,
+    # the live rows, and up to _MIN_RUN free rows after them; the free rows
+    # left out are counted on row 1 and on the last row, each inside a held run
     head, tail = min(lo, _MIN_RUN + 1), min(grid.m - hi, _MIN_RUN)
-    diag = np.concatenate(([free] * head, live, [free] * tail))
+    diag = np.concatenate(([free + w] * head, live, [free + w] * tail))
     coupling = np.full(len(diag), 1.0 / (h * h))
     coupling[0] = 0.0
     reps = np.ones(len(diag), dtype=np.intp)
@@ -208,22 +208,21 @@ def assemble(W, grid: Grid) -> TridiagonalOperator:
         raise EvaluationError(f"assembled matrix: {exc}") from exc
 
 
-def _live_rows(W, grid: Grid) -> tuple[int, int]:
-    """Rows lo..hi-1 outside which W is 0.0 on the grid: those whose points,
-    formed as ``Grid.points`` forms them, lie strictly inside the interval of
-    ``W.zero_outside()``; (m, m) when no row does, and every row for a W that
-    names no interval."""
-    window = W.zero_outside() if isinstance(W, TransformedPotential) else None
-    if window is None:
-        return 0, grid.m
+def _live_rows(W, grid: Grid) -> tuple[int, int, float]:
+    """Rows lo..hi-1 outside which W is the constant w on the grid: those
+    whose points, formed as ``Grid.points`` forms them, lie strictly inside
+    the interval (a, b) of ``W.exterior()``, and its w; (m, m) when no row
+    does, and every row for a W without a constant exterior."""
+    exterior = W.exterior() if isinstance(W, TransformedPotential) else None
+    a, b, w = exterior or (-math.inf, math.inf, 0.0)  # no constant exterior: every row
     s_min, h = grid.s_min, grid.h
 
     def point(i):
         return s_min + h * (i + 1)
 
-    lo = bisect.bisect_right(range(grid.m), window[0], key=point)
-    hi = bisect.bisect_left(range(grid.m), window[1], key=point)
-    return (lo, hi) if lo < hi else (grid.m, grid.m)
+    lo = bisect.bisect_right(range(grid.m), a, key=point)
+    hi = bisect.bisect_left(range(grid.m), b, key=point)
+    return (lo, hi, w) if lo < hi else (grid.m, grid.m, w)
 
 
 def _first_failure(W, pts: np.ndarray, start: int, exc: Exception) -> str:
@@ -282,7 +281,7 @@ def _cross_run(run, shift: float, d: float, pivot_sub: float) -> tuple[int, floa
     is the Chebyshev polynomial of the second kind; a pivot is negative where
     q changes sign.  The pivots of (c, delta) are the negated pivots of
     (-c, -delta), so c < 0 is crossed as -c.  c - 1 and c + 1 are formed from
-    a - 2|e| and a + 2|e|, exact on an assembled free stretch, so shifts near
+    a - 2|e| and a + 2|e|, exact on a free stretch where W = 0, so shifts near
     the band edges keep their precision.  A zero coupling, or one negligible
     beside a - shift, leaves k pivots a - shift.
     """
@@ -628,8 +627,7 @@ def quadratic_form_value(
             dps = phi.derivative(s)
             return dps * dps + W(s) * ps * ps
 
-        pts = [p for p in transformed_breakpoints(Vp, k) if lo < p < hi]
-        return integrate(g, lo, hi, tol=tol, breakpoints=pts).value
+        return integrate(g, lo, hi, tol=tol, breakpoints=W.kinks()).value
 
     raise DomainError(f"side must be 'original' or 'transformed', got {side!r}")
 

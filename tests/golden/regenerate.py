@@ -9,11 +9,15 @@ standard error, and the report the run wrote: the ``--json`` payload, or the
 configuration are masked.
 
 ``tests/test_golden.py`` compares fresh runs against the files in this
-directory.  After a deliberate change of the numbers, rewrite them with
+directory, through ``comparator.reconcile_record``.  After a deliberate
+change of the numbers, rewrite them with
 
     PYTHONPATH=src python3 tests/golden/regenerate.py
 
-and explain the diff of the golden files in the change's description.
+It writes a fresh value only at a path that the comparator flags, and keeps
+every other value as recorded, so a last-digit move inside the tolerances
+rewrites nothing.  It prints the flagged paths; explain them, and the diff of
+the golden files, in the change's description.
 """
 
 from __future__ import annotations
@@ -22,12 +26,12 @@ import contextlib
 import csv
 import io
 import json
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from comparator import reconcile_record
 from hardybounds.cli import main
 
 HERE = Path(__file__).resolve().parent
@@ -176,12 +180,24 @@ def run_case(name: str) -> dict:
 
 
 def main_regenerate() -> None:
+    """Rewrite each golden file with what a fresh run moves, print the moved
+    paths, write the file of a new case whole and delete that of a case that
+    is gone."""
     for old in HERE.glob("*.json"):
-        old.unlink()
-    for name in CASES:
-        record = run_case(name)
-        (HERE / f"{name}.json").write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-        print(f"{name}: exit {record['exit']}", file=sys.stderr)
+        if old.stem not in CASES:
+            old.unlink()
+            print(f"{old.stem}: removed")
+    for name, (_, _, fmt) in CASES.items():
+        path = HERE / f"{name}.json"
+        got = run_case(name)
+        if path.exists():
+            record, moved = reconcile_record(json.loads(path.read_text()), got, fmt)
+        else:
+            record, moved = got, ["added"]
+        if moved:
+            path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+        for where in moved:
+            print(f"{name}: {where}")
 
 
 if __name__ == "__main__":

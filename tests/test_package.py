@@ -110,6 +110,34 @@ def test_no_bound_builds_an_x_side_weight():
     assert imported & X_SIDE_WEIGHTS == set()
 
 
+# maps of V's breakpoints and crossings into s, which TransformedPotential makes
+S_SPACE_MAPS = {"transformed_breakpoints", "_centrifugal_crossings"}
+# the points bounds.py and spectra.py still map into s themselves: the CLR
+# horizon and the domain threshold
+OWN_LOG_MAPS = {("bounds.py", "clr_bound"), ("spectra.py", "transformed_window_start")}
+
+
+def test_only_the_transformed_potential_maps_geometry_into_s():
+    """The bounds and the counts read V's negative interval, kinks and
+    exterior in s off ``TransformedPotential``: they import no map of
+    breakpoints or crossings, and call ``safe_iterated_log`` only for the CLR
+    horizon and the domain threshold."""
+    trees = dict(source_trees())
+    found = []
+    for name in ("bounds.py", "spectra.py"):
+        tree = trees[name]
+        found += [f"{name} imports {alias.name}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names if alias.name in S_SPACE_MAPS]
+        for top in tree.body:
+            owner = getattr(top, "name", None)
+            found += [f"{name}:{node.lineno} in {owner}" for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and (name, owner) not in OWN_LOG_MAPS
+                      and "safe_iterated_log" in {getattr(node.func, "id", None),
+                                                  getattr(node.func, "attr", None)}]
+    assert found == []
+
+
 INF_SPELLINGS = {"math.inf", "np.inf", "inf", "float('inf')"}
 
 

@@ -20,7 +20,6 @@ from hardybounds.potentials import (
     make_potential,
     negative_part_abs,
     transform_potential,
-    transformed_breakpoints,
 )
 from hardybounds.spectra import channel_potential
 
@@ -192,7 +191,7 @@ class TestTransform:
                                    v=tuple(rng.uniform(-5.0, 5.0, 2)))
             for k in (1, 2, 3):
                 W = transform_potential(V, k)
-                for s in transformed_breakpoints(V, k):
+                for s in W.kinks():
                     assert math.isfinite(W(s))
 
     def test_tabulated_outside_the_end_images_raises(self):
@@ -212,6 +211,41 @@ class TestEffectiveRadial:
         W = channel_potential(V, OperatorSpec(3, 0, "one"), 0)
         assert W.base is V and W.coupling == 0.0
         assert W == transform_potential(V, 1)
+
+    def test_exterior_is_what_w_reads_outside_its_interval(self):
+        V = SquareWell(c=50.0, a=0.5, b=2.0)
+        for d in (2, 3, 4, 5):
+            for l in range(6):
+                W = channel_potential(V, OperatorSpec(d, 0, "one"), l)
+                a, b, w = W.exterior()
+                assert (a, b) == (math.log(0.5), math.log(2.0))
+                assert W(np.array([a - 1.0, a, b, b + 1.0])).tolist() == [w] * 4
+        # at n = 0 W reads the coupling as exp(log L), which is not 3 for L = 3
+        assert channel_potential(V, OperatorSpec(4, 0, "one"), 1).exterior()[2] != 3.0
+        assert transform_potential(ZeroPotential(), 2).exterior() == (0.0, 0.0, 0.0)
+
+    def test_no_exterior_where_w_varies_outside_its_interval(self):
+        V = SquareWell(c=50.0, a=0.5, b=2.0)
+        assert channel_potential(V, OperatorSpec(3, 1, "one"), 1).exterior() is None
+        tab = TabulatedPotential(r=(0.5, 2.0), v=(-1.0, -1.0))
+        assert transform_potential(tab, 1).exterior() is None
+
+    def test_kinks_add_the_images_of_the_crossings(self):
+        # L/r^2 = 2 on (1, 4) crosses at r = sqrt(L/2); r = 8 lies outside
+        V = SquareWell(c=2.0, a=1.0, b=4.0)
+        W = transform_potential(V, 1)
+        assert W.kinks() == [0.0, math.log(4.0)]
+        assert W.kinks([4.0, 128.0]) == pytest.approx(
+            [0.0, math.log(4.0), math.log(math.sqrt(2.0))], rel=1e-15)
+
+    def test_negative_interval_is_clipped_to_the_threshold(self):
+        W = transform_potential(SquareWell(c=2.0, a=0.5, b=4.0), 2)
+        assert W.negative_interval(math.e) == (0.0, math.log(math.log(4.0)))
+        assert W.negative_interval(0.0)[0] == -math.inf  # ln 0.5 < 0 has no log
+        lo, hi = W.negative_interval(5.0)
+        assert hi <= lo
+        assert transform_potential(ZeroPotential(), 1).negative_interval(1.0) == (
+            -math.inf, -math.inf)
 
     def test_centrifugal_of_zero(self):
         # 2/r^2 is the constant 2 after one step, and 2 e^{2s} after two

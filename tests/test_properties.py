@@ -68,7 +68,6 @@ from hardybounds.potentials import (
     make_potential,
     negative_part_abs,
     transform_potential,
-    transformed_breakpoints,
 )
 from hardybounds.spectra import (
     _MIN_RUN,
@@ -339,8 +338,10 @@ def assembled_wells(draw):
     tails (b = inf) and q = 1 wells at n in {0, 1, 2} on both variants, whose
     image in s covers row 0, the last row, both or neither, or misses the
     window; with depths down to 1e-320, so that W rounds to 0.0 on some rows
-    inside its support; and tabulated V and coupled channels, which are
-    read on every row.  m runs down to 2."""
+    inside its support; tabulated V, which is read on every row; and coupled
+    channels, read on every row past n = 0, and at n = 0 held outside the
+    image as the coupling W evaluates, which is not 3 for l = 1 at d = 4.
+    m runs down to 2."""
     n = draw(st.integers(0, 2), label="n")
     variant = draw(st.sampled_from(["zero", "one"]), label="variant")
     m = draw(st.one_of(st.integers(2, 40), st.integers(41, 400)), label="m")
@@ -373,7 +374,7 @@ def assembled_wells(draw):
         p = draw(st.floats(-80.0, 2.0), label="p")
         V = PowerLogWell(c=-depth if kind == "barrier" else depth, p=p, q=q, a=a, b=b)
     if draw(st.sampled_from([False, False, True]), label="coupled"):
-        spec, l = OperatorSpec(draw(st.integers(2, 3)), n, variant), draw(st.integers(1, 2))
+        spec, l = OperatorSpec(draw(st.integers(2, 4)), n, variant), draw(st.integers(1, 2))
     else:
         spec, l = OperatorSpec(1, n, variant), None
     return channel_potential(V, spec, l), grid
@@ -386,6 +387,9 @@ class TestHeldRowProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(case=assembled_wells())
+    # the exterior of l = 1 at d = 4 is exp(log 3), and 2/h^2 + 3 rounds apart from it
+    @example(case=(channel_potential(SquareWell(c=50.0, a=1.0, b=2.0),
+                                     OperatorSpec(4, 0, "one"), 1), Grid(0.0, 12.0, 30)))
     def test_held_rows_match_the_full_diagonals(self, case):
         W, grid = case
         try:
@@ -407,12 +411,14 @@ class TestHeldRowProperties:
         assert got == want
         assert T.size == grid.m
         event("every row held" if len(T._rows[0]) == grid.m else "free rows left out")
-        lo, hi = _live_rows(W, grid)
-        if W.zero_outside() is not None:
+        lo, hi, w = _live_rows(W, grid)
+        if W.exterior() is not None:
             event("image misses the window" if lo == hi else
                   f"image covers row 0: {lo == 0}, the last row: {hi == grid.m}")
-        if np.any(np.frombuffer(want["diagonal"])[lo:hi] == 2.0 / (grid.h * grid.h)):
-            event("W is 0.0 on a row inside its interval")
+            if W.coupling != 0.0:
+                event("coupled n = 0 exterior")
+        if np.any(np.frombuffer(want["diagonal"])[lo:hi] == 2.0 / (grid.h * grid.h) + w):
+            event("W is its exterior value on a row inside its interval")
 
 
 # ---------------------------------------------------------------------------
@@ -908,7 +914,7 @@ class TestTransformedBreakpoints:
     @example(V=make_potential("tabulated", {"r": np.geomspace(0.3, 30.0, 320).tolist(),
                                             "v": [-1.0] * 320}), k=2)
     def test_the_images_are_the_filtered_ones(self, V, k):
-        got = transformed_breakpoints(V, k)
+        got = TransformedPotential(V, k).kinks()
         assert list(map(float.hex, got)) == list(map(float.hex, filtered_breakpoints(V, k)))
         event(f"{len(got)} of {len(V.breakpoints())} points")
 
@@ -1331,7 +1337,7 @@ class TestSharedChannelQuadrature:
         lo, hi = safe_iterated_log(max(lo, threshold), k), safe_iterated_log(hi, k)
         couplings = [l * (l + spec.d - 2) for l in range(1, lm + 1)]
         crossings = [safe_iterated_log(x, k) for x in _centrifugal_crossings(V, couplings)]
-        pts = [*transformed_breakpoints(V, k), 0.0, *(s for s in crossings if math.isfinite(s))]
+        pts = [*filtered_breakpoints(V, k), 0.0, *(s for s in crossings if math.isfinite(s))]
         bv = central_bound(V, spec)
         for ch in bv.channels:
             want = flat_negpart_integral(channel_potential(V, spec, ch.l), lo, hi, pts, 1e-12)

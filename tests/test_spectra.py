@@ -12,6 +12,7 @@ from hardybounds import spectra
 from hardybounds.bounds import OperatorSpec, central_bound
 from hardybounds.errors import DomainError, EvaluationError
 from hardybounds.potentials import (
+    Potential,
     SquareWell,
     TabulatedPotential,
     ZeroPotential,
@@ -105,6 +106,27 @@ class TestAssemble:
         want = assemble(lambda s: W(s), grid)  # read on every row
         assert np.array_equal(T.diagonal, want.diagonal)
         assert spectra._sturm_inputs(T) == spectra._sturm_inputs(want)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_an_n0_channel_is_held_outside_the_well_as_its_coupling(self, d):
+        # at n = 0, C(s) = 1: W is its coupling exactly outside the image of
+        # the well, so channels 1 and 2 hold no more rows than channel 0 (at
+        # the parent they held all 4000); at d = 4, l = 1, W reads
+        # exp(log 3) there, which is not 3
+        spec = OperatorSpec(d, 0, "one")
+        V = SquareWell(c=50.0, a=0.5, b=2.0)
+        s0 = transformed_window_start(spec, 1)
+        grid = Grid(s0, s0 + spectra.DEFAULT_L, spectra.DEFAULT_M)
+        held = []
+        for l in (0, 1, 2):
+            W = channel_potential(V, spec, l)
+            T = assemble(W, grid)
+            full = assemble(lambda s: W(s), grid)  # read on every row
+            held.append(len(T._rows[0]))
+            assert np.array_equal(T.diagonal, full.diagonal)
+            count = count_negative(spec, V, l=l).negative_count
+            assert inertia_negative_count(T) == inertia_negative_count(full) == count
+        assert max(held[1:]) <= held[0] < grid.m // 10
 
     def test_a_count_at_a_million_rows_forms_no_array_of_that_length(self):
         # at the parent the peak was 50.8 MB: W, the diagonals and the Sturm
@@ -391,6 +413,60 @@ class TestCountNegative:
         finest = assemble(channel_potential(V, spec, None), Grid(-40.0, 40.0, 2000))
         assert res.m == 2000 and (res.s_min, res.s_max) == (-40.0, 40.0)
         assert res.lowest_eigenvalues == tuple(lowest_eigenvalues(finest, 2))
+
+
+class CriticalTail(Potential):
+    """V = -c/(r^2 ln^2 r) on (e, inf), a test oracle: at d = 1, n = 0 it
+    transforms to W = -c/s^2 on s > 1, the borderline of the Hardy stack."""
+
+    family = "critical_tail"
+
+    def __init__(self, c):
+        self.c = c
+
+    def evaluate_array(self, r):
+        out = np.zeros(r.shape)
+        x = r[r > math.e]
+        out[r > math.e] = -self.c / (x * x * np.log(x) ** 2)
+        return out
+
+    def support(self):
+        return (math.e, math.inf)
+
+    def negative_support(self):
+        return (math.e, math.inf)
+
+
+def critical_count(c, S):
+    """(nu ln S + arctan 2 nu)/pi with nu = sqrt(c - 1/4), whose floor is the
+    Dirichlet count on (0, S) of ``CriticalTail(c)`` for c > 1/4."""
+    nu = math.sqrt(c - 0.25)
+    return (nu * math.log(S) + math.atan(2.0 * nu)) / math.pi
+
+
+# (c, S) whose closed form lies at least 0.05 from an integer, which a grid
+# count at m = 200 S resolves; c = 100 at S = 20 (10.008) is left out
+CRITICAL_CASES = [(c, S) for c in (2.0, 10.0, 100.0) for S in (20.0, 80.0, 300.0)
+                  if abs(critical_count(c, S) - round(critical_count(c, S))) >= 0.05]
+
+
+class TestCriticalTail:
+    """The Dirichlet count of -d^2/ds^2 - c/s^2 (s > 1) on (0, S) in variant
+    one: the zero-energy solution is s on (0, 1) and s^(1/2) (cos theta +
+    sin theta / (2 nu)) past 1, with theta = nu ln s and nu = sqrt(c - 1/4),
+    so N_S = floor((nu ln S + arctan 2 nu)/pi) for c > 1/4.  For c <= 1/4 it
+    has no zero past 1, so the count is 0."""
+
+    @pytest.mark.parametrize("c, S", CRITICAL_CASES)
+    def test_count_is_the_closed_form(self, c, S):
+        res = count_negative(OperatorSpec(1, 0, "one"), CriticalTail(c), L=S, m=int(200 * S))
+        assert res.negative_count == math.floor(critical_count(c, S))
+
+    @pytest.mark.parametrize("S", [20.0, 80.0, 300.0])
+    @pytest.mark.parametrize("c", [0.2, 0.25])
+    def test_at_or_below_a_quarter_nothing_binds(self, c, S):
+        res = count_negative(OperatorSpec(1, 0, "one"), CriticalTail(c), L=S, m=int(200 * S))
+        assert res.negative_count == 0
 
 
 class TestTotalCentralCount:
