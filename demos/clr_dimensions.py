@@ -17,7 +17,7 @@ from hardybounds.spectra import total_central_count
 print("=" * 72)
 print("d = 3, variant zero: V >= 0 gives exactly zero")
 print("=" * 72)
-spec3 = OperatorSpec.for_clr_bound(3, 0, "zero")
+spec3 = OperatorSpec(3, 0, "zero", threshold_depth=2)
 bv = clr_bound(ZeroPotential(), spec3)
 print(f"bound raw = {bv.raw}, cap = {bv.integer_cap}")
 print()
@@ -25,7 +25,7 @@ print()
 print("=" * 72)
 print("d = 5, variant zero: V = 0 already produces a positive (infinite) bound")
 print("=" * 72)
-spec5 = OperatorSpec.for_clr_bound(5, 0, "zero")
+spec5 = OperatorSpec(5, 0, "zero", threshold_depth=2)
 bv5 = clr_bound(ZeroPotential(), spec5)
 print(f"bound raw = {bv5.raw}  ({bv5.diagnostics.notes[0]})")
 print()
@@ -50,6 +50,6 @@ for c in (1, 4, 16):
 print()
 print("The variant-one bound stays finite for decaying potentials because the")
 print("improvement term changes sign once ln^(n+2) r passes sqrt((d-1)(d-3)):")
-spec4 = OperatorSpec.for_clr_bound(4, 0, "one")
+spec4 = OperatorSpec(4, 0, "one", threshold_depth=2)
 bv4 = clr_bound(ZeroPotential(), spec4)
 print(f"d = 4, variant one, V = 0: raw = {bv4.raw:.8f} (cap {bv4.integer_cap})")

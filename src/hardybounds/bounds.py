@@ -22,7 +22,9 @@ integrals are int |W_-| |s| ds; the CLR integrals are
 
 on the variant "zero" and "one" domains.  They reach every depth whose
 threshold is a double, past the counts' cap DEPTH_CAP = 3 on the transform
-steps.
+steps.  Each bound gives its integrand and span to one driver,
+``_flat_integral``, which owns the quadrature, the infinite ends, and the
+reading of a tabulated V as 0 outside its samples.
 
 Bounds are real numbers; comparisons against integer counts use floor(raw).
 A bound whose integrand has a non-integrable tail is reported as +inf with
@@ -46,7 +48,6 @@ from .iterfun import (
 )
 from .potentials import (
     Potential,
-    SAMPLED_RANGE_NOTE,
     _transformed_form,
     check_bounded_below_weighted,
     checked_pow,
@@ -84,10 +85,6 @@ class OperatorSpec:
     @property
     def threshold(self) -> DomainThreshold:
         return self._threshold  # type: ignore[attr-defined]
-
-    @classmethod
-    def for_clr_bound(cls, d: int, n: int, variant: str) -> "OperatorSpec":
-        return cls(d=d, n=n, variant=variant, threshold_depth=n + 2)
 
 
 @dataclass(frozen=True)
@@ -213,6 +210,45 @@ class BoundValue:
         return cls.build(math.inf, QuadDiagnostics(warnings=warnings, notes=(note,)))
 
 
+def _flat_integral(W, integrand, lo: float, hi: float, kinks, tol: float):
+    """int_lo^hi f(s) ds for f = integrand(w), w the reader of
+    W = transform(V, n + 1): the value, its error estimate, the integrand
+    nodes and the notes.  An empty span (hi <= lo) is 0 with no nodes.
+
+    The one quadrature of the bounds.  A tabulated V is read as 0 outside the
+    images of its samples: w is W where (lo, hi) stays inside them, else W
+    extended by 0, and a note says which.  Any other V is read as W.  Panels
+    break at ``kinks``; an end at s = -inf is mirrored onto +inf, and a line
+    with both ends infinite is split at 0."""
+    if hi <= lo:
+        return 0.0, 0.0, 0, []
+    w, ends, notes = W, W._ends, []  # the images of the samples' ends, or None
+    if ends is not None and ends[0] <= lo and hi <= ends[1]:
+        notes.append("tabulated potential: integral restricted to the sampled range")
+    elif ends is not None:
+        notes.append("tabulated potential: taken as 0 outside the sampled range")
+
+        def w(s: np.ndarray) -> np.ndarray:
+            out = np.zeros(s.shape)
+            inside = (ends[0] <= s) & (s <= ends[1])
+            out[inside] = W(s[inside])
+            return out
+
+    f = integrand(w)
+    if math.isfinite(lo) and math.isfinite(hi):
+        quads = [integrate(f, lo, hi, tol=tol, breakpoints=kinks)]
+    else:
+        start = hi if math.isfinite(hi) else lo if math.isfinite(lo) else 0.0
+        quads = []
+        if math.isinf(hi):
+            quads.append(integrate_semiinfinite(f, start, tol=tol, breakpoints=kinks))
+        if math.isinf(lo):
+            quads.append(integrate_semiinfinite(
+                lambda t: f(-t), -start, tol=tol, breakpoints=[-p for p in kinks]))
+    return (sum(q.value for q in quads), sum(q.error_estimate for q in quads),
+            sum(q.evaluations for q in quads), notes)
+
+
 def _channel_integrals(
     V: Potential, couplings: list[float], n: int, threshold: float, tol: float
 ) -> tuple[list[float], list[float], int, list[str]]:
@@ -226,46 +262,30 @@ def _channel_integrals(
     s = ln^(n+1) r carries int_threshold^inf (-L_l/r^2 - V(r))_+ r |ln r| ...
     |ln^(n+1) r| dr onto I_l: the paper's identity is the implementation.
 
-    One quadrature, with a component per coupling, covers the image of V's
-    negative support clipped to the threshold, which holds every channel's;
-    W_0 is evaluated once per node.  Panels break at W_0's kinks for the
-    couplings, and at s = 0, the kink of |s|.  An end at s = -inf is mirrored
-    onto +inf, and a line with both ends infinite is split at 0."""
-    notes: list[str] = []
+    One ``_flat_integral``, with a component per coupling, covers the image
+    of V's negative support clipped to the threshold, which holds every
+    channel's; W_0 is evaluated once per node.  Panels break at W_0's kinks
+    for the couplings, and at s = 0, the kink of |s|."""
     m, k = len(couplings), n + 1
     W = transform_potential(V, k)
     lo, hi = W.negative_interval(threshold)
-    if hi <= lo:
-        return [0.0] * m, [0.0] * m, 0, notes
-    if V.sampled_range() is not None:
-        notes.append(SAMPLED_RANGE_NOTE)
-    pts = [*W.kinks(couplings[1:]), 0.0]
     shifts = np.array(couplings) if m > 1 else None
 
-    def f(s: np.ndarray) -> np.ndarray:
-        g = -W(s)
+    def integrand(w):
         if m == 1:  # a plain integrand
-            return np.maximum(g, 0.0) * np.abs(s)
-        # channel l in column l; where L C overflows, the channel's integrand is 0
-        with np.errstate(over="ignore"):
-            g = g[..., None] - shifts * _transformed_form(s, k, -1.0, -2.0, 0.0)[..., None]
-        return np.maximum(g, 0.0) * np.abs(s)[..., None]
+            return lambda s: np.maximum(-w(s), 0.0) * np.abs(s)
 
-    if math.isfinite(lo) and math.isfinite(hi):
-        quads = [integrate(f, lo, hi, tol=tol, breakpoints=pts)]
-    else:
-        start = hi if math.isfinite(hi) else lo if math.isfinite(lo) else 0.0
-        quads = []
-        if math.isinf(hi):
-            quads.append(integrate_semiinfinite(f, start, tol=tol, breakpoints=pts))
-        if math.isinf(lo):
-            quads.append(integrate_semiinfinite(
-                lambda t: f(-t), -start, tol=tol, breakpoints=[-p for p in pts]))
-    value = sum(q.value for q in quads)
-    error = sum(q.error_estimate for q in quads)
-    evals = sum(q.evaluations for q in quads)
-    if m == 1:
-        return [value], [error], evals, notes
+        def f(s: np.ndarray) -> np.ndarray:
+            # channel l in column l; where L C overflows, the channel's integrand is 0
+            with np.errstate(over="ignore"):
+                g = -w(s)[..., None] - shifts * _transformed_form(s, k, -1.0, -2.0, 0.0)[..., None]
+            return np.maximum(g, 0.0) * np.abs(s)[..., None]
+        return f
+
+    value, error, evals, notes = _flat_integral(
+        W, integrand, lo, hi, [*W.kinks(couplings[1:]), 0.0], tol)
+    if m == 1 or not evals:  # one component, or an empty span
+        return [value] * m, [error] * m, evals, notes
     return value.tolist(), error.tolist(), evals, notes
 
 
@@ -426,69 +446,56 @@ def clr_bound(
     for illustration purposes; the truncation is recorded in the diagnostics
     and is a lower estimate of the true integral.
 
-    A tabulated V is taken as 0 outside its samples.
+    The span is the image of V's negative support, past which the integrand
+    is at most that of V = 0.  For d >= 4 the improvement term is positive,
+    and the span widens to (1, inf) on variant "zero" and to
+    (e, max(end, s*)) on variant "one".  ``_flat_integral`` reads a tabulated
+    V as 0 outside its samples.
     """
     _require_operator("t42", spec)
 
     d, k = spec.d, spec.n + 1
     coeff = float((d - 1) * (d - 3))
     Cd = constants.get(d)
-    prefactor = Cd * sphere_area(d)
     notes: list[str] = []
 
-    W = W_at = transform_potential(V, k)
+    W = transform_potential(V, k)
     # past V's negative support the integrand is at most that of V = 0
-    ns_end = W.negative_interval(spec.threshold.value)[1]
-    if ns_end == math.inf:
+    lo, hi = W.negative_interval(spec.threshold.value)
+    if hi == math.inf:
         return BoundValue.vacuous("negative tail extends to infinity; bound diverges")
-    if spec.variant == "zero":
-        if coeff > 0.0 and horizon is None:
+    if coeff > 0.0:  # the improvement term is positive: on (1, inf), or on (e, s*)
+        if spec.variant == "zero" and horizon is None:
             return BoundValue.vacuous(
                 "variant-zero integrand decays like 1/(r ln r ...) for d >= 4; the bound is +inf"
             )
-        lo, hi = 1.0, math.inf if coeff > 0.0 else ns_end
-    else:
-        lo, hi = math.e, max(ns_end, math.exp(math.sqrt(coeff)))
-
-    ends = W._ends  # the images of the samples' ends, or None
-    if ends is not None and coeff != 0.0:
-        notes.append("tabulated potential: taken as 0 outside the sampled range")
-
-        def W_at(s: np.ndarray) -> np.ndarray:
-            w = np.zeros(s.shape)
-            inside = (ends[0] <= s) & (s <= ends[1])
-            w[inside] = W(s[inside])
-            return w
-
+        lo, hi = (1.0, math.inf) if spec.variant == "zero" else (
+            math.e, max(hi, math.exp(math.sqrt(coeff))))
     if horizon is not None and (cut := safe_iterated_log(horizon, k)) < hi:
         notes.append(f"integral truncated at horizon r = {horizon:g}"
                      + (" (true value is +inf)" if math.isinf(hi) else ""))
         hi = cut
-    if ends is not None and coeff == 0.0:
-        # the improvement term is <= 0 everywhere, so the integrand vanishes outside the samples
-        lo, hi = max(lo, ends[0]), min(hi, ends[1])
-        notes.append(SAMPLED_RANGE_NOTE)
-    if hi <= lo:
-        return BoundValue.build(0.0, QuadDiagnostics(notes=tuple(notes)))
 
-    def integrand(s: np.ndarray) -> np.ndarray:
-        if spec.variant == "zero":
-            x, num = s, coeff
-        else:
-            u = np.log(s)
-            x, num = s * u, coeff - u * u
-        g = np.maximum(num / (4.0 * x * x) - W_at(s), 0.0)
-        # the power raises OverflowError as float ** does; the product overflows to inf
-        with np.errstate(over="ignore"):
-            return checked_pow(g, d / 2.0) * x ** (d - 1)
+    def integrand(w):
+        def f(s: np.ndarray) -> np.ndarray:
+            if spec.variant == "zero":
+                x, num = s, coeff
+            else:
+                u = np.log(s)
+                x, num = s * u, coeff - u * u
+            g = np.maximum(num / (4.0 * x * x) - w(s), 0.0)
+            # the power raises OverflowError as float ** does; the product overflows to inf
+            with np.errstate(over="ignore"):
+                return checked_pow(g, d / 2.0) * x ** (d - 1)
+        return f
 
-    quad = integrate(integrand, lo, hi, tol=tol, breakpoints=W.kinks())
+    value, error, evals, sampled = _flat_integral(W, integrand, lo, hi, W.kinks(), tol)
+    notes += sampled
     if d in constants.placeholders:
         notes.append(
             f"C_{d} = {Cd:g} is a placeholder, not a literature value; "
             f'set constants["{d}"] in the configuration to replace it'
         )
-    diag = QuadDiagnostics(
-        prefactor * quad.error_estimate, quad.evaluations, notes=tuple(notes)
-    )
-    return BoundValue.build(prefactor * quad.value, diag)
+    prefactor = Cd * sphere_area(d)
+    diag = QuadDiagnostics(prefactor * error, evals, notes=tuple(notes))
+    return BoundValue.build(prefactor * value, diag)

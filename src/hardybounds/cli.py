@@ -288,6 +288,14 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"theorem must be one of {', '.join(THEOREMS)}, got {cfg.theorem!r}")
 
 
+def _bound_constants(cfg: RunConfig, spec: OperatorSpec) -> BoundConstants:
+    """The CLR constants of a bound on ``spec``; a t42 bound needs its C_d."""
+    constants = _constants_from_config(cfg)
+    if cfg.theorem == "t42" and spec.d not in constants.values:
+        raise ConfigError(f'no CLR constant for d = {spec.d}: set constants["{spec.d}"]')
+    return constants
+
+
 def _operator_for(cfg: RunConfig) -> OperatorSpec:
     if cfg.theorem is None:
         raise ConfigError(f"this command needs --theorem {'|'.join(THEOREMS)}")
@@ -302,7 +310,7 @@ def cmd_bound(cfg: RunConfig) -> tuple[int, dict]:
     spec = _operator_for(cfg)
     if cfg.tol is None:
         cfg.tol = BOUND_TOL
-    bv = theorem_bound(cfg.theorem, V, spec, constants=_constants_from_config(cfg), tol=cfg.tol)
+    bv = theorem_bound(cfg.theorem, V, spec, constants=_bound_constants(cfg, spec), tol=cfg.tol)
     print(f"theorem    : {cfg.theorem}")
     print(f"operator   : d={spec.d} n={spec.n} variant={spec.variant} "
           f"threshold={spec.threshold.value:.9g}")
@@ -442,7 +450,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     if cfg.tol is None:
         cfg.tol = SWEEP_TOL
     rows = run_bound_sweep(sweep, cfg.theorem, spec, cfg.L, cfg.m, cfg.doublings,
-                           constants=_constants_from_config(cfg), tol=cfg.tol)
+                           constants=_bound_constants(cfg, spec), tol=cfg.tol)
     dicts = [asdict(r) for r in rows]
     for r in rows:
         cap = "inf" if r.bound_cap is None else r.bound_cap

@@ -1,6 +1,6 @@
 """Iterated exponential/logarithm arithmetic and the weights built on it.
 
-Depth 0 always means "no factors": ``iterated_log(x, 0) == x`` and
+Depth 0 always means "no factors": ``safe_iterated_log(x, 0) == x`` and
 ``iterated_exp(x, 0) == x``, so every depth-0 formula in the package reduces
 to the classical critical-Hardy case.
 
@@ -34,23 +34,6 @@ def _check_depth(n: int) -> None:
         raise DomainError(f"composition depth must be a non-negative integer, got {n!r}")
 
 
-def iterated_log(x: float, n: int) -> float:
-    """Apply ``ln`` to ``x`` exactly ``n`` times.
-
-    Requires every intermediate value to stay positive, i.e.
-    x > iterated_exp(0, n-1) for n >= 1.  The final value may be negative.
-    """
-    _check_depth(n)
-    v = float(x)
-    for k in range(n):
-        if v <= 0.0:
-            raise DomainError(
-                f"iterated_log({x}, {n}): argument of log #{k + 1} is {v} <= 0"
-            )
-        v = math.log(v)
-    return v
-
-
 def iterated_exp(x: float, n: int) -> float:
     """Apply ``exp`` to ``x`` exactly ``n`` times.
 
@@ -70,7 +53,7 @@ def iterated_exp(x: float, n: int) -> float:
 
 
 def safe_iterated_log(x: float, n: int) -> float:
-    """Like iterated_log but returns -inf once the chain hits a value <= 0.
+    """Apply ``ln`` to ``x`` exactly ``n`` times; -inf once a log meets a value <= 0.
 
     Used to map interval endpoints through log changes of variables, where
     "below the representable range" simply means "all the way down".

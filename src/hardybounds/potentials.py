@@ -33,7 +33,6 @@ from .iterfun import call_on_array, safe_iterated_log
 _EXP_MAX = 700.0  # exp() stays finite below this
 _POSITIVE_WALL = 1e300  # stand-in for astronomically large positive values
 _DOUBLE_MAX = sys.float_info.max
-SAMPLED_RANGE_NOTE = "tabulated potential: integral restricted to the sampled range"
 
 
 #: V = -c r^p (ln r)^q on (a, b), and 0 elsewhere

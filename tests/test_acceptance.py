@@ -162,13 +162,13 @@ def test_clr_dimension_sanity():
     # d=3 variant zero with V >= 0: exactly zero bound and zero count;
     # d=5 with V = 0: strictly positive bound (recorded, not compared)
     with _Stopwatch(10.0) as watch:
-        spec3 = OperatorSpec.for_clr_bound(3, 0, "zero")
+        spec3 = OperatorSpec(3, 0, "zero", threshold_depth=2)
         z3 = clr_bound(ZeroPotential(), spec3)
         barrier = PowerLogWell(c=-1.0, p=0.0, q=0.0, a=3.0, b=8.0)
         b3 = clr_bound(barrier, spec3)
         count_spec = OperatorSpec(d=3, n=0, variant="zero", threshold_depth=2)
         total, _ = total_central_count(count_spec, ZeroPotential(), L=20.0, m=1000)
-        spec5 = OperatorSpec.for_clr_bound(5, 0, "zero")
+        spec5 = OperatorSpec(5, 0, "zero", threshold_depth=2)
         z5 = clr_bound(ZeroPotential(), spec5)
     zeros_ok = z3.raw == 0.0 and b3.raw == 0.0 and total == 0
     positive_ok = z5.raw > 0.0
@@ -189,7 +189,7 @@ def test_clr_sweep_d3():
             vary="c",
             values=(1, 2, 4, 8, 16),
         )
-        spec = OperatorSpec.for_clr_bound(3, 0, "zero")
+        spec = OperatorSpec(3, 0, "zero", threshold_depth=2)
         rows = run_bound_sweep(sweep, "t42", spec, L=20.0, m=4000, doublings=1)
     ok = all(r.satisfied for r in rows)
     _report(

@@ -35,7 +35,7 @@ from hardybounds.potentials import (
 )
 from hardybounds import quadrature
 from hardybounds.quadrature import integrate, integrate_semiinfinite
-from weighted_oracle import absolute_log_weight, weighted_negpart_quad
+from weighted_oracle import absolute_log_weight, clr_x_integral, weighted_negpart_quad
 
 # antiderivative oracles used throughout
 X_LN_X_1_2 = 2.0 * math.log(2.0) - 0.75  # int_1^2 x ln x dx
@@ -515,7 +515,7 @@ class TestCentralBound:
 
 class TestClrBound:
     def test_d3_variant_zero_nonnegative_potential(self):
-        spec = OperatorSpec.for_clr_bound(3, 0, "zero")
+        spec = OperatorSpec(3, 0, "zero", threshold_depth=2)
         assert clr_bound(ZeroPotential(), spec).raw == 0.0
         barrier = PowerLogWell(c=-1.0, p=0.0, q=0.0, a=3.0, b=10.0)
         assert clr_bound(barrier, spec).raw == 0.0
@@ -523,7 +523,7 @@ class TestClrBound:
     def test_d3_variant_zero_well_reduction(self):
         # with (d-1)(d-3) = 0 and V <= 0 the integrand is (-V)^{3/2} times the
         # printed log-power weight; cross-check against a direct quadrature
-        spec = OperatorSpec.for_clr_bound(3, 0, "zero")
+        spec = OperatorSpec(3, 0, "zero", threshold_depth=2)
         c, a, b = 2.0, 3.0, 6.0
         bv = clr_bound(SquareWell(c=c, a=a, b=b), spec, tol=1e-12)
         direct = integrate(
@@ -533,13 +533,13 @@ class TestClrBound:
         assert bv.raw == pytest.approx(expected, rel=1e-10)
 
     def test_d5_zero_potential_diverges(self):
-        spec = OperatorSpec.for_clr_bound(5, 0, "zero")
+        spec = OperatorSpec(5, 0, "zero", threshold_depth=2)
         bv = clr_bound(ZeroPotential(), spec)
         assert math.isinf(bv.raw) and bv.raw > 0
         assert bv.integer_cap is None
 
     def test_d5_horizon_truncation_grows_like_log_log(self):
-        spec = OperatorSpec.for_clr_bound(5, 0, "zero")
+        spec = OperatorSpec(5, 0, "zero", threshold_depth=2)
         vals = [
             clr_bound(ZeroPotential(), spec, horizon=h).raw for h in (1e2, 1e4, 1e8)
         ]
@@ -547,7 +547,7 @@ class TestClrBound:
 
     def test_d4_variant_one_root_of_numerator(self):
         # integrand dies where (ln ln r)^2 >= (d-1)(d-3) = 3
-        spec = OperatorSpec.for_clr_bound(4, 0, "one")
+        spec = OperatorSpec(4, 0, "one", threshold_depth=2)
         r_star = scipy.optimize.brentq(
             lambda r: 3.0 - math.log(math.log(r)) ** 2, 20.0, 1e6
         )
@@ -558,14 +558,14 @@ class TestClrBound:
         assert truncated.raw == pytest.approx(bv.raw, rel=1e-8)
 
     def test_constants_are_configurable(self):
-        spec = OperatorSpec.for_clr_bound(3, 0, "zero")
+        spec = OperatorSpec(3, 0, "zero", threshold_depth=2)
         V = SquareWell(c=1.0, a=3.0, b=6.0)
         doubled = BoundConstants(values={3: 2 * 0.1156})
         assert clr_bound(V, spec, constants=doubled).raw == pytest.approx(
             2 * clr_bound(V, spec).raw, rel=1e-12
         )
         with pytest.raises(DomainError):
-            clr_bound(V, OperatorSpec.for_clr_bound(9, 0, "zero"),
+            clr_bound(V, OperatorSpec(9, 0, "zero", threshold_depth=2),
                       constants=BoundConstants(values={3: 0.1156}))
 
     def test_tabulated_integral_restricted_to_samples(self):
@@ -609,12 +609,24 @@ class TestClrBound:
         prefactor = DEFAULT_CLR_CONSTANTS.get(5) * sphere_area(5)
         assert bv.raw - zero.raw == pytest.approx(prefactor * ref, rel=1e-8)
 
+    def test_a_span_inside_the_samples_is_restricted_to_them(self):
+        # d = 4, variant one: s* = exp(sqrt 3) = 5.65 lies below ln 400, so
+        # the span (e, ln 400) stays inside the samples' images (ln 10, ln 400)
+        V = TabulatedPotential(r=tuple(np.geomspace(10.0, 400.0, 9)), v=(-0.01,) * 9)
+        spec = OperatorSpec(4, 0, "one", threshold_depth=2)
+        bv = clr_bound(V, spec)
+        assert bv.raw == 1497216043.4167657
+        assert "tabulated potential: integral restricted to the sampled range" in bv.diagnostics.notes
+        assert not any("taken as 0" in note for note in bv.diagnostics.notes)
+        want = DEFAULT_CLR_CONSTANTS.get(4) * sphere_area(4) * clr_x_integral(V, spec, 1e-10)
+        assert bv.raw == pytest.approx(want, rel=1e-9)
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_d4_variant_one_closed_form(self, n):
         # in u = ln s the integrand of V = 0 is (3 - u^2)^2 / (16 u) on (1, sqrt 3),
         # the same at every depth n; at n = 1 the x-side weight (r ln r ...)^3
         # passes the double range below r* = exp^(3)(sqrt 3) = 1.9e123
-        bv = clr_bound(ZeroPotential(), OperatorSpec.for_clr_bound(4, n, "one"))
+        bv = clr_bound(ZeroPotential(), OperatorSpec(4, n, "one", threshold_depth=n + 2))
         closed = 0.1156 * sphere_area(4) * (9.0 * math.log(3.0) - 8.0) / 32.0
         assert closed == pytest.approx(0.13459440149044413, abs=1e-16)
         assert bv.raw == pytest.approx(closed, abs=1e-12)
@@ -622,10 +634,10 @@ class TestClrBound:
     def test_r_star_past_the_double_range(self):
         # d = 5, n = 1, variant one: r* = exp^(3)(sqrt 8) passes the double
         # range, but s* = exp(sqrt 8) = 16.9 does not
-        spec = OperatorSpec.for_clr_bound(5, 1, "one")
+        spec = OperatorSpec(5, 1, "one", threshold_depth=3)
         bv = clr_bound(ZeroPotential(), spec)
         assert bv.raw == pytest.approx(
-            clr_bound(ZeroPotential(), OperatorSpec.for_clr_bound(5, 0, "one")).raw, abs=1e-10)
+            clr_bound(ZeroPotential(), OperatorSpec(5, 0, "one", threshold_depth=2)).raw, abs=1e-10)
         assert bv.integer_cap == 5
         assert not any("exceeds the double range" in note for note in bv.diagnostics.notes)
         # a horizon below r* cuts the range: integrate up to it
@@ -642,7 +654,7 @@ class TestClrBound:
         # positive stretch before that crossing; the reference splits there
         r = (15.154262241479262, 21.431363189658473, 30.308524482958525)
         V = TabulatedPotential(r=r, v=(0.0, 0.0, 0.5))
-        spec = OperatorSpec.for_clr_bound(4, 0, "one")
+        spec = OperatorSpec(4, 0, "one", threshold_depth=2)
 
         def gap(x):  # the improvement term less V, V = 0 outside the samples
             u = math.log(math.log(x))
@@ -661,7 +673,7 @@ class TestClrBound:
 
     def test_placeholder_constant_is_noted(self):
         V = SquareWell(c=1.0, a=20.0, b=30.0)
-        spec = OperatorSpec.for_clr_bound(5, 0, "one")
+        spec = OperatorSpec(5, 0, "one", threshold_depth=2)
         noted = clr_bound(V, spec)
         assert any("C_5 = 0.1156 is a placeholder" in note for note in noted.diagnostics.notes)
         values = {**DEFAULT_CLR_CONSTANTS.values, 5: 0.2}
@@ -670,12 +682,13 @@ class TestClrBound:
         assert not any("placeholder" in note for note in bv.diagnostics.notes)
         assert bv.raw == pytest.approx(noted.raw * 0.2 / 0.1156, rel=1e-12)
         # C_3 is a literature value
-        d3 = clr_bound(SquareWell(c=1.0, a=3.0, b=6.0), OperatorSpec.for_clr_bound(3, 0, "zero"))
+        d3 = clr_bound(SquareWell(c=1.0, a=3.0, b=6.0),
+                       OperatorSpec(3, 0, "zero", threshold_depth=2))
         assert not any("placeholder" in note for note in d3.diagnostics.notes)
 
     def test_rejects_low_dimension(self):
         with pytest.raises(DomainError):
-            clr_bound(ZeroPotential(), OperatorSpec.for_clr_bound(2, 0, "zero"))
+            clr_bound(ZeroPotential(), OperatorSpec(2, 0, "zero", threshold_depth=2))
 
     def test_requires_matching_threshold_depth(self):
         with pytest.raises(DomainError):
@@ -709,8 +722,8 @@ class TestTheoremTable:
         (bound_1d, OperatorSpec(2, 0, "one")),
         (bound_1d, OperatorSpec(1, 0, "one", threshold_depth=2)),
         (central_bound, OperatorSpec(1, 0, "one")),
-        (central_bound, OperatorSpec.for_clr_bound(3, 0, "one")),
-        (clr_bound, OperatorSpec.for_clr_bound(2, 0, "zero")),
+        (central_bound, OperatorSpec(3, 0, "one", threshold_depth=2)),
+        (clr_bound, OperatorSpec(2, 0, "zero", threshold_depth=2)),
         (clr_bound, OperatorSpec(3, 0, "zero")),
     ])
     def test_bounds_reject_an_operator_of_another_theorem(self, bound, spec):

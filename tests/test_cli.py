@@ -825,6 +825,11 @@ class TestEnvironmentAndProcess:
          {"constants": {"3": 0.1156, "5": 1e-5}}),
         (["bound", "--theorem", "t42", "--d", "3", "--potential", "zero"],
          {"constants": {"-2": 0.5}}),
+        # no C_8 is configured
+        (["bound", "--theorem", "t42", "--d", "8", "--potential", "zero"], None),
+        (["sweep", "--theorem", "t42", "--d", "8"],
+         {"sweep": {"family": "square_well", "base_params": {"a": 3.0, "b": 6.0},
+                    "vary": "c", "values": [1]}}),
     ], ids=["count-doublings", "sweep-doublings", "m-string", "constants-list",
             "sweep-value-string", "d-float", "samples-key", "potential-list",
             "sweep-list", "base-params-list", "sweep-doublings-float", "potential-param-nan",
@@ -833,7 +838,8 @@ class TestEnvironmentAndProcess:
             "potential-param-string", "tabulated-sample-string",
             "bound-csv-out", "count-csv-out", "verify-csv-out",
             "C3-nan", "C3-inf", "C3-zero", "C3-negative", "C3-below-classical",
-            "C5-below-classical-in-file", "C-of-no-dimension"])
+            "C5-below-classical-in-file", "C-of-no-dimension", "C8-unset-bound",
+            "C8-unset-sweep"])
     def test_bad_configuration_value_is_a_config_error(self, argv, config, tmp_path):
         if config is not None:
             cfg_path = tmp_path / "config.json"
@@ -843,6 +849,18 @@ class TestEnvironmentAndProcess:
         assert code == EXIT_CONFIG
         assert err.startswith("configuration error")
         assert "Traceback" not in err
+
+    def test_a_t42_bound_names_the_constant_it_lacks(self, tmp_path):
+        code, _, err = run_cli("bound", "--theorem", "t42", "--d", "8", "--potential", "zero",
+                               deadline=60.0)
+        assert code == EXIT_CONFIG
+        assert 'constants["8"]' in err
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"constants": {"8": 0.2}}))
+        code, out, err = run_cli("bound", "--theorem", "t42", "--d", "8", "--variant", "one",
+                                 "--potential", "zero", "--config", str(cfg_path), deadline=60.0)
+        assert code == EXIT_OK, err
+        assert "bound raw  : 30146.2557755\n" in out
 
     def test_bad_config_json_subprocess(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -138,6 +138,25 @@ def test_only_the_transformed_potential_maps_geometry_into_s():
     assert found == []
 
 
+QUADRATURES = {"integrate", "integrate_semiinfinite"}
+
+
+def test_one_driver_integrates_every_bound():
+    """In ``bounds.py`` one function, ``_flat_integral``, runs the
+    quadrature, reads how a tabulated V's samples map into s, and writes the
+    sampled-range note: the bounds give it only their integrands and spans."""
+    found = {"quadrature": set(), "sample ends": set(), "sampled-range note": set()}
+    for top in dict(source_trees())["bounds.py"].body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in QUADRATURES:
+                found["quadrature"].add(top.name)
+            if isinstance(node, ast.Attribute) and node.attr == "_ends":
+                found["sample ends"].add(top.name)
+            if isinstance(node, ast.Constant) and "sampled range" in str(node.value):
+                found["sampled-range note"].add(top.name)
+    assert found == dict.fromkeys(found, {"_flat_integral"})
+
+
 INF_SPELLINGS = {"math.inf", "np.inf", "inf", "float('inf')"}
 
 

@@ -316,9 +316,9 @@ class TestWindowMapping:
             assert transformed_window_start(spec, n + 1) == 0.0
 
     def test_clr_domains_map_inside(self):
-        spec = OperatorSpec.for_clr_bound(3, 0, "zero")
+        spec = OperatorSpec(3, 0, "zero", threshold_depth=2)
         assert transformed_window_start(spec, 1) == pytest.approx(1.0)
-        spec1 = OperatorSpec.for_clr_bound(3, 0, "one")
+        spec1 = OperatorSpec(3, 0, "one", threshold_depth=2)
         assert transformed_window_start(spec1, 1) == pytest.approx(math.e)
 
 
