@@ -575,17 +575,18 @@ class TransformedPotential:
 
     def exterior(self) -> Optional[tuple[float, float, float]]:
         """(a, b, w) with W exactly w outside the open interval (a, b) of s;
-        None on a sampled base, and with a coupling past one step.  w is 0.0,
-        or at one step W's own coupling value: exp(log L), maybe not L."""
+        None on a sampled base, and with a coupling past one step.  w is the
+        coupling L, which W adds as it is at one step (0.0 without one)."""
         if self._ends is not None or (self.coupling != 0.0 and self.steps > 1):
             return None
         a, b = self._window or (0.0, 0.0)
-        return a, b, self(b) if self.coupling else 0.0  # b lies outside (a, b)
+        return a, b, float(self.coupling)
 
     def _evaluate_array(self, s: np.ndarray) -> np.ndarray:
         out = self._base_array(s)
-        if self.coupling != 0.0:
-            out += _transformed_form(s, self.steps, -self.coupling, -2.0, 0.0)
+        if self.coupling != 0.0:  # C(s) = 1 at one step: add L itself
+            out += self.coupling if self.steps == 1 else _transformed_form(
+                s, self.steps, -self.coupling, -2.0, 0.0)
         return out
 
     def _base_array(self, s: np.ndarray) -> np.ndarray:

@@ -1,26 +1,29 @@
 """Adaptive quadrature on finite and semi-infinite intervals.
 
-The core rule is the 15-point Kronrod extension of the 7-point Gauss rule,
-driven by worst-interval bisection: QUADPACK's QK15 and QAG (Piessens et al.,
-1983).  All nodes are interior, so integrable endpoint singularities need no
-special casing.  Semi-infinite ranges use the rational substitution
-x = a + t/(1-t), with a dyadic start: t = 1/2, 3/4, 7/8 and 15/16
-(x - a = 1, 3, 7, 15) are initial breakpoints, so the first pass already
-grades its panels toward x = infinity instead of bisecting its way there.
+The core rule is QUADPACK's QK15 (Piessens et al., 1983), the 15-point
+Kronrod extension of the 7-point Gauss rule.  Each pass bisects every panel
+whose error is at least its share of the target, the target over the panel
+count: a global rule (Malcolm and Simpson, ACM TOMS 1, 1975).  All nodes
+are interior, so integrable endpoint singularities need no special casing.
+Semi-infinite ranges use the rational substitution x = a + t/(1-t), with a
+dyadic start: t = 1/2, 3/4, 7/8 and 15/16 (x - a = 1, 3, 7, 15) are
+initial breakpoints, so the first pass already grades its panels toward
+x = infinity instead of bisecting its way there.
 
 Integrands are array functions: ``f(x)`` receives an ndarray of nodes, one
 row of 15 per panel, and returns the values as an ndarray of the same shape
 (a scalar is broadcast to it).  Each pass calls ``f`` once: the first on
 every initial panel (one per breakpoint interval), each later one on both
-halves of the panel it splits.
+halves of every panel it splits.
 
 An integrand may add a trailing axis of m components, shape (P, 15, m), to
 integrate m functions on the same nodes.  Each component meets its own
-stopping rule, error <= tol * max(1, |value|); until all do, the panel with
-the largest component error is bisected.  ``evaluations`` counts integrand
-nodes, each shared by all components.  A pass of many rows (panels times
-components) is post-processed in numpy, a pass of few in a Python loop,
-which costs less there.
+stopping rule, error <= tol * max(1, |value|); until all do, each pass
+splits the panels by their errors in the first component that misses its
+target.  ``evaluations`` counts integrand nodes, each shared by all
+components.  A pass of many rows (panels times components) is
+post-processed in numpy, a pass of few in a Python loop, which costs less
+there.
 
 No panel's error estimate falls below its rounding floor 50 eps resabs h,
 so a component's summed estimate stays near 50 eps int |f| however far it
@@ -31,7 +34,6 @@ the evaluation budget out.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -117,20 +119,20 @@ def _nonfinite(x: np.ndarray, fx: np.ndarray) -> QuadratureError:
     return QuadratureError(f"integrand returned {what} at x = {float(x[p, i])!r}")
 
 
-def _gk15(f, edges: Sequence[float]) -> tuple[list, list, list, bool]:
-    """Gauss-Kronrod 7/15 on the panels between consecutive ``edges``, all
-    evaluated in one call of f.  Returns the integrals, the error estimates
-    and their rounding floors 50 eps resabs h, each as one column per
-    component (a single column for a plain integrand) holding one entry per
-    panel, and whether f has a component axis."""
-    p = len(edges) - 1
+def _gk15(f, lo: Sequence[float], hi: Sequence[float]) -> tuple[list, list, list, bool]:
+    """Gauss-Kronrod 7/15 on the panels (lo[i], hi[i]), all evaluated in one
+    call of f.  Returns the integrals, the error estimates and their rounding
+    floors 50 eps resabs h, each as one column per component (a single
+    column for a plain integrand) holding one entry per panel, and whether f
+    has a component axis."""
+    p = len(lo)
     if p < _WIDE_ROWS:  # the loop of few rows reads the panels as tuples
-        panels = [(0.5 * (lo + hi), 0.5 * (hi - lo)) for lo, hi in zip(edges, edges[1:])]
+        panels = [(0.5 * (a + b), 0.5 * (b - a)) for a, b in zip(lo, hi)]
         ch = np.array(panels)
         c, h = ch[:, :1], ch[:, 1:]
-    else:  # the same operations on an array of edges
-        e = np.array(edges)
-        c, h = 0.5 * (e[:-1] + e[1:])[:, None], 0.5 * (e[1:] - e[:-1])[:, None]
+    else:  # the same operations on an array of the ends
+        a, b = np.array((lo, hi))
+        c, h = 0.5 * (a + b)[:, None], 0.5 * (b - a)[:, None]
     x = c + h * _NODES
     fx = f(x)
     if getattr(fx, "shape", ())[:2] != x.shape:  # a scalar result
@@ -187,13 +189,15 @@ def integrate(
     f may add a trailing axis of m components to its result, (P, 15, m), to
     integrate m functions on the same nodes; the result then holds m
     integrals and m error estimates.  Each component stops when its summed
-    error estimate is <= tol * max(1, |its value|); until all do, the panel
-    with the largest component error is bisected.  Raises QuadratureError if
-    the evaluation budget runs out first, or as soon as a component's
-    estimate sits at its rounding floor above its target.  ``evaluations``
-    counts integrand nodes, each shared by all components.  Points listed in
-    ``breakpoints`` (kinks, jumps) become initial panel boundaries so each
-    panel is smooth.
+    error estimate is <= tol * max(1, |its value|).  Until all do, each pass
+    takes the first component that misses its target and bisects, in one
+    call of f, every panel whose error in it is at least the target divided
+    by the number of panels (Malcolm and Simpson's global rule).  Raises
+    QuadratureError if the evaluation budget runs out first, or as soon as
+    a component's estimate sits at its rounding floor above its target.
+    ``evaluations`` counts integrand nodes, each shared by all components.
+    Points listed in ``breakpoints`` (kinks, jumps) become initial panel
+    boundaries so each panel is smooth.
     """
     if not (a < b):
         raise QuadratureError(f"need a < b, got a={a}, b={b}")
@@ -203,11 +207,11 @@ def integrate(
         raise QuadratureError(f"tolerance must be positive, got {tol}")
 
     edges = [a, *sorted({p for p in breakpoints if a < p < b}), b]
-    # per component, a column of panel values, one of errors and one of
-    # their rounding floors
-    val_cols, err_cols, floor_cols, components = _gk15(f, edges)
-    evaluations = 15 * (len(edges) - 1)
-    heap = None
+    # panel i is (los[i], his[i]); per component, a column of panel values,
+    # one of errors and one of their rounding floors
+    los, his = edges[:-1], edges[1:]
+    val_cols, err_cols, floor_cols, components = _gk15(f, los, his)
+    evaluations = 15 * len(los)
     while True:
         total_val = list(map(math.fsum, val_cols))
         total_err = list(map(math.fsum, err_cols))
@@ -222,48 +226,42 @@ def integrate(
                 f"no convergence within {max_evals} evaluations: "
                 f"error estimate {error:.3e} > target {target:.3e}"
             )
-        if heap is None:
-            # panels by their largest component error, worst first; the
-            # columns become dicts by panel serial number, so that the sums
-            # run over plain floats (through value views, which follow them)
-            heap = [(-e, serial, lo, hi)
-                    for serial, (e, lo, hi) in enumerate(zip(map(max, zip(*err_cols)), edges, edges[1:]))]
-            heapq.heapify(heap)
-            serial = len(heap)
-            m = len(val_cols)
-            cols = [dict(enumerate(col)) for col in val_cols + err_cols + floor_cols]
-            val_cols, err_cols, floor_cols = (
-                [col.values() for col in cols[i : i + m]] for i in (0, m, 2 * m))
+        errs, floors = err_cols[j], floor_cols[j]
         # the summed floor, about 50 eps int |f|, does not shrink as panels
         # are bisected: once the worst panel sits at its floor and the floor
         # exceeds the target by at least the error above the floor, the
         # target is out of reach (QUADPACK's roundoff exit)
-        top = heap[0][1]
-        if cols[m + j][top] <= cols[2 * m + j][top]:
-            floor = math.fsum(floor_cols[j])
+        worst = errs.index(max(errs))
+        if errs[worst] <= floors[worst]:
+            floor = math.fsum(floors)
             if 2.0 * floor >= error + target:
                 raise QuadratureError(
                     f"error estimate {error:.3e} sits at its rounding floor {floor:.3e} "
                     f"(50 eps times the integral of |f|), above the target {target:.3e}: "
                     "the tolerance is below what double precision resolves"
                 )
-        _, worst, lo, hi = heapq.heappop(heap)
-        for col in cols:
-            del col[worst]
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            raise QuadratureError(
-                f"interval [{lo}, {hi}] cannot be subdivided further; "
-                "integrand is too singular for the requested tolerance"
-            )
-        v, e, fl, _ = _gk15(f, (lo, mid, hi))
-        left, right = map(max, zip(*e))
-        heapq.heappush(heap, (-left, serial, lo, mid))
-        heapq.heappush(heap, (-right, serial + 1, mid, hi))
-        for col, (left, right) in zip(cols, v + e + fl):
-            col[serial], col[serial + 1] = left, right
-        serial += 2
-        evaluations += 30
+        # the worst error is at least error / P > target / P, and rounding
+        # cannot lift the share above it: the worst panel is always split
+        share = target / len(errs)
+        split = [i for i, e in enumerate(errs) if e >= share]
+        lefts, rights = [los[i] for i in split], [his[i] for i in split]
+        mids = [0.5 * (lo + hi) for lo, hi in zip(lefts, rights)]
+        # each left half takes its parent's place, each right half is appended
+        for i, lo, mid, hi in zip(split, lefts, mids, rights):
+            if not lo < mid < hi:
+                raise QuadratureError(
+                    f"interval [{lo}, {hi}] cannot be subdivided further; "
+                    "integrand is too singular for the requested tolerance"
+                )
+            his[i] = mid
+        v, e, fl, _ = _gk15(f, lefts + mids, mids + rights)
+        los += mids
+        his += rights
+        for col, new in zip(val_cols + err_cols + floor_cols, v + e + fl):
+            for i, left in zip(split, new):
+                col[i] = left
+            col += new[len(split):]
+        evaluations += 30 * len(split)
     if components:
         return QuadResult(np.array(total_val), np.array(total_err), evaluations)
     return QuadResult(total_val[0], total_err[0], evaluations)

@@ -318,15 +318,15 @@ class TestTailPasses:
         (central_bound, PowerLogWell(c=30.0, p=-3.0, q=1.0, a=1.0, b=math.inf),
          OperatorSpec(3, 0, "one"), 2),  # bound-t43-power-log
         (central_bound, PowerLogWell(c=30.0, p=-3.0, q=1.0, a=3.0, b=math.inf),
-         OperatorSpec(3, 1, "zero"), 6),  # bound-t43-n1-power-log
+         OperatorSpec(3, 1, "zero"), 3),  # bound-t43-n1-power-log
     ], ids=["t41-power-log", "t43-power-log", "t43-n1-power-log"])
     def test_golden_tails_take_few_passes(self, bound, V, spec, most, monkeypatch):
         passes = []
         gk15 = quadrature._gk15
-        monkeypatch.setattr(quadrature, "_gk15", lambda f, edges: passes.append(edges) or gk15(f, edges))
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, hi: passes.append(lo) or gk15(f, lo, hi))
         assert math.isfinite(bound(V, spec).raw)
         assert len(passes) <= most
-        assert len(passes[0]) - 1 >= 5  # the dyadic panels are in the first pass
+        assert len(passes[0]) >= 5  # the dyadic panels are in the first pass
 
 
 class TestLmax:

@@ -3,6 +3,7 @@ from dataclasses import asdict
 
 import pytest
 
+from hardybounds import quadrature
 from hardybounds.bounds import OperatorSpec
 from hardybounds.cli import _jsonable
 from hardybounds.errors import DomainError
@@ -50,6 +51,19 @@ class TestIdentitySuite:
         rep = run_transform_identity(d_list=(1,), n_list=(0,), suite_size=1)
         case = rep.cases[0]
         assert case.original == pytest.approx(case.transformed, rel=1e-7)
+
+
+@pytest.mark.parametrize("suite, most", [(run_transform_identity, 1_800),
+                                          (run_hardy_positivity, 900)])
+def test_the_default_suites_take_few_quadrature_passes(suite, most, monkeypatch):
+    # each pass bisects every panel above its share of the target, so the
+    # smooth bumps of the suites need few passes: 3,324 and 1,620 when a
+    # pass bisected only the worst panel
+    passes = []
+    gk15 = quadrature._gk15
+    monkeypatch.setattr(quadrature, "_gk15", lambda *args: passes.append(args) or gk15(*args))
+    assert suite().passed
+    assert len(passes) <= most
 
 
 class TestExistence:

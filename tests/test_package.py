@@ -157,6 +157,16 @@ def test_one_driver_integrates_every_bound():
     assert found == dict.fromkeys(found, {"_flat_integral"})
 
 
+def test_quadrature_keeps_no_priority_queue():
+    """``integrate`` refines by one pass rule, every panel above its share of
+    the target, so it needs no worst-first heap."""
+    tree = dict(source_trees())["quadrature.py"]
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "heapq" not in imported | modules
+
+
 INF_SPELLINGS = {"math.inf", "np.inf", "inf", "float('inf')"}
 
 

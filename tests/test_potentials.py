@@ -220,9 +220,19 @@ class TestEffectiveRadial:
                 a, b, w = W.exterior()
                 assert (a, b) == (math.log(0.5), math.log(2.0))
                 assert W(np.array([a - 1.0, a, b, b + 1.0])).tolist() == [w] * 4
-        # at n = 0 W reads the coupling as exp(log L), which is not 3 for L = 3
-        assert channel_potential(V, OperatorSpec(4, 0, "one"), 1).exterior()[2] != 3.0
         assert transform_potential(ZeroPotential(), 2).exterior() == (0.0, 0.0, 0.0)
+
+    def test_one_step_adds_the_coupling_exactly(self):
+        # C(s) = 1 at one step, so W is L itself outside the well; read as
+        # exp(log L), L = 9 (d = 2, l = 3) came back 9.000000000000002
+        V = SquareWell(c=50.0, a=0.5, b=2.0)
+        outside = np.array([math.log(0.25), math.log(0.5), math.log(2.0), math.log(8.0)])
+        for d in range(2, 8):
+            for l in range(1, 300):
+                W = channel_potential(V, OperatorSpec(d, 0, "one"), l)
+                L = l * (l + d - 2)
+                assert W.exterior()[2] == L
+                assert W(outside).tolist() == [L] * 4
 
     def test_no_exterior_where_w_varies_outside_its_interval(self):
         V = SquareWell(c=50.0, a=0.5, b=2.0)

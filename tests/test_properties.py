@@ -13,7 +13,6 @@ monotonicity of the count in the depth of a well."""
 
 import bisect
 import dataclasses
-import heapq
 import math
 import sys
 import warnings
@@ -1035,8 +1034,10 @@ class TestCrossingsAndSupScan:
 
 def scalar_integrate(f, a, b, tol, breakpoints=()):
     """Reference: QUADPACK's QK15 on one panel and one node at a time, under
-    the worst-first heap and stopping rule of ``integrate``.  f is called on
-    one-element arrays.  Returns (value, evaluations)."""
+    the pass and stopping rules of ``integrate``: each pass bisects every
+    panel whose error is at least the target over the panel count, and
+    evaluates all left halves, then all right halves, in panel order.  f is
+    called on one-element arrays.  Returns (value, evaluations)."""
     count = 0
 
     def at(x):
@@ -1071,21 +1072,19 @@ def scalar_integrate(f, a, b, tol, breakpoints=()):
         return resk * h, max(err, 50.0 * _QUAD_EPS * resabs * abs(h))
 
     edges = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    heap = []
-    for serial, (lo, hi) in enumerate(zip(edges, edges[1:])):
-        v, e = gk15(lo, hi)
-        heapq.heappush(heap, (-e, serial, lo, hi, v, e))
-    serial = len(heap)
+    panels = [(lo, hi, *gk15(lo, hi)) for lo, hi in zip(edges, edges[1:])]
     while True:
-        total_val = math.fsum(item[4] for item in heap)
-        if math.fsum(item[5] for item in heap) <= tol * max(1.0, abs(total_val)):
+        total_val = math.fsum(item[2] for item in panels)
+        target = tol * max(1.0, abs(total_val))
+        if math.fsum(item[3] for item in panels) <= target:
             return total_val, count
-        _, _, lo, hi, _, _ = heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for lo, hi in ((lo, mid), (mid, hi)):
-            v, e = gk15(lo, hi)
-            heapq.heappush(heap, (-e, serial, lo, hi, v, e))
-            serial += 1
+        split = [i for i, item in enumerate(panels) if item[3] >= target / len(panels)]
+        ends = [panels[i][:2] for i in split]
+        halves = [(lo, 0.5 * (lo + hi)) for lo, hi in ends] + [(0.5 * (lo + hi), hi) for lo, hi in ends]
+        halves = [(lo, hi, *gk15(lo, hi)) for lo, hi in halves]
+        for i, left in zip(split, halves):
+            panels[i] = left
+        panels += halves[len(split):]
 
 
 def _smooth(alpha, omega, phi, mu, s):
@@ -1135,13 +1134,15 @@ def _stacked_case(parts, a, b, pts):
 def settled_edges(calls, a, b, breakpoints):
     """The panel edges an ``integrate`` run ended on, rebuilt from the node
     arrays of its integrand calls: the first call holds the initial panels,
-    and each later one the two halves of the panel it bisected, whose left
-    center lies inside that panel.  The midpoint is recomputed as
-    ``integrate`` computes it, so the edges are the run's own floats."""
+    and each later one the left halves of the panels it bisected, then their
+    right halves; each left center lies inside its parent.  The midpoint is
+    recomputed as ``integrate`` computes it, so the edges are the run's own
+    floats."""
     edges = [a, *sorted({p for p in breakpoints if a < p < b}), b]
     for x in calls[1:]:
-        i = bisect.bisect_right(edges, float(x[0, 0])) - 1
-        edges.insert(i + 1, 0.5 * (edges[i] + edges[i + 1]))
+        for center in x[: len(x) // 2, 0].tolist():
+            i = bisect.bisect_right(edges, center) - 1
+            edges.insert(i + 1, 0.5 * (edges[i] + edges[i + 1]))
     return edges
 
 
@@ -1169,10 +1170,10 @@ class TestBatchedQuadrature:
     @given(case=component_integrands(), tol=st.sampled_from([1e-6, 1e-9, 1e-12]))
     @example(case=_FINER_THAN_ALONE, tol=1e-12)
     def test_each_component_matches_the_scalar_rule(self, case, tol):
-        # the batched run bisects the panel of the largest error over all
-        # components, so a component may end on a finer partition than its
-        # scalar run would pick; on the partition it did end on, the scalar
-        # rule must stop at once with the same value
+        # the batched run bisects by the first component that misses its
+        # target, so another may end on a finer partition than its scalar
+        # run would pick; on the partition it did end on, the scalar rule
+        # must stop at once with the same value
         parts, stacked, a, b, pts = case
         calls = []
 
@@ -1236,8 +1237,8 @@ class TestBatchedQuadrature:
             out = np.stack([g(x) for g in parts], axis=-1)
             return out if components else out[..., 0]
 
-        vals, _, floors, stacked = _gk15(f, edges)
-        single = [_gk15(f, edges[i : i + 2]) for i in range(320)]
+        vals, _, floors, stacked = _gk15(f, edges[:-1], edges[1:])
+        single = [_gk15(f, edges[i : i + 1], edges[i + 1 : i + 2]) for i in range(320)]
         assert stacked == bool(components)
         assert np.array_equal(seen[0], np.vstack(seen[1:]))
         for got, want in ((vals, [s[0] for s in single]), (floors, [s[2] for s in single])):
