@@ -74,6 +74,7 @@ CSV_COLUMNS = (
     "L",
     "m",
     "quad_err",
+    "notes",
 )
 
 
@@ -217,6 +218,7 @@ def write_csv_rows(path: str, rows: list[dict]) -> None:
         flat["satisfied"] = str(bool(row.get("satisfied", False))).lower()
         cap = row.get("bound_cap")
         flat["bound_cap"] = "" if cap is None else cap
+        flat["notes"] = "; ".join(row.get("notes", ()))
         writer.writerow(flat)
     _atomic_write(path, buf.getvalue())
 

@@ -72,6 +72,12 @@ class Potential:
             return ()
         return (form.a,) if math.isinf(form.b) else (form.a, form.b)
 
+    def zeros(self) -> tuple[tuple[float, int], ...]:
+        """(r, side) for each r where V returns continuously to 0 from a
+        stretch where V < 0, which lies below r (side -1) or above it (+1).
+        Only the tabulated family lists them."""
+        return ()
+
     def sampled_range(self) -> Optional[tuple[float, float]]:
         """Interval of the samples of a tabulated V (None = defined for every
         r > 0).  Outside it V raises; the bounds take V as 0 there."""
@@ -216,10 +222,12 @@ class TabulatedPotential(Potential):
     family = "tabulated"
     r: tuple[float, ...]
     v: tuple[float, ...]
-    # the samples as ndarrays, and the breakpoints: the samples and V's zeros between them
+    # the samples as ndarrays, the breakpoints (the samples and V's zeros
+    # between them), and the zeros that end a negative stretch
     _rs: np.ndarray = field(init=False, repr=False, compare=False)
     _vs: np.ndarray = field(init=False, repr=False, compare=False)
     _breaks: tuple = field(init=False, repr=False, compare=False)
+    _zeros: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "r", tuple(float(x) for x in self.r))
@@ -237,6 +245,13 @@ class TabulatedPotential(Potential):
         object.__setattr__(self, "_rs", rs)
         object.__setattr__(self, "_vs", vs)
         object.__setattr__(self, "_breaks", tuple(np.insert(rs, cross + 1, zeros).tolist()))
+        # a sign change ends the negative stretch on the side of its negative
+        # sample; a zero sample ends one on each side with a negative neighbour
+        ends = [(z, -1 if vs[i] < 0.0 else 1) for i, z in zip(cross.tolist(), zeros.tolist())]
+        for i in np.flatnonzero(vs == 0.0).tolist():
+            ends += [(self.r[i], side) for side, j in ((-1, i - 1), (1, i + 1))
+                     if 0 <= j < len(vs) and vs[j] < 0.0]
+        object.__setattr__(self, "_zeros", tuple(sorted(ends)))
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         rs, vs = self._rs, self._vs
@@ -258,6 +273,9 @@ class TabulatedPotential(Potential):
 
     def breakpoints(self):
         return self._breaks
+
+    def zeros(self):
+        return self._zeros
 
     def sampled_range(self):
         return (self.r[0], self.r[-1])
@@ -572,6 +590,16 @@ class TransformedPotential:
             if math.isfinite(s := safe_iterated_log(x, self.steps)):
                 out.append(s)
         return out
+
+    def zeros(self) -> list[tuple[float, int]]:
+        """(s, side) for the image s of each of the base's ``zeros``, where W
+        returns continuously to 0 from the side where W < 0, unreachable ones
+        dropped: a tabulated base's zero samples and sign changes.  Empty with
+        a coupling, whose term moves the zeros."""
+        if self.coupling != 0.0:
+            return []
+        return [(s, side) for x, side in self.base.zeros()
+                if math.isfinite(s := safe_iterated_log(x, self.steps))]
 
     def exterior(self) -> Optional[tuple[float, float, float]]:
         """(a, b, w) with W exactly w outside the open interval (a, b) of s;

@@ -8,7 +8,13 @@ are interior, so integrable endpoint singularities need no special casing.
 Semi-infinite ranges use the rational substitution x = a + t/(1-t), with a
 dyadic start: t = 1/2, 3/4, 7/8 and 15/16 (x - a = 1, 3, 7, 15) are
 initial breakpoints, so the first pass already grades its panels toward
-x = infinity instead of bisecting its way there.
+x = infinity instead of bisecting its way there.  ``graded_breakpoints``
+makes such a start toward any point, the standard graded mesh for an
+algebraic endpoint singularity: the bounds grade toward the zeros of a
+tabulated V, where a d = 3 CLR integrand vanishes like dist^(3/2).
+
+No pass runs past ``max_evals``: a pass, the first included, whose nodes
+would take the count past it fails with QuadratureError instead.
 
 Integrands are array functions: ``f(x)`` receives an ndarray of nodes, one
 row of 15 per panel, and returns the values as an ndarray of the same shape
@@ -176,6 +182,17 @@ def _gk15(f, lo: Sequence[float], hi: Sequence[float]) -> tuple[list, list, list
     return (*split, True)
 
 
+def graded_breakpoints(a: float, z: float, levels: int) -> list[float]:
+    """The points m_1, ..., m_levels of m <- (m + z) / 2 from m_0 = a: the
+    panel ends that bisecting (a, z) toward z would make, each panel half as
+    wide as the one before it."""
+    out = []
+    for _ in range(levels):
+        a = 0.5 * (a + z)
+        out.append(a)
+    return out
+
+
 def integrate(
     f: Callable[[np.ndarray], np.ndarray],
     a: float,
@@ -193,8 +210,9 @@ def integrate(
     takes the first component that misses its target and bisects, in one
     call of f, every panel whose error in it is at least the target divided
     by the number of panels (Malcolm and Simpson's global rule).  Raises
-    QuadratureError if the evaluation budget runs out first, or as soon as
-    a component's estimate sits at its rounding floor above its target.
+    QuadratureError before any pass, the first included, whose nodes would
+    take ``evaluations`` past ``max_evals``, or as soon as a component's
+    estimate sits at its rounding floor above its target.
     ``evaluations`` counts integrand nodes, each shared by all components.
     Points listed in ``breakpoints`` (kinks, jumps) become initial panel
     boundaries so each panel is smooth.
@@ -210,6 +228,11 @@ def integrate(
     # panel i is (los[i], his[i]); per component, a column of panel values,
     # one of errors and one of their rounding floors
     los, his = edges[:-1], edges[1:]
+    if 15 * len(los) > max_evals:
+        raise QuadratureError(
+            f"no convergence within {max_evals} evaluations: "
+            f"the first pass needs {15 * len(los)}"
+        )
     val_cols, err_cols, floor_cols, components = _gk15(f, los, his)
     evaluations = 15 * len(los)
     while True:
@@ -221,12 +244,16 @@ def integrate(
                 break
         else:  # every component meets its target
             break
-        if evaluations >= max_evals:
+        errs, floors = err_cols[j], floor_cols[j]
+        # the worst error is at least error / P > target / P, and rounding
+        # cannot lift the share above it: the worst panel is always split
+        share = target / len(errs)
+        split = [i for i, e in enumerate(errs) if e >= share]
+        if evaluations + 30 * len(split) > max_evals:  # refuse a pass past the budget
             raise QuadratureError(
                 f"no convergence within {max_evals} evaluations: "
                 f"error estimate {error:.3e} > target {target:.3e}"
             )
-        errs, floors = err_cols[j], floor_cols[j]
         # the summed floor, about 50 eps int |f|, does not shrink as panels
         # are bisected: once the worst panel sits at its floor and the floor
         # exceeds the target by at least the error above the floor, the
@@ -240,10 +267,6 @@ def integrate(
                     f"(50 eps times the integral of |f|), above the target {target:.3e}: "
                     "the tolerance is below what double precision resolves"
                 )
-        # the worst error is at least error / P > target / P, and rounding
-        # cannot lift the share above it: the worst panel is always split
-        share = target / len(errs)
-        split = [i for i, e in enumerate(errs) if e >= share]
         lefts, rights = [los[i] for i in split], [his[i] for i in split]
         mids = [0.5 * (lo + hi) for lo, hi in zip(lefts, rights)]
         # each left half takes its parent's place, each right half is appended
@@ -300,7 +323,7 @@ def integrate_semiinfinite(
         return fx / (om2[..., None] if getattr(fx, "ndim", 0) == 3 else om2)
 
     # x - a = 1, 3, 7, 15: the first pass grades its panels toward x = infinity
-    mapped = [0.5, 0.75, 0.875, 0.9375]
+    mapped = graded_breakpoints(0.0, 1.0, 4)
     for p in breakpoints:
         if p > a and math.isfinite(p):
             u = p - a

@@ -84,17 +84,22 @@ def reconcile(want, got, path="", key=None) -> tuple[object, list]:
 
 def reconcile_csv(want, got) -> tuple[list, list]:
     """``reconcile`` for CSV rows, cell by cell, each cell keyed by its
-    column."""
-    if want[0] != got[0] or len(want) != len(got):
-        return got, [f"header or row count: {want[0]} / {len(want)} != {got[0]} / {len(got)}"]
-    rows, moved = [want[0]], []
+    column: a column added or removed moves only its own cells."""
+    if len(want) != len(got):
+        return got, [f"row count: {len(want)} != {len(got)}"]
+    head_w, head = want[0], got[0]
+    moved = [f"column {c}: added" for c in head if c not in head_w]
+    moved += [f"column {c}: removed" for c in head_w if c not in head]
+    rows = [head]
     for i, (rw, rg) in enumerate(zip(want[1:], got[1:]), 1):
-        if len(rw) != len(rg):
+        if len(rw) != len(head_w) or len(rg) != len(head):
             rows.append(rg)
             moved.append(f"row {i}: length {len(rw)} != {len(rg)}")
             continue
+        recorded = dict(zip(head_w, rw))
         row = []
-        for col, w, g in zip(want[0], rw, rg):
+        for col, g in zip(head, rg):
+            w = recorded.get(col, g)
             if close(col, w, g):
                 row.append(w)
             else:

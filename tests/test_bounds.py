@@ -310,7 +310,8 @@ class TestSlowTails:
 class TestTailPasses:
     """The semi-infinite map's dyadic start, x - a = 1, 3, 7, 15, grades the
     first pass toward x = infinity: the power-log tails of the bound goldens
-    need few bisection passes after it."""
+    need few bisection passes after it.  A d = 3 CLR bound grades its first
+    pass toward the zeros of a tabulated W in the same way."""
 
     @pytest.mark.parametrize("bound, V, spec, most", [
         (bound_1d, PowerLogWell(c=5.0, p=-3.0, q=1.0, a=1.0, b=math.inf),
@@ -327,6 +328,25 @@ class TestTailPasses:
         assert math.isfinite(bound(V, spec).raw)
         assert len(passes) <= most
         assert len(passes[0]) >= 5  # the dyadic panels are in the first pass
+
+    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("variant", ["zero", "one"])
+    def test_a_zero_ended_clr_well_takes_one_pass(self, n, variant, monkeypatch):
+        # at d = 3 the CLR integrand meets the last sample's zero like
+        # dist^(3/2); the first pass is graded toward it, where bisection
+        # passes used to go (8 passes before the grading)
+        t = np.linspace(0.0, 1.0, 320)
+        v = -(np.exp(-(((t - 0.5) / 0.2) ** 2)) + 0.05 + 0.1 * np.sin(37.0 * t) ** 2)
+        v[0] = v[-1] = 0.0
+        V = TabulatedPotential(r=tuple(np.geomspace(0.5, 1e8, 320).tolist()), v=tuple(v.tolist()))
+        spec = OperatorSpec(3, n, variant, threshold_depth=n + 2)
+        passes = []
+        gk15 = quadrature._gk15
+        monkeypatch.setattr(quadrature, "_gk15", lambda f, lo, hi: passes.append(lo) or gk15(f, lo, hi))
+        bound = clr_bound(V, spec)
+        assert len(passes) == 1
+        want = clr_x_integral(V, spec, 1e-10) * DEFAULT_CLR_CONSTANTS.get(3) * sphere_area(3)
+        assert bound.raw == pytest.approx(want, rel=1e-9)
 
 
 class TestLmax:

@@ -433,6 +433,22 @@ class TestSweepCommand:
         assert [row["params"] for row in rows] == [
             json.dumps({"a": 1.0, "b": 2.0, "c": c}) for c in (1, 2)]
 
+    def test_csv_rows_carry_the_notes(self, tmp_path, capsys):
+        # a d = 5 t42 bound uses the placeholder C_5, and its row says so
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"sweep": {
+            "theorem": "t42", "family": "square_well", "base_params": {"a": 20.0, "b": 30.0},
+            "vary": "c", "values": [1], "d": 5, "n": 0, "variant": "one",
+            "m": 500, "doublings": 0,
+        }}))
+        csv_path = tmp_path / "rows.csv"
+        code = main(["sweep", "--config", str(cfg_path), "--csv", str(csv_path)])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        with open(csv_path, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        assert "C_5 = 0.1156 is a placeholder" in row["notes"]
+
     @pytest.mark.parametrize("argv", [
         ["bound", "--theorem", "t41", "--potential", "square_well:c=1,a=1,b=2"],
         ["count", "--theorem", "t41", "--potential", "square_well:c=1,a=1,b=2"],

@@ -248,6 +248,22 @@ class TestEffectiveRadial:
         assert W.kinks([4.0, 128.0]) == pytest.approx(
             [0.0, math.log(4.0), math.log(math.sqrt(2.0))], rel=1e-15)
 
+    def test_zeros_end_the_negative_stretches_of_w(self):
+        # zero samples at 0.5 (negative above), 2 (both sides) and 5 (above);
+        # a sign change at 3.5 (negative below); 5 is 0 between 1 and -2
+        V = TabulatedPotential(r=(0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                               v=(0.0, -1.0, 0.0, -1.0, 1.0, 0.0, -2.0))
+        want = [(0.5, 1), (2.0, -1), (2.0, 1), (3.5, -1), (5.0, 1)]
+        assert V.zeros() == tuple(want)
+        assert transform_potential(V, 1).zeros() == [(math.log(r), side) for r, side in want]
+        # ln 0.5 < 0 has no second log: that zero is dropped; the images equal the kinks
+        W = transform_potential(V, 2)
+        assert len(W.zeros()) == 4 and {s for s, _ in W.zeros()} <= set(W.kinks())
+        assert TransformedPotential(V, 1, coupling=2.0).zeros() == []
+        for other in (SquareWell(c=1.0, a=1.0, b=2.0), ZeroPotential(),
+                      PowerLogWell(c=1.0, p=-3.0, q=1.0, a=1.0, b=math.inf)):
+            assert transform_potential(other, 1).zeros() == []
+
     def test_negative_interval_is_clipped_to_the_threshold(self):
         W = transform_potential(SquareWell(c=2.0, a=0.5, b=4.0), 2)
         assert W.negative_interval(math.e) == (0.0, math.log(math.log(4.0)))

@@ -1361,7 +1361,9 @@ def clr_cases(draw):
 
     The tabulated samples are <= 0: where a positive sample interval crosses
     the improvement term, clr_bound misses the kink
-    (``tests/test_bounds.py::TestClrBound::test_tabulated_crossing_of_the_improvement_term``)."""
+    (``tests/test_bounds.py::TestClrBound::test_tabulated_crossing_of_the_improvement_term``).
+    Some of them are 0, so that W returns to 0 inside the span, where the
+    first pass is graded at d = 3."""
     d, n = draw(st.integers(3, 5)), draw(st.integers(0, 1))
     spec = OperatorSpec(d, n, draw(st.sampled_from(["zero", "one"])), threshold_depth=n + 2)
     th = spec.threshold.value
@@ -1377,7 +1379,8 @@ def clr_cases(draw):
     elif family == "tabulated":
         k = draw(st.integers(3, 20))
         r = np.geomspace(a, b, k)
-        V = TabulatedPotential(r=tuple(r.tolist()), v=tuple(draw(_pos(-2.0, 0.0)) for _ in range(k)))
+        sample = st.one_of(st.just(0.0), _pos(-2.0, 0.0))
+        V = TabulatedPotential(r=tuple(r.tolist()), v=tuple(draw(sample) for _ in range(k)))
     else:
         V = ZeroPotential()
     # a horizon 1e-3 or more above the threshold: in s the ends of the range

@@ -6,6 +6,7 @@ import scipy.integrate
 
 from hardybounds.quadrature import (
     QuadratureError,
+    graded_breakpoints,
     integrate,
     integrate_semiinfinite,
 )
@@ -40,6 +41,22 @@ class TestIntegrate:
         # 1/x near 0 is not integrable
         with pytest.raises(QuadratureError):
             integrate(lambda x: 1.0 / x, 0.0, 1.0, tol=1e-10, max_evals=20_000)
+
+    def test_no_pass_runs_past_the_budget(self):
+        # a pass can split many panels at once: it must be refused whole, not
+        # run past max_evals (unbudgeted, this integral takes 3,825 nodes)
+        f = lambda x: np.sin(40 * x) ** 2 + np.exp(x)
+        full = integrate(f, 0.0, 10.0, tol=1e-12)
+        for m in range(100, 2986, 15):
+            try:
+                res = integrate(f, 0.0, 10.0, tol=1e-12, max_evals=m)
+            except QuadratureError as exc:
+                assert f"no convergence within {m} evaluations" in str(exc)
+            else:
+                assert res.evaluations <= m, (m, res.evaluations)
+        assert integrate(f, 0.0, 10.0, tol=1e-12, max_evals=full.evaluations) == full
+        with pytest.raises(QuadratureError, match="the first pass needs 45"):
+            integrate(f, 0.0, 10.0, max_evals=44, breakpoints=[1.0, 2.0])
 
     def test_breakpoints_resolve_jumps(self):
         step = lambda x: np.where(x < 0.3, 1.0, -2.0)
@@ -80,6 +97,10 @@ class TestIntegrate:
 
 
 class TestSemiInfinite:
+    def test_the_dyadic_start_is_the_graded_points_toward_one(self):
+        assert graded_breakpoints(0.0, 1.0, 4) == [0.5, 0.75, 0.875, 0.9375]
+        assert graded_breakpoints(2.0, 3.0, 2) == [2.5, 2.75]
+
     def test_exponential(self):
         res = integrate_semiinfinite(lambda x: np.exp(-x), 0.0, tol=1e-10)
         assert res.value == pytest.approx(1.0, rel=1e-10)
