@@ -228,13 +228,12 @@ def integrate(
     # panel i is (los[i], his[i]); per component, a column of panel values,
     # one of errors and one of their rounding floors
     los, his = edges[:-1], edges[1:]
-    if 15 * len(los) > max_evals:
+    evaluations = 15 * len(los)
+    if evaluations > max_evals:
         raise QuadratureError(
-            f"no convergence within {max_evals} evaluations: "
-            f"the first pass needs {15 * len(los)}"
+            f"no convergence within {max_evals} evaluations: the first pass needs {evaluations}"
         )
     val_cols, err_cols, floor_cols, components = _gk15(f, los, his)
-    evaluations = 15 * len(los)
     while True:
         total_val = list(map(math.fsum, val_cols))
         total_err = list(map(math.fsum, err_cols))
@@ -249,7 +248,7 @@ def integrate(
         # cannot lift the share above it: the worst panel is always split
         share = target / len(errs)
         split = [i for i, e in enumerate(errs) if e >= share]
-        if evaluations + 30 * len(split) > max_evals:  # refuse a pass past the budget
+        if evaluations + 30 * len(split) > max_evals:
             raise QuadratureError(
                 f"no convergence within {max_evals} evaluations: "
                 f"error estimate {error:.3e} > target {target:.3e}"
