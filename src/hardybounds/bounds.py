@@ -211,11 +211,14 @@ class BoundValue:
         return cls.build(math.inf, QuadDiagnostics(warnings=warnings, notes=(note,)))
 
 
-# Panels of the first pass per zero of W that ``_flat_integral`` grades toward.
-# Where a d = 3 CLR integrand meets a zero of a tabulated V it behaves like
-# dist^(3/2), so each bisection of the end panel cuts QK15's error only
-# 2^2.5-fold.  Over bound-quad seeds 1-40, the 120 clr tabulated slots took
-# 6-9 passes ungraded; at 6 levels 96 of them take one pass, at 8 all 120.
+# Panels of the first pass per zero of W that ``clr_bound`` grades toward.
+# On variant "zero" a d = 3 CLR integrand vanishes like dist^(3/2) at a zero
+# of a tabulated V's W, so each bisection of the end panel cuts QK15's error
+# only 2^2.5-fold.  On variant "one" it vanishes where W = -1/(4 s^2), just on
+# W's negative side of the zero; grading toward W's zero approximates that
+# crossing, which on the measured wells lies within the graded panels.  Over
+# bound-quad seeds 1-40, the 120 clr tabulated slots took 6-9 passes
+# ungraded; at 6 levels 96 of them take one pass, at 8 all 120.
 _GRADING_LEVELS = 8
 
 
@@ -234,7 +237,7 @@ def _graded(zeros, lo: float, hi: float, kinks) -> list[float]:
     return out
 
 
-def _flat_integral(W, integrand, lo: float, hi: float, kinks, tol: float, zeros=()):
+def _flat_integral(W, integrand, lo: float, hi: float, kinks, tol: float):
     """int_lo^hi f(s) ds for f = integrand(w), w the reader of
     W = transform(V, n + 1): the value, its error estimate, the integrand
     nodes and the notes.  An empty span (hi <= lo) is 0 with no nodes.
@@ -243,17 +246,11 @@ def _flat_integral(W, integrand, lo: float, hi: float, kinks, tol: float, zeros=
     images of its samples: w is W where (lo, hi) stays inside them, else W
     extended by 0, and a note says which.  Any other V is read as W.  Panels
     break at ``kinks``; an end at s = -inf is mirrored onto +inf, and a line
-    with both ends infinite is split at 0.
-
-    The first pass is graded toward each of ``zeros``, pairs (z, side) from
-    ``W.zeros()``: its panels halve toward z on the side where W < 0,
-    ``_GRADING_LEVELS`` times, as bisection passes would have halved them.
-    An integrand that vanishes like a power of dist there then converges in
-    one pass instead of bisecting its way to z."""
+    with both ends infinite is split at 0.  A caller grades the first pass
+    toward a point by adding ``graded_breakpoints`` to ``kinks``, as
+    ``clr_bound`` does."""
     if hi <= lo:
         return 0.0, 0.0, 0, []
-    if zeros:
-        kinks = [*kinks, *_graded(zeros, lo, hi, kinks)]
     w, ends, notes = W, W._ends, []  # the images of the samples' ends, or None
     if ends is not None and ends[0] <= lo and hi <= ends[1]:
         notes.append("tabulated potential: integral restricted to the sampled range")
@@ -482,10 +479,14 @@ def clr_bound(
     is at most that of V = 0.  For d >= 4 the improvement term is positive,
     and the span widens to (1, inf) on variant "zero" and to
     (e, max(end, s*)) on variant "one".  ``_flat_integral`` reads a tabulated
-    V as 0 outside its samples.  At d = 3 the improvement term is 0 or
-    negative, and the integrand meets each zero of a tabulated V's W like
-    dist^(3/2): the first pass is graded toward those zeros (``W.zeros()``),
-    so it converges without bisecting its way to them.
+    V as 0 outside its samples.  At d = 3 the improvement term is 0 on
+    variant "zero", and the integrand meets each zero of a tabulated V's W
+    like dist^(3/2); on variant "one" it is -1/(4 s^2), and the integrand
+    vanishes where W = -1/(4 s^2), just on W's negative side of that zero.
+    The first pass is graded toward W's zeros (``W.zeros()``), on variant
+    "one" as an approximation of the crossing, which on the measured wells
+    lies within the graded panels; so it converges without bisecting its
+    way to them.
     """
     _require_operator("t42", spec)
 
@@ -524,8 +525,10 @@ def clr_bound(
                 return checked_pow(g, d / 2.0) * x ** (d - 1)
         return f
 
-    zeros = W.zeros() if coeff == 0.0 else ()  # d = 3: grade toward W's zeros
-    value, error, evals, sampled = _flat_integral(W, integrand, lo, hi, W.kinks(), tol, zeros)
+    kinks = W.kinks()
+    if coeff == 0.0:  # d = 3: grade the first pass toward W's zeros
+        kinks = [*kinks, *_graded(W.zeros(), lo, hi, kinks)]
+    value, error, evals, sampled = _flat_integral(W, integrand, lo, hi, kinks, tol)
     notes += sampled
     if d in constants.placeholders:
         notes.append(

@@ -10,8 +10,9 @@ dyadic start: t = 1/2, 3/4, 7/8 and 15/16 (x - a = 1, 3, 7, 15) are
 initial breakpoints, so the first pass already grades its panels toward
 x = infinity instead of bisecting its way there.  ``graded_breakpoints``
 makes such a start toward any point, the standard graded mesh for an
-algebraic endpoint singularity: the bounds grade toward the zeros of a
-tabulated V, where a d = 3 CLR integrand vanishes like dist^(3/2).
+algebraic endpoint singularity: a d = 3 CLR bound grades toward the zeros
+of a tabulated V's W, where its variant-zero integrand vanishes like
+dist^(3/2) (its variant-one integrand vanishes just beside them).
 
 No pass runs past ``max_evals``: a pass, the first included, whose nodes
 would take the count past it fails with QuadratureError instead.

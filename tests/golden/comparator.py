@@ -84,12 +84,12 @@ def reconcile(want, got, path="", key=None) -> tuple[object, list]:
 
 def reconcile_csv(want, got) -> tuple[list, list]:
     """``reconcile`` for CSV rows, cell by cell, each cell keyed by its
-    column: a column added or removed moves only its own cells."""
+    column. Any change to the header, its order included, is reported;
+    the cells of the columns both headers hold are still compared."""
     if len(want) != len(got):
         return got, [f"row count: {len(want)} != {len(got)}"]
     head_w, head = want[0], got[0]
-    moved = [f"column {c}: added" for c in head if c not in head_w]
-    moved += [f"column {c}: removed" for c in head_w if c not in head]
+    moved = [f"header: {head_w} != {head}"] if head_w != head else []
     rows = [head]
     for i, (rw, rg) in enumerate(zip(want[1:], got[1:]), 1):
         if len(rw) != len(head_w) or len(rg) != len(head):
