@@ -52,7 +52,6 @@ from .potentials import (
     _transformed_form,
     check_bounded_below_weighted,
     checked_pow,
-    negative_part_abs,
     transform_potential,
 )
 from .quadrature import graded_breakpoints, integrate, integrate_semiinfinite
@@ -116,6 +115,8 @@ class BoundConstants:
 
 DEFAULT_CLR_CONSTANTS = BoundConstants()
 
+BOUND_TOL = 1e-10  # quadrature tolerance of every bound when none is given
+
 #: theorem -> (least d, largest d, threshold depth less n).
 #: t41: the line and half-line; t42: CLR-type, with threshold depth n + 2;
 #: t43: partial waves.
@@ -158,7 +159,7 @@ def theorem_bound(
     V: Potential,
     spec: OperatorSpec,
     constants: BoundConstants = DEFAULT_CLR_CONSTANTS,
-    tol: float = 1e-10,
+    tol: float = BOUND_TOL,
 ) -> BoundValue:
     """The bound of ``theorem`` for V on ``spec``; only t42 reads ``constants``.
 
@@ -329,7 +330,7 @@ def _tail_prologue(
     return warnings, None if why is None else BoundValue.vacuous(why, warnings)
 
 
-def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue:
+def bound_1d(V: Potential, spec: OperatorSpec, tol: float = BOUND_TOL) -> BoundValue:
     """Weighted bound for the 1-d iterated-log Hardy operator.
 
     Variant "zero" (threshold exp^(n) 0) carries an additive 1; variant "one"
@@ -348,17 +349,13 @@ def bound_1d(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue
     return BoundValue.build(base + value, diag)
 
 
-# a zoom pass samples its bracket at these fractions, shrinking it 128-fold;
-# scaling them is about four times cheaper than a call of np.linspace
-_ZOOM = np.linspace(0.0, 1.0, 257)
-
-
 def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
     """Largest l >= 0 whose effective radial potential still dips negative on
     the domain, i.e. the largest l with l(l+d-2) < sup r^2 (-V(r))_+.
 
     None when the supremum is 0 (every channel bound is then 0).  An infinite
-    supremum (every channel dips negative) raises EvaluationError.
+    supremum (every channel dips negative) raises EvaluationError, and so
+    does a V without a closed-form sup: l_max is exact or refused.
     """
     if d < 2:
         raise DomainError(f"l_max needs d >= 2, got {d}")
@@ -376,9 +373,10 @@ def l_max(V: Potential, d: int, domain: DomainThreshold) -> Optional[int]:
 
 
 def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
-    """sup over (threshold, inf) of r^2 max(-V(r), 0): V's closed form
-    (``Potential.sup_r2_negative_part``) on its clipped negative support,
-    else a sampled zoom (heuristic for wild potentials)."""
+    """sup over (threshold, inf) of r^2 max(-V(r), 0): V's own
+    ``sup_r2_negative_part`` on its negative support clipped to the
+    threshold.  EvaluationError for a V that has none: a family without a
+    power-log form must provide it, as the tabulated family does."""
     ns = V.negative_support()
     if ns is None:
         return 0.0
@@ -386,36 +384,15 @@ def _sup_r2_negative_part(V: Potential, threshold: float) -> float:
     hi = ns[1]
     if hi <= lo:
         return 0.0
-    exact = V.sup_r2_negative_part(lo, hi)
-    return _zoomed_sup(V, lo, hi) if exact is None else exact
+    S = V.sup_r2_negative_part(lo, hi)
+    if S is None:
+        raise EvaluationError(
+            f"sup r^2 |V_-| of {V.family} over ({lo:g}, {hi:g}) has no closed form: "
+            "a potential without a power-log form must provide sup_r2_negative_part")
+    return S
 
 
-def _zoomed_sup(V: Potential, lo: float, hi: float) -> float:
-    """sup over (lo, hi) of r^2 max(-V(r), 0) by log-spaced sampling, then
-    repeated resampling around the largest sample; hi = inf is an error."""
-    if math.isinf(hi):
-        raise EvaluationError(f"sup r^2 |V_-| of {V.family} over ({lo:g}, inf) has no "
-                              "closed form, and a sampled sup would cut the tail")
-
-    def g(r: np.ndarray) -> np.ndarray:
-        return r * r * negative_part_abs(V, r)
-
-    xs = np.geomspace(max(lo, 1e-12) * (1 + 1e-12), hi * (1 - 1e-12), 10_000)
-    vals = g(xs)
-    best = -math.inf
-    # zoom: resample the two cells around the sampled maximum until the
-    # bracket is 1e-13 wide relative to its left end
-    while True:
-        i = int(np.argmax(vals))
-        best = max(best, float(vals[i]))
-        a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
-        if b - a <= 1e-13 * max(1.0, abs(a)):
-            return best
-        xs = a + (b - a) * _ZOOM
-        vals = g(xs)
-
-
-def central_bound(V: Potential, spec: OperatorSpec, tol: float = 1e-10) -> BoundValue:
+def central_bound(V: Potential, spec: OperatorSpec, tol: float = BOUND_TOL) -> BoundValue:
     """Partial-wave bound for a central potential:
 
         sum_{l=0}^{l_max} D(d,l) * ([1 +] I_l),
@@ -452,7 +429,7 @@ def clr_bound(
     V: Potential,
     spec: OperatorSpec,
     constants: BoundConstants = DEFAULT_CLR_CONSTANTS,
-    tol: float = 1e-10,
+    tol: float = BOUND_TOL,
     horizon: Optional[float] = None,
 ) -> BoundValue:
     """CLR-type bound for d >= 3 with central V, radialized to one dimension.

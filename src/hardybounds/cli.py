@@ -29,6 +29,7 @@ from typing import Optional
 from .errors import DomainError, DepthCapError, EvaluationError
 from .iterfun import DEPTH_CAP, VARIANTS
 from .bounds import (
+    BOUND_TOL,
     DEFAULT_CLR_CONSTANTS,
     THEOREMS,
     BoundConstants,
@@ -38,7 +39,6 @@ from .bounds import (
 )
 from .harness import (
     MAX_EXISTENCE_WINDOW,
-    SWEEP_TOL,
     TRANSFORM_TOL,
     SweepSpec,
     default_sweeps,
@@ -86,8 +86,6 @@ class ConfigError(ValueError):
 #: object may also set
 SETTINGS = ("theorem", "d", "n", "variant", "L", "m", "doublings")
 
-
-BOUND_TOL = 1e-8  # quadrature tolerance of ``bound`` when none is given
 
 #: the suites of ``verify``, which also takes ``all``
 SUITES = ("hardy", "transform", "bounds", "existence", "convergence")
@@ -450,7 +448,7 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, dict]:
     except (TypeError, DomainError) as exc:
         raise ConfigError(f"bad sweep specification: {exc}") from exc
     if cfg.tol is None:
-        cfg.tol = SWEEP_TOL
+        cfg.tol = BOUND_TOL
     rows = run_bound_sweep(sweep, cfg.theorem, spec, cfg.L, cfg.m, cfg.doublings,
                            constants=_bound_constants(cfg, spec), tol=cfg.tol)
     dicts = [asdict(r) for r in rows]
@@ -468,8 +466,7 @@ def show_defaults() -> None:
     cfg = RunConfig()
     rows = {key: getattr(cfg, key) for key in ("d", "n", "variant", "L", "m", "doublings")}
     rows.update({f"C_{d}": c for d, c in cfg.constants.items()})
-    rows.update(bound_tol=BOUND_TOL, sweep_tol=SWEEP_TOL,
-                verify_transform_tol=TRANSFORM_TOL,
+    rows.update(bound_tol=BOUND_TOL, verify_transform_tol=TRANSFORM_TOL,
                 existence_max_window=MAX_EXISTENCE_WINDOW,
                 transform_depth_cap=DEPTH_CAP)
     print("default settings:")

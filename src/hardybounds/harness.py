@@ -13,6 +13,7 @@ from typing import Optional
 
 from .errors import DomainError
 from .bounds import (
+    BOUND_TOL,
     BoundConstants,
     DEFAULT_CLR_CONSTANTS,
     OperatorSpec,
@@ -39,7 +40,6 @@ from .testfunctions import bump_suite
 
 #: Window escalation ceiling for existence checks.
 MAX_EXISTENCE_WINDOW = 320.0
-SWEEP_TOL = 1e-10  # quadrature tolerance of a bound sweep when none is given
 TRANSFORM_TOL = 1e-6  # tolerance of the transform-identity suite when none is given
 
 
@@ -258,7 +258,7 @@ def run_bound_sweep(
     m: int,
     doublings: int,
     constants: BoundConstants = DEFAULT_CLR_CONSTANTS,
-    tol: float = SWEEP_TOL,
+    tol: float = BOUND_TOL,
 ) -> list[ExperimentRow]:
     """One row per ladder value: the bound of ``theorem`` on ``spec`` against
     the discrete count at the finest refinement of window L and grid m.

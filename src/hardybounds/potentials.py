@@ -56,14 +56,16 @@ class Potential:
         return call_on_array(self.evaluate_array, r)
 
     def support(self) -> Optional[tuple[float, float]]:
-        """Interval outside which the potential vanishes (None = empty)."""
+        """Interval outside which the potential vanishes (None = empty).  A V
+        without a form may be nonzero anywhere: (0, inf) unless overridden."""
         form = self.power_log_form()
-        return None if form is None else (form.a, form.b)
+        return (0.0, math.inf) if form is None else (form.a, form.b)
 
     def negative_support(self) -> Optional[tuple[float, float]]:
-        """Interval containing {r : V(r) < 0} (None = V >= 0 everywhere)."""
+        """Interval containing {r : V(r) < 0} (None = V >= 0 everywhere):
+        the support, unless the form is a barrier."""
         form = self.power_log_form()
-        return (form.a, form.b) if form is not None and form.c > 0.0 else None
+        return None if form is not None and form.c <= 0.0 else self.support()
 
     def breakpoints(self) -> tuple[float, ...]:
         """Points where the potential or its negative part jumps or kinks."""
@@ -90,7 +92,9 @@ class Potential:
 
     def sup_r2_negative_part(self, lo: float, hi: float) -> Optional[float]:
         """sup over (lo, hi) of r^2 max(-V(r), 0) in closed form, for
-        lo < hi inside the negative support; None when V has no closed form.
+        lo < hi inside the negative support; None when V has no closed form,
+        which ``bounds.l_max`` refuses: a family without a power-log form
+        overrides this method, as the tabulated one does.
 
         For a power-log form it is c r^(p+2) (ln r)^q at its maximiser: c b^2
         for a square well, c for an inverse-square tail."""
@@ -120,6 +124,9 @@ class ZeroPotential(Potential):
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
         return np.zeros(r.shape)
+
+    def support(self):
+        return None
 
 
 @dataclass(frozen=True)

@@ -296,7 +296,8 @@ def _cross_run(run, shift: float, d: float, pivot_sub: float) -> tuple[int, floa
     mirror = c_minus_1 + c_plus_1 < 0.0
     if mirror:
         delta, c_minus_1 = -delta, -c_plus_1
-    if c_minus_1 >= 0.0:  # c = cosh(theta)
+    # c = cosh(theta); also c - 1 = -5e-324, whose half rounds to -0.0 (c = 1)
+    if 0.5 * c_minus_1 >= 0.0:
         theta = 2.0 * math.asinh(math.sqrt(0.5 * c_minus_1))
         if theta == 0.0:
             tau_prev, tau = (k - 1) / k, k / (k + 1)
@@ -547,33 +548,23 @@ def total_central_count(
     m: int = DEFAULT_M,
     doublings: int = 0,
 ) -> tuple[int, list[dict]]:
-    """Degeneracy-weighted sum of channel counts for a central potential.
-
-    Channels are scanned upward; the sum stops at the first channel with a
-    zero count beyond l_max (channels above l_max have non-negative potential
-    after the transform, hence exactly zero count).
+    """Degeneracy-weighted sum of channel counts for a central potential,
+    over the channels l = 0 .. l_max that ``central_bound`` sums (none when
+    l_max is None).  Above an exact l_max every channel potential is >= 0
+    and counts 0; ``l_max`` refuses a V whose sup it cannot give exactly.
     """
     if spec.d < 2:
         raise DomainError("total_central_count needs d >= 2")
     lm = l_max(V, spec.d, spec.threshold)
-    lm_eff = -1 if lm is None else lm
     total = 0
     table = []
-    l = 0
-    while True:
+    for l in range(0 if lm is None else lm + 1):
         res = count_negative(spec, V, l=l, L=L, m=m, doublings=doublings)
         D = degeneracy(spec.d, l)
         total += D * res.negative_count
         table.append(
             {"l": l, "degeneracy": D, "count": res.negative_count, "trail": res.trail}
         )
-        if res.negative_count == 0 and l > lm_eff:
-            break
-        l += 1
-        if l > lm_eff + 64:
-            raise EvaluationError(
-                f"channel scan did not terminate by l = {l}; l_max = {lm_eff}"
-            )
     return total, table
 
 

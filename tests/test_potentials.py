@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from hardybounds.bounds import OperatorSpec
-from hardybounds.errors import DomainError
+from hardybounds.bounds import OperatorSpec, bound_1d, l_max
+from hardybounds.errors import DomainError, EvaluationError
 from hardybounds.iterfun import iterated_exp, safe_iterated_log
 from hardybounds.potentials import (
     BoundedBelowCheck,
     InverseSquareTail,
+    Potential,
     PowerLogWell,
     SquareWell,
     TabulatedPotential,
@@ -21,7 +22,7 @@ from hardybounds.potentials import (
     negative_part_abs,
     transform_potential,
 )
-from hardybounds.spectra import channel_potential
+from hardybounds.spectra import channel_potential, count_negative, total_central_count
 
 
 class TestEvaluation:
@@ -194,12 +195,62 @@ class TestTransform:
                 for s in W.kinks():
                     assert math.isfinite(W(s))
 
+    def test_tower_values_past_e700_are_formed_in_logs(self):
+        # at two steps W(s) = (ln y)^2 y^2 V(y) with y = exp^(2) s; at y = 1e150
+        # it passes e^700, so the whole array is formed in logs
+        V = TabulatedPotential(r=(2.0, 1e100, 1e200), v=(1.0, 2.0, 3.0))
+        s = np.array([safe_iterated_log(1e50, 2), safe_iterated_log(1e150, 2)])
+        got = transform_potential(V, 2)(s)
+        assert got[0] == pytest.approx(math.log(1e50) ** 2 * 1e100, rel=1e-12)  # 1.3255e104
+        assert got[1] == 1e300  # the positive wall
+        negated = TabulatedPotential(r=V.r, v=tuple(-v for v in V.v))
+        with pytest.raises(OverflowError, match="exceeds the double range"):
+            transform_potential(negated, 2)(s)
+
     def test_tabulated_outside_the_end_images_raises(self):
         V = TabulatedPotential(r=(2.0, 3.0), v=(-1.0, -2.0))
         W = transform_potential(V, 2)
         for s in (safe_iterated_log(1.999, 2), safe_iterated_log(3.001, 2)):
             with pytest.raises(DomainError, match="tabulated potential defined on"):
                 W(s)
+
+
+class Formless(Potential):
+    """V = -50 on (1, 2), given only by its formula."""
+
+    family = "formless"
+
+    def evaluate_array(self, r):
+        return np.where((1.0 < r) & (r < 2.0), -50.0, 0.0)
+
+
+class TestFormlessSubclass:
+    """A subclass that implements only ``evaluate_array`` may be negative
+    anywhere, and is read so, not as V = 0."""
+
+    def test_supports_cover_every_r(self):
+        assert Formless().support() == Formless().negative_support() == (0.0, math.inf)
+        assert ZeroPotential().support() is None
+        assert ZeroPotential().negative_support() is None
+
+    def test_line_bound_is_vacuous(self):
+        bv = bound_1d(Formless(), OperatorSpec(1, 0, "one"))
+        assert bv.raw == math.inf
+        assert bv.diagnostics.warnings == ("hypothesis not met at depth n = 0: undecided, "
+                                           "the negative tail has no power-log form",)
+        assert bv.diagnostics.notes == (
+            "potential with unbounded negative support; tail decay unknown",)
+
+    def test_line_count_reads_the_well(self):
+        spec = OperatorSpec(1, 0, "one")
+        well = count_negative(spec, SquareWell(c=50.0, a=1.0, b=2.0)).negative_count
+        assert count_negative(spec, Formless()).negative_count == well == 2
+
+    def test_central_count_is_refused(self):
+        with pytest.raises(EvaluationError, match="must provide sup_r2_negative_part"):
+            l_max(Formless(), 3, OperatorSpec(3, 0, "one").threshold)
+        with pytest.raises(EvaluationError, match="must provide sup_r2_negative_part"):
+            total_central_count(OperatorSpec(3, 0, "one"), Formless(), m=200)
 
 
 class TestEffectiveRadial:
