@@ -115,7 +115,7 @@ class BoundConstants:
 
 DEFAULT_CLR_CONSTANTS = BoundConstants()
 
-BOUND_TOL = 1e-10  # quadrature tolerance of every bound when none is given
+BOUND_TOL = 1e-10  # quadrature tolerance of a bound, and of ``sweep``, when none is given
 
 #: theorem -> (least d, largest d, threshold depth less n).
 #: t41: the line and half-line; t42: CLR-type, with threshold depth n + 2;

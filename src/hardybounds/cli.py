@@ -87,6 +87,8 @@ class ConfigError(ValueError):
 SETTINGS = ("theorem", "d", "n", "variant", "L", "m", "doublings")
 
 
+BOUND_CMD_TOL = 1e-8  # ``bound``'s tolerance when none is given, until a cap allows for rounding
+
 #: the suites of ``verify``, which also takes ``all``
 SUITES = ("hardy", "transform", "bounds", "existence", "convergence")
 
@@ -309,7 +311,7 @@ def cmd_bound(cfg: RunConfig) -> tuple[int, dict]:
     V = _potential_from_config(cfg)
     spec = _operator_for(cfg)
     if cfg.tol is None:
-        cfg.tol = BOUND_TOL
+        cfg.tol = BOUND_CMD_TOL
     bv = theorem_bound(cfg.theorem, V, spec, constants=_bound_constants(cfg, spec), tol=cfg.tol)
     print(f"theorem    : {cfg.theorem}")
     print(f"operator   : d={spec.d} n={spec.n} variant={spec.variant} "
@@ -466,7 +468,8 @@ def show_defaults() -> None:
     cfg = RunConfig()
     rows = {key: getattr(cfg, key) for key in ("d", "n", "variant", "L", "m", "doublings")}
     rows.update({f"C_{d}": c for d, c in cfg.constants.items()})
-    rows.update(bound_tol=BOUND_TOL, verify_transform_tol=TRANSFORM_TOL,
+    rows.update(bound_tol=BOUND_CMD_TOL, sweep_tol=BOUND_TOL,
+                verify_transform_tol=TRANSFORM_TOL,
                 existence_max_window=MAX_EXISTENCE_WINDOW,
                 transform_depth_cap=DEPTH_CAP)
     print("default settings:")
