@@ -318,6 +318,8 @@ def cmd_bound(cfg: RunConfig) -> tuple[int, dict]:
           f"threshold={spec.threshold.value:.9g}")
     print(f"potential  : {describe_potential(V)}")
     raw = "inf" if math.isinf(bv.raw) else f"{bv.raw:.12g}"
+    if bv.integer_cap is not None and math.floor(float(raw)) != bv.integer_cap:
+        raw = repr(bv.raw)  # 12 digits would round past the integer that caps it
     cap = "none (vacuous)" if bv.integer_cap is None else str(bv.integer_cap)
     print(f"bound raw  : {raw}")
     print(f"bound cap  : {cap}")

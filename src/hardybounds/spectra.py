@@ -18,8 +18,12 @@ either side as at most ``_MIN_RUN`` rows and a count, so a count's work
 follows the rows of the well, not the grid size m.  The Sturm pass crosses
 each run of equal rows in one closed-form step (Chebyshev polynomials of the
 second kind give the run's pivots); it steps the other rows one at a time.
-The lowest eigenvalues are found by bisection on the same count, with
-brackets shared between the requested eigenvalues.
+The lowest eigenvalues are found on the same count: each lies in a bracket
+[lo, hi] with count(lo) < j <= count(hi), shared between the requested
+eigenvalues and moved only by counts.  A bracket is bisected until it holds
+one eigenvalue, and then probed at the Illinois false-position point of the
+twisted pivot at the first row of the free run that ends the matrix, whose
+zero is that eigenvalue; a matrix without such a run is bisected throughout.
 """
 
 from __future__ import annotations
@@ -237,9 +241,10 @@ def _first_failure(W, pts: np.ndarray, start: int, exc: Exception) -> str:
     return f"potential evaluation failed on the grid: {exc}"
 
 
-def _sturm_count(pieces, shift: float, pivot_sub: float) -> tuple[int, bool]:
+def _sturm_count(pieces, shift: float, pivot_sub: float) -> tuple[int, bool, float]:
     """Negative pivots of the shifted LDL^T factorization = eigenvalues < shift,
-    and whether an exact zero pivot occurred.
+    whether an exact zero pivot occurred, and the pivot of the row just
+    before the last run (inf when there is no run).
 
     ``pieces`` come from ``_sturm_inputs``: each is a plain stretch of
     (diagonal, squared coupling to the row before) pairs, stepped one row at
@@ -251,6 +256,7 @@ def _sturm_count(pieces, shift: float, pivot_sub: float) -> tuple[int, bool]:
     count = 0
     zero_pivot = False
     d = math.inf  # before the first row, so that its pivot is diag[0] - shift
+    before_run = math.inf
     for diag, off_sq, run in pieces:
         for a, e2 in zip(diag, off_sq):
             d = (a - shift) - e2 / d
@@ -261,6 +267,7 @@ def _sturm_count(pieces, shift: float, pivot_sub: float) -> tuple[int, bool]:
                 count += 1
         if run is None:
             continue
+        before_run = d
         negatives, d = _cross_run(run, shift, d, pivot_sub)
         count += negatives
         if d == 0.0:
@@ -268,7 +275,7 @@ def _sturm_count(pieces, shift: float, pivot_sub: float) -> tuple[int, bool]:
             zero_pivot = True
         if d < 0.0:
             count += 1
-    return count, zero_pivot
+    return count, zero_pivot, before_run
 
 
 def _cross_run(run, shift: float, d: float, pivot_sub: float) -> tuple[int, float]:
@@ -406,10 +413,10 @@ def inertia_negative_count(
     the same recurrence.
     """
     pieces, sub = T._sturm
-    up, zero_pivot = _sturm_count(pieces, shift, sub)
+    up, zero_pivot, _ = _sturm_count(pieces, shift, sub)
     if not zero_pivot:
         return up
-    down, _ = _sturm_count(pieces, shift, -sub)
+    down, _, _ = _sturm_count(pieces, shift, -sub)
     if up == down:
         return up
     return (min(up, down), max(up, down))
@@ -421,32 +428,69 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> li
     Sturm count, closed once hi - lo <= tol or once no double lies strictly
     between lo and hi (ulps are wider than tol = 1e-10 from magnitude 2^19).
 
-    All k brackets start at the Gershgorin interval and are bisected, and
-    every counted midpoint narrows each of them, so eigenvalue j + 1 starts
-    from what the search for j has found.
+    All k brackets start at the Gershgorin interval, and every counted probe
+    narrows each of them, so eigenvalue j + 1 starts from what the search
+    for j has found.  A bracket is bisected until it holds eigenvalue j
+    alone (count(lo) = j - 1, count(hi) = j).  From then on a probe is the
+    Illinois false-position point (Dowell and Jarratt, BIT 11, 1971) of the
+    twisted pivot gamma(x) = 1/[(T - x)^-1]_rr at the first row r of the run
+    of equal rows that ends the matrix: gamma falls between its poles, with
+    a simple zero at each eigenvalue whose eigenvector is nonzero at r, as a
+    state bound below the run's level is.  That point is taken where
+    gamma(lo) > 0 > gamma(hi), both finite, moved to at least tol/4 inside
+    the bracket, so that an end within tol/4 of the eigenvalue closes the
+    bracket at the next probe; else the midpoint is.  The count alone moves
+    a bracket, so gamma steers the search but never decides it.  A matrix
+    with no such run is bisected throughout.
     """
     if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= T.size:
         raise DomainError(f"need an integer 1 <= k <= {T.size}, got {k!r}")
     pieces, sub = T._sturm
+    # the run of equal rows that ends the matrix, at whose first row gamma is taken
+    tail = pieces[-2][2] if len(pieces) > 1 and not pieces[-1][0] else None
     # Bracket ends of eigenvalue j at index j - 1: the Gershgorin interval,
     # widened past the rounding of d -/+ radius and of the Sturm count, so
-    # that count(lo) = 0 and count(hi) = T.size.
+    # that count(lo) = 0 and count(hi) = T.size.  The counts and gamma at
+    # the ends are kept with them; gamma is NaN at an end not probed.
     low, high = T._gershgorin
     slack = 8.0 * sys.float_info.epsilon * T.norm_inf()
     lo = [max(low - slack, -sys.float_info.max)] * k
     hi = [min(high + slack, sys.float_info.max)] * k
+    count_lo, count_hi = [0] * k, [T.size] * k
+    gamma_lo, gamma_hi = [math.nan] * k, [math.nan] * k
 
     out = []
     for i in range(k):
+        kept = 0  # the end that the last false-position step left in place
         while hi[i] - lo[i] > tol and math.nextafter(lo[i], hi[i]) < hi[i]:
-            x = 0.5 * lo[i] + 0.5 * hi[i]
-            count = _sturm_count(pieces, x, sub)[0]
+            a, b, ga, gb = lo[i], hi[i], gamma_lo[i], gamma_hi[i]
+            x = 0.5 * a + 0.5 * b
+            secant = False
+            isolated = count_lo[i] == i and count_hi[i] == i + 1
+            if isolated and 0.0 < ga < math.inf and -math.inf < gb < 0.0:
+                y = min(max(a + (b - a) * (ga / (ga - gb)), a + 0.25 * tol), b - 0.25 * tol)
+                secant = a < y < b
+                if secant:
+                    x = y
+            count, _, d = _sturm_count(pieces, x, sub)
+            gamma = math.nan
+            if tail is not None:  # the run's pivot from its Dirichlet end, less e^2/d
+                gamma = _cross_run(tail, x, math.inf, sub)[1] - tail[1] * tail[1] / d
             for j in range(i, k):
                 if lo[j] < x < hi[j]:
                     if count > j:
-                        hi[j] = x
+                        hi[j], count_hi[j], gamma_hi[j] = x, count, gamma
                     else:
-                        lo[j] = x
+                        lo[j], count_lo[j], gamma_lo[j] = x, count, gamma
+            # Illinois: an end left in place by two false-position steps in
+            # a row has its gamma halved
+            keep = -1 if count > i else 1
+            if secant and keep == kept:
+                if keep < 0:
+                    gamma_lo[i] *= 0.5
+                else:
+                    gamma_hi[i] *= 0.5
+            kept = keep if secant else 0
         out.append(0.5 * lo[i] + 0.5 * hi[i])
     return sorted(out)  # brackets of eigenvalues closer than tol may overlap
 

@@ -98,6 +98,17 @@ class TestBoundCommand:
         assert payload["bound_raw"] == pytest.approx(2 * math.log(2) - 0.75, rel=1e-9)
         assert payload["bound_cap"] == 0
 
+    def test_raw_that_12_digits_would_round_past_its_cap_prints_in_full(self, capsys):
+        # the exact bound is 10, and the quadrature reads 9.999999999999998
+        # at 1e-10: 12 digits would print 10 next to cap 9
+        code = main([
+            "bound", "--theorem", "t41", "--d", "1", "--n", "0", "--variant", "one",
+            "--potential", "power_log_well:c=5,p=-3,q=1,a=1,b=inf", "--tol", "1e-10",
+        ])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "bound raw  : 9.999999999999998\nbound cap  : 9\n" in out
+
     @pytest.mark.parametrize("d, potential, raw", [
         # r* = exp^(3)(sqrt 8) passes the double range
         pytest.param(5, "zero", "bound raw  : 5.99905753148\n", id="d5-zero"),

@@ -283,9 +283,30 @@ class TestLowestEigenvalues:
 
         monkeypatch.setattr(spectra, "_sturm_count", counted)
         got = lowest_eigenvalues(T, 2)
-        # about 47 bisections each when the second search starts afresh
-        assert 0 < len(passes) <= 90
+        # 29: bisection isolates each eigenvalue, and false position on the
+        # tail's twisted pivot closes its bracket (88 by bisection alone)
+        assert 0 < len(passes) <= 40
         assert got == pytest.approx(np.linalg.eigvalsh(T.dense())[:2], abs=1e-9)
+
+    def test_a_matrix_without_a_tail_run_is_bisected(self, monkeypatch):
+        # W varies on every row, so no run of equal rows ends the matrix and
+        # the search has no twisted pivot to step on
+        T = assemble(lambda s: -2.0 / np.cosh(s) ** 2 + 0.01 * s, Grid(-10.0, 10.0, 400))
+        pieces, _ = spectra._sturm_inputs(T)
+        assert [run for _, _, run in pieces] == [None]
+        passes = []
+
+        def counted(pieces, shift, sub, _count=spectra._sturm_count):
+            passes.append(shift)
+            return _count(pieces, shift, sub)
+
+        monkeypatch.setattr(spectra, "_sturm_count", counted)
+        tol = 1e-10
+        got = lowest_eigenvalues(T, 3, tol)
+        ref = np.linalg.eigvalsh(T.dense())[:3]
+        assert np.all(np.abs(np.array(got) - ref) <= tol + 64 * np.finfo(float).eps * T.norm_inf())
+        # each probe is a midpoint, which halves a bracket of doubles
+        assert len(passes) <= 3 * 64
 
     @pytest.mark.parametrize("snippet", [
         "lowest_eigenvalues(TridiagonalOperator(np.array([-1e6, 2e6]), np.array([0.0])), 1)",
