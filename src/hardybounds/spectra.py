@@ -461,17 +461,15 @@ def lowest_eigenvalues(T: TridiagonalOperator, k: int, tol: float = 1e-10) -> li
 
     out = []
     for i in range(k):
-        kept = 0  # the end that the last false-position step left in place
+        kept = 0  # the end the last false-position step left in place: -1 lo, 1 hi
         while hi[i] - lo[i] > tol and math.nextafter(lo[i], hi[i]) < hi[i]:
             a, b, ga, gb = lo[i], hi[i], gamma_lo[i], gamma_hi[i]
-            x = 0.5 * a + 0.5 * b
-            secant = False
+            y = math.nan
             isolated = count_lo[i] == i and count_hi[i] == i + 1
             if isolated and 0.0 < ga < math.inf and -math.inf < gb < 0.0:
                 y = min(max(a + (b - a) * (ga / (ga - gb)), a + 0.25 * tol), b - 0.25 * tol)
-                secant = a < y < b
-                if secant:
-                    x = y
+            secant = a < y < b
+            x = y if secant else 0.5 * a + 0.5 * b
             count, _, d = _sturm_count(pieces, x, sub)
             gamma = math.nan
             if tail is not None:  # the run's pivot from its Dirichlet end, less e^2/d

@@ -1,6 +1,7 @@
 """Property tests: the single-pass Sturm count, and its closed-form step
 across runs of equal rows, against dense eigenvalues and against the
-two-pass reference; the potentials, the transformed potentials
+two-pass reference; the eigenvalue search on assembled wells against dense
+eigenvalues and the count at its bracket ends; the potentials, the transformed potentials
 and the log weights against scalar reference formulas kept here; each
 family's power-log form against its potential; the array
 bisection of the channel crossings against the scalar one; the l_max sup
