@@ -23,8 +23,9 @@ integrals are int |W_-| |s| ds; the CLR integrals are
 on the variant "zero" and "one" domains.  They reach every depth whose
 threshold is a double, past the counts' cap DEPTH_CAP = 3 on the transform
 steps.  Each bound gives its integrand and span to one driver,
-``_flat_integral``, which owns the quadrature, the infinite ends, and the
-reading of a tabulated V as 0 outside its samples.
+``_flat_integral``, which owns the quadrature and the infinite ends.  A
+tabulated V is 0 outside its samples in V itself, so its W is integrated as
+any other.
 
 Bounds are real numbers; comparisons against integer counts use floor(raw).
 A bound whose integrand has a non-integrable tail is reported as +inf with
@@ -238,33 +239,17 @@ def _graded(zeros, lo: float, hi: float, kinks) -> list[float]:
     return out
 
 
-def _flat_integral(W, integrand, lo: float, hi: float, kinks, tol: float):
-    """int_lo^hi f(s) ds for f = integrand(w), w the reader of
-    W = transform(V, n + 1): the value, its error estimate, the integrand
-    nodes and the notes.  An empty span (hi <= lo) is 0 with no nodes.
+def _flat_integral(f, lo: float, hi: float, kinks, tol: float):
+    """int_lo^hi f(s) ds for an integrand f of s: the value, its error
+    estimate and the integrand nodes.  An empty span (hi <= lo) is 0 with no
+    nodes.
 
-    The one quadrature of the bounds.  A tabulated V is read as 0 outside the
-    images of its samples: w is W where (lo, hi) stays inside them, else W
-    extended by 0, and a note says which.  Any other V is read as W.  Panels
-    break at ``kinks``; an end at s = -inf is mirrored onto +inf, and a line
-    with both ends infinite is split at 0.  A caller grades the first pass
-    toward a point by adding ``graded_breakpoints`` to ``kinks``, as
-    ``clr_bound`` does."""
+    The one quadrature of the bounds.  Panels break at ``kinks``; an end at
+    s = -inf is mirrored onto +inf, and a line with both ends infinite is
+    split at 0.  A caller grades the first pass toward a point by adding
+    ``graded_breakpoints`` to ``kinks``, as ``clr_bound`` does."""
     if hi <= lo:
-        return 0.0, 0.0, 0, []
-    w, ends, notes = W, W._ends, []  # the images of the samples' ends, or None
-    if ends is not None and ends[0] <= lo and hi <= ends[1]:
-        notes.append("tabulated potential: integral restricted to the sampled range")
-    elif ends is not None:
-        notes.append("tabulated potential: taken as 0 outside the sampled range")
-
-        def w(s: np.ndarray) -> np.ndarray:
-            out = np.zeros(s.shape)
-            inside = (ends[0] <= s) & (s <= ends[1])
-            out[inside] = W(s[inside])
-            return out
-
-    f = integrand(w)
+        return 0.0, 0.0, 0
     if math.isfinite(lo) and math.isfinite(hi):
         quads = [integrate(f, lo, hi, tol=tol, breakpoints=kinks)]
     else:
@@ -276,15 +261,15 @@ def _flat_integral(W, integrand, lo: float, hi: float, kinks, tol: float):
             quads.append(integrate_semiinfinite(
                 lambda t: f(-t), -start, tol=tol, breakpoints=[-p for p in kinks]))
     return (sum(q.value for q in quads), sum(q.error_estimate for q in quads),
-            sum(q.evaluations for q in quads), notes)
+            sum(q.evaluations for q in quads))
 
 
 def _channel_integrals(
     V: Potential, couplings: list[float], n: int, threshold: float, tol: float
-) -> tuple[list[float], list[float], int, list[str]]:
+) -> tuple[list[float], list[float], int]:
     """I_l = int |(W_0(s) + L_l C(s))_-| |s| ds for the couplings
     L_0 = 0 < L_1 < ... (I_0 is the integral of |W_0-| |s|): the integrals,
-    their error estimates, the integrand nodes and the notes.
+    their error estimates and the integrand nodes.
 
     W_0 = transform(V, n + 1) and C(s) = exp(2 (s + e^s + ... + exp^(n-1) s)),
     the transform of 1/r^2 from the same helper: W_0 + L_l C(s) is the
@@ -299,24 +284,20 @@ def _channel_integrals(
     m, k = len(couplings), n + 1
     W = transform_potential(V, k)
     lo, hi = W.negative_interval(threshold)
-    shifts = np.array(couplings) if m > 1 else None
+    shifts = np.array(couplings)
 
-    def integrand(w):
+    def f(s: np.ndarray) -> np.ndarray:
         if m == 1:  # a plain integrand
-            return lambda s: np.maximum(-w(s), 0.0) * np.abs(s)
+            return np.maximum(-W(s), 0.0) * np.abs(s)
+        # channel l in column l; where L C overflows, the channel's integrand is 0
+        with np.errstate(over="ignore"):
+            g = -W(s)[..., None] - shifts * _transformed_form(s, k, -1.0, -2.0, 0.0)[..., None]
+        return np.maximum(g, 0.0) * np.abs(s)[..., None]
 
-        def f(s: np.ndarray) -> np.ndarray:
-            # channel l in column l; where L C overflows, the channel's integrand is 0
-            with np.errstate(over="ignore"):
-                g = -w(s)[..., None] - shifts * _transformed_form(s, k, -1.0, -2.0, 0.0)[..., None]
-            return np.maximum(g, 0.0) * np.abs(s)[..., None]
-        return f
-
-    value, error, evals, notes = _flat_integral(
-        W, integrand, lo, hi, [*W.kinks(couplings[1:]), 0.0], tol)
+    value, error, evals = _flat_integral(f, lo, hi, [*W.kinks(couplings[1:]), 0.0], tol)
     if m == 1 or not evals:  # one component, or an empty span
-        return [value] * m, [error] * m, evals, notes
-    return value.tolist(), error.tolist(), evals, notes
+        return [value] * m, [error] * m, evals
+    return value.tolist(), error.tolist(), evals
 
 
 def _tail_prologue(
@@ -341,11 +322,9 @@ def bound_1d(V: Potential, spec: OperatorSpec, tol: float = BOUND_TOL) -> BoundV
     warnings, vacuous = _tail_prologue(V, spec)
     if vacuous is not None:
         return vacuous
-    (value,), (err,), evals, notes = _channel_integrals(
-        V, [0.0], spec.n, spec.threshold.value, tol
-    )
+    (value,), (err,), evals = _channel_integrals(V, [0.0], spec.n, spec.threshold.value, tol)
     base = 1.0 if spec.variant == "zero" else 0.0
-    diag = QuadDiagnostics(err, evals, warnings, tuple(notes))
+    diag = QuadDiagnostics(err, evals, warnings)
     return BoundValue.build(base + value, diag)
 
 
@@ -411,7 +390,7 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = BOUND_TOL) -> B
         return BoundValue.build(0.0, QuadDiagnostics(warnings=warnings))
 
     base = 1.0 if spec.variant == "zero" else 0.0
-    values, errors, evals, notes = _channel_integrals(
+    values, errors, evals = _channel_integrals(
         V, [float(l * (l + spec.d - 2)) for l in range(lm + 1)], spec.n, spec.threshold.value, tol
     )
     channels = []
@@ -421,7 +400,7 @@ def central_bound(V: Potential, spec: OperatorSpec, tol: float = BOUND_TOL) -> B
         channels.append(ChannelTerm(l, D, value, error))
         total += D * (base + value)
         err += D * error
-    diag = QuadDiagnostics(err, evals, warnings, tuple(notes))
+    diag = QuadDiagnostics(err, evals, warnings)
     return BoundValue.build(total, diag, tuple(channels))
 
 
@@ -455,8 +434,8 @@ def clr_bound(
     The span is the image of V's negative support, past which the integrand
     is at most that of V = 0.  For d >= 4 the improvement term is positive,
     and the span widens to (1, inf) on variant "zero" and to
-    (e, max(end, s*)) on variant "one".  ``_flat_integral`` reads a tabulated
-    V as 0 outside its samples.  At d = 3 the improvement term is 0 on
+    (e, max(end, s*)) on variant "one"; there a tabulated V is 0 outside its
+    samples, as V itself defines it.  At d = 3 the improvement term is 0 on
     variant "zero", and the integrand meets each zero of a tabulated V's W
     like dist^(3/2); on variant "one" it is -1/(4 s^2), and the integrand
     vanishes where W = -1/(4 s^2), just on W's negative side of that zero.
@@ -489,24 +468,21 @@ def clr_bound(
                      + (" (true value is +inf)" if math.isinf(hi) else ""))
         hi = cut
 
-    def integrand(w):
-        def f(s: np.ndarray) -> np.ndarray:
-            if spec.variant == "zero":
-                x, num = s, coeff
-            else:
-                u = np.log(s)
-                x, num = s * u, coeff - u * u
-            g = np.maximum(num / (4.0 * x * x) - w(s), 0.0)
-            # the power raises OverflowError as float ** does; the product overflows to inf
-            with np.errstate(over="ignore"):
-                return checked_pow(g, d / 2.0) * x ** (d - 1)
-        return f
+    def f(s: np.ndarray) -> np.ndarray:
+        if spec.variant == "zero":
+            x, num = s, coeff
+        else:
+            u = np.log(s)
+            x, num = s * u, coeff - u * u
+        g = np.maximum(num / (4.0 * x * x) - W(s), 0.0)
+        # the power raises OverflowError as float ** does; the product overflows to inf
+        with np.errstate(over="ignore"):
+            return checked_pow(g, d / 2.0) * x ** (d - 1)
 
     kinks = W.kinks()
     if coeff == 0.0:  # d = 3: grade the first pass toward W's zeros
         kinks = [*kinks, *_graded(W.zeros(), lo, hi, kinks)]
-    value, error, evals, sampled = _flat_integral(W, integrand, lo, hi, kinks, tol)
-    notes += sampled
+    value, error, evals = _flat_integral(f, lo, hi, kinks, tol)
     if d in constants.placeholders:
         notes.append(
             f"C_{d} = {Cd:g} is a placeholder, not a literature value; "

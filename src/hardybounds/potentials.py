@@ -56,8 +56,9 @@ class Potential:
         return call_on_array(self.evaluate_array, r)
 
     def support(self) -> Optional[tuple[float, float]]:
-        """Interval outside which the potential vanishes (None = empty).  A V
-        without a form may be nonzero anywhere: (0, inf) unless overridden."""
+        """Interval outside which the potential vanishes (None = empty); every
+        family, the tabulated one too, is 0 at its ends.  A V without a form
+        may be nonzero anywhere: (0, inf) unless overridden."""
         form = self.power_log_form()
         return (0.0, math.inf) if form is None else (form.a, form.b)
 
@@ -79,11 +80,6 @@ class Potential:
         stretch where V < 0, which lies below r (side -1) or above it (+1).
         Only the tabulated family lists them."""
         return ()
-
-    def sampled_range(self) -> Optional[tuple[float, float]]:
-        """Interval of the samples of a tabulated V (None = defined for every
-        r > 0).  Outside it V raises; the bounds take V as 0 there."""
-        return None
 
     def power_log_form(self) -> Optional[PowerLogForm]:
         """(c, p, q, a, b) when V = -c r^p (ln r)^q on (a, b) and 0 elsewhere;
@@ -219,12 +215,14 @@ class PowerLogWell(Potential):
 
 @dataclass(frozen=True)
 class TabulatedPotential(Potential):
-    """Sample points with linear interpolation; evaluation outside the sampled
-    range is a domain error.
+    """Sample points with linear interpolation between them, and 0 at and
+    outside the end samples, as every family is 0 outside its support; r <= 0
+    is a domain error.
 
-    On the sample interval [r_i, r_(i+1)] that holds r, V(r) is numpy's
-    ``interp``: slope_i (r - r_i) + v_i with slope_i = (v_(i+1) - v_i) /
-    (r_(i+1) - r_i), and v_(-1) at the last sample."""
+    Strictly between the end samples, on the sample interval [r_i, r_(i+1)]
+    that holds r, V(r) is numpy's ``interp``: slope_i (r - r_i) + v_i with
+    slope_i = (v_(i+1) - v_i) / (r_(i+1) - r_i).  The end values v_0 and v_N
+    are V's limits from inside, which ``sup_r2_negative_part`` reads."""
 
     family = "tabulated"
     r: tuple[float, ...]
@@ -261,14 +259,9 @@ class TabulatedPotential(Potential):
         object.__setattr__(self, "_zeros", tuple(sorted(ends)))
 
     def evaluate_array(self, r: np.ndarray) -> np.ndarray:
-        rs, vs = self._rs, self._vs
-        outside = (r < rs[0]) | (r > rs[-1])
-        if np.count_nonzero(outside):
-            raise DomainError(
-                f"tabulated potential defined on [{self.r[0]}, {self.r[-1]}], "
-                f"got r={float(r[outside][0])}"
-            )
-        return np.interp(r, rs, vs)
+        _require_positive(r, "tabulated potential")
+        rs = self._rs
+        return np.where((rs[0] < r) & (r < rs[-1]), np.interp(r, rs, self._vs), 0.0)
 
     def support(self):
         return (self.r[0], self.r[-1])
@@ -284,12 +277,10 @@ class TabulatedPotential(Potential):
     def zeros(self):
         return self._zeros
 
-    def sampled_range(self):
-        return (self.r[0], self.r[-1])
-
     def sup_r2_negative_part(self, lo, hi):
         """The largest value over the ends, the samples and the turning point
-        of each sample interval."""
+        of each sample interval, read on the interpolant, so that the end
+        samples count with their values."""
         # V = alpha + beta r on a sample interval: r^2 (-V) turns at -2 alpha / (3 beta)
         rs, vs = self._rs, self._vs
         beta = np.diff(vs) / np.diff(rs)
@@ -297,7 +288,7 @@ class TabulatedPotential(Potential):
             turn = -2.0 * (vs[:-1] - beta * rs[:-1]) / (3.0 * beta)
         xs = np.concatenate(([lo, hi], rs, turn))
         xs = xs[(lo <= xs) & (xs <= hi)]
-        return float(np.max(xs * xs * negative_part_abs(self, xs)))
+        return float(np.max(xs * xs * np.maximum(-np.interp(xs, rs, vs), 0.0)))
 
     def params(self):
         return {"r": list(self.r), "v": list(self.v)}
@@ -372,10 +363,11 @@ def _tabulated_crossings(L: float, V: "TabulatedPotential") -> list[float]:
     """The r inside the samples where L/r^2 + V(r) changes sign.
 
     On a sample interval V is linear with slope beta, so L/r^2 + V is convex
-    with at most two zeros, one on each side of its minimum (2L/beta)^(1/3)."""
+    with at most two zeros, one on each side of its minimum (2L/beta)^(1/3).
+    V is read on the interpolant, whose end values are its limits there."""
 
     def g(r: np.ndarray) -> np.ndarray:
-        return L / (r * r) + V.evaluate_array(r)
+        return L / (r * r) + np.interp(r, V._rs, V._vs)
 
     r0, r1 = V._rs[:-1], V._rs[1:]
     beta = np.diff(V._vs) / (r1 - r0)
@@ -546,31 +538,26 @@ class TransformedPotential:
     form, and the coupling term (the form (-coupling, -2, 0) on (0, inf)),
     are transformed in log space; any other base is read on the tower
     exp^(steps) s inside its mapped support, and raises OverflowError where
-    the tower leaves the double range.  A float s gives a float.  The bounds
-    and the counts read V's geometry in s off ``negative_interval``, ``kinks``
-    and ``exterior``, and map none of it themselves.
+    the tower leaves the double range.  A tabulated base is 0 at and outside
+    its end samples, so W is 0 outside their images, as for any other base.
+    A float s gives a float.  The bounds and the counts read V's geometry in
+    s off ``negative_interval``, ``kinks`` and ``exterior``, and map none of
+    it themselves.
     """
 
     base: Potential
     steps: int
     coupling: float = 0.0
-    # set at construction: the base's support mapped into s (None if empty),
-    # and the images of the end samples of a sampled base (None for any other)
+    # set at construction: the base's support mapped into s (None if empty)
     _window: Optional[tuple[float, float]] = field(init=False, repr=False, compare=False)
-    _ends: Optional[tuple[float, float]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.steps, int) or self.steps < 1:
             raise DomainError(f"steps must be a positive integer, got {self.steps!r}")
-        k, ends = self.steps, self.base.sampled_range()
-        # no zero extension of a sampled base: outside its samples the value is undefined
-        window = (-math.inf, math.inf) if ends is not None else self.base.support()
-        if ends is not None:
-            ends = (safe_iterated_log(ends[0], k), safe_iterated_log(ends[1], k))
-        elif window is not None:  # inf maps to inf
+        k, window = self.steps, self.base.support()
+        if window is not None:  # inf maps to inf
             window = (safe_iterated_log(window[0], k), safe_iterated_log(window[1], k))
         object.__setattr__(self, "_window", window)
-        object.__setattr__(self, "_ends", ends)
 
     def __call__(self, s):
         """W(s) for a float, or elementwise for an ndarray of s."""
@@ -610,9 +597,9 @@ class TransformedPotential:
 
     def exterior(self) -> Optional[tuple[float, float, float]]:
         """(a, b, w) with W exactly w outside the open interval (a, b) of s;
-        None on a sampled base, and with a coupling past one step.  w is the
-        coupling L, which W adds as it is at one step (0.0 without one)."""
-        if self._ends is not None or (self.coupling != 0.0 and self.steps > 1):
+        None with a coupling past one step.  w is the coupling L, which W adds
+        as it is at one step (0.0 without one)."""
+        if self.coupling != 0.0 and self.steps > 1:
             return None
         a, b = self._window or (0.0, 0.0)
         return a, b, float(self.coupling)
@@ -625,8 +612,6 @@ class TransformedPotential:
         return out
 
     def _base_array(self, s: np.ndarray) -> np.ndarray:
-        if self._ends is not None:  # the window of a sampled base is the line
-            return self._tower_array(s)
         out = np.zeros(s.shape)
         if self._window is None:
             return out
@@ -640,17 +625,12 @@ class TransformedPotential:
 
     def _tower_array(self, s: np.ndarray) -> np.ndarray:
         """The base read on the tower exp^(steps) s, times the Jacobian."""
-        V = self.base
         with np.errstate(over="ignore"):
             expo, y = _exp_tower(s, self.steps)
         tower_over = np.isinf(y)
         if np.count_nonzero(tower_over):
             raise _overflow_error(s.flat[np.argmax(tower_over)])
-        if self._ends is not None:
-            # at the image of an end sample the tower can round just past it
-            on = (self._ends[0] <= s) & (s <= self._ends[1])
-            y = np.where(on, np.clip(y, *V.sampled_range()), y)
-        v = V.evaluate_array(y)
+        v = self.base.evaluate_array(y)
         # v e^expo at once where no value can pass e^700, else in log space
         big = math.log(max(np.max(np.abs(v), initial=0.0), 1.0))
         if np.max(expo, initial=-math.inf) + big <= _EXP_MAX:

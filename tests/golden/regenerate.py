@@ -39,10 +39,9 @@ MASK = "<masked>"
 
 # a tabulated well, -30 r^-2.5 on [1.2, 6] with ramps to 0 on either side:
 # sup r^2 |V_-| = 27.4 gives l_max = 4 in d = 3, so the central bound splits
-# its channels at the crossings of l(l+1)/r^2 + V; the samples reach past
-# every count window used below
-_TAB_R = [0.5, *np.linspace(1.2, 6.0, 9).tolist(), 6.5, 1e8]
-_TAB_V = [0.0, *(-30.0 * np.linspace(1.2, 6.0, 9) ** -2.5).tolist(), 0.0, 0.0]
+# its channels at the crossings of l(l+1)/r^2 + V
+_TAB_R = [0.5, *np.linspace(1.2, 6.0, 9).tolist(), 6.5]
+_TAB_V = [0.0, *(-30.0 * np.linspace(1.2, 6.0, 9) ** -2.5).tolist(), 0.0]
 TABULATED = {"family": "tabulated", "r": _TAB_R, "v": _TAB_V}
 
 # (theorem, operator flags) and the potential of each family for it
@@ -104,8 +103,9 @@ def _cases() -> dict:
                 argv += ["--potential", pot]
             cases[f"bound-{theorem}-{family}"] = (["bound", *argv], config, "json")
             cases[f"count-{theorem}-{family}"] = (["count", *argv, *COUNT_GRID], config, "json")
-    # two failures: a configuration error, and a count window that leaves the
-    # samples of a tabulated well (r = e^s passes 6 inside the first window)
+    # a configuration error, which exits 2, and a count window that passes the
+    # last sample of a tabulated well (r = e^s passes 6 inside the first
+    # window), where V is 0
     cases["bound-t42-d2"] = (["bound", "--theorem", "t42", "--d", "2", "--potential", "zero"],
                              None, "json")
     narrow = {"family": "tabulated", "r": [0.5, 1.2, 6.0], "v": [0.0, -20.0, -1.0]}

@@ -818,6 +818,53 @@ class TestEnvironmentAndProcess:
         assert "bound raw  : 31.961799114\n" in out
         assert "bound cap  : 31\n" in out
 
+    def test_every_family_theorem_variant_and_depth_exits_cleanly(self, tmp_path):
+        # bound and count of each family under t41/t42/t43, both variants,
+        # n = 0 and 1, through main in one child process under one deadline:
+        # each exits 0, or 3 with one line and no traceback; a tabulated
+        # count, whose window passes the last sample, exits 0
+        tabulated = tmp_path / "tabulated.json"
+        tabulated.write_text(json.dumps({"potential": {
+            "family": "tabulated", "r": [0.5, 1.2, 6.0], "v": [0.0, -20.0, -1.0]}}))
+        families = {
+            "zero": ["--potential", "zero"],
+            "square_well": ["--potential", "square_well:c=40,a=3,b=6"],
+            "inverse_square": ["--potential", "inverse_square:c=0.5,a=3"],
+            "power_log_well": ["--potential", "power_log_well:c=5,p=-3,q=1,a=3,b=inf"],
+            "tabulated": ["--config", str(tabulated)],
+        }
+        cases = [[command, "--theorem", theorem, "--d", "1" if theorem == "t41" else "3",
+                  "--n", n, "--variant", variant, *potential,
+                  *(["--L", "8", "--m", "400"] if command == "count" else [])]
+                 for command in ("bound", "count") for theorem in ("t41", "t42", "t43")
+                 for potential in families.values() for variant in ("zero", "one")
+                 for n in ("0", "1")]
+        driver = (
+            "import contextlib, io, json, sys, traceback\n"
+            "from hardybounds.cli import main\n"
+            "results = []\n"
+            "for argv in json.load(sys.stdin):\n"
+            "    err = io.StringIO()\n"
+            "    try:\n"
+            "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "            code = main(argv)\n"
+            "    except BaseException:\n"
+            "        code, err = None, io.StringIO(traceback.format_exc())\n"
+            "    results.append([code, err.getvalue()])\n"
+            "print(json.dumps(results))\n")
+        proc = subprocess.run([sys.executable, "-c", driver], input=json.dumps(cases),
+                              capture_output=True, text=True, timeout=300.0)
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        assert len(results) == len(cases) == 120
+        for argv, (code, err) in zip(cases, results):
+            assert code in (EXIT_OK, EXIT_NUMERICAL), (argv, code, err)
+            assert "Traceback" not in err, (argv, err)
+            if code == EXIT_NUMERICAL:
+                assert err.startswith("numerical failure") and err.count("\n") == 1, (argv, err)
+            if argv[0] == "count" and "--config" in argv:
+                assert code == EXIT_OK, (argv, err)
+
     @pytest.mark.parametrize("argv, config", [
         (["count", "--d", "1", "--potential", "zero", "--doublings", "-1"], None),
         (["sweep"], {"sweep": {"theorem": "t41", "family": "square_well",

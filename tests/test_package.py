@@ -37,6 +37,19 @@ def test_exports_are_the_documented_names():
     assert set(hardybounds.__all__) == readme_exports()
 
 
+def test_readme_test_install_names_every_test_extra():
+    """The README's install line for the tests names each package of
+    pyproject's ``test`` extra, which the test modules import."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    extra = {re.match(r"[\w.-]+", req).group(0).lower()
+             for req in project["optional-dependencies"]["test"]}
+    lines = [line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+             if line.startswith("pip install ") and "test extras" in line]
+    assert len(lines) == 1
+    assert extra <= set(lines[0].split("#")[0].split()[2:])
+
+
 def test_demos_are_found():
     assert DEMOS
 
@@ -143,18 +156,13 @@ QUADRATURES = {"integrate", "integrate_semiinfinite"}
 
 def test_one_driver_integrates_every_bound():
     """In ``bounds.py`` one function, ``_flat_integral``, runs the
-    quadrature, reads how a tabulated V's samples map into s, and writes the
-    sampled-range note: the bounds give it only their integrands and spans."""
-    found = {"quadrature": set(), "sample ends": set(), "sampled-range note": set()}
+    quadrature: the bounds give it only their integrands and spans."""
+    found = set()
     for top in dict(source_trees())["bounds.py"].body:
         for node in ast.walk(top):
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) in QUADRATURES:
-                found["quadrature"].add(top.name)
-            if isinstance(node, ast.Attribute) and node.attr == "_ends":
-                found["sample ends"].add(top.name)
-            if isinstance(node, ast.Constant) and "sampled range" in str(node.value):
-                found["sampled-range note"].add(top.name)
-    assert found == dict.fromkeys(found, {"_flat_integral"})
+                found.add(top.name)
+    assert found == {"_flat_integral"}
 
 
 def test_quadrature_keeps_no_priority_queue():

@@ -47,14 +47,15 @@ class TestEvaluation:
         assert V(2.0) == pytest.approx(-2.0 * math.log(2.0), rel=1e-14)
         assert V(5.0) == 0.0
 
-    def test_tabulated_interpolates_and_rejects_outside(self):
-        V = TabulatedPotential(r=(1.0, 2.0, 3.0), v=(-1.0, -3.0, 0.0))
+    def test_tabulated_interpolates_and_is_zero_outside(self):
+        # 0 at and outside the end samples, as a square well is at its ends
+        V = TabulatedPotential(r=(1.0, 2.0, 3.0), v=(-1.0, -3.0, -2.0))
         assert V(1.5) == pytest.approx(-2.0, rel=1e-14)
-        assert V(3.0) == 0.0
-        with pytest.raises(DomainError):
-            V(0.5)
-        with pytest.raises(DomainError):
-            V(3.5)
+        assert V(2.0) == -3.0
+        assert V(np.array([0.5, 1.0, 3.0, 3.5, 1e300])).tolist() == [0.0] * 5
+        for r in (0.0, -1.0):
+            with pytest.raises(DomainError, match="needs r > 0"):
+                V(r)
 
     def test_square_well_validation(self):
         with pytest.raises(DomainError):
@@ -175,16 +176,18 @@ class TestTransform:
         # quadrature passes one row of nodes per panel: the error names the
         # node, for a form and for a core read on the tower
         s = np.array([[0.0, 0.5], [1.0, 20.0]])
-        for V in (InverseSquareTail(c=1.0, a=0.0),
-                  TabulatedPotential(r=(1.0, 1e300), v=(-1.0, -1.0))):
+        for V in (InverseSquareTail(c=1.0, a=0.0), Formless()):
             with pytest.raises(OverflowError, match=r"at s=20\.0 exceeds"):
                 transform_potential(V, 3)(s)
 
-    def test_tabulated_end_images_evaluate(self):
-        # exp^(3) of the image of the last sample rounds to 8.852362261518689
+    def test_tabulated_end_images_read_zero(self):
+        # W is 0 at the images of the end samples, as V is at the samples; the
+        # last is -0.2489246107597271, whose exp^(3) rounds past the sample
         V = TabulatedPotential(r=(4.83833075057046, 8.852362261518687), v=(-1.0, -2.0))
         W = transform_potential(V, 3)
-        assert W(-0.2489246107597271) < 0.0
+        assert W.kinks() == list(W.exterior()[:2])
+        assert W(np.array(W.kinks())).tolist() == [0.0, 0.0]
+        assert W(-0.2489246107597271 - 1e-9) < 0.0
         rng = np.random.default_rng(7)
         for _ in range(1000):
             r0 = math.exp(rng.uniform(-2.0, 7.0))
@@ -192,6 +195,8 @@ class TestTransform:
                                    v=tuple(rng.uniform(-5.0, 5.0, 2)))
             for k in (1, 2, 3):
                 W = transform_potential(V, k)
+                a, b, _ = W.exterior()
+                assert W(np.array([a, b])).tolist() == [0.0, 0.0]
                 for s in W.kinks():
                     assert math.isfinite(W(s))
 
@@ -207,12 +212,12 @@ class TestTransform:
         with pytest.raises(OverflowError, match="exceeds the double range"):
             transform_potential(negated, 2)(s)
 
-    def test_tabulated_outside_the_end_images_raises(self):
+    def test_tabulated_outside_the_end_images_reads_zero(self):
         V = TabulatedPotential(r=(2.0, 3.0), v=(-1.0, -2.0))
         W = transform_potential(V, 2)
-        for s in (safe_iterated_log(1.999, 2), safe_iterated_log(3.001, 2)):
-            with pytest.raises(DomainError, match="tabulated potential defined on"):
-                W(s)
+        for s in (safe_iterated_log(1.999, 2), safe_iterated_log(3.001, 2), 1e6):
+            assert W(s) == 0.0
+        assert W(safe_iterated_log(2.5, 2)) < 0.0
 
 
 class Formless(Potential):
@@ -264,13 +269,15 @@ class TestEffectiveRadial:
         assert W == transform_potential(V, 1)
 
     def test_exterior_is_what_w_reads_outside_its_interval(self):
-        V = SquareWell(c=50.0, a=0.5, b=2.0)
-        for d in (2, 3, 4, 5):
-            for l in range(6):
-                W = channel_potential(V, OperatorSpec(d, 0, "one"), l)
-                a, b, w = W.exterior()
-                assert (a, b) == (math.log(0.5), math.log(2.0))
-                assert W(np.array([a - 1.0, a, b, b + 1.0])).tolist() == [w] * 4
+        # a tabulated V's interval is the images of its end samples
+        for V in (SquareWell(c=50.0, a=0.5, b=2.0),
+                  TabulatedPotential(r=(0.5, 1.0, 2.0), v=(-3.0, -50.0, -1.0))):
+            for d in (2, 3, 4, 5):
+                for l in range(6):
+                    W = channel_potential(V, OperatorSpec(d, 0, "one"), l)
+                    a, b, w = W.exterior()
+                    assert (a, b) == (math.log(0.5), math.log(2.0))
+                    assert W(np.array([a - 1.0, a, b, b + 1.0])).tolist() == [w] * 4
         assert transform_potential(ZeroPotential(), 2).exterior() == (0.0, 0.0, 0.0)
 
     def test_one_step_adds_the_coupling_exactly(self):
@@ -288,8 +295,6 @@ class TestEffectiveRadial:
     def test_no_exterior_where_w_varies_outside_its_interval(self):
         V = SquareWell(c=50.0, a=0.5, b=2.0)
         assert channel_potential(V, OperatorSpec(3, 1, "one"), 1).exterior() is None
-        tab = TabulatedPotential(r=(0.5, 2.0), v=(-1.0, -1.0))
-        assert transform_potential(tab, 1).exterior() is None
 
     def test_kinks_add_the_images_of_the_crossings(self):
         # L/r^2 = 2 on (1, 4) crosses at r = sqrt(L/2); r = 8 lies outside

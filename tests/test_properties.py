@@ -85,6 +85,7 @@ from hardybounds.spectra import (
     transformed_window_start,
 )
 from weighted_oracle import absolute_log_weight, clr_x_integral, weighted_negpart_quad
+from test_potentials import Formless
 
 _PIVOT_EPS = 2.0**-40
 
@@ -506,16 +507,22 @@ def scalar_potential(V, r: float) -> float:
             v *= math.log(r) ** V.q
         return -v
     if isinstance(V, TabulatedPotential):
-        if r < V.r[0] or r > V.r[-1]:
-            raise DomainError(f"tabulated potential defined on [{V.r[0]}, {V.r[-1]}], got r={r}")
-        # numpy's interp: the sample interval's slope times the offset from
-        # its left end, plus the left value; v[-1] at the last sample
-        i = bisect.bisect_right(V.r, r) - 1
-        if i == len(V.r) - 1:
-            return V.v[-1]
-        slope = (V.v[i + 1] - V.v[i]) / (V.r[i + 1] - V.r[i])
-        return slope * (r - V.r[i]) + V.v[i]
+        if r <= 0.0:
+            raise DomainError(f"tabulated potential needs r > 0, got {r}")
+        # 0 at and outside the end samples, as a square well is at its ends
+        return scalar_interpolant(V, r) if V.r[0] < r < V.r[-1] else 0.0
     raise TypeError(V)
+
+
+def scalar_interpolant(V, r: float) -> float:
+    """numpy's interp of a tabulated V's samples at one r in [r_0, r_N]: the
+    sample interval's slope times the offset from its left end, plus the left
+    value; v_N at the last sample."""
+    i = bisect.bisect_right(V.r, r) - 1
+    if i == len(V.r) - 1:
+        return V.v[-1]
+    slope = (V.v[i + 1] - V.v[i]) / (V.r[i + 1] - V.r[i])
+    return slope * (r - V.r[i]) + V.v[i]
 
 
 def scalar_prefactor_exponent(s: float, terms: int) -> float:
@@ -727,8 +734,8 @@ class TestTransformedArrayProperties:
         (PowerLogWell(c=-1.0, p=0.0, q=0.0, a=1.0, b=math.inf), 1, 360.0, 1e300),
         # telescoped -c e^{2s} e^{2 e^s}: 2(6 + e^6) > 700 while exp^(2) 6 is finite
         (InverseSquareTail(c=1.0, a=1.0), 3, 6.0, OverflowError),
-        # exp^(1) 1 = e lies below the samples
-        (TabulatedPotential(r=(3.0, 4.0), v=(-1.0, -2.0)), 1, 1.0, DomainError),
+        # exp^(1) 1 = e lies below the samples: zero
+        (TabulatedPotential(r=(3.0, 4.0), v=(-1.0, -2.0)), 1, 1.0, 0.0),
         # outside the support of a well: zero
         (SquareWell(c=4.0, a=1.0, b=2.0), 1, 5.0, 0.0),
         # exp^(2) 7 = e^1096.6 leaves the double range, but W is formed in
@@ -750,9 +757,9 @@ class TestTransformedArrayProperties:
             assert W(pts)[1] == expected
 
     @pytest.mark.parametrize("V, k, s", [
-        # exp^(3) 2 = e^1618.2: the tower, which a tabulated V is read on,
-        # leaves the double range
-        (TabulatedPotential(r=(1.0, 4.0), v=(-1.0, -2.0)), 3, 2.0),
+        # exp^(3) 2 = e^1618.2: the tower, which a V without a form is read
+        # on inside its support, here every r > 0, leaves the double range
+        (Formless(), 3, 2.0),
     ])
     def test_tower_overflow_is_an_overflow_error(self, V, k, s):
         W = transform_potential(V, k)
@@ -981,8 +988,9 @@ class TestCrossingsAndSupScan:
     @settings(max_examples=150, deadline=None)
     @given(V=tabulated_wells(), L=st.sampled_from([2.0, 6.0, 20.0, 110.0]))
     def test_array_bisection_is_bit_equal_to_the_scalar_one(self, V, L):
+        # the crossings read the interpolant, whose end values are V's limits
         def g(r):
-            return L / (r * r) + scalar_potential(V, r)
+            return L / (r * r) + scalar_interpolant(V, r)
 
         want, lo, hi = [], [], []
         for r0, r1, v0, v1 in zip(V.r, V.r[1:], V.v, V.v[1:]):
@@ -993,7 +1001,8 @@ class TestCrossingsAndSupScan:
             want += scalar_monotone_roots(g, cuts)
             lo += cuts[:-1]
             hi += cuts[1:]
-        got = _monotone_roots(lambda r: L / (r * r) + V(r), np.array(lo), np.array(hi))
+        got = _monotone_roots(lambda r: L / (r * r) + np.interp(r, V.r, V.v), np.array(lo),
+                              np.array(hi))
         assert got.tolist() == want
         assert sorted(_tabulated_crossings(L, V)) == sorted(want)
         event(f"{len(want)} roots")
@@ -1464,6 +1473,64 @@ class TestCountedChannels:
             event("vacuous bound")
             return
         assert [ch.l for ch in bv.channels] == [row["l"] for row in table]
+
+
+# ---------------------------------------------------------------------------
+# a tabulated V is 0 outside its samples: the same well padded with zeros
+# ---------------------------------------------------------------------------
+
+@st.composite
+def unpadded_wells(draw):
+    """A tabulated well whose end samples may be nonzero, and the same well
+    padded with zero samples: one just outside each end sample, and one at
+    r = 1e-6 and 1e150, past every count window at ``_COUNT_L``.  The two
+    V agree at every r but the end samples, where the padded one reads
+    their values and the other reads 0."""
+    k = draw(st.integers(2, 12))
+    r = draw(_pos(0.3, 3.0)) * np.cumprod([1.0] + [1.0 + draw(_pos(0.05, 1.0)) for _ in range(k - 1)])
+    # r^2 |V| <= 30 at the samples: l_max <= 4 in d = 3
+    v = tuple(draw(st.one_of(st.just(0.0), _pos(-30.0, 0.0))) / (x * x) for x in r.tolist())
+    padded = [1e-6, math.nextafter(r[0], 0.0), *r, math.nextafter(r[-1], math.inf), 1e150]
+    return (TabulatedPotential(r=tuple(r.tolist()), v=v),
+            TabulatedPotential(r=tuple(padded), v=(0.0, 0.0, *v, 0.0, 0.0)))
+
+
+class TestTabulatedZeroOutside:
+    @settings(max_examples=150, deadline=None)
+    @given(wells=unpadded_wells(), n=st.integers(0, 1), variant=st.sampled_from(["zero", "one"]))
+    def test_counts_and_bounds_are_those_of_the_padded_well(self, wells, n, variant):
+        V, padded = wells
+        line, central = OperatorSpec(1, n, variant), OperatorSpec(3, n, variant)
+        grid = {"L": _COUNT_L, "m": _COUNT_M}
+        assert (count_negative(line, V, **grid).negative_count
+                == count_negative(line, padded, **grid).negative_count)
+        assert total_central_count(central, V, **grid) == total_central_count(central, padded, **grid)
+        # l_max reads the end samples' values: a sup without them drops channels
+        assert l_max(V, 3, central.threshold) == l_max(padded, 3, central.threshold)
+        clr = OperatorSpec(3, n, variant, threshold_depth=n + 2)
+        for got, want in ((bounds.bound_1d(V, line), bounds.bound_1d(padded, line)),
+                          (central_bound(V, central), central_bound(padded, central)),
+                          (clr_bound(V, clr), clr_bound(padded, clr))):
+            # the same integral on other panels: equal to the quadrature tolerance
+            assert got.raw == pytest.approx(want.raw, rel=1e-9, abs=1e-9)
+            assert [ch.l for ch in got.channels] == [ch.l for ch in want.channels]
+            assert got.diagnostics.notes == want.diagnostics.notes
+
+    @settings(max_examples=100, deadline=None)
+    @given(wells=unpadded_wells(), k=st.integers(1, 3))
+    def test_v_and_w_read_zero_at_the_end_samples_and_past_them(self, wells, k):
+        V, padded = wells
+        r0, rN = V.r[0], V.r[-1]
+        rs = [r0, rN, math.nextafter(r0, 0.0), math.nextafter(rN, math.inf), 2.0 * rN]
+        assert V(np.array(rs)).tolist() == [0.0] * 5
+        assert padded(np.array(rs[2:])).tolist() == [0.0] * 3
+        W = transform_potential(V, k)
+        a, b, w = W.exterior()
+        assert (a, b, w) == (safe_iterated_log(r0, k), safe_iterated_log(rN, k), 0.0)
+        s = [x for x in map(lambda x: safe_iterated_log(x, k), rs) if math.isfinite(x)]
+        s += [x for x in (math.nextafter(a, -math.inf), math.nextafter(b, math.inf))
+              if math.isfinite(x)]
+        assert W(np.array(s)).tolist() == [0.0] * len(s)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from hardybounds.errors import DomainError, EvaluationError
 from hardybounds.potentials import (
     Potential,
     SquareWell,
-    TabulatedPotential,
     ZeroPotential,
     transform_potential,
 )
@@ -29,6 +28,7 @@ from hardybounds.spectra import (
     total_central_count,
     transformed_window_start,
 )
+from test_potentials import Formless
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -56,8 +56,8 @@ class TestAssemble:
         assert np.allclose(T.diagonal, [2.0 + 1.0, 2.0 + 2.0, 2.0 + 3.0])
 
     def test_evaluation_error_carries_grid_index(self):
-        V = TabulatedPotential(r=(1.0, 2.0), v=(-1.0, -1.0))
-        W = transform_potential(V, 1)
+        # the tower exp^(3) s of a V without a support leaves the doubles
+        W = transform_potential(Formless(), 3)
         with pytest.raises(EvaluationError, match="grid index"):
             assemble(W, Grid(-5.0, 5.0, 10))
 

@@ -91,7 +91,7 @@ def clr_x_integral(V, spec, tol, horizon=None):
     (x ln x ...)^(d-1) at d = 4, n = 1."""
     d, n, one = spec.d, spec.n, spec.variant == "one"
     coeff = float((d - 1) * (d - 3))
-    ns, rng = V.negative_support(), V.sampled_range()
+    ns = V.negative_support()
     if ns is not None and math.isinf(ns[1]):
         return math.inf
     if not one and coeff > 0.0 and horizon is None:
@@ -110,15 +110,8 @@ def clr_x_integral(V, spec, tol, horizon=None):
     if horizon is not None:
         hi = min(hi, horizon)
     lo = spec.threshold.value
-    V_at = V
-    if rng is not None and coeff == 0.0:
-        lo, hi = max(lo, rng[0]), min(hi, rng[1])
-    elif rng is not None:
-        def V_at(x):
-            v = np.zeros(x.shape)
-            inside = (rng[0] <= x) & (x <= rng[1])
-            v[inside] = V(x[inside])
-            return v
+    if coeff == 0.0 and ns is not None:  # A <= 0: the integrand is 0 where V >= 0
+        lo = max(lo, ns[0])
     if hi <= lo:
         return 0.0
     logs = n + 1 + one
@@ -128,7 +121,7 @@ def clr_x_integral(V, spec, tol, horizon=None):
         chain = log_chain(x, logs)
         prod = np.prod(chain, axis=0)
         num = coeff - chain[-1] ** 2 if one else coeff
-        return num / (4.0 * prod * prod) - V_at(x), prod
+        return num / (4.0 * prod * prod) - V(x), prod
 
     def f(x):
         g, prod = arg(x)
