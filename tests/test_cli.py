@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import textwrap
 import time
 from dataclasses import asdict
 
@@ -839,19 +840,21 @@ class TestEnvironmentAndProcess:
                  for command in ("bound", "count") for theorem in ("t41", "t42", "t43")
                  for potential in families.values() for variant in ("zero", "one")
                  for n in ("0", "1")]
-        driver = (
-            "import contextlib, io, json, sys, traceback\n"
-            "from hardybounds.cli import main\n"
-            "results = []\n"
-            "for argv in json.load(sys.stdin):\n"
-            "    err = io.StringIO()\n"
-            "    try:\n"
-            "        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
-            "            code = main(argv)\n"
-            "    except BaseException:\n"
-            "        code, err = None, io.StringIO(traceback.format_exc())\n"
-            "    results.append([code, err.getvalue()])\n"
-            "print(json.dumps(results))\n")
+        driver = textwrap.dedent("""\
+            import contextlib, io, json, sys, traceback
+            from hardybounds.cli import main
+            results = []
+            for argv in json.load(sys.stdin):
+                err = io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        with contextlib.redirect_stderr(err):
+                            code = main(argv)
+                except BaseException:
+                    code, err = None, io.StringIO(traceback.format_exc())
+                results.append([code, err.getvalue()])
+            print(json.dumps(results))
+            """)
         proc = subprocess.run([sys.executable, "-c", driver], input=json.dumps(cases),
                               capture_output=True, text=True, timeout=300.0)
         assert proc.returncode == 0, proc.stderr

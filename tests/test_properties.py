@@ -1487,7 +1487,8 @@ def unpadded_wells(draw):
     V agree at every r but the end samples, where the padded one reads
     their values and the other reads 0."""
     k = draw(st.integers(2, 12))
-    r = draw(_pos(0.3, 3.0)) * np.cumprod([1.0] + [1.0 + draw(_pos(0.05, 1.0)) for _ in range(k - 1)])
+    steps = [1.0] + [1.0 + draw(_pos(0.05, 1.0)) for _ in range(k - 1)]
+    r = draw(_pos(0.3, 3.0)) * np.cumprod(steps)
     # r^2 |V| <= 30 at the samples: l_max <= 4 in d = 3
     v = tuple(draw(st.one_of(st.just(0.0), _pos(-30.0, 0.0))) / (x * x) for x in r.tolist())
     padded = [1e-6, math.nextafter(r[0], 0.0), *r, math.nextafter(r[-1], math.inf), 1e150]
@@ -1504,7 +1505,8 @@ class TestTabulatedZeroOutside:
         grid = {"L": _COUNT_L, "m": _COUNT_M}
         assert (count_negative(line, V, **grid).negative_count
                 == count_negative(line, padded, **grid).negative_count)
-        assert total_central_count(central, V, **grid) == total_central_count(central, padded, **grid)
+        assert (total_central_count(central, V, **grid)
+                == total_central_count(central, padded, **grid))
         # l_max reads the end samples' values: a sup without them drops channels
         assert l_max(V, 3, central.threshold) == l_max(padded, 3, central.threshold)
         clr = OperatorSpec(3, n, variant, threshold_depth=n + 2)
@@ -1527,7 +1529,7 @@ class TestTabulatedZeroOutside:
         W = transform_potential(V, k)
         a, b, w = W.exterior()
         assert (a, b, w) == (safe_iterated_log(r0, k), safe_iterated_log(rN, k), 0.0)
-        s = [x for x in map(lambda x: safe_iterated_log(x, k), rs) if math.isfinite(x)]
+        s = [x for x in (safe_iterated_log(r, k) for r in rs) if math.isfinite(x)]
         s += [x for x in (math.nextafter(a, -math.inf), math.nextafter(b, math.inf))
               if math.isfinite(x)]
         assert W(np.array(s)).tolist() == [0.0] * len(s)
